@@ -2,6 +2,7 @@ package core
 
 import (
 	"ncexplorer/internal/kg"
+	"ncexplorer/internal/reach"
 	"ncexplorer/internal/relevance"
 	"ncexplorer/internal/shardmap"
 )
@@ -71,6 +72,16 @@ func (e *Engine) CacheStats() CacheStats {
 		Match: shardmap.Stats{Entries: int64(st.planned)},
 		Conn:  e.connMemo.Stats(),
 	}
+}
+
+// ReachStats reports the reachability index behind guided walks:
+// resident tables, their bytes, BFS builds and cache hits. Zero when
+// the engine scores exactly (no index).
+func (e *Engine) ReachStats() reach.Stats {
+	if e.reachIx == nil {
+		return reach.Stats{}
+	}
+	return e.reachIx.Stats()
 }
 
 // getScorer takes a scorer from the state's pool. Scorers are not safe

@@ -72,8 +72,6 @@ type Options struct {
 	// Exact computes connectivity exactly instead of sampling (tests
 	// and ablations).
 	Exact bool
-	// ReachCache bounds the reachability index's resident tables.
-	ReachCache int
 	// Now supplies the wall clock used to default a missing PublishedAt
 	// on ingested articles (the seam tests inject to pin defaulted
 	// timestamps). Never part of persisted engine metadata: the clock
@@ -399,7 +397,7 @@ func NewEngine(g *kg.Graph, opts Options) *Engine {
 	e.gc.cond = sync.NewCond(&e.gc.mu)
 	e.gc.waiterCh = make(chan struct{}, 1)
 	if !opts.Exact {
-		e.reachIx = reach.New(g, opts.Tau, opts.ReachCache)
+		e.reachIx = reach.New(g, opts.Tau)
 	}
 	e.querySem = make(chan struct{}, opts.Workers)
 	return e
@@ -627,6 +625,7 @@ func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState
 	workerScorers := make([]*relevance.Scorer, e.opts.Workers)
 	for w := range workerScorers {
 		workerScorers[w] = relevance.NewScorer(e.g, st, e.reachIx, e.scorerOpts())
+		defer workerScorers[w].Release()
 	}
 	total := e.buildPlans(st, workerScorers, prev)
 	if prev == nil {

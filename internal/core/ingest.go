@@ -317,6 +317,7 @@ func (e *Engine) prewarmConn(ctx context.Context, seg *snapshot.Segment) []connP
 	gens := make([]uint32, workers)
 	for w := range scorers {
 		scorers[w] = relevance.NewScorer(e.g, view, e.reachIx, e.scorerOpts())
+		defer scorers[w].Release()
 		stamps[w] = make([]uint32, seg.Len())
 	}
 	e.parallelWorker(len(concepts), func(worker, i int) {

@@ -189,7 +189,7 @@ func FormatFig5(points []Fig5Point) string {
 type ReachBuildResult struct {
 	Targets  int
 	Seconds  float64
-	Bytes    int64
+	Bytes    int64 // resident table bytes (entries × 5)
 	KGNodes  int
 	KGEdges  int64
 	HopBound int
@@ -212,7 +212,7 @@ func (w *World) ReachIndexBuild(nTargets int) ReachBuildResult {
 		targets = append(targets, instances[r.Intn(len(instances))])
 	}
 	tau := w.Engine.Options().Tau
-	ix := reach.New(w.G, tau, nTargets+1)
+	ix := reach.New(w.G, tau)
 	start := time.Now()
 	bytes := ix.Precompute(targets)
 	return ReachBuildResult{

@@ -161,7 +161,7 @@ func (w *World) Fig7(nPairs, reps int) []Fig7Point {
 	tau := 2
 	beta := 0.5
 	exact := w.exactScorer(tau)
-	ix := reach.New(w.G, tau, 0)
+	ix := reach.New(w.G, tau)
 	guided := rw.New(w.G, ix, tau, beta)
 	unguided := rw.New(w.G, nil, tau, beta)
 

@@ -167,6 +167,16 @@ func NewScorer(g *kg.Graph, view DocView, index *reach.Index, opts Options) *Sco
 // Options returns the effective (defaulted) options.
 func (s *Scorer) Options() Options { return s.opts }
 
+// Release hands the scorer's pooled walk scratch back to the
+// reachability index. Owners that build scorers for one pass (an index
+// build, an ingest batch) call it when the pass ends so the next pass
+// allocates nothing; the scorer stays usable.
+func (s *Scorer) Release() {
+	if s.est != nil {
+		s.est.Release()
+	}
+}
+
 // Extent returns the matching extent of c — the capped extent closure —
 // as both list and set. Both are immutable shared views: the scorer
 // never mutates a memoised entry after creating it and callers must

@@ -70,7 +70,7 @@ func newScorer(g *kg.Graph, view DocView, exact bool) *Scorer {
 	opts := Options{Tau: 2, Beta: 0.5, Samples: 2000, Exact: exact}
 	var ix *reach.Index
 	if !exact {
-		ix = reach.New(g, 2, 0)
+		ix = reach.New(g, 2)
 	}
 	return NewScorer(g, view, ix, opts)
 }
@@ -255,7 +255,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func BenchmarkCDRSampled(b *testing.B) {
 	g, view, ids := testWorld(b)
-	s := NewScorer(g, view, reach.New(g, 2, 0), Options{Samples: 50})
+	s := NewScorer(g, view, reach.New(g, 2), Options{Samples: 50})
 	rnd := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -9,10 +9,10 @@
 // One sample: draw u uniformly from Ψ(c), then run a non-repeating
 // random walk from u toward v. At each step the walk chooses uniformly
 // among *eligible* neighbours — unvisited nodes that can still reach v
-// within the remaining hop budget (exact reachability when a
-// reach.Index guides the walk; merely "unvisited" when unguided). If
-// the walk reaches v after l steps having had N(u₀), …, N(u_{l−1})
-// eligible choices, the sample value is
+// within the remaining hop budget (exact reachability, read from v's
+// reach.Index table painted into the estimator's dense scratch, when
+// guided; merely "unvisited" when unguided). If the walk reaches v after
+// l steps with N(u₀), …, N(u_{l−1}) eligible choices, the sample value is
 //
 //	r = |Ψ(c)| · β^l · Π_{i=0}^{l-1} N(u_i)
 //
@@ -38,11 +38,20 @@ import (
 
 // Estimator runs guided or unguided walks. Not safe for concurrent use
 // (scratch buffers); create one per goroutine.
+//
+// A guided estimator borrows a dense scratch from the index on its
+// first guided walk and paints the current target's sparse table into
+// it; the marks stay until a walk names a different target, so dist[y]
+// is an O(1) read and the index is consulted once per target change.
 type Estimator struct {
 	g     *kg.Graph
 	index *reach.Index // nil ⇒ unguided
 	tau   int
 	beta  float64
+
+	dist    []int16      // dense scratch holding painted, else Unreachable
+	painted *reach.Table // nil ⇒ no scratch borrowed
+	target  kg.NodeID    // painted's target
 
 	visited  []kg.NodeID // scratch: nodes on the current walk
 	eligible []kg.NodeID // scratch: eligible neighbours at a step
@@ -61,8 +70,30 @@ func New(g *kg.Graph, index *reach.Index, tau int, beta float64) *Estimator {
 	return &Estimator{g: g, index: index, tau: tau, beta: beta}
 }
 
-// Guided reports whether the estimator uses a reachability index.
-func (e *Estimator) Guided() bool { return e.index != nil }
+// distTo returns the dense scratch painted with target v's table.
+func (e *Estimator) distTo(v kg.NodeID) []int16 {
+	switch {
+	case e.painted != nil && e.target == v:
+		return e.dist
+	case e.painted == nil:
+		e.dist = e.index.Scratch()
+	default:
+		e.painted.Unpaint(e.dist)
+	}
+	e.painted, e.target = e.index.Table(v), v
+	e.painted.Paint(e.dist)
+	return e.dist
+}
+
+// Release un-paints the scratch and hands it back to the index's pool;
+// the estimator stays usable and re-borrows on its next guided walk.
+func (e *Estimator) Release() {
+	if e.painted != nil {
+		e.painted.Unpaint(e.dist)
+		e.index.Recycle(e.dist)
+		e.dist, e.painted = nil, nil
+	}
+}
 
 // Walk runs one walk from u toward v and returns the sample value for
 // the pair term Σ_l β^l |paths^⟨l⟩(u, v)| (i.e. without the |Ψ(c)|
@@ -73,7 +104,7 @@ func (e *Estimator) Walk(r *xrand.Rand, u, v kg.NodeID) float64 {
 	}
 	var dist []int16
 	if e.index != nil {
-		dist = e.index.DistTo(v)
+		dist = e.distTo(v)
 		if dist[u] == reach.Unreachable {
 			return 0
 		}
@@ -163,7 +194,7 @@ func (e *Estimator) EstimateConcept(r *xrand.Rand, ext []kg.NodeID, v kg.NodeID,
 	}
 	pool := ext
 	if e.index != nil {
-		dist := e.index.DistTo(v)
+		dist := e.distTo(v)
 		eligible := e.sources[:0]
 		for _, u := range ext {
 			if d := dist[u]; d != reach.Unreachable && int(d) <= e.tau && u != v {

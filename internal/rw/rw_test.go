@@ -38,7 +38,7 @@ func TestUnbiasedness(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		g, ids := randomGraph(t, seed, 16, 40)
 		counter := paths.NewCounter(g)
-		ix := reach.New(g, tau, 0)
+		ix := reach.New(g, tau)
 		guided := New(g, ix, tau, beta)
 		unguided := New(g, nil, tau, beta)
 		r := xrand.New(seed * 977)
@@ -79,7 +79,7 @@ func TestZeroWhenUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := New(g, reach.New(g, 2, 0), 2, 0.5)
+	est := New(g, reach.New(g, 2), 2, 0.5)
 	r := xrand.New(1)
 	if got := est.EstimatePair(r, x, z, 500); got != 0 {
 		t.Errorf("unreachable pair estimated %v", got)
@@ -132,7 +132,7 @@ func TestGuidanceReducesVariance(t *testing.T) {
 	if exact == 0 {
 		t.Fatal("setup broken")
 	}
-	guided := New(g, reach.New(g, tau, 0), tau, beta)
+	guided := New(g, reach.New(g, tau), tau, beta)
 	unguided := New(g, nil, tau, beta)
 
 	varOf := func(e *Estimator, seed uint64) float64 {
@@ -171,7 +171,7 @@ func TestEstimateConceptScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := New(g, reach.New(g, 2, 0), 2, 0.5)
+	est := New(g, reach.New(g, 2), 2, 0.5)
 	r := xrand.New(4)
 	got := est.EstimateConcept(r, []kg.NodeID{u1, u2}, v, 30000)
 	// Exact: Σ over u∈ext of WeightedCount(u, v):
@@ -210,7 +210,7 @@ func TestEligibleSourceSamplingUnbiasedAndFaster(t *testing.T) {
 	for _, s := range ext {
 		want += exact.WeightedCount(s, v, tau, beta)
 	}
-	guided := New(g, reach.New(g, tau, 0), tau, beta)
+	guided := New(g, reach.New(g, tau), tau, beta)
 	unguided := New(g, nil, tau, beta)
 	r := xrand.New(11)
 	// Guided: pool collapses to {u}; even 10 samples are exact here.
@@ -248,7 +248,7 @@ func TestPanicsOnBadParams(t *testing.T) {
 
 func TestDeterministicGivenSeed(t *testing.T) {
 	g, ids := randomGraph(t, 5, 20, 50)
-	est := New(g, reach.New(g, 2, 0), 2, 0.5)
+	est := New(g, reach.New(g, 2), 2, 0.5)
 	a := est.EstimatePair(xrand.New(7), ids[0], ids[5], 200)
 	bv := est.EstimatePair(xrand.New(7), ids[0], ids[5], 200)
 	if a != bv {
@@ -258,7 +258,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 
 func BenchmarkWalkGuided(b *testing.B) {
 	g, ids := randomGraph(b, 1, 2000, 8000)
-	est := New(g, reach.New(g, 2, 0), 2, 0.5)
+	est := New(g, reach.New(g, 2), 2, 0.5)
 	r := xrand.New(1)
 	u, v := ids[0], ids[99]
 	est.Walk(r, u, v) // warm the reach table
@@ -276,5 +276,25 @@ func BenchmarkWalkUnguided(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		est.Walk(r, u, v)
+	}
+}
+
+// BenchmarkEstimateConceptGuided is the ingest hot path in miniature:
+// one S(c, v) estimate per op, the target changing every op so each
+// one un-paints the previous table, looks the next one up and paints
+// it. Steady state allocates nothing: tables are cached and the dense
+// scratch is the estimator's own.
+func BenchmarkEstimateConceptGuided(b *testing.B) {
+	g, ids := randomGraph(b, 1, 2000, 8000)
+	est := New(g, reach.New(g, 2), 2, 0.5)
+	r := xrand.New(1)
+	ext, targets := ids[:200], ids[200:264]
+	for _, v := range targets {
+		est.EstimateConcept(r, ext, v, 50) // build the tables, size the scratch
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est.EstimateConcept(r, ext, targets[i%len(targets)], 50)
 	}
 }

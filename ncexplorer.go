@@ -158,6 +158,15 @@ type PersistCounters struct {
 	CheckpointErrors int64 `json:"checkpoint_errors"`
 }
 
+// ReachCounters reports the k-hop reachability index that guides
+// connectivity walks (see Stats.Reach).
+type ReachCounters struct {
+	Tables int64 `json:"tables"`
+	Bytes  int64 `json:"bytes"`
+	Builds int64 `json:"builds"`
+	Hits   int64 `json:"hits"`
+}
+
 // Stats summarises an Explorer's indexed world: corpus size, graph
 // dimensions, and the indexing cost split the engine measured. It is
 // the payload behind a server's /statsz endpoint.
@@ -194,6 +203,11 @@ type Stats struct {
 	// fired/delivered/dropped, webhook retries and failures, and live
 	// SSE subscribers. Refreshed on every Stats call.
 	Watch WatchCounters `json:"watch"`
+	// Reach reports the reachability index: resident sparse distance
+	// tables, their bytes (entries × 5), BFS builds run and lookups
+	// served from cache. All zero on a warm-booted read-only process —
+	// it loads the connectivity memo and never walks.
+	Reach ReachCounters `json:"reach"`
 }
 
 // Explorer is a fully indexed NCExplorer instance. Safe for concurrent
@@ -330,6 +344,7 @@ func (x *Explorer) Stats() Stats {
 		Conn:  CacheCounters(cs.Conn),
 	}
 	st.Watch = WatchCounters(x.watch.Counters())
+	st.Reach = ReachCounters(x.engine.ReachStats())
 	return st
 }
 

@@ -305,6 +305,13 @@ func TestSaveOpenPreservesStats(t *testing.T) {
 	a.Persist, b.Persist = PersistCounters{}, PersistCounters{}
 	a.EngineCache, b.EngineCache = EngineCacheStats{}, EngineCacheStats{}
 	a.Ingest, b.Ingest = IngestCounters{}, IngestCounters{}
+	// The reachability index is a per-process walk cache: the builder
+	// walked, the warm-opened process loaded the connectivity memo and
+	// never does.
+	if a.Reach.Builds == 0 || a.Reach.Bytes == 0 || b.Reach != (ReachCounters{}) {
+		t.Fatalf("reach counters: built %+v, opened %+v", a.Reach, b.Reach)
+	}
+	a.Reach = ReachCounters{}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("stats diverge:\n saved:  %+v\n loaded: %+v", a, b)
 	}
