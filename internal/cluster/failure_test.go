@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ncexplorer"
+	"ncexplorer/internal/core"
 	"ncexplorer/internal/server"
 )
 
@@ -295,4 +296,119 @@ func readAll(resp *http.Response) ([]byte, error) {
 	buf := new(bytes.Buffer)
 	_, err := buf.ReadFrom(resp.Body)
 	return buf.Bytes(), err
+}
+
+// TestRouterRejectsBadPartialsFrames pins the router's side of the
+// binary drill-down hop: a shard answer that is not a readable partials
+// frame, or a frame whose contents do not fit the graph, ends the
+// request in a typed error — never a panic, never a page. Shard 1 is a
+// proxy that forwards to the real shard and tampers with one route's
+// answer.
+func TestRouterRejectsBadPartialsFrames(t *testing.T) {
+	tc := newTestCluster(t, 2)
+	real1 := tc.router.Shards[1][0]
+	// recodeRows and recodeSets decode a frame, mutate it, and encode it
+	// again. They run on the proxy's goroutine, so they report with
+	// t.Error.
+	recodeRows := func(mutate func(*core.DrillDownPartial)) func(http.Header, []byte) []byte {
+		return func(_ http.Header, body []byte) []byte {
+			var p core.DrillDownPartial
+			if err := p.UnmarshalBinary(body); err != nil {
+				t.Error(err)
+				return body
+			}
+			mutate(&p)
+			out, err := p.MarshalBinary()
+			if err != nil {
+				t.Error(err)
+			}
+			return out
+		}
+	}
+	recodeSets := func(mutate func(*core.DiversityPartial)) func(http.Header, []byte) []byte {
+		return func(_ http.Header, body []byte) []byte {
+			var p core.DiversityPartial
+			if err := p.UnmarshalBinary(body); err != nil {
+				t.Error(err)
+				return body
+			}
+			mutate(&p)
+			out, err := p.MarshalBinary()
+			if err != nil {
+				t.Error(err)
+			}
+			return out
+		}
+	}
+	const rows, sets = "/internal/query/drilldown-partials", "/internal/query/diversity"
+	cases := []struct {
+		name      string
+		path      string
+		tamper    func(http.Header, []byte) []byte
+		wantShard bool // the error names shard 1
+	}{
+		{"JSON content type", rows, func(h http.Header, b []byte) []byte {
+			h.Set("Content-Type", "application/json")
+			return b
+		}, true},
+		{"bad magic", rows, func(_ http.Header, b []byte) []byte { b[0] ^= 0xFF; return b }, true},
+		{"future version", sets, func(_ http.Header, b []byte) []byte { b[4] = 0x7F; return b }, true},
+		{"truncated frame", rows, func(_ http.Header, b []byte) []byte { return b[:len(b)-1] }, true},
+		{"trailing bytes", sets, func(_ http.Header, b []byte) []byte { return append(b, 0) }, true},
+		{"concept outside the graph", rows, recodeRows(func(p *core.DrillDownPartial) {
+			p.Rows[0].Concepts[0] = 1 << 30
+		}), false},
+		{"too few diversity sets", sets, recodeSets(func(p *core.DiversityPartial) {
+			p.Sets = p.Sets[:len(p.Sets)-1]
+		}), false},
+		{"entity outside the graph", sets, recodeSets(func(p *core.DiversityPartial) {
+			for i := range p.Sets {
+				p.Sets[i] = append(p.Sets[i], 1<<30)
+			}
+		}), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				req, _ := http.NewRequestWithContext(r.Context(), r.Method, real1+r.URL.RequestURI(), r.Body)
+				req.Header = r.Header.Clone()
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					w.WriteHeader(http.StatusBadGateway)
+					return
+				}
+				body, _ := readAll(resp)
+				for k, v := range resp.Header {
+					w.Header()[k] = v
+				}
+				if r.URL.Path == c.path && resp.StatusCode == http.StatusOK {
+					body = c.tamper(w.Header(), body)
+				}
+				w.Header().Del("Content-Length")
+				w.WriteHeader(resp.StatusCode)
+				w.Write(body)
+			}))
+			t.Cleanup(proxy.Close)
+			ts := routerOver(t, tc, 2*time.Second, tc.router.Shards[0], []string{proxy.URL})
+			req := queryReq{Concepts: []string{tc.world.EvaluationTopics()[0][0]}, K: 5}
+			for _, path := range []string{"/v2/query/drilldown", "/v2/query/drilldown?partial=true"} {
+				status, body := postJSON(t, ts.URL, path, req)
+				if status != http.StatusInternalServerError {
+					t.Fatalf("%s: status = %d, want 500: %s", path, status, body)
+				}
+				env := decodeEnvelope(t, body)
+				if env.Error.Code != string(ncexplorer.CodeInternal) {
+					t.Fatalf("%s: code = %q, want internal: %s", path, env.Error.Code, body)
+				}
+				if shard, ok := env.Error.Details["shard"].(float64); c.wantShard && (!ok || int(shard) != 1) {
+					t.Fatalf("%s: details.shard = %v, want 1: %s", path, env.Error.Details["shard"], body)
+				}
+			}
+			// The untampered route through the same proxy still answers.
+			status, body := postJSON(t, ts.URL, "/v2/query/rollup", req)
+			if status != http.StatusOK {
+				t.Fatalf("roll-up through the proxy = %d: %s", status, body)
+			}
+		})
+	}
 }

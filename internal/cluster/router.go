@@ -10,7 +10,12 @@ package cluster
 // monolithic arithmetic: roll-up pages merge under the shards' own
 // (score desc, doc asc) total order; drill-down ships raw accumulation
 // rows and replays the float-addition sequence in ascending global
-// document order (core.MergeDrillDown). (3) A generation barrier
+// document order (core.MergeDrillDown), then unions each shortlisted
+// concept's diversity sets across shards. Both drill-down phases travel
+// as binary partials frames (internal/core/frame.go) carrying every cdr
+// as its exact bits; a frame this router cannot read — wrong
+// Content-Type, magic or version, or malformed — is a typed error
+// naming the shard, never a guess. (3) A generation barrier
 // refuses torn reads: every shard answer carries the generation it was
 // served from, and the router only merges a set of answers at one
 // common generation — on skew it re-syncs statistics and refetches,
@@ -29,6 +34,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -278,13 +284,26 @@ func shardDeadline(shard int) *ncexplorer.Error {
 	}
 }
 
+// shardBadFrame builds the typed error for a shard whose answer is not
+// a partials frame this router reads. It is not an availability error:
+// the shard answered, and what it said cannot be merged.
+func shardBadFrame(shard int, err error) *ncexplorer.Error {
+	return &ncexplorer.Error{
+		Code:    ncexplorer.CodeInternal,
+		Message: fmt.Sprintf("ncexplorer: shard %d answered an unreadable partials frame: %v", shard, err),
+		Details: map[string]any{"shard": shard},
+		Err:     err,
+	}
+}
+
 // shardPost sends one scatter call to shard i, trying its replicas
 // last-to-first (replicas before leader, so read traffic drains off
 // the ingest path) under the shard's timeout budget. A replica that is
 // down, refusing, or syncing (503) is skipped; a replica that answers
 // an application error (4xx/5xx envelope) ends the attempt — the same
-// request would fail identically everywhere. The JSON answer decodes
-// into out.
+// request would fail identically everywhere. The answer decodes into
+// out: as a partials frame when out is an encoding.BinaryUnmarshaler,
+// as JSON otherwise.
 func (rt *Router) shardPost(ctx context.Context, shard int, path string, reqBody, out any) error {
 	payload, err := json.Marshal(reqBody)
 	if err != nil {
@@ -326,6 +345,15 @@ func (rt *Router) shardPost(ctx context.Context, shard int, path string, reqBody
 				return &ncexplorer.Error{Code: env.Error.Code, Message: env.Error.Message, Details: env.Error.Details}
 			}
 			return fmt.Errorf("shard %d: %s: %s", shard, resp.Status, bytes.TrimSpace(body))
+		}
+		if frame, ok := out.(encoding.BinaryUnmarshaler); ok {
+			if ct := resp.Header.Get("Content-Type"); ct != core.PartialsContentType {
+				return shardBadFrame(shard, fmt.Errorf("Content-Type %q, want %q", ct, core.PartialsContentType))
+			}
+			if err := frame.UnmarshalBinary(body); err != nil {
+				return shardBadFrame(shard, err)
+			}
+			return nil
 		}
 		return json.Unmarshal(body, out)
 	}
@@ -563,7 +591,7 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 		for i := range parts {
 			gens[i] = parts[i].Generation
 		}
-		gen, aligned := commonGeneration(gens, ok)
+		_, aligned := commonGeneration(gens, ok)
 		if !aligned {
 			if attempt < rt.skewRetries() {
 				rt.logf("cluster: router drill-down generation skew, re-syncing (attempt %d)", attempt+1)
@@ -581,7 +609,10 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 				shardOf = append(shardOf, i)
 			}
 		}
-		fetchSets := func(short []kg.NodeID) ([][]kg.NodeID, error) {
+		// Phase two: every participating shard's diversity sets for the
+		// merged shortlist. MergeDrillDown re-asserts phase one's
+		// generation on them, replica failover included.
+		fetchSets := func(short []kg.NodeID) ([]core.DiversityPartial, error) {
 			divs := make([]core.DiversityPartial, len(shardOf))
 			var wg sync.WaitGroup
 			errs := make([]error, len(shardOf))
@@ -594,21 +625,12 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 				}(j, shard)
 			}
 			wg.Wait()
-			sets := make([][]kg.NodeID, len(short))
-			for j := range divs {
-				if errs[j] != nil {
-					return nil, errs[j]
-				}
-				// Phase-two answers must come from the same generation the
-				// phase-one rows were read at, replica failover included.
-				if divs[j].Generation != gen {
-					return nil, core.ErrGenerationSkew
-				}
-				for si, set := range divs[j].Sets {
-					sets[si] = append(sets[si], set...)
+			for _, err := range errs {
+				if err != nil {
+					return nil, err
 				}
 			}
-			return sets, nil
+			return divs, nil
 		}
 		page, err := core.MergeDrillDown(rt.World.Graph(), opts, participating, fetchSets)
 		if errors.Is(err, core.ErrGenerationSkew) {

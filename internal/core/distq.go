@@ -15,22 +15,31 @@ package core
 // not associative — a router that summed per-shard coverages could
 // diverge from the monolithic result in the last bits. So shards ship
 // the raw accumulation input instead (DrillDownPartials: per matched
-// document, its candidate concepts with their cdr values, in stored
-// order), and MergeDrillDown replays the monolithic accumulation over
-// the merged document stream in ascending global ID order — the exact
-// float operation sequence a single engine would have executed. The
-// diversity factor needs one more round trip: it counts distinct
-// matched entities per shortlisted concept, a set union that cannot be
-// derived from per-shard cardinalities, so the router fetches per-shard
-// entity sets (DiversityPartials) for just the shortlist and dedupes
-// across shards. Everything downstream — shortlist selection, score
-// composition, tie-breaking, pagination — reuses the same helpers as
-// DrillDownPage, so the merged page is byte-identical.
+// document, its kept candidate concepts with their cdr values, in
+// stored order), and MergeDrillDown replays the monolithic
+// accumulation over the merged document stream in ascending global ID
+// order — the exact float operation sequence a single engine would have
+// executed. The diversity factor needs one more round trip: it counts
+// distinct matched entities per shortlisted concept, a set union that
+// cannot be derived from per-shard cardinalities, so the router fetches
+// per-shard entity sets (DiversityPartials) for just the shortlist and
+// dedupes across shards. A shard builds those sets over the same
+// per-concept document chain DrillDownPage unions over
+// (chainCandidates: D(Q ∪ {c}), the documents where c is a kept
+// candidate), and everything downstream — shortlist selection, score
+// composition, tie-breaking, pagination — follows the same helpers and
+// collector semantics as DrillDownPage, so the merged page is
+// byte-identical.
+//
+// Both partials cross the router↔shard hop as binary frames (frame.go)
+// that carry every cdr as its exact bits.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
+	"sync"
 
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/topk"
@@ -102,22 +111,21 @@ func MergeRollUpPages(pages []RollUpPage, k, offset int) (RollUpPage, error) {
 // DrillDownRow is one matched document's contribution to the drill-down
 // accumulation: its candidate concepts (the query's own concepts
 // already filtered out) with their cdr values, in the engine's stored
-// per-document order, plus the document's entity count (the |D(Q∪{c})|
-// denominator input). Concepts and CDRs are parallel slices.
+// per-document order. Concepts and CDRs are parallel slices.
 type DrillDownRow struct {
-	Doc      int32       `json:"doc"`
-	NumEnts  int32       `json:"num_ents"`
-	Concepts []kg.NodeID `json:"concepts"`
-	CDRs     []float64   `json:"cdrs"`
+	Doc      int32
+	Concepts []kg.NodeID
+	CDRs     []float64
 }
 
 // DrillDownPartial is one shard's drill-down accumulation input: a row
 // per matched document that has at least one candidate concept, in
 // ascending global document order, pinned to the generation it was
-// read from.
+// read from. It crosses the router↔shard hop as an NCDP frame
+// (frame.go).
 type DrillDownPartial struct {
-	Generation uint64         `json:"generation"`
-	Rows       []DrillDownRow `json:"rows,omitempty"`
+	Generation uint64
+	Rows       []DrillDownRow
 }
 
 // DrillDownPartials extracts this shard's accumulation input for query
@@ -147,7 +155,7 @@ func (e *Engine) DrillDownPartials(ctx context.Context, q Query, tr *TimeRange) 
 		if tr != nil && !tr.contains(st.snap.Doc(d).PublishedAt) {
 			continue
 		}
-		row := DrillDownRow{Doc: d, NumEnts: int32(len(st.ents[d]))}
+		row := DrillDownRow{Doc: d}
 		for _, cs := range st.docConcepts(d) {
 			if queryHas(q, cs.Concept) {
 				continue
@@ -163,21 +171,22 @@ func (e *Engine) DrillDownPartials(ctx context.Context, q Query, tr *TimeRange) 
 }
 
 // DiversityPartial is one shard's diversity input for a shortlist of
-// concepts: per concept, the distinct entities of the shard's matched
-// documents that lie in the concept's direct extent, ascending.
+// concepts: per concept, the distinct entities in the concept's direct
+// extent of the shard's documents in D(Q ∪ {c}), ascending. It crosses
+// the router↔shard hop as an NCDV frame (frame.go).
 type DiversityPartial struct {
-	Generation uint64        `json:"generation"`
-	Sets       [][]kg.NodeID `json:"sets"`
+	Generation uint64
+	Sets       [][]kg.NodeID
 }
 
 // DiversityPartials computes this shard's diversity sets for query q
 // and the given shortlist concepts — phase two of a distributed
-// drill-down. Membership is against the *direct* extent Ψ(c), exactly
-// as DrillDownPage counts it; the union across shards (deduplicated by
-// the merger — sets from different shards may overlap) has the same
-// cardinality a monolithic engine's union would. A non-nil tr
-// restricts membership to documents inside the window, matching the
-// coverage filter DrillDownPage applies locally.
+// drill-down. Each set is directUnion over the same candidate chain
+// DrillDownPage builds (chainCandidates: the documents where the
+// concept is a kept candidate, inside tr when it is non-nil), so the
+// union across shards — deduplicated by the merger, since sets from
+// different shards may overlap — has exactly the cardinality the
+// monolithic engine's union has.
 func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.NodeID, tr *TimeRange) (DiversityPartial, error) {
 	st := e.state()
 	out := DiversityPartial{Generation: st.snap.Generation, Sets: make([][]kg.NodeID, len(concepts))}
@@ -191,64 +200,89 @@ func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.N
 	if err != nil {
 		return DiversityPartial{Generation: st.snap.Generation}, err
 	}
-	if tr != nil {
-		kept := docs[:0:0]
-		for _, d := range docs {
-			if tr.contains(st.snap.Doc(d).PublishedAt) {
-				kept = append(kept, d)
-			}
-		}
-		docs = kept
-	}
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	_, mark := sc.chainCandidates(st, q, docs, tr)
 	ds := e.divPool.Get().(*divScratch)
 	defer e.divPool.Put(ds)
+	// All sets share one column; ends[i] closes set i.
+	var all []kg.NodeID
+	ends := make([]int, len(concepts))
 	for i, c := range concepts {
 		if err := ctx.Err(); err != nil {
 			return DiversityPartial{Generation: st.snap.Generation}, err
 		}
-		seen, counted := ds.marks()
-		for _, v := range e.g.Extent(c) {
-			ds.stamp[v] = seen
+		start := len(all)
+		// A concept no local document has as a candidate has an empty
+		// set (and an ID outside the graph, from a confused caller, too).
+		if c >= 0 && int(c) < len(sc.stamp) && sc.stamp[c] == mark {
+			e.directUnion(st, sc, c, ds, &all)
+			slices.Sort(all[start:])
 		}
-		var set []kg.NodeID
-		for _, d := range docs {
-			for _, v := range st.ents[d] {
-				if ds.stamp[v] == seen {
-					ds.stamp[v] = counted
-					set = append(set, v)
-				}
-			}
+		ends[i] = len(all)
+	}
+	start := 0
+	for i, end := range ends {
+		if end > start {
+			out.Sets[i] = all[start:end:end]
 		}
-		slices.Sort(set)
-		out.Sets[i] = set
+		start = end
 	}
 	return out, nil
 }
 
+// mergeScratch is MergeDrillDown's pooled workspace: dense per-node
+// coverage and count accumulators validated by the embedded stamp, the
+// same never-cleared pattern as divScratch. After the replay the stamp
+// is reused, with fresh marks per shortlisted concept, as the
+// cross-shard entity deduplicator; cov and cnt are only read for
+// concepts the replay touched, so that reuse cannot disturb them.
+type mergeScratch struct {
+	divScratch
+	cov     []float64
+	cnt     []int32
+	cursors []int
+	touched []kg.NodeID
+	cand    []candScore
+	short   []kg.NodeID
+}
+
+var mergePool sync.Pool
+
+func getMergeScratch(numNodes int) *mergeScratch {
+	ms, _ := mergePool.Get().(*mergeScratch)
+	if ms == nil || len(ms.stamp) < numNodes {
+		ms = &mergeScratch{
+			divScratch: divScratch{stamp: make([]uint32, numNodes)},
+			cov:        make([]float64, numNodes),
+			cnt:        make([]int32, numNodes),
+		}
+	}
+	return ms
+}
+
 // MergeDrillDown reproduces DrillDownPage over shard partials: it
-// k-way-merges the rows into ascending global document order, replays
-// the monolithic accumulation (same float operation sequence), selects
-// and sorts the same max(128, K) shortlist, fetches diversity sets for
-// exactly that shortlist via fetchSets (which must return one slice per
-// requested concept — per-shard sets concatenated; duplicates across
-// shards are deduplicated here), and pages the scored window with the
-// same collector semantics. The graph must be the same one the shards
-// were built on. Partials at differing generations yield
-// ErrGenerationSkew.
+// replays the rows in ascending global document order (a k-way merge of
+// the already ascending per-shard rows) — the exact float operation
+// sequence of the monolithic accumulation — selects the same shortlist
+// (shortlist), fetches every shard's diversity sets for exactly that
+// shortlist via fetchSets (one DiversityPartial per shard, each with one
+// set per shortlisted concept), counts each concept's union across
+// shards, and pages the scored window with the same collector
+// semantics. The graph must be the one the shards were built on.
+// Partials at differing generations yield ErrGenerationSkew; concept or
+// entity IDs outside the graph, or a diversity answer of the wrong
+// length, yield ErrFrame.
 func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial,
-	fetchSets func(shortlist []kg.NodeID) ([][]kg.NodeID, error)) (DrillDownPage, error) {
+	fetchSets func(shortlist []kg.NodeID) ([]DiversityPartial, error)) (DrillDownPage, error) {
 	var page DrillDownPage
 	if len(parts) == 0 {
 		return page, nil
 	}
 	page.Generation = parts[0].Generation
-	lists := make([][]DrillDownRow, 0, len(parts))
 	for _, p := range parts {
 		if p.Generation != page.Generation {
 			return DrillDownPage{}, ErrGenerationSkew
-		}
-		if len(p.Rows) > 0 {
-			lists = append(lists, p.Rows)
 		}
 	}
 	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
@@ -256,88 +290,91 @@ func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial
 	if k <= 0 || opts.Offset < 0 {
 		return page, nil
 	}
-	rows := topk.MergeSorted(lists, func(a, b DrillDownRow) int {
-		switch {
-		case a.Doc < b.Doc:
-			return -1
-		case a.Doc > b.Doc:
-			return 1
-		}
-		return 0
-	}, -1)
+	numNodes := g.NumNodes()
+	ms := getMergeScratch(numNodes)
+	defer mergePool.Put(ms)
 
 	// Replay the accumulation: documents ascending, concepts in stored
 	// per-document order — the exact float addition sequence
 	// DrillDownPage executes over the monolithic snapshot.
-	spec := g.SpecTable()
-	cov := make([]float64, g.NumNodes())
-	cnt := make([]int32, g.NumNodes())
-	marked := make([]bool, g.NumNodes())
-	var touched []kg.NodeID
-	for _, row := range rows {
+	covMark, _ := ms.marks()
+	touched := ms.touched[:0]
+	cursors := ms.cursors[:0]
+	for range parts {
+		cursors = append(cursors, 0)
+	}
+	ms.cursors = cursors
+	for {
+		best := -1
+		for i := range parts {
+			if cursors[i] < len(parts[i].Rows) &&
+				(best < 0 || parts[i].Rows[cursors[i]].Doc < parts[best].Rows[cursors[best]].Doc) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		row := &parts[best].Rows[cursors[best]]
+		cursors[best]++
 		for j, c := range row.Concepts {
-			if !marked[c] {
-				marked[c] = true
+			if c < 0 || int(c) >= numNodes {
+				return DrillDownPage{}, fmt.Errorf("%w: concept %d outside the graph", ErrFrame, c)
+			}
+			if ms.stamp[c] != covMark {
+				ms.stamp[c] = covMark
+				ms.cov[c] = 0
+				ms.cnt[c] = 0
 				touched = append(touched, c)
 			}
-			cov[c] += row.CDRs[j]
-			cnt[c]++
+			ms.cov[c] += row.CDRs[j]
+			ms.cnt[c]++
 		}
 	}
+	ms.touched = touched
 	if len(touched) == 0 {
 		return page, nil
 	}
 
-	// Shortlist identically to DrillDownPage: quickselect the top
-	// max(128, K) by (cheap score desc, concept asc), then sort the
-	// window.
-	shortlistSize := 128
-	if k > shortlistSize {
-		shortlistSize = k
-	}
-	if shortlistSize > len(touched) {
-		shortlistSize = len(touched)
-	}
-	cand := make([]candScore, 0, len(touched))
-	for _, c := range touched {
-		s := cov[c]
-		if useSpecificity {
-			s *= spec[c]
-		}
-		cand = append(cand, candScore{c: c, s: s})
-	}
-	if len(cand) > shortlistSize {
-		selectTopCand(cand, shortlistSize)
-		cand = cand[:shortlistSize]
-	}
-	slices.SortFunc(cand, cmpCandScore)
-	short := make([]kg.NodeID, len(cand))
-	for i, cs := range cand {
-		short[i] = cs.c
-	}
+	spec := g.SpecTable()
+	ms.short, ms.cand = shortlist(ms.short[:0], ms.cand[:0], touched, ms.cov, spec, useSpecificity, k)
+	short := ms.short
 
-	sets, err := fetchSets(short)
+	divs, err := fetchSets(short)
 	if err != nil {
 		return DrillDownPage{}, err
 	}
+	for j, d := range divs {
+		if d.Generation != page.Generation {
+			return DrillDownPage{}, ErrGenerationSkew
+		}
+		if len(d.Sets) != len(short) {
+			return DrillDownPage{}, fmt.Errorf("%w: diversity answer %d holds %d sets for %d shortlisted concepts",
+				ErrFrame, j, len(d.Sets), len(short))
+		}
+	}
 	subs := make([]Subtopic, len(short))
-	distinct := make(map[kg.NodeID]struct{})
 	for i, c := range short {
-		clear(distinct)
+		seen, _ := ms.marks()
 		union := 0
-		for _, v := range sets[i] {
-			if _, ok := distinct[v]; !ok {
-				distinct[v] = struct{}{}
-				union++
+		for _, d := range divs {
+			for _, v := range d.Sets[i] {
+				if v < 0 || int(v) >= numNodes {
+					return DrillDownPage{}, fmt.Errorf("%w: entity %d outside the graph", ErrFrame, v)
+				}
+				if ms.stamp[v] != seen {
+					ms.stamp[v] = seen
+					union++
+				}
 			}
 		}
 		sub := Subtopic{
 			Concept:     c,
-			Coverage:    cov[c],
+			Coverage:    ms.cov[c],
 			Specificity: spec[c],
-			MatchedDocs: int(cnt[c]),
+			MatchedDocs: int(ms.cnt[c]),
 		}
-		if n := int(cnt[c]); n > 0 {
+		if n := int(ms.cnt[c]); n > 0 {
 			sub.Diversity = float64(union) / float64(n)
 		}
 		score := sub.Coverage

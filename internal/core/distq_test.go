@@ -2,13 +2,100 @@ package core
 
 import (
 	"context"
+	"encoding"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
+	"ncexplorer/internal/kggen"
 )
+
+// overTheWire encodes v as its partials frame and decodes the bytes into
+// a fresh value, as the router↔shard hop does.
+func overTheWire[T any, P interface {
+	*T
+	encoding.BinaryUnmarshaler
+}](t testing.TB, v encoding.BinaryMarshaler) T {
+	t.Helper()
+	data, err := v.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out T
+	if err := P(&out).UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// scatterDrillDown is the router's drill-down over in-process shards:
+// both phases' partials cross the binary frame, as they do over HTTP.
+// It also merges the in-memory partials and fails unless the two pages
+// are identical — the frame must change no answer.
+func scatterDrillDown(t testing.TB, g *kg.Graph, shards []*Engine, q Query, do DrillDownOptions) DrillDownPage {
+	t.Helper()
+	ctx := context.Background()
+	merge := func(wire bool) DrillDownPage {
+		parts := make([]DrillDownPartial, len(shards))
+		for s, e := range shards {
+			part, err := e.DrillDownPartials(ctx, q, do.Time)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wire {
+				part = overTheWire[DrillDownPartial](t, part)
+			}
+			parts[s] = part
+		}
+		page, err := MergeDrillDown(g, do, parts, func(short []kg.NodeID) ([]DiversityPartial, error) {
+			divs := make([]DiversityPartial, len(shards))
+			for s, e := range shards {
+				div, err := e.DiversityPartials(ctx, q, short, do.Time)
+				if err != nil {
+					return nil, err
+				}
+				if wire {
+					div = overTheWire[DiversityPartial](t, div)
+				}
+				divs[s] = div
+			}
+			return divs, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page
+	}
+	page := merge(true)
+	if mem := merge(false); !reflect.DeepEqual(page, mem) {
+		t.Fatalf("drill-down %v %+v: merge over decoded frames diverges from the in-memory merge:\n frames: %+v\n memory: %+v",
+			q, do, page, mem)
+	}
+	return page
+}
+
+// midSpanWindow is a time window over the middle half of e's
+// publication span — it excludes documents on both ends — or nil when e
+// holds no documents.
+func midSpanWindow(e *Engine) *TimeRange {
+	st := e.state()
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for d := int32(0); d < int32(st.snap.DocBound()); d++ {
+		if !st.snap.HasDoc(d) {
+			continue
+		}
+		t := st.snap.Doc(d).PublishedAt
+		lo, hi = min(lo, t), max(hi, t)
+	}
+	if lo > hi {
+		return nil
+	}
+	quarter := (hi - lo) / 4
+	return &TimeRange{Min: lo + quarter, Max: hi - quarter}
+}
 
 // TestDistributedMergeMatchesMonolithic is the router's exactness
 // contract at the engine level: over two shards grown by a randomized
@@ -29,45 +116,12 @@ func TestDistributedMergeMatchesMonolithic(t *testing.T) {
 	mono.IndexCorpus(c)
 
 	ctx := context.Background()
-	fetchSets := func(q Query, tr *TimeRange) func([]kg.NodeID) ([][]kg.NodeID, error) {
-		return func(short []kg.NodeID) ([][]kg.NodeID, error) {
-			sets := make([][]kg.NodeID, len(short))
-			for _, e := range shards {
-				part, err := e.DiversityPartials(ctx, q, short, tr)
-				if err != nil {
-					return nil, err
-				}
-				for i, s := range part.Sets {
-					sets[i] = append(sets[i], s...)
-				}
-			}
-			return sets, nil
-		}
-	}
-
-	// timeWindows derives the time grid from the monolithic engine's
-	// current publication span: no filter, plus a mid-span window that
-	// excludes documents on both ends.
+	// The time grid: no filter, plus a mid-span window.
 	timeWindows := func() []*TimeRange {
-		st := mono.state()
-		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		for d := int32(0); d < int32(st.snap.DocBound()); d++ {
-			if !st.snap.HasDoc(d) {
-				continue
-			}
-			t := st.snap.Doc(d).PublishedAt
-			if t < lo {
-				lo = t
-			}
-			if t > hi {
-				hi = t
-			}
+		if w := midSpanWindow(mono); w != nil {
+			return []*TimeRange{nil, w}
 		}
-		if lo > hi {
-			return []*TimeRange{nil}
-		}
-		quarter := (hi - lo) / 4
-		return []*TimeRange{nil, {Min: lo + quarter, Max: hi - quarter}}
+		return []*TimeRange{nil}
 	}
 
 	check := func(stage string) {
@@ -120,18 +174,7 @@ func TestDistributedMergeMatchesMonolithic(t *testing.T) {
 						if k == 3 && offset == 0 {
 							do.NoDiversity = true
 						}
-						parts := make([]DrillDownPartial, len(shards))
-						for s, e := range shards {
-							part, err := e.DrillDownPartials(ctx, q, tr)
-							if err != nil {
-								t.Fatal(err)
-							}
-							parts[s] = part
-						}
-						gotDD, err := MergeDrillDown(g, do, parts, fetchSets(q, tr))
-						if err != nil {
-							t.Fatal(err)
-						}
+						gotDD := scatterDrillDown(t, g, shards, q, do)
 						wantDD, err := mono.DrillDownPage(ctx, q, do)
 						if err != nil {
 							t.Fatal(err)
@@ -176,5 +219,176 @@ func TestMergeGenerationSkew(t *testing.T) {
 		[]DrillDownPartial{{Generation: 1}, {Generation: 2}}, nil)
 	if err != ErrGenerationSkew {
 		t.Fatalf("drill-down skew error = %v", err)
+	}
+}
+
+// TestDistributedDrillDownDefaultScale is the distributed drill-down
+// equivalence at the scale where the MaxConceptsPerDoc cap drops
+// candidates (the tiny world never does): two shards against one
+// monolithic engine, every topic's concept and group concept alone,
+// k ∈ {5, 10}, with and without a time window. Diversity over D(Q)
+// instead of D(Q ∪ {c}) on the shard side made 3 of these 48 pages
+// differ (2 of the 24 without a window).
+func TestDistributedDrillDownDefaultScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-scale world")
+	}
+	g, meta := kggen.MustGenerate(kggen.Default())
+	c := corpus.MustGenerate(g, meta, corpus.Default())
+	opts := Options{Seed: 11, Samples: 20}
+	shards := make([]*Engine, 2)
+	for s := range shards {
+		shards[s] = NewEngine(g, opts)
+		shards[s].IndexCorpusSharded(c, s, len(shards))
+	}
+	mono := NewEngine(g, opts)
+	mono.IndexCorpus(c)
+
+	ctx := context.Background()
+	diffs, pages := 0, 0
+	for _, tr := range []*TimeRange{nil, midSpanWindow(mono)} {
+		for _, topic := range meta.Topics {
+			for _, q := range []Query{{topic.Concept}, {topic.GroupConcept}} {
+				for _, k := range []int{5, 10} {
+					do := DrillDownOptions{K: k, Time: tr}
+					want, err := mono.DrillDownPage(ctx, q, do)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pages++
+					if got := scatterDrillDown(t, g, shards, q, do); !reflect.DeepEqual(got, want) {
+						diffs++
+						t.Errorf("drill-down %v k=%d window=%v diverges:\n got:  %+v\n want: %+v", q, k, tr, got, want)
+					}
+				}
+			}
+		}
+	}
+	if diffs > 0 {
+		t.Fatalf("%d of %d distributed drill-down pages differ from the monolith", diffs, pages)
+	}
+}
+
+// TestMergeDrillDownConcurrent: merges running at once each take their
+// own pooled scratch, so every one of them equals the serial merge of
+// the same partials.
+func TestMergeDrillDownConcurrent(t *testing.T) {
+	g, meta, c, _ := world(t)
+	opts := Options{Seed: 11, Samples: 20}
+	shards := make([]*Engine, 2)
+	for s := range shards {
+		shards[s] = NewEngine(g, opts)
+		shards[s].IndexCorpusSharded(c, s, len(shards))
+	}
+	ctx := context.Background()
+	type input struct {
+		do    DrillDownOptions
+		parts []DrillDownPartial
+		fetch func([]kg.NodeID) ([]DiversityPartial, error)
+		want  DrillDownPage
+	}
+	var inputs []input
+	for i, topic := range meta.Topics {
+		q := Query{topic.Concept}
+		in := input{do: DrillDownOptions{K: 3 + i}}
+		for _, e := range shards {
+			part, err := e.DrillDownPartials(ctx, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.parts = append(in.parts, part)
+		}
+		var divs []DiversityPartial
+		in.fetch = func(short []kg.NodeID) ([]DiversityPartial, error) { return divs, nil }
+		want, err := MergeDrillDown(g, in.do, in.parts, func(short []kg.NodeID) ([]DiversityPartial, error) {
+			for _, e := range shards {
+				div, err := e.DiversityPartials(ctx, q, short, nil)
+				if err != nil {
+					return nil, err
+				}
+				divs = append(divs, div)
+			}
+			return divs, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.want = want
+		inputs = append(inputs, in)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				in := inputs[(w+i)%len(inputs)]
+				got, err := MergeDrillDown(g, in.do, in.parts, in.fetch)
+				if err != nil || !reflect.DeepEqual(got, in.want) {
+					t.Errorf("concurrent merge %d diverges (err %v):\n got:  %+v\n want: %+v", i, err, got, in.want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// BenchmarkMergeDrillDown times the router's drill-down merge alone —
+// row replay, shortlist, cross-shard diversity union, paging — over
+// fixed two-shard partials of the tiny world. The same partials merge
+// against the tiny graph and the default-scale one: the pooled scratch
+// is sized by the graph once, so B/op must not depend on which.
+func BenchmarkMergeDrillDown(b *testing.B) {
+	g, meta, c, _ := world(b)
+	opts := Options{Seed: 11, Samples: 20}
+	shards := make([]*Engine, 2)
+	for s := range shards {
+		shards[s] = NewEngine(g, opts)
+		shards[s].IndexCorpusSharded(c, s, len(shards))
+	}
+	ctx := context.Background()
+	q := Query{meta.Topics[0].Concept}
+	parts := make([]DrillDownPartial, len(shards))
+	for s, e := range shards {
+		part, err := e.DrillDownPartials(ctx, q, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts[s] = part
+	}
+	big, _ := kggen.MustGenerate(kggen.Default())
+	for _, graph := range []struct {
+		name string
+		g    *kg.Graph
+	}{{"tiny", g}, {"default", big}} {
+		b.Run("graph="+graph.name, func(b *testing.B) {
+			// The shortlist depends on the graph's specificity table: fetch
+			// its diversity sets once, then serve them from memory.
+			var divs []DiversityPartial
+			fetch := func(short []kg.NodeID) ([]DiversityPartial, error) {
+				if divs == nil {
+					for _, e := range shards {
+						div, err := e.DiversityPartials(ctx, q, short, nil)
+						if err != nil {
+							return nil, err
+						}
+						divs = append(divs, div)
+					}
+				}
+				return divs, nil
+			}
+			do := DrillDownOptions{K: 10}
+			if _, err := MergeDrillDown(graph.g, do, parts, fetch); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := MergeDrillDown(graph.g, do, parts, fetch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

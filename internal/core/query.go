@@ -599,51 +599,72 @@ func (e *Engine) DrillDownComponents(q Query, k int, useSpecificity, useDiversit
 	return page.Results
 }
 
-// DrillDownPage is DrillDown with pagination, a score floor, the
-// ablation toggles, and cancellation: the parallel diversity loop
-// stops claiming shortlist entries once ctx is cancelled, and the ctx
-// error is returned. With Offset 0 and the zero options the page
-// contents are identical to DrillDown(q, opts.K).
+// shortlist selects the concepts a drill-down pays diversity for: the
+// top max(128, k) touched concepts by cheap score — coverage, times
+// specificity unless disabled — appended to short best first. cand is
+// scratch, returned for reuse.
 //
-// The candidate accumulation runs on the pooled dense scratch
-// (stamp-validated per-node arrays) instead of maps; iteration and
-// accumulation order — documents ascending, then candidates by node
-// ID — is identical to the former map implementation, so scores and
-// tie-breaking are unchanged.
-func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptions) (DrillDownPage, error) {
-	st := e.state()
-	empty := DrillDownPage{Generation: st.snap.Generation}
-	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
-	k := opts.K
-	if k <= 0 || len(q) == 0 || opts.Offset < 0 {
-		return empty, nil
+// The window is deliberately independent of the page offset: every
+// page of a fixed-k listing re-ranks the *same* shortlist, so stitched
+// pages can never duplicate or skip a suggestion (a window that grew
+// with the offset would re-rank a larger candidate set on deeper pages
+// and shift ranks across the boundary). Pagination therefore ends at
+// the scored window — Total reports the rankable count, and the cursor
+// goes -1 there — rather than pretending the cheap-score tail beyond it
+// is ranked.
+//
+// Selection quickselects the window by (cheap score desc, concept asc)
+// — concept IDs are unique, so the order is total — then sorts only the
+// window. The selected set and its order are exactly the former bounded
+// heap's deterministic (score, earliest-push) output, without sorting
+// the full candidate list.
+func shortlist(short []kg.NodeID, cand []candScore, touched []kg.NodeID, cov, spec []float64, useSpecificity bool, k int) ([]kg.NodeID, []candScore) {
+	size := max(128, k)
+	for _, c := range touched {
+		s := cov[c]
+		if useSpecificity {
+			s *= spec[c]
+		}
+		cand = append(cand, candScore{c: c, s: s})
 	}
-	if opts.Time != nil && !opts.Time.overlapsSnapshot(st.snap) {
-		return empty, nil
+	window := cand
+	if len(window) > size {
+		selectTopCand(window, size)
+		window = window[:size]
 	}
-	docs, err := st.matchedDocsCtx(ctx, q)
-	if err != nil {
-		return empty, err
+	slices.SortFunc(window, cmpCandScore)
+	for _, cs := range window {
+		short = append(short, cs.c)
 	}
-	if len(docs) == 0 {
-		return empty, nil
-	}
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	covMark, _ := sc.marks()
-	spec := e.g.SpecTable()
+	return short, cand
+}
 
-	// Coverage from the snapshot's candidate postings: candidates are
-	// the direct Ψ⁻¹ concepts of document entities (plus ancestor
-	// levels), exactly the paper's candidate subtopic set. The same pass
-	// accumulates each candidate's entity probe total (diversity's
-	// strategy pivot and the pruning bound) and chains its matched
-	// documents through a shared pair log (head/next intrusive lists),
-	// so no second documents×candidates walk is ever needed.
+// chainCandidates is the drill-down candidate pass over the matched
+// documents docs (only those published inside tr, when tr is non-nil).
+// The candidates of a document are its kept candidate concepts,
+// docConcepts(d), minus the query's own concepts; for each, the pass
+// accumulates coverage, the match count and the entity probe total
+// (diversity's strategy pivot and the pruning bound), and chains the
+// document into the concept's matched-document list through a shared
+// pair log (head/next intrusive lists), so no second
+// documents×candidates walk is ever needed.
+//
+// The chain of concept c is the document set D(Q ∪ {c}) of Definition
+// 2: coverage sums over it, MatchedDocs counts it, and the diversity
+// union ranges over it (directUnion). DrillDownPage and the shard side
+// of a distributed drill-down (DiversityPartials) both build it here,
+// so the two can never union over different sets.
+//
+// It returns the touched concepts in first-touch order and the stamp
+// that marks them valid in sc. Accumulation order — documents
+// ascending, then candidates in stored order — is the float addition
+// sequence every coverage value is defined by.
+func (sc *queryScratch) chainCandidates(st *genState, q Query, docs []int32, tr *TimeRange) ([]kg.NodeID, uint32) {
+	covMark, _ := sc.marks()
 	touched := sc.touched[:0]
 	mdDoc, mdNext := sc.mdDoc[:0], sc.mdNext[:0]
 	for _, d := range docs {
-		if opts.Time != nil && !opts.Time.contains(st.snap.Doc(d).PublishedAt) {
+		if tr != nil && !tr.contains(st.snap.Doc(d).PublishedAt) {
 			continue
 		}
 		ne := int32(len(st.ents[d]))
@@ -669,57 +690,117 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 		}
 	}
 	sc.touched, sc.mdDoc, sc.mdNext = touched, mdDoc, mdNext
+	return touched, covMark
+}
+
+// directUnion counts the distinct entities of concept c's chained
+// documents (see chainCandidates; c must have been touched by the last
+// pass over sc) that lie in c's *direct* extent Ψ(c), appending each to
+// *set as well when set is non-nil:
+//
+//	diversity(c, Q) = |∪_{d ∈ D(Q ∪ {c})} ME(c, d)| / |D(Q ∪ {c})|
+//
+// The direct extent matters: an umbrella concept whose members are only
+// inherited from descendants contributes no direct matches and scores
+// zero diversity, while a concept matching through one popular entity
+// is pushed down — the fairness bias the paper designed this factor to
+// prevent.
+//
+// Membership "v ∈ Ψ(c)": Ψ is stored both ways in the graph, so v ∈
+// Extent(c) ⟺ c ∈ ConceptsOf(v). When the probe count is large enough
+// to amortise it, premark the direct extent in the pooled dense stamp
+// and count the union with O(1) probes; for sparsely-matched concepts
+// with big extents the scan side is cheaper (|ConceptsOf(v)| is
+// typically a handful). Both sides compute the identical union; the
+// stamp array doubles as the across-document deduplicator either way.
+// The chain yields documents in reverse order; the union's cardinality
+// does not depend on it.
+func (e *Engine) directUnion(st *genState, sc *queryScratch, c kg.NodeID, ds *divScratch, set *[]kg.NodeID) int {
+	ext := e.g.Extent(c)
+	seen, counted := ds.marks()
+	union := 0
+	if int(sc.pr[c]) >= len(ext) {
+		for _, v := range ext {
+			ds.stamp[v] = seen
+		}
+		for j := sc.head[c]; j >= 0; j = sc.mdNext[j] {
+			for _, v := range st.ents[sc.mdDoc[j]] {
+				if ds.stamp[v] == seen {
+					ds.stamp[v] = counted
+					union++
+					if set != nil {
+						*set = append(*set, v)
+					}
+				}
+			}
+		}
+		return union
+	}
+	for j := sc.head[c]; j >= 0; j = sc.mdNext[j] {
+		for _, v := range st.ents[sc.mdDoc[j]] {
+			if ds.stamp[v] == seen || ds.stamp[v] == counted {
+				continue
+			}
+			if containsConcept(e.g.ConceptsOf(v), c) {
+				ds.stamp[v] = counted
+				union++
+				if set != nil {
+					*set = append(*set, v)
+				}
+			} else {
+				ds.stamp[v] = seen
+			}
+		}
+	}
+	return union
+}
+
+// DrillDownPage is DrillDown with pagination, a score floor, the
+// ablation toggles, and cancellation: the parallel diversity loop
+// stops claiming shortlist entries once ctx is cancelled, and the ctx
+// error is returned. With Offset 0 and the zero options the page
+// contents are identical to DrillDown(q, opts.K).
+//
+// The candidate accumulation (chainCandidates) runs on the pooled dense
+// scratch (stamp-validated per-node arrays) instead of maps; iteration
+// and accumulation order — documents ascending, then candidates by
+// node ID — is identical to the former map implementation, so scores
+// and tie-breaking are unchanged.
+func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptions) (DrillDownPage, error) {
+	st := e.state()
+	empty := DrillDownPage{Generation: st.snap.Generation}
+	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
+	k := opts.K
+	if k <= 0 || len(q) == 0 || opts.Offset < 0 {
+		return empty, nil
+	}
+	if opts.Time != nil && !opts.Time.overlapsSnapshot(st.snap) {
+		return empty, nil
+	}
+	docs, err := st.matchedDocsCtx(ctx, q)
+	if err != nil {
+		return empty, err
+	}
+	if len(docs) == 0 {
+		return empty, nil
+	}
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	spec := e.g.SpecTable()
+
+	touched, _ := sc.chainCandidates(st, q, docs, opts.Time)
 	if len(touched) == 0 {
 		return empty, nil
 	}
 
 	// Shortlist by the cheap components before paying for diversity.
-	// The window is max(128, K), deliberately independent of Offset:
-	// every page of a fixed-K listing re-ranks the *same* shortlist, so
-	// stitched pages can never duplicate or skip a suggestion (a window
-	// that grew with the offset would re-rank a larger candidate set on
-	// deeper pages and shift ranks across the boundary). Pagination
-	// therefore ends at the scored window — Total reports the rankable
-	// count, and the cursor goes -1 there — rather than pretending the
-	// cheap-score tail beyond it is ranked.
-	shortlistSize := 128
-	if k > shortlistSize {
-		shortlistSize = k
-	}
-	if shortlistSize > len(touched) {
-		shortlistSize = len(touched)
-	}
-	// Shortlist selection: quickselect the top window by (cheap score
-	// desc, concept asc) — concept IDs are unique, so the order is total
-	// — then sort only the window. The selected set and its order are
-	// exactly the former bounded heap's deterministic (score,
-	// earliest-push) output, without sorting the full candidate list.
-	cand := sc.cand[:0]
-	for _, c := range touched {
-		s := sc.cov[c]
-		if useSpecificity {
-			s *= spec[c]
-		}
-		cand = append(cand, candScore{c: c, s: s})
-	}
-	sc.cand = cand
-	if len(cand) > shortlistSize {
-		selectTopCand(cand, shortlistSize)
-		cand = cand[:shortlistSize]
-	}
-	slices.SortFunc(cand, cmpCandScore)
-	short := sc.shortVals[:0]
-	for _, cs := range cand {
-		short = append(short, cs.c)
-	}
-	sc.shortVals = short
+	sc.shortVals, sc.cand = shortlist(sc.shortVals[:0], sc.cand[:0], touched, sc.cov, spec, useSpecificity, k)
+	short := sc.shortVals
 
 	// Score the shortlist: each concept's diversity computation is
 	// independent (reads only the immutable snapshot and the pair log),
 	// and results land in a per-index slot, so the final Push order —
-	// and with it tie-breaking — is identical to a serial loop. The
-	// matched-document chain yields documents in reverse order; the
-	// union cardinality and probe totals it feeds are order-independent.
+	// and with it tie-breaking — is identical to a serial loop.
 	for len(sc.subs) < len(short) {
 		sc.subs = append(sc.subs, Subtopic{})
 	}
@@ -732,53 +813,7 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 			Specificity: spec[c],
 			MatchedDocs: int(sc.cnt[c]),
 		}
-		// diversity(c, Q) = |∪_{d∈D(Q)} ME(c, d)| / |D(Q ∪ {c})| with
-		// ME over the *direct* extent Ψ(c), exactly as Definition 2
-		// states. The direct extent matters: an umbrella concept whose
-		// members are only inherited from descendants contributes no
-		// direct matches and scores zero diversity, while a concept
-		// matching through one popular entity is pushed down — the
-		// fairness bias the paper designed this factor to prevent.
-		//
-		// Membership "v ∈ Ψ(c)": Ψ is stored both ways in the graph, so
-		// v ∈ Extent(c) ⟺ c ∈ ConceptsOf(v). When the probe count is
-		// large enough to amortise it, premark the direct extent in the
-		// pooled dense stamp and count the union with O(1) probes; for
-		// sparsely-matched concepts with big extents the scan side is
-		// cheaper (|ConceptsOf(v)| is typically a handful). Both sides
-		// compute the identical union; the stamp array doubles as the
-		// across-document deduplicator either way.
-		probes := int(sc.pr[c])
-		ext := e.g.Extent(c)
-		seen, counted := ds.marks()
-		union := 0
-		if probes >= len(ext) {
-			for _, v := range ext {
-				ds.stamp[v] = seen
-			}
-			for j := sc.head[c]; j >= 0; j = sc.mdNext[j] {
-				for _, v := range st.ents[sc.mdDoc[j]] {
-					if ds.stamp[v] == seen {
-						ds.stamp[v] = counted
-						union++
-					}
-				}
-			}
-		} else {
-			for j := sc.head[c]; j >= 0; j = sc.mdNext[j] {
-				for _, v := range st.ents[sc.mdDoc[j]] {
-					if ds.stamp[v] == seen || ds.stamp[v] == counted {
-						continue
-					}
-					if containsConcept(e.g.ConceptsOf(v), c) {
-						ds.stamp[v] = counted
-						union++
-					} else {
-						ds.stamp[v] = seen
-					}
-				}
-			}
-		}
+		union := e.directUnion(st, sc, c, ds, nil)
 		if n := int(sc.cnt[c]); n > 0 {
 			sub.Diversity = float64(union) / float64(n)
 		}

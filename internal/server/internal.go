@@ -24,6 +24,13 @@
 //	                                         rows (core.DrillDownPartial)
 //	POST /internal/query/diversity           per-concept distinct-entity
 //	                                         sets for a shortlist
+//	                                         (core.DiversityPartial)
+//
+// The two drill-down phases answer with a binary partials frame
+// (core.PartialsContentType; layout in internal/core/frame.go), not
+// JSON: a broad concept's rows run to megabytes, and decoding them as
+// JSON was most of a router drill-down. Errors are still the JSON /v2
+// envelope.
 //
 // None of these are public APIs: no k clamping, no canonicalization
 // beyond what correctness needs — the router is the trusted caller and
@@ -34,6 +41,8 @@
 package server
 
 import (
+	"context"
+	"encoding"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -57,8 +66,8 @@ func (s *Server) registerInternal() {
 		s.mux.HandleFunc("GET /internal/stats", s.counted("internal", s.handleShardStats))
 		s.mux.HandleFunc("POST /internal/remote-stats", s.counted("internal", s.handleRemoteStats))
 		s.mux.HandleFunc("POST /internal/query/rollup", s.counted("internal", s.handleInternalRollUp))
-		s.mux.HandleFunc("POST /internal/query/drilldown-partials", s.counted("internal", s.handleInternalDrillDownPartials))
-		s.mux.HandleFunc("POST /internal/query/diversity", s.counted("internal", s.handleInternalDiversity))
+		s.mux.HandleFunc("POST /internal/query/drilldown-partials", s.counted("internal", s.internalPartials(drillDownPartialsPhase)))
+		s.mux.HandleFunc("POST /internal/query/diversity", s.counted("internal", s.internalPartials(diversityPhase)))
 	}
 }
 
@@ -200,58 +209,49 @@ type internalConceptsRequest struct {
 	Time      *ncexplorer.TimeRange `json:"time_range,omitempty"`
 }
 
-func (s *Server) handleInternalDrillDownPartials(w http.ResponseWriter, r *http.Request) {
-	x, ok := s.internalExplorer(w)
-	if !ok {
-		return
+// internalPartials serves one drill-down scatter phase: it resolves the
+// request's concepts and time window against the local explorer, runs
+// the phase, and answers with the phase's partials frame.
+func (s *Server) internalPartials(phase func(ctx context.Context, e *core.Engine, q core.Query, shortlist []kg.NodeID, tr *core.TimeRange) (encoding.BinaryMarshaler, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		x, ok := s.internalExplorer(w)
+		if !ok {
+			return
+		}
+		var req internalConceptsRequest
+		if aerr := decodeV2(w, r, &req); aerr != nil {
+			s.writeAPIError(w, aerr)
+			return
+		}
+		q, err := x.ResolveConcepts(ncexplorer.CanonicalConcepts(req.Concepts))
+		if err != nil {
+			s.writeAPIError(w, apiErrorFrom(err))
+			return
+		}
+		tr, err := ncexplorer.ResolveTimeRange(req.Time)
+		if err != nil {
+			s.writeAPIError(w, apiErrorFrom(err))
+			return
+		}
+		part, err := phase(r.Context(), x.Engine(), q, req.Shortlist, tr)
+		if err != nil {
+			s.writeAPIError(w, apiErrorFrom(ncexplorer.WrapContextErr(err)))
+			return
+		}
+		body, err := part.MarshalBinary()
+		if err != nil {
+			s.writeAPIError(w, apiErrorFrom(err))
+			return
+		}
+		w.Header().Set("Content-Type", core.PartialsContentType)
+		w.Write(body)
 	}
-	var req internalConceptsRequest
-	if aerr := decodeV2(w, r, &req); aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	q, err := x.ResolveConcepts(ncexplorer.CanonicalConcepts(req.Concepts))
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
-		return
-	}
-	tr, err := ncexplorer.ResolveTimeRange(req.Time)
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
-		return
-	}
-	part, err := x.Engine().DrillDownPartials(r.Context(), q, tr)
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(ncexplorer.WrapContextErr(err)))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, part)
 }
 
-func (s *Server) handleInternalDiversity(w http.ResponseWriter, r *http.Request) {
-	x, ok := s.internalExplorer(w)
-	if !ok {
-		return
-	}
-	var req internalConceptsRequest
-	if aerr := decodeV2(w, r, &req); aerr != nil {
-		s.writeAPIError(w, aerr)
-		return
-	}
-	q, err := x.ResolveConcepts(ncexplorer.CanonicalConcepts(req.Concepts))
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
-		return
-	}
-	tr, err := ncexplorer.ResolveTimeRange(req.Time)
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
-		return
-	}
-	part, err := x.Engine().DiversityPartials(r.Context(), q, req.Shortlist, tr)
-	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(ncexplorer.WrapContextErr(err)))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, part)
+func drillDownPartialsPhase(ctx context.Context, e *core.Engine, q core.Query, _ []kg.NodeID, tr *core.TimeRange) (encoding.BinaryMarshaler, error) {
+	return e.DrillDownPartials(ctx, q, tr)
+}
+
+func diversityPhase(ctx context.Context, e *core.Engine, q core.Query, shortlist []kg.NodeID, tr *core.TimeRange) (encoding.BinaryMarshaler, error) {
+	return e.DiversityPartials(ctx, q, shortlist, tr)
 }

@@ -234,3 +234,101 @@ func TestMaxTFSegmentBoundaryShare(t *testing.T) {
 		t.Fatalf("NumBlocks = %d, want %d", s.NumBlocks(), want)
 	}
 }
+
+// TestShardedSnapshotGaps: a shard's snapshot holds segments with gaps
+// between them. DocBound is one past its highest local ID, NumDocs
+// counts only local documents, and HasDoc is true exactly on the
+// segments' ranges.
+func TestShardedSnapshotGaps(t *testing.T) {
+	docs, arts := buildWorld(t)
+	s := NewSharded(2, []*Segment{
+		BuildSegment(4, docs[:3], arts[:3]),
+		BuildSegment(20, docs[3:], arts[3:]),
+	}, nil)
+	if s.NumDocs() != len(docs) || s.DocBound() != 20+len(docs)-3 {
+		t.Fatalf("NumDocs/DocBound = %d/%d, want %d/%d", s.NumDocs(), s.DocBound(), len(docs), 20+len(docs)-3)
+	}
+	for d := int32(-1); d < int32(s.DocBound())+3; d++ {
+		want := (d >= 4 && d < 7) || (d >= 20 && d < int32(s.DocBound()))
+		if s.HasDoc(d) != want {
+			t.Fatalf("HasDoc(%d) = %v, want %v", d, s.HasDoc(d), want)
+		}
+		if want && !reflect.DeepEqual(*s.Doc(d), docs[local(d)]) {
+			t.Fatalf("Doc(%d) is not the record it was built from", d)
+		}
+	}
+	if empty := NewSharded(1, nil, nil); empty.HasDoc(0) || empty.DocBound() != 0 {
+		t.Fatal("an empty snapshot holds documents")
+	}
+	// The contiguous case: DocBound equals NumDocs.
+	if one := New(1, []*Segment{BuildSegment(0, docs, arts)}); one.DocBound() != one.NumDocs() {
+		t.Fatalf("contiguous DocBound %d != NumDocs %d", one.DocBound(), one.NumDocs())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on overlapping segments")
+		}
+	}()
+	NewSharded(1, []*Segment{BuildSegment(4, docs[:3], arts[:3]), BuildSegment(5, docs[3:], arts[3:])}, nil)
+}
+
+// local maps TestShardedSnapshotGaps' global IDs back to buildWorld
+// indexes.
+func local(d int32) int {
+	if d < 20 {
+		return int(d - 4)
+	}
+	return int(d-20) + 3
+}
+
+// TestRebaseMatchesBuildAtBase: a segment built at a speculative base
+// and rebased equals one built at the committed base in everything
+// base-dependent (article IDs, entity postings, block-max tables), and
+// its time bounds and local data are untouched. Rebasing to the same
+// base is a no-op.
+func TestRebaseMatchesBuildAtBase(t *testing.T) {
+	fresh := func() ([]DocRecord, []corpus.Document) {
+		docs, arts := buildWorld(t)
+		for i := range docs {
+			docs[i].PublishedAt = int64(1000 + 37*((i*5)%len(docs)))
+		}
+		// An entity with a zero count never enters a block-max table.
+		docs[0].Entities = append(docs[0].Entities, 99)
+		docs[0].EntityFreq[99] = 0
+		return docs, arts
+	}
+	for _, base := range []int32{3, 60, 200} {
+		docs, arts := fresh()
+		seg := BuildSegment(0, docs, arts)
+		if got := Rebase(seg, 0); got != seg {
+			t.Fatal("Rebase to the same base must return the segment unchanged")
+		}
+		wantDocs, wantArts := fresh()
+		want := BuildSegment(base, wantDocs, wantArts)
+		got := Rebase(seg, base)
+		if got.Base != base || !reflect.DeepEqual(got.Articles, want.Articles) ||
+			!reflect.DeepEqual(got.EntDocs, want.EntDocs) || !reflect.DeepEqual(got.MaxTF, want.MaxTF) {
+			t.Fatalf("base %d: rebased segment differs from one built there:\n got  %+v %+v\n want %+v %+v",
+				base, got.EntDocs, got.MaxTF, want.EntDocs, want.MaxTF)
+		}
+		if got.MinTime != want.MinTime || got.MaxTime != want.MaxTime || got.MinTime != 1000 {
+			t.Fatalf("base %d: time bounds %d..%d, want %d..%d", base, got.MinTime, got.MaxTime, want.MinTime, want.MaxTime)
+		}
+		if _, ok := got.MaxTF[99]; ok {
+			t.Fatal("a zero-count entity entered the block-max table")
+		}
+	}
+}
+
+func TestSortedCandidates(t *testing.T) {
+	for _, tc := range []struct{ in, want []kg.NodeID }{
+		{nil, []kg.NodeID{}},
+		{[]kg.NodeID{5}, []kg.NodeID{5}},
+		{[]kg.NodeID{9, 2, 9, 4, 2, 2, 11, 4}, []kg.NodeID{2, 4, 9, 11}},
+	} {
+		got := SortedCandidates(append([]kg.NodeID(nil), tc.in...))
+		if len(got) != len(tc.want) || (len(got) > 0 && !reflect.DeepEqual(got, tc.want)) {
+			t.Fatalf("SortedCandidates(%v) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
