@@ -15,6 +15,7 @@ import (
 
 	"ncexplorer"
 	"ncexplorer/internal/core"
+	"ncexplorer/internal/segio"
 	"ncexplorer/internal/server"
 )
 
@@ -160,8 +161,9 @@ func TestRouterFailureModes(t *testing.T) {
 
 // TestReplicaRestartFetchesOnlyMissingSegments pins the shipping
 // economics: a replica that restarts with its mirror intact re-fetches
-// nothing it already holds — catch-up cost is proportional to what
-// changed since, not to corpus size.
+// nothing it already holds — segments and conn companions alike —
+// so catch-up cost is proportional to what changed since, not to
+// corpus size.
 func TestReplicaRestartFetchesOnlyMissingSegments(t *testing.T) {
 	ctx := context.Background()
 	x, err := ncexplorer.New(ncexplorer.Config{Scale: "tiny", MaxSegments: 100})
@@ -175,42 +177,64 @@ func TestReplicaRestartFetchesOnlyMissingSegments(t *testing.T) {
 	x.CheckpointTo(dir)
 	srv := httptest.NewServer(server.New(x, server.Options{ClusterDataDir: dir}).Handler())
 	defer srv.Close()
+	ingest := func(seed uint64) {
+		t.Helper()
+		batch, err := x.SampleArticles(seed, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Ingest(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		x.Quiesce() // the checkpoint lands asynchronously; replicas ship durable state
+	}
+	// referenced counts the files a manifest pins: segments, their
+	// companions, and the base conn file.
+	referenced := func(m *segio.Manifest) int {
+		n := len(m.Segments)
+		for _, ref := range m.Segments {
+			if ref.Conn != "" {
+				n++
+			}
+		}
+		if m.ConnFile != "" {
+			n++
+		}
+		return n
+	}
 
+	// One checkpointed batch before the first sync, so the mirror starts
+	// out holding a companion.
+	ingest(6)
 	rdir := t.TempDir()
 	first := &Fetcher{BaseURL: srv.URL, Dir: rdir}
-	if _, changed, err := first.Sync(ctx); err != nil || !changed {
+	m1, changed, err := first.Sync(ctx)
+	if err != nil || !changed {
 		t.Fatalf("initial sync: changed=%v err=%v", changed, err)
 	}
 	c1 := first.Counters()
-	if c1.SegmentsFetched == 0 || c1.BytesShipped == 0 {
-		t.Fatalf("initial sync shipped nothing: %+v", c1)
+	if c1.SegmentsFetched != int64(referenced(m1)) || c1.BytesShipped == 0 {
+		t.Fatalf("initial sync shipped %+v for %d referenced files", c1, referenced(m1))
+	}
+	if m1.Segments[len(m1.Segments)-1].Conn == "" {
+		t.Fatal("checkpointed segment carries no conn companion")
 	}
 
-	// The leader commits one more batch: exactly one new segment (plus
-	// possibly a rewritten auxiliary file) appears.
-	batch, err := x.SampleArticles(7, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := x.Ingest(ctx, batch); err != nil {
-		t.Fatal(err)
-	}
-	x.Quiesce() // the checkpoint lands asynchronously; replicas ship durable state
+	// The leader commits one more batch: exactly one new segment and its
+	// companion appear.
+	ingest(7)
 
 	// "Restart": a fresh fetcher over the surviving mirror. It must ship
-	// only the delta.
+	// only the delta and reuse every file it holds, companions included.
 	second := &Fetcher{BaseURL: srv.URL, Dir: rdir}
 	m, changed, err := second.Sync(ctx)
 	if err != nil || !changed {
 		t.Fatalf("post-restart sync: changed=%v err=%v", changed, err)
 	}
 	c2 := second.Counters()
-	if c2.SegmentsReused == 0 {
-		t.Fatalf("restarted replica re-fetched everything: %+v", c2)
-	}
-	if c2.SegmentsFetched >= c1.SegmentsFetched {
-		t.Fatalf("restarted replica fetched %d files, initial sync fetched %d — not a delta",
-			c2.SegmentsFetched, c1.SegmentsFetched)
+	if c2.SegmentsFetched != 2 || c2.SegmentsReused != int64(referenced(m1)) {
+		t.Fatalf("restarted replica: %+v, want 2 files fetched (segment + companion) and %d reused",
+			c2, referenced(m1))
 	}
 
 	// The mirror must open at the leader's generation.
@@ -233,6 +257,82 @@ func TestReplicaRestartFetchesOnlyMissingSegments(t *testing.T) {
 	}
 	if c3 := third.Counters(); c3.SegmentsFetched != 0 || c3.BytesShipped != 0 {
 		t.Fatalf("idle sync shipped data: %+v", c3)
+	}
+}
+
+// TestReplicaCatchUpWalksNothing: a leader under steady ingest only
+// checkpoints, never saves, so its store holds no full conn file. The
+// conn companions its checkpoints write ship with the segments, and a
+// replica's warm open re-runs no random walk the leader already ran —
+// while answering exactly what the leader answers.
+func TestReplicaCatchUpWalksNothing(t *testing.T) {
+	ctx := context.Background()
+	x, err := ncexplorer.New(ncexplorer.Config{Scale: "tiny", MaxSegments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	x.CheckpointTo(dir)
+	srv := httptest.NewServer(server.New(x, server.Options{ClusterDataDir: dir}).Handler())
+	defer srv.Close()
+	var served *ncexplorer.Explorer
+	rep := &Replica{
+		Fetcher: &Fetcher{BaseURL: srv.URL, Dir: t.TempDir()},
+		OnSwap:  func(y *ncexplorer.Explorer) { served = y },
+		Logf:    t.Logf,
+	}
+	ingest := func(seed uint64, n int) {
+		t.Helper()
+		batch, err := x.SampleArticles(seed, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Ingest(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		x.Quiesce()
+	}
+
+	ingest(31, 6) // the initial publish is a checkpoint
+	if _, err := rep.SyncOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 4; i++ { // MaxSegments 2: merges fold segments in between
+		ingest(32+i, 5+int(i))
+	}
+	if swapped, err := rep.SyncOnce(ctx); err != nil || !swapped {
+		t.Fatalf("catch-up: swapped=%v err=%v", swapped, err)
+	}
+	m, err := segio.ReadManifest(rep.Fetcher.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ConnFile != "" {
+		t.Fatalf("a checkpoint-only leader shipped a full conn file %q", m.ConnFile)
+	}
+	if served.Generation() != x.Generation() || served.NumArticles() != x.NumArticles() {
+		t.Fatalf("replica at generation %d with %d articles, leader at %d with %d",
+			served.Generation(), served.NumArticles(), x.Generation(), x.NumArticles())
+	}
+	if c := served.Stats().EngineCache.Conn; c.Misses != 0 || c.Entries == 0 {
+		t.Fatalf("replica open re-walked: conn memo %+v, want 0 misses", c)
+	}
+	for _, topic := range x.EvaluationTopics() {
+		for _, concepts := range [][]string{{topic[0]}, {topic[0], topic[1]}} {
+			want, err := x.RollUpQuery(ctx, ncexplorer.RollUpRequest{Concepts: concepts, K: 5, Explain: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := served.RollUpQuery(ctx, ncexplorer.RollUpRequest{Concepts: concepts, K: 5, Explain: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wb, _ := json.Marshal(want)
+			gb, _ := json.Marshal(got)
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("replica roll-up %v diverges:\n got:  %s\n want: %s", concepts, gb, wb)
+			}
+		}
 	}
 }
 

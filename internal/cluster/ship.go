@@ -99,6 +99,13 @@ func (f *Fetcher) Sync(ctx context.Context) (*segio.Manifest, bool, error) {
 		if err := f.fetchFile(ctx, ref.File, ref.CRC); err != nil {
 			return nil, false, err
 		}
+		// The segment's conn companion ships with it, so the replica's
+		// open walks nothing the leader already walked.
+		if ref.Conn != "" {
+			if err := f.fetchFile(ctx, ref.Conn, contentHash(ref.Conn)); err != nil {
+				return nil, false, err
+			}
+		}
 	}
 	if m.ConnFile != "" {
 		if err := f.fetchFile(ctx, m.ConnFile, contentHash(m.ConnFile)); err != nil {
@@ -125,7 +132,8 @@ func (f *Fetcher) Sync(ctx context.Context) (*segio.Manifest, bool, error) {
 
 // sameSnapshot reports whether two manifests describe the identical
 // snapshot. Generation alone is not enough: background segment merges
-// reorganise files without advancing the generation.
+// reorganise files without advancing the generation. Refs compare
+// whole, so a changed conn companion counts as a change.
 func sameSnapshot(a, b *segio.Manifest) bool {
 	if a.Generation != b.Generation || len(a.Segments) != len(b.Segments) ||
 		a.ConnFile != b.ConnFile || a.WatchFile != b.WatchFile {
@@ -140,9 +148,9 @@ func sameSnapshot(a, b *segio.Manifest) bool {
 }
 
 // contentHash extracts the checksum a content-addressed auxiliary file
-// name pins: conn files embed a CRC32, watch files an FNV-1a sum. The
-// returned value is what checksumFor must reproduce over the fetched
-// bytes.
+// name pins: the base conn file embeds a CRC32, conn companions and
+// watch files an FNV-1a sum. The returned value is what checksumFor
+// must reproduce over the fetched bytes.
 func contentHash(name string) uint32 {
 	base := strings.TrimSuffix(strings.TrimSuffix(name, segio.ConnExt), segio.WatchExt)
 	if i := strings.LastIndexByte(base, '-'); i >= 0 {
@@ -155,7 +163,7 @@ func contentHash(name string) uint32 {
 
 // checksumFor computes the checksum a file kind's name scheme uses.
 func checksumFor(name string, data []byte) uint32 {
-	if strings.HasSuffix(name, segio.WatchExt) {
+	if strings.HasSuffix(name, segio.WatchExt) || strings.HasPrefix(name, segio.CompanionPrefix) {
 		h := fnv.New32a()
 		h.Write(data)
 		return h.Sum32()

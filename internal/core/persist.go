@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,6 +30,11 @@ import (
 // with, and every sampled value is content-addressed by (concept,
 // document) under the engine seed, a loaded engine answers every query
 // byte-identically to the engine that saved it.
+//
+// Checkpoints make the memo durable too: every segment file a
+// checkpoint writes gets a conn companion holding that segment's
+// memoised values, so a store reopened after a crash walks nothing
+// either. A full save folds memo and companions into one conn file.
 //
 // Crash safety: segment and conn files are immutable and content-named;
 // each is written via temp-file + fsync + atomic rename, and the
@@ -222,8 +229,9 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 	refs := make([]segio.SegmentRef, 0, len(segs))
 	wrote := false // any deferred-sync file placed; one SyncDir before the manifest
 	type pendingFile struct {
-		name string
-		data []byte
+		name    string
+		data    []byte
+		segment bool // a segment file (else its conn companion)
 	}
 	var pend []pendingFile
 	for _, seg := range segs {
@@ -254,11 +262,16 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 				MaxTime: seg.MaxTime,
 			}
 			ref.File = segio.SegmentFileName(ref.Base, ref.Docs, ref.CRC)
-			e.persist.segFiles[seg] = ref
 			delete(e.persist.segDelta, seg)
 			e.gc.purgeLineage(seg)
 		}
-		if e.knownFile(dir, ref.File) {
+		if writeConn {
+			// Saves compact: the full conn file written below covers every
+			// segment, so no ref carries a companion.
+			ref.Conn = ""
+		}
+		onDisk := e.knownFile(dir, ref.File)
+		if onDisk {
 			e.persist.segmentsReused.Add(1)
 		} else {
 			if data == nil {
@@ -266,13 +279,28 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 				// dir, or external deletion): re-encode.
 				data = segio.EncodeSegment(seg)
 			}
-			pend = append(pend, pendingFile{name: ref.File, data: data})
+			pend = append(pend, pendingFile{name: ref.File, data: data, segment: true})
 		}
+		if !writeConn && (!onDisk || (ref.Conn != "" && !e.knownFile(dir, ref.Conn))) {
+			// Every segment file a checkpoint writes gets a conn companion,
+			// so a crash before the next save reopens without re-walking its
+			// documents — as does one whose companion an earlier, failed
+			// attempt never placed. The content derives from the plans, so
+			// a rewrite lands under the same name.
+			ref.Conn = ""
+			if conn := st.companionConn(ref.Base, ref.Docs); conn != nil {
+				ref.Conn = segio.CompanionFileName(ref.Base, ref.Docs, conn)
+				if !e.knownFile(dir, ref.Conn) {
+					pend = append(pend, pendingFile{name: ref.Conn, data: conn})
+				}
+			}
+		}
+		e.persist.segFiles[seg] = ref
 		refs = append(refs, ref)
 	}
-	// Place the new segment files concurrently: each write fsyncs its
-	// own file, and overlapping the fsyncs lets the filesystem fold
-	// them into one journal commit instead of one per file — on a
+	// Place the new segment and companion files concurrently: each write
+	// fsyncs its own file, and overlapping the fsyncs lets the filesystem
+	// fold them into one journal commit instead of one per file — on a
 	// single-CPU host a serial fsync also stalls every other goroutine
 	// for its full duration, so the overlap is the difference between
 	// paying the sync cost once and paying it per segment. Write order
@@ -291,12 +319,14 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 		wg.Wait()
 		for i, err := range errs {
 			if err != nil {
-				return fmt.Errorf("core: writing segment %s: %w", pend[i].name, err)
+				return fmt.Errorf("core: writing %s: %w", pend[i].name, err)
 			}
 		}
 		for _, p := range pend {
 			e.markFile(dir, p.name)
-			e.persist.segmentsWritten.Add(1)
+			if p.segment {
+				e.persist.segmentsWritten.Add(1)
+			}
 			e.persist.bytesWritten.Add(int64(len(p.data)))
 		}
 		wrote = true
@@ -365,7 +395,8 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 		e.persist.connFile, e.persist.connEntries, e.persist.connChecked = name, entries, true
 	} else {
 		// Checkpoints keep the last fully saved conn file: its entries
-		// are content-addressed and never go stale. The reference is
+		// are content-addressed and never go stale, and the companions
+		// above cover every segment written since. The reference is
 		// cached from the save/open that produced it; the manifest is
 		// read at most once, for a store inherited from a previous
 		// process that this engine has neither saved nor opened — and
@@ -452,14 +483,14 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 // gc.writeMu held.
 func (e *Engine) resolveDeltaRefs(seg *snapshot.Segment, dir string) ([]segio.SegmentRef, bool) {
 	if ref, ok := e.persist.segFiles[seg]; ok {
-		if !e.knownFile(dir, ref.File) {
+		if !e.refOnDisk(dir, ref) {
 			return nil, false
 		}
 		return []segio.SegmentRef{ref}, true
 	}
 	if drefs, ok := e.persist.segDelta[seg]; ok {
 		for _, ref := range drefs {
-			if !e.knownFile(dir, ref.File) {
+			if !e.refOnDisk(dir, ref) {
 				return nil, false
 			}
 		}
@@ -477,6 +508,45 @@ func (e *Engine) resolveDeltaRefs(seg *snapshot.Segment, dir string) ([]segio.Se
 		return nil, false
 	}
 	return out, true
+}
+
+// refOnDisk reports whether a ref's segment file and its conn
+// companion, if it names one, are both in dir. A delta checkpoint
+// carries parents' refs unchanged, companions included, so both must
+// exist. gc.writeMu held.
+func (e *Engine) refOnDisk(dir string, ref segio.SegmentRef) bool {
+	return e.knownFile(dir, ref.File) && (ref.Conn == "" || e.knownFile(dir, ref.Conn))
+}
+
+// companionConn encodes the conn companion of the global document
+// range [base, base+docs): the memoised connectivity factor of every
+// plan row with a positive ontology factor — exactly the pairs
+// buildPlans walks at open, and the pairs prewarmConn warms at ingest —
+// in key order. Plans hold each concept's documents sorted, so the
+// range is one binary search per concept, and concepts ascend in the
+// outer loop, so the keys come out sorted. Nil when no row qualifies.
+// Runs on the writer over the job's immutable state.
+func (st *genState) companionConn(base int32, docs int) []byte {
+	end := base + int32(docs)
+	var keys []uint64
+	var values []float64
+	for c := range st.plans {
+		p := &st.plans[c]
+		if len(p.docs) == 0 || p.docs[len(p.docs)-1] < base || p.docs[0] >= end {
+			continue
+		}
+		j, _ := slices.BinarySearch(p.docs, base)
+		for ; j < len(p.docs) && p.docs[j] < end; j++ {
+			if p.ont[j] > 0 {
+				keys = append(keys, cdrKey(kg.NodeID(c), p.docs[j]))
+				values = append(values, p.cdrc[j])
+			}
+		}
+	}
+	if len(keys) == 0 {
+		return nil
+	}
+	return segio.EncodeConn(keys, values)
 }
 
 // SetWatchEncoder registers the standing-query state encoder consulted
@@ -556,33 +626,8 @@ func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 		e.persist.bytesRead.Add(int64(n))
 		segs = append(segs, seg)
 	}
-	if m.ConnFile != "" {
-		data, err := segio.ReadConnFile(dir, m.ConnFile)
-		if err != nil {
-			return err
-		}
-		e.persist.bytesRead.Add(int64(len(data)))
-		// Stage the entries and install them only after the whole file
-		// decodes: a file that fails validation partway through must not
-		// leave stray values in the engine-wide memo (the engine stays
-		// reusable after a failed open, so a later successful open would
-		// silently serve them).
-		type connEntry struct {
-			k uint64
-			v float64
-		}
-		// Capacity from the validated file size, never from the
-		// manifest's (attacker- or rot-controllable) ConnEntries field:
-		// a hostile count must not panic make or balloon the allocation.
-		staged := make([]connEntry, 0, len(data)/16)
-		if err := segio.DecodeConn(data, func(k uint64, v float64) {
-			staged = append(staged, connEntry{k, v})
-		}); err != nil {
-			return err
-		}
-		for _, ent := range staged {
-			e.connMemo.Store(ent.k, ent.v)
-		}
+	if err := e.prefillConn(dir, m); err != nil {
+		return err
 	}
 	// Remember the loaded segments' file identities so a later save
 	// into the same directory rewrites nothing. (writeMu: these are
@@ -615,6 +660,75 @@ func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 	e.st.Store(st)
 	e.epoch.Add(1)
 	e.persist.opens.Add(1)
+	return nil
+}
+
+// prefillConn loads the manifest's base conn file plus every segment's
+// conn companion into the engine-wide memo, so the rescore below walks
+// nothing the store already holds. Each file is validated on its own
+// (CRC and canonical form, by DecodeConn); the files may overlap — a
+// companion of a segment re-encoded after a merge repeats base entries
+// — but a key carrying two different values is corruption. Entries are
+// staged and installed only once every file passed: a failed open must
+// not leave stray values in the memo (the engine stays reusable after a
+// failed open, so a later successful open would silently serve them).
+func (e *Engine) prefillConn(dir string, m *segio.Manifest) error {
+	var names []string
+	if m.ConnFile != "" {
+		names = append(names, m.ConnFile)
+	}
+	for _, ref := range m.Segments {
+		if ref.Conn != "" {
+			names = append(names, ref.Conn)
+		}
+	}
+	files := make([][]connPair, len(names))
+	largest := 0
+	for i, name := range names {
+		data, err := segio.ReadConnFile(dir, name)
+		if err != nil {
+			return err
+		}
+		e.persist.bytesRead.Add(int64(len(data)))
+		// Capacity from the validated file size, never from the
+		// manifest's (attacker- or rot-controllable) ConnEntries field:
+		// a hostile count must not panic make or balloon the allocation.
+		staged := make([]connPair, 0, len(data)/16)
+		if err := segio.DecodeConn(data, func(k uint64, v float64) {
+			staged = append(staged, connPair{key: k, val: v})
+		}); err != nil {
+			return fmt.Errorf("conn-memo file %s: %w", name, err)
+		}
+		files[i] = staged
+		if len(staged) > len(files[largest]) {
+			largest = i
+		}
+	}
+	if len(files) > 1 {
+		// Cross-file agreement: index every file but the largest (the
+		// base conn file after a save; companions are small), then probe
+		// the largest, moved last, against the index.
+		last := len(files) - 1
+		files[largest], files[last] = files[last], files[largest]
+		names[largest], names[last] = names[last], names[largest]
+		seen := make(map[uint64]uint64)
+		for i, f := range files {
+			for _, p := range f {
+				bits := math.Float64bits(p.val)
+				if prev, ok := seen[p.key]; ok && prev != bits {
+					return fmt.Errorf("%w: conn-memo file %s disagrees with another on key %#x", segio.ErrCorrupt, names[i], p.key)
+				}
+				if i != last {
+					seen[p.key] = bits
+				}
+			}
+		}
+	}
+	for _, f := range files {
+		for _, p := range f {
+			e.connMemo.Store(p.key, p.val)
+		}
+	}
 	return nil
 }
 

@@ -190,13 +190,19 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 	}
 
 	// "Crash": no SaveSnapshot call; a fresh engine must reopen the
-	// checkpointed state (no conn file — only full saves write one).
+	// checkpointed state. Only full saves write the base conn file; the
+	// memo reaches disk through the segments' conn companions instead.
 	m, err := segio.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.ConnFile != "" {
-		t.Fatalf("checkpoint wrote a conn file: %q", m.ConnFile)
+		t.Fatalf("checkpoint wrote a base conn file: %q", m.ConnFile)
+	}
+	for i, ref := range m.Segments {
+		if ref.Conn == "" {
+			t.Fatalf("checkpointed segment %d (%s) carries no conn companion", i, ref.File)
+		}
 	}
 	if m.Generation != e.Generation() {
 		t.Fatalf("manifest generation %d, engine %d", m.Generation, e.Generation())
@@ -204,6 +210,9 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 	recovered := NewEngine(g, Options{Seed: 11, Samples: 20, MaxSegments: 2})
 	if err := recovered.OpenSnapshot(dir, nil); err != nil {
 		t.Fatal(err)
+	}
+	if misses := recovered.CacheStats().Conn.Misses; misses != 0 {
+		t.Fatalf("post-crash open re-walked %d pairs", misses)
 	}
 	enginesEquivalent(t, e, recovered)
 
@@ -226,6 +235,106 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 	if m.Generation != e.Generation() {
 		t.Fatalf("post-save checkpoint generation %d, engine %d", m.Generation, e.Generation())
 	}
+}
+
+// TestCrashReopenWalksNothing pins the durable memo: after a save and
+// then checkpoints only (merges folding segments in between, so delta
+// refs carry their parents' companions), a post-crash open pre-fills
+// the connectivity memo from the base conn file plus the companions,
+// walks nothing, holds exactly the live engine's memo, and answers
+// byte-identically. A second phase makes a checkpoint re-encode a
+// merged segment that spans saved documents: its companion repeats
+// base-file entries, which open must accept because the values agree.
+func TestCrashReopenWalksNothing(t *testing.T) {
+	g, _, c, _ := world(t)
+	opts := Options{Seed: 11, Samples: 20, MaxSegments: 2}
+	crashOpen := func(t *testing.T, e *Engine, dir string) {
+		t.Helper()
+		recovered := NewEngine(g, opts)
+		if err := recovered.OpenSnapshot(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		if misses := recovered.CacheStats().Conn.Misses; misses != 0 {
+			t.Fatalf("post-crash open re-walked %d pairs", misses)
+		}
+		got, _ := recovered.encodeConnMemo()
+		want, _ := e.encodeConnMemo()
+		if string(got) != string(want) {
+			t.Fatal("post-crash memo differs from the live engine's")
+		}
+		enginesEquivalent(t, e, recovered)
+	}
+	ingest := func(t *testing.T, e *Engine, seed uint64, n int) {
+		t.Helper()
+		if _, err := e.Ingest(context.Background(), ingestBatch(t, seed, n)); err != nil {
+			t.Fatal(err)
+		}
+		e.WaitMerges()
+	}
+
+	t.Run("companions after save", func(t *testing.T) {
+		dir := t.TempDir()
+		e := NewEngine(g, opts)
+		e.IndexCorpus(c)
+		if err := e.SaveSnapshot(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		e.SetCheckpointDir(dir, nil)
+		for i := 0; i < 5; i++ {
+			ingest(t, e, 8700+uint64(i), 3+i)
+		}
+		m, err := segio.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.ConnFile == "" || m.Segments[0].Conn != "" || m.Segments[len(m.Segments)-1].Conn == "" {
+			t.Fatalf("want the saved segment covered by the base conn file and the rest by companions: %+v", m)
+		}
+		crashOpen(t, e, dir)
+
+		// A clean save folds the companions away.
+		if err := e.SaveSnapshot(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		entries, _ := os.ReadDir(dir)
+		conns := 0
+		for _, ent := range entries {
+			if strings.HasSuffix(ent.Name(), segio.ConnExt) {
+				conns++
+			}
+		}
+		if conns != 1 {
+			t.Fatalf("%d conn files after a save, want the one base file", conns)
+		}
+	})
+
+	t.Run("re-encoded merge overlaps the base file", func(t *testing.T) {
+		dir := t.TempDir()
+		e := NewEngine(g, opts)
+		e.IndexCorpus(c)
+		ingest(t, e, 8710, 4)
+		if err := e.SaveSnapshot(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		saved := int32(e.NumDocs())
+		// No checkpoint directory: this merge records no lineage, so the
+		// next checkpoint must encode the merged segment in full.
+		ingest(t, e, 8711, 3)
+		e.SetCheckpointDir(dir, nil)
+		ingest(t, e, 8712, 5)
+		m, err := segio.ReadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overlap := false
+		for _, ref := range m.Segments {
+			overlap = overlap || (ref.Conn != "" && ref.Base < saved)
+		}
+		if m.ConnFile == "" || !overlap {
+			t.Fatalf("want a companion spanning saved documents beside the base conn file: %+v", m)
+		}
+		crashOpen(t, e, dir)
+	})
 }
 
 // TestDeltaCheckpointAfterMerge: a background merge must not put an
@@ -361,38 +470,54 @@ func TestCheckpointWriteFailureKeepsPreviousManifest(t *testing.T) {
 	// The writer is idle after WaitMerges (every enqueued job completed
 	// and none are pending), so swapping the injection hook does not
 	// race a write in flight; the enqueue/pickup mutex pair publishes
-	// the swap to the writer goroutine.
-	e.WaitMerges()
+	// the swap to the writer goroutine. The companion stage fails the
+	// conn companion written beside the batch's segment file; the
+	// manifest stage fails the swap itself.
 	injected := errors.New("injected checkpoint failure")
-	origManifest := writeSegioManifest
-	writeSegioManifest = func(dir string, m *segio.Manifest) error { return injected }
-	res, err = e.Ingest(context.Background(), ingestBatch(t, 8601, 3))
-	if err != nil {
-		t.Fatalf("checkpoint failure must not fail the ingest: %v", err)
-	}
-	e.WaitPersisted(res.PersistSeq)
-	e.WaitMerges()
-	writeSegioManifest = origManifest
+	for i, stage := range []string{"companion", "manifest"} {
+		e.WaitMerges()
+		origFile, origManifest := writeSegioFile, writeSegioManifest
+		if stage == "companion" {
+			writeSegioFile = func(dir, name string, data []byte) error {
+				if strings.HasSuffix(name, segio.ConnExt) {
+					return injected
+				}
+				return origFile(dir, name, data)
+			}
+		} else {
+			writeSegioManifest = func(dir string, m *segio.Manifest) error { return injected }
+		}
+		res, err = e.Ingest(context.Background(), ingestBatch(t, 8601+uint64(i), 3))
+		if err != nil {
+			t.Fatalf("%s stage: checkpoint failure must not fail the ingest: %v", stage, err)
+		}
+		e.WaitPersisted(res.PersistSeq)
+		e.WaitMerges()
+		writeSegioFile, writeSegioManifest = origFile, origManifest
 
-	if n := e.PersistCounters().CheckpointErrors; n != 1 {
-		t.Fatalf("CheckpointErrors = %d, want 1", n)
-	}
-	after, err := os.ReadFile(filepath.Join(dir, segio.ManifestName))
-	if err != nil || string(after) != string(before) {
-		t.Fatal("failed checkpoint disturbed the previous manifest")
-	}
-	recovered := NewEngine(g, persistTestOptions())
-	if err := recovered.OpenSnapshot(dir, nil); err != nil {
-		t.Fatalf("store no longer opens after failed checkpoint: %v", err)
-	}
-	if recovered.NumDocs() != c.Len()+4 {
-		t.Fatalf("recovered %d docs, want the pre-failure state's %d",
-			recovered.NumDocs(), c.Len()+4)
+		if n := e.PersistCounters().CheckpointErrors; n != int64(i+1) {
+			t.Fatalf("%s stage: CheckpointErrors = %d, want %d", stage, n, i+1)
+		}
+		after, err := os.ReadFile(filepath.Join(dir, segio.ManifestName))
+		if err != nil || string(after) != string(before) {
+			t.Fatalf("%s stage: failed checkpoint disturbed the previous manifest", stage)
+		}
+		recovered := NewEngine(g, persistTestOptions())
+		if err := recovered.OpenSnapshot(dir, nil); err != nil {
+			t.Fatalf("%s stage: store no longer opens after failed checkpoint: %v", stage, err)
+		}
+		if recovered.NumDocs() != c.Len()+4 {
+			t.Fatalf("%s stage: recovered %d docs, want the pre-failure state's %d",
+				stage, recovered.NumDocs(), c.Len()+4)
+		}
+		if misses := recovered.CacheStats().Conn.Misses; misses != 0 {
+			t.Fatalf("%s stage: reopening the previous manifest re-walked %d pairs", stage, misses)
+		}
 	}
 
 	// Failure cleared: the next ingest's checkpoint writes the full
-	// current state (nothing was marked written by the failed attempt).
-	res, err = e.Ingest(context.Background(), ingestBatch(t, 8602, 2))
+	// current state (nothing was marked written by the failed attempts).
+	res, err = e.Ingest(context.Background(), ingestBatch(t, 8609, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,6 +526,10 @@ func TestCheckpointWriteFailureKeepsPreviousManifest(t *testing.T) {
 	repaired := NewEngine(g, persistTestOptions())
 	if err := repaired.OpenSnapshot(dir, nil); err != nil {
 		t.Fatal(err)
+	}
+	// The companion the failed attempt never placed was rewritten.
+	if misses := repaired.CacheStats().Conn.Misses; misses != 0 {
+		t.Fatalf("repaired store re-walked %d pairs at open", misses)
 	}
 	enginesEquivalent(t, e, repaired)
 }
@@ -565,14 +694,92 @@ func TestFailedOpenLeavesNoConnEntries(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, m.ConnFile), bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	victim := NewEngine(g, persistTestOptions())
-	if err := victim.OpenSnapshot(dir, nil); !errors.Is(err, segio.ErrCorrupt) {
-		t.Fatalf("open with corrupt conn file: %v", err)
+	expectCorrupt := func(t *testing.T, dir, what string) {
+		t.Helper()
+		victim := NewEngine(g, persistTestOptions())
+		if err := victim.OpenSnapshot(dir, nil); !errors.Is(err, segio.ErrCorrupt) {
+			t.Fatalf("open with %s: %v", what, err)
+		}
+		if victim.state() != nil {
+			t.Fatalf("open with %s installed state", what)
+		}
+		if n := victim.connMemo.Len(); n != 0 {
+			t.Fatalf("failed open with %s leaked %d conn-memo entries", what, n)
+		}
 	}
-	if victim.state() != nil {
-		t.Fatal("corrupt open installed state")
+	expectCorrupt(t, dir, "an unsorted conn file")
+
+	// Conn companions: a checkpointed store on top of a valid base conn
+	// file, so every damaged companion below sits beside files that
+	// decode cleanly — and whose entries must not leak either.
+	cdir := t.TempDir()
+	ce := NewEngine(g, persistTestOptions())
+	ce.IndexCorpus(c)
+	if err := ce.SaveSnapshot(cdir, nil); err != nil {
+		t.Fatal(err)
 	}
-	if n := victim.connMemo.Len(); n != 0 {
-		t.Fatalf("failed open leaked %d conn-memo entries", n)
+	ce.SetCheckpointDir(cdir, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := ce.Ingest(context.Background(), ingestBatch(t, 8800+uint64(i), 4)); err != nil {
+			t.Fatal(err)
+		}
+		ce.WaitMerges()
+	}
+	cm, err := segio.ReadManifest(cdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var comps []string
+	for _, ref := range cm.Segments {
+		if ref.Conn != "" {
+			comps = append(comps, ref.Conn)
+		}
+	}
+	if len(comps) < 2 {
+		t.Fatalf("checkpoints wrote %d conn companions, want one per batch", len(comps))
+	}
+	first, err := os.ReadFile(filepath.Join(cdir, comps[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []uint64
+	var values []float64
+	if err := segio.DecodeConn(first, func(k uint64, v float64) {
+		keys, values = append(keys, k), append(values, v)
+	}); err != nil || len(keys) == 0 {
+		t.Fatalf("companion %s: %d entries, err %v", comps[0], len(keys), err)
+	}
+	flipped := append([]byte(nil), first...)
+	flipped[len(flipped)/2] ^= 0x01
+	for _, tc := range []struct {
+		name, file string
+		data       []byte
+	}{
+		{"a truncated companion", comps[0], first[:len(first)-5]},
+		{"a flipped companion", comps[0], flipped},
+		// Valid on its own, but it gives the first companion's key a
+		// different value.
+		{"a conflicting companion", comps[len(comps)-1], segio.EncodeConn(keys[:1], []float64{values[0] + 1})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := t.TempDir()
+			entries, err := os.ReadDir(cdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ent := range entries {
+				data, err := os.ReadFile(filepath.Join(cdir, ent.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ent.Name() == tc.file {
+					data = tc.data
+				}
+				if err := os.WriteFile(filepath.Join(d, ent.Name()), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			expectCorrupt(t, d, tc.name)
+		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -45,6 +46,13 @@ const (
 // seconds, inclusive) so a router or replica can reason about a shipped
 // snapshot's time coverage without fetching segment bytes; the decoder
 // rederives the authoritative bounds from the DOCS section.
+//
+// Conn, when set, names the segment's conn companion: a content-named
+// conn-memo file (same codec as Manifest.ConnFile) holding the
+// memoised connectivity values of this segment's documents. Checkpoints
+// write one per segment file they write, so a store that was never
+// fully saved since its last ingest still opens without re-walking;
+// a full save folds them into ConnFile and drops them.
 type SegmentRef struct {
 	File    string `json:"file"`
 	Base    int32  `json:"base"`
@@ -52,6 +60,7 @@ type SegmentRef struct {
 	CRC     uint32 `json:"crc"`
 	MinTime int64  `json:"min_time"`
 	MaxTime int64  `json:"max_time"`
+	Conn    string `json:"conn,omitempty"`
 }
 
 // EngineMeta records the engine parameters that determine index
@@ -119,7 +128,8 @@ type Manifest struct {
 	// ConnFile names the connectivity-memo cache file, when one was
 	// saved. Its entries are content-addressed and never go stale, so a
 	// checkpoint may keep referencing a conn file written by an earlier
-	// full save.
+	// full save; segments written since carry their own companions
+	// (SegmentRef.Conn).
 	ConnFile    string `json:"conn_file,omitempty"`
 	ConnEntries int    `json:"conn_entries,omitempty"`
 	// WatchFile names the standing-query state file (watchlists, alert
@@ -190,6 +200,9 @@ func (m *Manifest) validate() error {
 		if ref.File == "" || ref.File != filepath.Base(ref.File) || ref.Docs <= 0 {
 			return fmt.Errorf("%w: manifest segment %d: bad file reference", ErrCorrupt, i)
 		}
+		if !auxName(ref.Conn, ConnExt) {
+			return fmt.Errorf("%w: manifest segment %d: bad conn companion reference %q", ErrCorrupt, i, ref.Conn)
+		}
 		if m.Shard == nil && ref.Base != next {
 			return fmt.Errorf("%w: manifest segment %d: base %d not contiguous (want %d)",
 				ErrCorrupt, i, ref.Base, next)
@@ -209,13 +222,20 @@ func (m *Manifest) validate() error {
 		m.Shard.RemoteDocs < 0 || m.Shard.RemoteTotalLen < 0) {
 		return fmt.Errorf("%w: manifest shard section inconsistent", ErrCorrupt)
 	}
-	if m.ConnFile != "" && m.ConnFile != filepath.Base(m.ConnFile) {
-		return fmt.Errorf("%w: manifest conn file reference escapes directory", ErrCorrupt)
+	if !auxName(m.ConnFile, ConnExt) {
+		return fmt.Errorf("%w: bad manifest conn file reference %q", ErrCorrupt, m.ConnFile)
 	}
-	if m.WatchFile != "" && m.WatchFile != filepath.Base(m.WatchFile) {
-		return fmt.Errorf("%w: manifest watch file reference escapes directory", ErrCorrupt)
+	if !auxName(m.WatchFile, WatchExt) {
+		return fmt.Errorf("%w: bad manifest watch file reference %q", ErrCorrupt, m.WatchFile)
 	}
 	return nil
+}
+
+// auxName reports whether an optional auxiliary file reference is
+// absent or a plain file name inside the snapshot directory carrying
+// its kind's extension.
+func auxName(name, ext string) bool {
+	return name == "" || (name == filepath.Base(name) && strings.HasSuffix(name, ext))
 }
 
 // WriteManifest atomically replaces dir's manifest: marshal to a temp
@@ -305,6 +325,20 @@ func SegmentFileName(base int32, docs int, crc uint32) string {
 	return fmt.Sprintf("seg-%010d-%07d-%08x%s", base, docs, crc, SegmentExt)
 }
 
+// CompanionPrefix starts the name of every segment's conn companion.
+const CompanionPrefix = "segconn-"
+
+// CompanionFileName derives the content-addressed name of a segment's
+// conn companion: the document range it covers plus the FNV-1a hash of
+// the encoded bytes. Not CRC32 — a conn file ends with the CRC32 of its
+// payload, and the CRC32 of data followed by its own CRC is fixed by
+// the length alone, so every same-sized companion would share a name.
+func CompanionFileName(base int32, docs int, data []byte) string {
+	h := fnv.New32a()
+	h.Write(data)
+	return fmt.Sprintf("%s%010d-%07d-%08x%s", CompanionPrefix, base, docs, h.Sum32(), ConnExt)
+}
+
 // WriteFileAtomic durably writes an immutable artifact (segment or
 // conn-memo file) under dir/name via temp + fsync + rename. If the
 // target already exists it is atomically replaced with identical
@@ -384,6 +418,9 @@ func CollectGarbage(dir string, m *Manifest) (removed []string) {
 	keep := map[string]bool{ManifestName: true}
 	for _, ref := range m.Segments {
 		keep[ref.File] = true
+		if ref.Conn != "" {
+			keep[ref.Conn] = true
+		}
 	}
 	if m.ConnFile != "" {
 		keep[m.ConnFile] = true

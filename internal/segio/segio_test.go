@@ -179,7 +179,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		NumDocs:    30,
 		Segments: []SegmentRef{
 			{File: "seg-a.ncseg", Base: 0, Docs: 20, CRC: 123},
-			{File: "seg-b.ncseg", Base: 20, Docs: 10, CRC: 456},
+			{File: "seg-b.ncseg", Base: 20, Docs: 10, CRC: 456, Conn: "conn-2.nccm"},
 		},
 		ConnFile:    "conn-1.nccm",
 		ConnEntries: 5,
@@ -225,6 +225,11 @@ func TestManifestValidation(t *testing.T) {
 		{"docs mismatch", func(m *Manifest) { m.NumDocs = 11 }},
 		{"path escape", func(m *Manifest) { m.Segments[0].File = "../evil.ncseg" }},
 		{"conn escape", func(m *Manifest) { m.ConnFile = "../evil.nccm" }},
+		{"conn without extension", func(m *Manifest) { m.ConnFile = "conn-1" }},
+		{"companion escape", func(m *Manifest) { m.Segments[0].Conn = "../evil.nccm" }},
+		{"companion absolute path", func(m *Manifest) { m.Segments[0].Conn = "/tmp/conn-1.nccm" }},
+		{"companion without extension", func(m *Manifest) { m.Segments[0].Conn = "conn-1.ncseg" }},
+		{"watch without extension", func(m *Manifest) { m.WatchFile = "watch-1.nccm" }},
 		{"empty segment", func(m *Manifest) { m.Segments[0].Docs = 0; m.NumDocs = 0 }},
 	}
 	for _, tc := range cases {
@@ -270,6 +275,24 @@ func TestReadSegmentFile(t *testing.T) {
 	missing.File = "seg-gone.ncseg"
 	if _, _, err := ReadSegmentFile(dir, missing); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing file: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCompanionFileNameIsContentSensitive: two conn files of equal
+// length share a whole-file CRC32 (each ends with its payload's CRC),
+// so companions are named by FNV-1a and must differ.
+func TestCompanionFileNameIsContentSensitive(t *testing.T) {
+	a := EncodeConn([]uint64{1}, []float64{2})
+	b := EncodeConn([]uint64{1}, []float64{3})
+	if crc32.ChecksumIEEE(a) != crc32.ChecksumIEEE(b) {
+		t.Fatal("same-length conn files no longer share a whole-file CRC32; revisit the naming comment")
+	}
+	na, nb := CompanionFileName(0, 4, a), CompanionFileName(0, 4, b)
+	if na == nb {
+		t.Fatalf("different companions share the name %s", na)
+	}
+	if !strings.HasPrefix(na, CompanionPrefix) || !strings.HasSuffix(na, ConnExt) || na != CompanionFileName(0, 4, a) {
+		t.Fatalf("companion name %s is not a stable %s…%s name", na, CompanionPrefix, ConnExt)
 	}
 }
 
@@ -341,18 +364,18 @@ func TestWriteAtomicFailures(t *testing.T) {
 
 func TestCollectGarbage(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"keep.ncseg", "drop.ncseg", "old.nccm", "unrelated.txt", "x.ncseg.tmp-123"} {
+	for _, name := range []string{"keep.ncseg", "keep.nccm", "drop.ncseg", "old.nccm", "unrelated.txt", "x.ncseg.tmp-123"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m := &Manifest{Segments: []SegmentRef{{File: "keep.ncseg", Docs: 1}}}
+	m := &Manifest{Segments: []SegmentRef{{File: "keep.ncseg", Docs: 1, Conn: "keep.nccm"}}}
 	removed := CollectGarbage(dir, m)
 	want := []string{"drop.ncseg", "old.nccm", "x.ncseg.tmp-123"}
 	if !reflect.DeepEqual(removed, want) {
 		t.Fatalf("removed %v, want %v", removed, want)
 	}
-	for _, name := range []string{"keep.ncseg", "unrelated.txt"} {
+	for _, name := range []string{"keep.ncseg", "keep.nccm", "unrelated.txt"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("%s should survive GC: %v", name, err)
 		}

@@ -2,12 +2,17 @@ package ncexplorer
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ncexplorer/internal/segio"
 	"ncexplorer/internal/xrand"
@@ -218,6 +223,43 @@ func TestOpenErrorMapping(t *testing.T) {
 		})
 		expectCode(t, d, CodeCorruptSnapshot)
 	})
+	t.Run("flipped byte in conn companion", func(t *testing.T) {
+		// Only checkpoints write companions: a store that was never saved.
+		y, err := New(Config{Scale: "tiny"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cdir := t.TempDir()
+		y.CheckpointTo(cdir)
+		arts, err := y.SampleArticles(5, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := y.Ingest(context.Background(), arts); err != nil {
+			t.Fatal(err)
+		}
+		y.Quiesce()
+		d := corruptedCopy(t, cdir, func(d string) {
+			m, err := segio.ReadManifest(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := m.Segments[len(m.Segments)-1].Conn
+			if name == "" {
+				t.Fatal("checkpointed segment carries no conn companion")
+			}
+			path := filepath.Join(d, name)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+		expectCode(t, d, CodeCorruptSnapshot)
+	})
 	t.Run("hostile conn_entries count", func(t *testing.T) {
 		// conn_entries is informational; negative or absurd values must
 		// neither panic (makeslice) nor balloon allocations — the real
@@ -338,4 +380,109 @@ func TestSaveToFileAsDirFails(t *testing.T) {
 	if HasSnapshot(target) {
 		t.Fatal("HasSnapshot true after failed save")
 	}
+}
+
+// storeDigest hashes the names and bytes of every file in dir whose
+// name has one of the given extensions, in name order: equal digests
+// mean byte-identical file sets.
+func storeDigest(t *testing.T, dir string, exts ...string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, ent := range entries {
+		name := ent.Name()
+		if !slices.ContainsFunc(exts, func(ext string) bool { return strings.HasSuffix(name, ext) }) {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", name, len(data))
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestLiveFeedCrashReopenWalksNothing pins the durable connectivity
+// memo at the live_feed benchmark's shape: a default-scale world takes
+// 8 × 512 articles and a clean save, then 80 × 32 checkpointed articles
+// and no save. A copy of that directory — what a SIGKILL leaves —
+// opens without a single random walk (the base conn file plus the
+// segments' conn companions cover every pair), answers roll-up and
+// drill-down byte-identically to an open of a clean save at the same
+// corpus, and its segment files are byte-identical to those written
+// before companions existed; so are the segment and conn files of the
+// clean save. Ingest runs unpipelined so merges and checkpoints land
+// in a fixed order and the file set is deterministic.
+func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-scale world")
+	}
+	const (
+		// SHA-256 over the schedule's seg-*.ncseg files after the
+		// checkpointed ingests, and over the seg-*.ncseg and conn-*.nccm
+		// files of the clean save that follows.
+		crashSegments = "8281361861e8287263507a3fd19fba788d6368fa61c005a6149fde3671af439a"
+		cleanStore    = "697b48efb40f54b396bdb7751e26365c8ef40fe29a88bfa8f4b8a5662e3fea83"
+	)
+	ctx := context.Background()
+	x, err := New(Config{Scale: "default", Seed: 42, MaxSegments: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.SetIngestPipeline(false)
+	ingest := func(seed uint64, n int) {
+		t.Helper()
+		arts, err := x.SampleArticles(seed, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Ingest(ctx, arts); err != nil {
+			t.Fatal(err)
+		}
+		x.Quiesce()
+	}
+	dir := t.TempDir()
+	for i := uint64(0); i < 8; i++ {
+		ingest(9100+i, 512)
+	}
+	if err := x.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	x.CheckpointTo(dir)
+	for i := uint64(0); i < 80; i++ {
+		ingest(9200+i, 32)
+	}
+
+	crashDir := corruptedCopy(t, dir, func(string) {})
+	if got := storeDigest(t, crashDir, segio.SegmentExt); got != crashSegments {
+		t.Errorf("checkpointed segment files digest %s, want %s", got, crashSegments)
+	}
+	start := time.Now()
+	crashed, err := Open(crashDir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("post-crash open: %v, conn memo %+v", time.Since(start), crashed.Stats().EngineCache.Conn)
+	if misses := crashed.Stats().EngineCache.Conn.Misses; misses != 0 {
+		t.Errorf("post-crash open re-walked %d pairs", misses)
+	}
+
+	if err := x.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := storeDigest(t, dir, segio.SegmentExt, segio.ConnExt); got != cleanStore {
+		t.Errorf("clean save digest %s, want %s", got, cleanStore)
+	}
+	start = time.Now()
+	clean, err := Open(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("clean open: %v, conn memo %+v", time.Since(start), clean.Stats().EngineCache.Conn)
+	explorersEquivalent(t, clean, crashed, 42, "post-crash open vs clean open")
 }
