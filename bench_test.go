@@ -268,7 +268,7 @@ func BenchmarkServerRollUp(b *testing.B) {
 	run := func(b *testing.B, s *server.Server) {
 		h := s.Handler()
 		for i := 0; i < b.N; i++ {
-			req := httptest.NewRequest(http.MethodPost, "/v1/rollup", bytes.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, "/v2/query/rollup", bytes.NewReader(body))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {
@@ -281,7 +281,7 @@ func BenchmarkServerRollUp(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		s := server.New(x, server.Options{})
-		req := httptest.NewRequest(http.MethodPost, "/v1/rollup", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, "/v2/query/rollup", bytes.NewReader(body))
 		s.Handler().ServeHTTP(httptest.NewRecorder(), req) // warm the cache
 		b.ResetTimer()
 		run(b, s)

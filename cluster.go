@@ -64,27 +64,6 @@ func (x *Explorer) ResolveConcepts(names []string) (core.Query, error) {
 	return resolveConceptsOn(x.g, names)
 }
 
-// ValidatePage applies the facade's shared page-shape validation — the
-// router validates at its own edge with the exact typed errors (and so
-// the exact error bodies) a monolithic server would produce.
-func ValidatePage(k, offset int, minScore float64) error {
-	return validatePage(k, offset, minScore)
-}
-
-// ValidateSources rejects unknown source-filter names with the same
-// typed error RollUpQuery produces.
-func ValidateSources(names []string) error {
-	_, err := resolveSources(names)
-	return err
-}
-
-// NextPageOffset computes the pagination cursor exactly as the facade
-// does: the offset of the page after one that returned `returned` of
-// `total` results, or -1 when exhausted.
-func NextPageOffset(offset, returned, total int) int {
-	return nextOffset(offset, returned, total)
-}
-
 // QueryWorld is the router's world model: the knowledge graph (and
 // evaluation metadata) regenerated deterministically from (scale,
 // seed), with the same name resolution and error surface the Explorer
@@ -124,15 +103,30 @@ func (w *QueryWorld) Scale() string { return w.scale }
 // Seed returns the world seed.
 func (w *QueryWorld) Seed() uint64 { return w.seed }
 
-// ResolveConcepts maps concept names to node IDs with the facade's
-// typed errors (CodeUnknownConcept with suggestions, CodeInvalidArgument
-// for entities). Call with CanonicalConcepts output for set semantics.
-func (w *QueryWorld) ResolveConcepts(names []string) (core.Query, error) {
-	return resolveConceptsOn(w.g, names)
+// ResolveRollUp validates req against the world's graph with the
+// rulebook, and in the order, RollUpQuery applies, and returns it with
+// its concept list canonicalized — what a router checks before it
+// scatters, so every request fails with the error a monolithic server
+// gives it.
+func (w *QueryWorld) ResolveRollUp(req RollUpRequest) (RollUpRequest, error) {
+	p, err := req.plan(w.g)
+	req.Concepts = p.concepts
+	return req, err
 }
 
-// ConceptName renders a node ID back to its concept name.
-func (w *QueryWorld) ConceptName(c kg.NodeID) string { return w.g.Name(c) }
+// ResolveDrillDown is ResolveRollUp for a drill-down.
+func (w *QueryWorld) ResolveDrillDown(req DrillDownRequest) (DrillDownRequest, error) {
+	p, err := req.plan(w.g)
+	req.Concepts = p.concepts
+	return req, err
+}
+
+// RenderDrillDown renders a router's merged drill-down page for req (as
+// ResolveDrillDown returned it) exactly as DrillDownQuery renders the
+// engine's.
+func (w *QueryWorld) RenderDrillDown(req DrillDownRequest, page core.DrillDownPage) DrillDownResult {
+	return renderDrillDown(w.g, req, page)
+}
 
 // EvaluationTopics returns the Table-I topic names, like
 // Explorer.EvaluationTopics.

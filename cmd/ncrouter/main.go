@@ -1,9 +1,11 @@
 // Command ncrouter is the scatter-gather front door of a sharded
 // NCExplorer cluster: it owns no corpus, only the deterministic
-// knowledge graph, and answers the public /v2 query endpoints by
-// fanning out to the shards' internal scatter endpoints and merging
-// their answers exactly — byte-identical to a monolithic server over
-// the union corpus (see internal/cluster and DESIGN.md §10).
+// knowledge graph. It mounts ncserver's own query front door
+// (internal/server's Front: decode, normalization, validation, error
+// envelope, 404/405 fallbacks) and executes each query by fanning out
+// to the shards' internal scatter endpoints and merging their answers
+// exactly — byte-identical to a monolithic server over the union
+// corpus, errors included (see internal/cluster and DESIGN.md §10).
 //
 // Usage:
 //
@@ -32,6 +34,9 @@
 //	GET  /v1/topics            answered from the router's own graph
 //	GET  /v1/keywords/{c}      proxied to any live replica
 //	GET  /healthz  GET /statsz
+//
+// Any other /v2 path answers ncserver's JSON 404 envelope, and a wrong
+// method its JSON 405.
 package main
 
 import (
@@ -140,8 +145,9 @@ func main() {
 		shutdownErr = httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("routing %d shard(s) on %s (POST /v2/query/rollup, POST /v2/query/drilldown, "+
-		"GET /v1/topics, GET /v1/keywords/{concept}, GET /healthz, GET /statsz)", len(shards), *addr)
+	log.Printf("routing %d shard(s) on %s behind the server query front door (POST /v2/query/rollup, "+
+		"POST /v2/query/drilldown, GET /v1/topics, GET /v1/keywords/{concept}, GET /healthz, GET /statsz)",
+		len(shards), *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

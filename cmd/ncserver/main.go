@@ -17,10 +17,9 @@
 //
 // Endpoints (see internal/server for payload shapes):
 //
-//	POST /v1/rollup             GET /v1/broader/{concept}
-//	POST /v1/drilldown          GET /v1/keywords/{concept}
-//	GET  /v1/concepts/{entity}  GET /v1/topics
 //	POST /v2/query/rollup       POST /v2/query/drilldown
+//	GET  /v1/concepts/{entity}  GET /v1/broader/{concept}
+//	GET  /v1/keywords/{concept} GET /v1/topics
 //	POST /v2/batch              POST /v2/ingest (with -ingest)
 //	/v2/sessions (+ /{id}/rollup|drilldown|back)
 //	/v2/watchlists (+ /{id}, /{id}/events SSE stream)
@@ -128,7 +127,6 @@ func main() {
 	sessionTTL := flag.Duration("session-ttl", 30*time.Minute, "idle lifetime of exploration sessions")
 	maxSessions := flag.Int("max-sessions", 1024, "maximum live exploration sessions (LRU eviction beyond)")
 	ingest := flag.Bool("ingest", false, "enable POST /v2/ingest (live article ingestion)")
-	ingestPipeline := flag.Bool("ingest-pipeline", true, "overlap ingest checkpoints with analysis (false: each batch blocks until its checkpoint is on disk)")
 	maxIngestBatch := flag.Int("max-ingest-batch", 1024, "maximum articles per /v2/ingest call")
 	maxSegments := flag.Int("max-segments", 4, "index segment count above which background merges trigger")
 	watch := flag.String("watch", "", "directory to poll for *.json article batches to ingest")
@@ -192,9 +190,6 @@ func main() {
 			// leader this is also the replication feed: replicas poll the
 			// checkpointed snapshot directory.
 			x.CheckpointTo(*dataDir)
-		}
-		if !*ingestPipeline {
-			x.SetIngestPipeline(false)
 		}
 		if *role == "leader" && !ncexplorer.HasSnapshot(*dataDir) {
 			// A cold-built leader publishes its seed snapshot immediately:
@@ -291,10 +286,10 @@ func main() {
 		shutdownErr = httpSrv.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("serving on %s (POST /v1/rollup, POST /v1/drilldown, GET /v1/concepts/{entity}, "+
-		"GET /v1/broader/{concept}, GET /v1/keywords/{concept}, GET /v1/topics, "+
-		"POST /v2/query/rollup, POST /v2/query/drilldown, POST /v2/batch, POST /v2/ingest, "+
-		"/v2/sessions CRUD + /{id}/rollup|drilldown|back, GET /healthz, GET /statsz)", *addr)
+	log.Printf("serving on %s (POST /v2/query/rollup, POST /v2/query/drilldown, POST /v2/batch, "+
+		"POST /v2/ingest, /v2/sessions CRUD + /{id}/rollup|drilldown|zoom|back, /v2/watchlists, "+
+		"GET /v1/concepts/{entity}, GET /v1/broader/{concept}, GET /v1/keywords/{concept}, "+
+		"GET /v1/topics, GET /healthz, GET /statsz)", *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

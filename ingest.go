@@ -104,13 +104,6 @@ func (x *Explorer) Ingest(ctx context.Context, articles []IngestArticle) (Ingest
 // batches analyze and commit. A zero seq returns immediately.
 func (x *Explorer) WaitDurable(seq uint64) { x.engine.WaitPersisted(seq) }
 
-// SetIngestPipeline toggles overlapped checkpointing. On (the
-// default), Ingest returns at commit and checkpoints drain through the
-// group-commit writer. Off, every Ingest blocks until its checkpoint
-// attempt finished — the pre-pipeline latency profile, for deployments
-// that want the simpler one-batch-at-a-time durability story.
-func (x *Explorer) SetIngestPipeline(on bool) { x.engine.SetSyncPersist(!on) }
-
 // resolveSource maps one source name to its corpus source.
 func resolveSource(name string) (corpus.Source, error) {
 	n := strings.ToLower(strings.TrimSpace(name))

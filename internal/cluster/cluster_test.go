@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"ncexplorer"
 	"ncexplorer/internal/server"
@@ -157,7 +158,17 @@ func postJSON(t testing.TB, base, path string, body any) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+path, "application/json", bytes.NewReader(payload))
+	return send(t, http.MethodPost, base+path, payload)
+}
+
+// send issues one request with a raw body and returns (status, body).
+func send(t testing.TB, method, url string, payload []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +181,7 @@ func postJSON(t testing.TB, base, path string, body any) (int, []byte) {
 }
 
 // queryReq is the public /v2 query body.
-type queryReq struct {
-	Concepts []string `json:"concepts"`
-	K        int      `json:"k,omitempty"`
-	Offset   int      `json:"offset,omitempty"`
-	Sources  []string `json:"sources,omitempty"`
-	MinScore float64  `json:"min_score,omitempty"`
-	Explain  bool     `json:"explain,omitempty"`
-}
+type queryReq = server.QueryRequest
 
 // checkEquivalence compares router and monolithic answers — status and
 // raw bytes — across the query grid, including requests that must fail
@@ -227,13 +231,32 @@ func (tc *testCluster) checkEquivalence(stage string) {
 			}
 		}
 	}
-	// Drill-down with a sources filter is rejected identically.
-	req := queryReq{Concepts: queries[0], Sources: []string{"reuters"}}
-	wantStatus, want := postJSON(tc.t, tc.mono.URL, "/v2/query/drilldown", req)
-	gotStatus, got := postJSON(tc.t, tc.rts.URL, "/v2/query/drilldown", req)
-	if gotStatus != wantStatus || !bytes.Equal(got, want) {
-		tc.t.Fatalf("%s: drilldown sources rejection diverges:\n got  (%d): %s\n want (%d): %s",
-			stage, gotStatus, got, wantStatus, want)
+	// Front-door probes: decode, method and path failures, the drill-down
+	// field rejections, the facade's time and group_by rules, and
+	// temporal successes through the period merge.
+	raw := func(q queryReq) string { b, _ := json.Marshal(q); return string(b) }
+	c := queries[0]
+	since := &ncexplorer.TimeRange{Start: "2000-01-01T00:00:00Z"}
+	for _, p := range []struct{ method, path, body string }{
+		{"POST", "/v2/query/rollup", `{"concepts":["` + strings.Repeat("x", 2<<20) + `"]}`},
+		{"POST", "/v2/query/rollup", `{not json`},
+		{"POST", "/v2/query/drilldown", ``},
+		{"POST", "/v2/query/drilldown", raw(queryReq{Concepts: c, Sources: []string{"reuters"}})},
+		{"POST", "/v2/query/drilldown", raw(queryReq{Concepts: c, GroupBy: "week"})},
+		{"POST", "/v2/query/rollup", raw(queryReq{Concepts: c, GroupBy: "fortnight"})},
+		{"POST", "/v2/query/rollup", raw(queryReq{Concepts: c, Time: &ncexplorer.TimeRange{Start: "yesterday"}})},
+		{"POST", "/v2/query/drilldown", raw(queryReq{Concepts: c, Time: &ncexplorer.TimeRange{Start: "2024-01-01T00:00:00Z", End: "2023-01-01T00:00:00Z"}})},
+		{"POST", "/v2/query/rollup", raw(queryReq{Concepts: c, K: 4, Offset: 1, Time: since, GroupBy: "week"})},
+		{"POST", "/v2/query/drilldown", raw(queryReq{Concepts: c, K: 4, Time: since, Explain: true})},
+		{"GET", "/v2/query/rollup", ``},
+		{"POST", "/v2/query/nope", `{}`},
+	} {
+		wantStatus, want := send(tc.t, p.method, tc.mono.URL+p.path, []byte(p.body))
+		gotStatus, got := send(tc.t, p.method, tc.rts.URL+p.path, []byte(p.body))
+		if gotStatus != wantStatus || !bytes.Equal(got, want) {
+			tc.t.Fatalf("%s: %s %s probe diverges for %.200s:\n got  (%d): %s\n want (%d): %s",
+				stage, p.method, p.path, p.body, gotStatus, got, wantStatus, want)
+		}
 	}
 }
 
@@ -286,6 +309,14 @@ func TestRouterTopicsMatchesMonolithic(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s diverges:\n got:  %s\n want: %s", path, got, want)
 	}
+	// Router-only endpoints; the stats-sync loop ends with its context.
+	getBody(t, tc.rts.URL+"/healthz")
+	if st := getBody(t, tc.rts.URL+"/statsz"); !bytes.Contains(st, []byte(`"topics":1`)) {
+		t.Fatalf("router /statsz does not count the topics request: %s", st)
+	}
+	ctx, cancel := context.WithCancel(tc.ctx)
+	cancel()
+	tc.router.RunStatsSync(ctx, time.Millisecond)
 }
 
 func getBody(t testing.TB, url string) []byte {

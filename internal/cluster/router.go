@@ -2,6 +2,10 @@ package cluster
 
 // The scatter-gather query router: the public /v2 query surface over a
 // sharded corpus, answering byte-identically to a monolithic server.
+// The router mounts the server's query front door (server.Front) —
+// decode, normalization, the facade's validation, the error envelope
+// and the 404/405 fallbacks are the server's own code — and supplies
+// only the execute step: scatter to the shards and merge.
 //
 // Exactness rests on three pieces. (1) Shards score corpus-globally:
 // the router runs the term-statistics exchange (SyncStats) that folds
@@ -48,7 +52,6 @@ import (
 	"ncexplorer/internal/core"
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/server"
-	"ncexplorer/internal/topk"
 )
 
 // Router fans public queries out across corpus shards and merges the
@@ -76,12 +79,10 @@ type Router struct {
 	// Logf, when set, receives router diagnostics.
 	Logf func(format string, args ...any)
 
-	mux     *http.ServeMux
-	muxOnce sync.Once
+	front   *server.Front
+	once    sync.Once
 	started time.Time
 
-	total      atomic.Int64
-	errCount   atomic.Int64
 	statsSyncs atomic.Int64
 	generation atomic.Uint64
 }
@@ -120,139 +121,29 @@ func (rt *Router) skewRetries() int {
 	return 3
 }
 
-// Handler returns the router's HTTP surface: the public /v2 query
-// endpoints plus the graph-only /v1 reads a router can answer (topics
-// locally, keywords proxied), and its own health/stats endpoints.
+// Handler returns the router's HTTP surface: the server's query front
+// door (the /v2 query endpoints and /v1/topics from the router's own
+// graph) over the scatter-gather exec, the keywords proxy, and the
+// router's own health/stats endpoints.
 func (rt *Router) Handler() http.Handler {
-	rt.muxOnce.Do(func() {
+	rt.once.Do(func() {
 		rt.started = time.Now()
-		rt.mux = http.NewServeMux()
-		rt.mux.HandleFunc("POST /v2/query/rollup", rt.handleQuery("rollup"))
-		rt.mux.HandleFunc("POST /v2/query/drilldown", rt.handleQuery("drilldown"))
-		rt.mux.HandleFunc("GET /v1/topics", rt.handleTopics)
-		rt.mux.HandleFunc("GET /v1/keywords/{concept}", rt.handleKeywords)
-		rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-		rt.mux.HandleFunc("GET /statsz", rt.handleStatsz)
+		rt.front = server.NewFront(rt.maxK(), rt.exec, rt.World.EvaluationTopics)
+		rt.front.Handle("GET /v1/keywords/{concept}", "keywords", rt.handleKeywords)
+		rt.front.Handle("GET /healthz", "healthz", rt.handleHealthz)
+		rt.front.Handle("GET /statsz", "statsz", rt.handleStatsz)
 	})
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rt.total.Add(1)
-		rt.mux.ServeHTTP(w, r)
-	})
+	return rt.front.Handler()
 }
 
-func (rt *Router) writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-	w.Write([]byte("\n"))
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		rt.writeErr(w, err)
-		return
+// exec is the router's server.QueryExec: scatter and merge, merging
+// only the answering shards when the caller opts in with ?partial=true.
+func (rt *Router) exec(_ http.ResponseWriter, r *http.Request, op string, q server.QueryRequest) ([]byte, error) {
+	allowPartial := r.URL.Query().Get("partial") == "true"
+	if op == "rollup" {
+		return rt.rollUp(r.Context(), q.RollUp(), allowPartial)
 	}
-	rt.writeBody(w, status, body)
-}
-
-// writeErr renders any error as the shared /v2 envelope with the same
-// status mapping the shard servers use, so router error responses are
-// byte-identical to a monolithic server's for the same failure.
-func (rt *Router) writeErr(w http.ResponseWriter, err error) {
-	rt.errCount.Add(1)
-	e, ok := ncexplorer.AsError(err)
-	if !ok {
-		e = &ncexplorer.Error{Code: ncexplorer.CodeInternal, Message: err.Error()}
-	}
-	rt.writeBody(w, server.StatusForCode(e.Code), server.MarshalErrorEnvelope(e.Code, e.Message, e.Details))
-}
-
-// queryBody mirrors the /v2 query request body.
-type queryBody struct {
-	Concepts []string              `json:"concepts"`
-	K        int                   `json:"k"`
-	Offset   int                   `json:"offset"`
-	Sources  []string              `json:"sources"`
-	MinScore float64               `json:"min_score"`
-	Time     *ncexplorer.TimeRange `json:"time_range"`
-	GroupBy  string                `json:"group_by"`
-	Explain  bool                  `json:"explain"`
-}
-
-// handleQuery decodes, validates, and normalizes exactly like the
-// monolithic server (k default 10, clamp MaxK, facade-typed validation
-// errors), then scatters.
-func (rt *Router) handleQuery(op string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var q queryBody
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&q); err != nil && !errors.Is(err, io.EOF) {
-			rt.writeErr(w, &ncexplorer.Error{Code: ncexplorer.CodeInvalidArgument,
-				Message: fmt.Sprintf("malformed request body: %v", err)})
-			return
-		}
-		if q.K == 0 {
-			q.K = 10
-		}
-		if q.K > rt.maxK() {
-			q.K = rt.maxK()
-		}
-		// Validation order matches the monolithic path exactly — the
-		// server rejects a drill-down sources filter before the facade
-		// validates the page shape, while a roll-up validates page shape,
-		// then sources, then concepts — so a request with several defects
-		// gets the same error either way.
-		if op == "drilldown" && len(q.Sources) > 0 {
-			rt.writeErr(w, &ncexplorer.Error{Code: ncexplorer.CodeInvalidArgument,
-				Message: "drilldown does not accept a sources filter"})
-			return
-		}
-		if op == "drilldown" && q.GroupBy != "" {
-			rt.writeErr(w, &ncexplorer.Error{Code: ncexplorer.CodeInvalidArgument,
-				Message: "drilldown does not accept group_by"})
-			return
-		}
-		if err := ncexplorer.ValidatePage(q.K, q.Offset, q.MinScore); err != nil {
-			rt.writeErr(w, err)
-			return
-		}
-		if op == "rollup" {
-			if err := ncexplorer.ValidateSources(q.Sources); err != nil {
-				rt.writeErr(w, err)
-				return
-			}
-		}
-		if err := ncexplorer.ValidateTimeRange(q.Time); err != nil {
-			rt.writeErr(w, err)
-			return
-		}
-		if op == "rollup" {
-			if err := ncexplorer.ValidateGroupBy(q.GroupBy); err != nil {
-				rt.writeErr(w, err)
-				return
-			}
-		}
-		concepts := ncexplorer.CanonicalConcepts(q.Concepts)
-		if _, err := rt.World.ResolveConcepts(concepts); err != nil {
-			rt.writeErr(w, err)
-			return
-		}
-		allowPartial := r.URL.Query().Get("partial") == "true"
-		var (
-			body []byte
-			err  error
-		)
-		if op == "rollup" {
-			body, _, err = rt.rollUp(r.Context(), concepts, q, allowPartial)
-		} else {
-			body, _, err = rt.drillDown(r.Context(), concepts, q, allowPartial)
-		}
-		if err != nil {
-			rt.writeErr(w, err)
-			return
-		}
-		rt.writeBody(w, http.StatusOK, body)
-	}
+	return rt.drillDown(r.Context(), q.DrillDown(), allowPartial)
 }
 
 // envelope decodes a shard's /v2-style error response.
@@ -450,38 +341,22 @@ type partialDrillDownResult struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// cmpArticle is the roll-up ranking order over rendered articles —
-// identical to the engine's (score desc, doc asc), with the article ID
-// being the global document ID.
-func cmpArticle(a, b ncexplorer.Article) int {
-	switch {
-	case a.Score > b.Score:
-		return -1
-	case a.Score < b.Score:
-		return 1
-	case a.ID < b.ID:
-		return -1
-	case a.ID > b.ID:
-		return 1
-	}
-	return 0
-}
-
 // rollUp scatters a roll-up, asking each shard for its local
 // top-(k+offset) page, and merges under the shared total order.
-func (rt *Router) rollUp(ctx context.Context, concepts []string, q queryBody, allowPartial bool) ([]byte, bool, error) {
-	req := ncexplorer.RollUpRequest{
-		Concepts: concepts, K: q.K + q.Offset, Offset: 0,
-		Sources: q.Sources, MinScore: q.MinScore,
-		Time: q.Time, GroupBy: q.GroupBy, Explain: q.Explain,
+func (rt *Router) rollUp(ctx context.Context, req ncexplorer.RollUpRequest, allowPartial bool) ([]byte, error) {
+	req, err := rt.World.ResolveRollUp(req)
+	if err != nil {
+		return nil, err
 	}
+	shardReq := req
+	shardReq.K, shardReq.Offset = req.K+req.Offset, 0
 	for attempt := 0; ; attempt++ {
 		results := make([]ncexplorer.RollUpResult, len(rt.Shards))
 		ok, partial, err := rt.scatter(allowPartial, len(rt.Shards), func(i int) error {
-			return rt.shardPost(ctx, i, "/internal/query/rollup", req, &results[i])
+			return rt.shardPost(ctx, i, "/internal/query/rollup", shardReq, &results[i])
 		})
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		gens := make([]uint64, len(results))
 		for i := range results {
@@ -494,52 +369,16 @@ func (rt *Router) rollUp(ctx context.Context, concepts []string, q queryBody, al
 				rt.SyncStats(ctx)
 				continue
 			}
-			return nil, false, shardUnavailable(firstSkewed(gens, ok), "generation skew past retry budget")
+			return nil, shardUnavailable(firstSkewed(gens, ok), "generation skew past retry budget")
 		}
 		rt.generation.Store(gen)
-
-		lists := make([][]ncexplorer.Article, 0, len(results))
-		periodLists := make([][]ncexplorer.Period, 0, len(results))
-		total := 0
+		answered := results[:0]
 		for i := range results {
-			if !ok[i] {
-				continue
-			}
-			total += results[i].Total
-			if len(results[i].Articles) > 0 {
-				lists = append(lists, results[i].Articles)
-			}
-			if len(results[i].Periods) > 0 {
-				periodLists = append(periodLists, results[i].Periods)
+			if ok[i] {
+				answered = append(answered, results[i])
 			}
 		}
-		merged := topk.MergeSorted(lists, cmpArticle, q.K+q.Offset)
-		if q.Offset < len(merged) {
-			merged = merged[q.Offset:]
-			if len(merged) > q.K {
-				merged = merged[:q.K]
-			}
-		} else {
-			merged = nil
-		}
-		articles := make([]ncexplorer.Article, 0, len(merged))
-		articles = append(articles, merged...)
-		res := partialRollUpResult{
-			RollUpResult: ncexplorer.RollUpResult{
-				Query: concepts, K: q.K, Offset: q.Offset,
-				Total:      total,
-				NextOffset: ncexplorer.NextPageOffset(q.Offset, len(articles), total),
-				Generation: gen,
-				Articles:   articles,
-				// Shard buckets are per-period counts keyed by absolute
-				// period starts, so the merge is associative: sum equal
-				// periods, recompute trends over the merged histogram.
-				Periods: ncexplorer.MergePeriods(q.GroupBy, periodLists),
-			},
-			Partial: partial,
-		}
-		body, err := json.Marshal(res)
-		return body, partial, err
+		return json.Marshal(partialRollUpResult{RollUpResult: ncexplorer.MergeRollUp(req, answered), Partial: partial})
 	}
 }
 
@@ -563,29 +402,25 @@ func firstSkewed(gens []uint64, ok []bool) int {
 	return 0
 }
 
-// conceptsRequest mirrors the internal scatter request body.
-type conceptsRequest struct {
-	Concepts  []string              `json:"concepts"`
-	Shortlist []kg.NodeID           `json:"shortlist,omitempty"`
-	Time      *ncexplorer.TimeRange `json:"time_range,omitempty"`
-}
-
 // drillDown scatters a drill-down: phase one gathers each shard's raw
 // accumulation rows, phase two (inside core.MergeDrillDown, via the
 // fetchSets callback) gathers diversity sets for the merged shortlist;
 // both phases must answer at one generation or the merge reports skew
 // and the router re-syncs and retries.
-func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody, allowPartial bool) ([]byte, bool, error) {
-	opts := core.DrillDownOptions{K: q.K, Offset: q.Offset, MinScore: q.MinScore}
-	timeReq := q.Time
+func (rt *Router) drillDown(ctx context.Context, req ncexplorer.DrillDownRequest, allowPartial bool) ([]byte, error) {
+	req, err := rt.World.ResolveDrillDown(req)
+	if err != nil {
+		return nil, err
+	}
+	opts := core.DrillDownOptions{K: req.K, Offset: req.Offset, MinScore: req.MinScore}
 	for attempt := 0; ; attempt++ {
 		parts := make([]core.DrillDownPartial, len(rt.Shards))
 		ok, partial, err := rt.scatter(allowPartial, len(rt.Shards), func(i int) error {
 			return rt.shardPost(ctx, i, "/internal/query/drilldown-partials",
-				conceptsRequest{Concepts: concepts, Time: timeReq}, &parts[i])
+				server.PartialsRequest{Concepts: req.Concepts, Time: req.Time}, &parts[i])
 		})
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		gens := make([]uint64, len(parts))
 		for i := range parts {
@@ -598,7 +433,7 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 				rt.SyncStats(ctx)
 				continue
 			}
-			return nil, false, shardUnavailable(firstSkewed(gens, ok), "generation skew past retry budget")
+			return nil, shardUnavailable(firstSkewed(gens, ok), "generation skew past retry budget")
 		}
 
 		participating := make([]core.DrillDownPartial, 0, len(parts))
@@ -621,7 +456,7 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 				go func(j, shard int) {
 					defer wg.Done()
 					errs[j] = rt.shardPost(ctx, shard, "/internal/query/diversity",
-						conceptsRequest{Concepts: concepts, Shortlist: short, Time: timeReq}, &divs[j])
+						server.PartialsRequest{Concepts: req.Concepts, Shortlist: short, Time: req.Time}, &divs[j])
 				}(j, shard)
 			}
 			wg.Wait()
@@ -639,54 +474,14 @@ func (rt *Router) drillDown(ctx context.Context, concepts []string, q queryBody,
 				rt.SyncStats(ctx)
 				continue
 			}
-			return nil, false, shardUnavailable(0, "generation skew past retry budget")
+			return nil, shardUnavailable(0, "generation skew past retry budget")
 		}
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		rt.generation.Store(page.Generation)
-
-		subs := make([]ncexplorer.SubtopicSuggestion, 0, len(page.Results))
-		for _, s := range page.Results {
-			sub := ncexplorer.SubtopicSuggestion{
-				Concept:     rt.World.ConceptName(s.Concept),
-				Score:       s.Score,
-				MatchedDocs: s.MatchedDocs,
-			}
-			if q.Explain {
-				sub.Coverage = s.Coverage
-				sub.Specificity = s.Specificity
-				sub.Diversity = s.Diversity
-			}
-			subs = append(subs, sub)
-		}
-		res := partialDrillDownResult{
-			DrillDownResult: ncexplorer.DrillDownResult{
-				Query: concepts, K: q.K, Offset: q.Offset,
-				Total:       page.Total,
-				NextOffset:  ncexplorer.NextPageOffset(q.Offset, len(subs), page.Total),
-				Generation:  page.Generation,
-				Suggestions: subs,
-			},
-			Partial: partial,
-		}
-		body, err := json.Marshal(res)
-		return body, partial, err
+		return json.Marshal(partialDrillDownResult{DrillDownResult: rt.World.RenderDrillDown(req, page), Partial: partial})
 	}
-}
-
-// handleTopics serves the evaluation topics from the router's own
-// world — graph metadata, identical on every node.
-func (rt *Router) handleTopics(w http.ResponseWriter, r *http.Request) {
-	type topicResponse struct {
-		Concept string `json:"concept"`
-		Group   string `json:"group"`
-	}
-	topics := make([]topicResponse, 0, 6)
-	for _, t := range rt.World.EvaluationTopics() {
-		topics = append(topics, topicResponse{Concept: t[0], Group: t[1]})
-	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{"topics": topics})
 }
 
 // handleKeywords proxies to the first shard that answers: topic
@@ -720,11 +515,11 @@ func (rt *Router) handleKeywords(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rt.writeErr(w, shardUnavailable(0, "no replica answered the keywords proxy"))
+	rt.front.WriteError(w, shardUnavailable(0, "no replica answered the keywords proxy"))
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, http.StatusOK, map[string]any{
+	rt.front.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"role":           "router",
 		"shards":         len(rt.Shards),
@@ -741,23 +536,14 @@ func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	for i, reps := range rt.Shards {
 		shards[i] = shardInfo{Replicas: reps}
 	}
-	rt.writeJSON(w, http.StatusOK, map[string]any{
+	rt.front.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":           "router",
 		"shards":         shards,
 		"generation":     rt.generation.Load(),
 		"stats_syncs":    rt.statsSyncs.Load(),
-		"requests":       map[string]int64{"total": rt.total.Load(), "errors": rt.errCount.Load()},
+		"requests":       rt.front.Requests(),
 		"uptime_seconds": time.Since(rt.started).Seconds(),
 	})
-}
-
-// shardStats mirrors the GET /internal/stats payload.
-type shardStats struct {
-	Shard      int             `json:"shard"`
-	ShardCount int             `json:"shard_count"`
-	Sharded    bool            `json:"sharded"`
-	Generation uint64          `json:"generation"`
-	Stats      core.ShardStats `json:"stats"`
 }
 
 // SyncStats runs the cross-leader term-statistics exchange: collect
@@ -774,7 +560,7 @@ func (rt *Router) SyncStats(ctx context.Context) error {
 		return nil
 	}
 	rt.statsSyncs.Add(1)
-	stats := make([]shardStats, len(rt.Shards))
+	stats := make([]server.ShardStatsResponse, len(rt.Shards))
 	for i, replicas := range rt.Shards {
 		if len(replicas) == 0 {
 			return shardUnavailable(i, "no replicas configured")

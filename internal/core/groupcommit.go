@@ -310,7 +310,7 @@ func (gc *groupCommit) waitDone(seq uint64) {
 }
 
 // SetSyncPersist toggles pipelined checkpointing off (true): every
-// commit then blocks until its checkpoint attempt finished, restoring
-// the pre-pipeline latency profile. Benchmarks use it to measure the
-// overlap; deployments can set it via ncserver -ingest-pipeline=false.
+// commit then blocks until its checkpoint attempt finished. Tests use
+// it for a deterministic checkpoint schedule — one write per batch, in
+// commit order, never coalesced.
 func (e *Engine) SetSyncPersist(on bool) { e.syncPersist.Store(on) }

@@ -15,7 +15,7 @@
 //     its result.
 //
 // Keys are opaque strings; callers are responsible for canonicalizing
-// them (see ncexplorer.QueryKey). Values are opaque too — the HTTP
+// them (see ncexplorer.RollUpRequest.Key). Values are opaque too — the HTTP
 // layer stores fully marshaled JSON bodies so cache hits are
 // byte-identical to the miss that populated them.
 //

@@ -52,7 +52,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	x := s.explorer()
 	res, err := x.Ingest(r.Context(), req.Articles)
 	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
+		s.WriteError(w, err)
 		return
 	}
 	// Ingest returns at commit; the checkpoint drains through the
@@ -62,5 +62,5 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// ingests keep pipelining — the next batch analyzes and commits
 	// while this handler waits.
 	x.WaitDurable(res.PersistSeq)
-	s.writeJSON(w, http.StatusOK, res)
+	s.WriteJSON(w, http.StatusOK, res)
 }

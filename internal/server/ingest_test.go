@@ -68,8 +68,8 @@ func TestIngestEndpoint(t *testing.T) {
 	tp := x.EvaluationTopics()[0]
 	query := map[string]any{"concepts": []string{tp[0]}, "k": 3}
 
-	// Warm the v1 and v2 caches.
-	for _, path := range []string{"/v1/rollup", "/v2/query/rollup"} {
+	// Warm the roll-up and drill-down caches.
+	for _, path := range []string{"/v2/query/rollup", "/v2/query/drilldown"} {
 		if rec := serve(t, s, http.MethodPost, path, query); rec.Code != 200 {
 			t.Fatalf("%s warmup: %d %s", path, rec.Code, rec.Body.String())
 		}
@@ -94,7 +94,7 @@ func TestIngestEndpoint(t *testing.T) {
 	}
 
 	// The retained pre-ingest bodies must now be unreachable.
-	for _, path := range []string{"/v1/rollup", "/v2/query/rollup"} {
+	for _, path := range []string{"/v2/query/rollup", "/v2/query/drilldown"} {
 		rec := serve(t, s, http.MethodPost, path, query)
 		if rec.Code != 200 {
 			t.Fatalf("%s post-ingest: %d", path, rec.Code)
@@ -165,15 +165,15 @@ func TestResetQueryCachesInvalidatesServerCache(t *testing.T) {
 	tp := x.EvaluationTopics()[1]
 	query := map[string]any{"concepts": []string{tp[0], tp[1]}, "k": 4}
 
-	first := serve(t, s, http.MethodPost, "/v1/rollup", query)
+	first := serve(t, s, http.MethodPost, "/v2/query/rollup", query)
 	if first.Code != 200 {
 		t.Fatalf("warmup: %d", first.Code)
 	}
-	if rec := serve(t, s, http.MethodPost, "/v1/rollup", query); rec.Header().Get("X-Cache") != "HIT" {
+	if rec := serve(t, s, http.MethodPost, "/v2/query/rollup", query); rec.Header().Get("X-Cache") != "HIT" {
 		t.Fatal("second call should HIT")
 	}
 	x.ResetQueryCaches()
-	rec := serve(t, s, http.MethodPost, "/v1/rollup", query)
+	rec := serve(t, s, http.MethodPost, "/v2/query/rollup", query)
 	if got := rec.Header().Get("X-Cache"); got != "MISS" {
 		t.Fatalf("after ResetQueryCaches served %s, want MISS", got)
 	}

@@ -43,7 +43,6 @@ package server
 import (
 	"context"
 	"encoding"
-	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -59,15 +58,15 @@ import (
 // options enable. Called from New.
 func (s *Server) registerInternal() {
 	if s.opts.ClusterDataDir != "" {
-		s.mux.HandleFunc("GET /internal/manifest", s.counted("internal", s.handleManifest))
-		s.mux.HandleFunc("GET /internal/segments/{name}", s.counted("internal", s.handleSegment))
+		s.Handle("GET /internal/manifest", "internal", s.handleManifest)
+		s.Handle("GET /internal/segments/{name}", "internal", s.handleSegment)
 	}
 	if s.opts.EnableCluster {
-		s.mux.HandleFunc("GET /internal/stats", s.counted("internal", s.handleShardStats))
-		s.mux.HandleFunc("POST /internal/remote-stats", s.counted("internal", s.handleRemoteStats))
-		s.mux.HandleFunc("POST /internal/query/rollup", s.counted("internal", s.handleInternalRollUp))
-		s.mux.HandleFunc("POST /internal/query/drilldown-partials", s.counted("internal", s.internalPartials(drillDownPartialsPhase)))
-		s.mux.HandleFunc("POST /internal/query/diversity", s.counted("internal", s.internalPartials(diversityPhase)))
+		s.Handle("GET /internal/stats", "internal", s.handleShardStats)
+		s.Handle("POST /internal/remote-stats", "internal", s.handleRemoteStats)
+		s.Handle("POST /internal/query/rollup", "internal", s.handleInternalRollUp)
+		s.Handle("POST /internal/query/drilldown-partials", "internal", s.internalPartials(drillDownPartialsPhase))
+		s.Handle("POST /internal/query/diversity", "internal", s.internalPartials(diversityPhase))
 	}
 }
 
@@ -122,9 +121,9 @@ func (s *Server) internalExplorer(w http.ResponseWriter) (*ncexplorer.Explorer, 
 	return x, true
 }
 
-// shardStatsResponse is the GET /internal/stats payload: the node's
+// ShardStatsResponse is the GET /internal/stats payload: the node's
 // shard position and the local term statistics peers fold in.
-type shardStatsResponse struct {
+type ShardStatsResponse struct {
 	Shard      int             `json:"shard"`
 	ShardCount int             `json:"shard_count"`
 	Sharded    bool            `json:"sharded"`
@@ -138,7 +137,7 @@ func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	idx, count, sharded := x.ShardInfo()
-	s.writeJSON(w, http.StatusOK, shardStatsResponse{
+	s.WriteJSON(w, http.StatusOK, ShardStatsResponse{
 		Shard: idx, ShardCount: count, Sharded: sharded,
 		Generation: x.Generation(),
 		Stats:      x.Engine().LocalStats(),
@@ -162,48 +161,37 @@ func (s *Server) handleRemoteStats(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"generation": x.Generation()})
+	s.WriteJSON(w, http.StatusOK, map[string]any{"generation": x.Generation()})
 }
 
 // handleInternalRollUp executes a shard-local roll-up exactly as
 // requested — no defaulting, no MaxK clamp: the router already
-// clamped at the public edge and asks each shard for its local
-// top-(k+offset) page. Bodies flow through the same result cache as
-// the public endpoints, so repeated fan-outs of a hot query are
-// byte-identical cache hits.
+// normalized at the public edge and asks each shard for its local
+// top-(k+offset) page. It runs through the public endpoints' cached
+// exec under its own key scope, so repeated fan-outs of a hot query
+// are byte-identical cache hits.
 func (s *Server) handleInternalRollUp(w http.ResponseWriter, r *http.Request) {
-	x, ok := s.internalExplorer(w)
-	if !ok {
+	if _, ok := s.internalExplorer(w); !ok {
 		return
 	}
-	var q v2QueryRequest
+	var q QueryRequest
 	if aerr := decodeV2(w, r, &q); aerr != nil {
 		s.writeAPIError(w, aerr)
 		return
 	}
-	req := ncexplorer.RollUpRequest{
-		Concepts: q.Concepts, K: q.K, Offset: q.Offset,
-		Sources: q.Sources, MinScore: q.MinScore, Explain: q.Explain,
-		Time: q.Time, GroupBy: q.GroupBy,
-	}
-	v, _, err := s.doCached(r.Context(), "int|"+req.Key(), func() (any, error) {
-		res, err := x.RollUpQuery(r.Context(), req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	})
+	body, _, err := s.exec(r.Context(), "int|", "rollup", q)
 	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
+		s.WriteError(w, err)
 		return
 	}
-	s.writeBody(w, http.StatusOK, v.([]byte))
+	s.writeBody(w, http.StatusOK, body)
 }
 
-// internalConceptsRequest names the concepts of a scatter query; the
-// router sends the canonicalized list, each shard resolves it against
-// the shared deterministic graph.
-type internalConceptsRequest struct {
+// PartialsRequest is the body of the two drill-down scatter calls: the
+// router sends the canonical concept list (and, for the diversity
+// phase, the merged shortlist), and each shard resolves it against the
+// shared deterministic graph.
+type PartialsRequest struct {
 	Concepts  []string              `json:"concepts"`
 	Shortlist []kg.NodeID           `json:"shortlist,omitempty"`
 	Time      *ncexplorer.TimeRange `json:"time_range,omitempty"`
@@ -218,29 +206,29 @@ func (s *Server) internalPartials(phase func(ctx context.Context, e *core.Engine
 		if !ok {
 			return
 		}
-		var req internalConceptsRequest
+		var req PartialsRequest
 		if aerr := decodeV2(w, r, &req); aerr != nil {
 			s.writeAPIError(w, aerr)
 			return
 		}
 		q, err := x.ResolveConcepts(ncexplorer.CanonicalConcepts(req.Concepts))
 		if err != nil {
-			s.writeAPIError(w, apiErrorFrom(err))
+			s.WriteError(w, err)
 			return
 		}
 		tr, err := ncexplorer.ResolveTimeRange(req.Time)
 		if err != nil {
-			s.writeAPIError(w, apiErrorFrom(err))
+			s.WriteError(w, err)
 			return
 		}
 		part, err := phase(r.Context(), x.Engine(), q, req.Shortlist, tr)
 		if err != nil {
-			s.writeAPIError(w, apiErrorFrom(ncexplorer.WrapContextErr(err)))
+			s.WriteError(w, ncexplorer.WrapContextErr(err))
 			return
 		}
 		body, err := part.MarshalBinary()
 		if err != nil {
-			s.writeAPIError(w, apiErrorFrom(err))
+			s.WriteError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", core.PartialsContentType)

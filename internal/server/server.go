@@ -5,15 +5,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/rollup               {"concepts": [...], "k": 10} → ranked articles
-//	POST /v1/drilldown            {"concepts": [...], "k": 10} → ranked subtopics
-//	GET  /v1/concepts/{entity}    roll-up options for an entity
-//	GET  /v1/broader/{concept}    the next roll-up level
-//	GET  /v1/keywords/{concept}   amplified keyword list (?n=10)
-//	GET  /v1/topics               the paper's six evaluation queries
-//	POST /v2/query/rollup         typed request: pagination (offset),
-//	                              source/min-score filters, explain toggle
-//	POST /v2/query/drilldown      typed drill-down request
+//	POST /v2/query/rollup         typed roll-up: pagination (offset),
+//	                              source/min-score/time filters,
+//	                              group_by, explain toggle
+//	POST /v2/query/drilldown      typed drill-down
 //	POST /v2/batch                N typed queries in one POST, executed
 //	                              under the engine's bounded parallelism
 //	POST /v2/ingest               live ingestion: index a batch of raw
@@ -21,13 +16,17 @@
 //	                              generation (requires EnableIngest;
 //	                              see ingest.go)
 //	     /v2/sessions...          exploration sessions: CRUD plus
-//	                              rollup/drilldown/back navigation that
-//	                              mutates the current concept pattern
-//	                              (see sessions.go)
+//	                              rollup/drilldown/zoom/back navigation
+//	                              that mutates the current concept
+//	                              pattern (see sessions.go)
 //	     /v2/watchlists...        standing queries: register concept
 //	                              patterns evaluated at ingest time,
 //	                              with SSE alert streams and webhook
 //	                              delivery (see watch.go)
+//	GET  /v1/concepts/{entity}    roll-up options for an entity
+//	GET  /v1/broader/{concept}    the next roll-up level
+//	GET  /v1/keywords/{concept}   amplified keyword list (?n=10)
+//	GET  /v1/topics               the paper's six evaluation queries
 //	GET  /healthz                 liveness + world summary
 //	GET  /statsz                  index (incl. generation, per-segment
 //	                              doc counts, ingest throughput), cache,
@@ -37,9 +36,10 @@
 //	                              index.watch the standing-query
 //	                              counters
 //
-// Roll-up and drill-down responses are served through a sharded LRU
-// cache (internal/qcache) keyed by the canonicalized concept set and
-// k, scoped to the explorer's query epoch: the marshaled JSON body
+// The query endpoints and /v1/topics are the front door (frontdoor.go)
+// a cluster router mounts too; a Server executes behind it through a
+// sharded LRU cache (internal/qcache) keyed by the canonical request
+// and scoped to the explorer's query epoch: the marshaled JSON body
 // itself is cached, so a hit is byte-identical to the miss that
 // populated it, and concurrent identical queries are coalesced into
 // one engine call. When an ingest (or a cache reset) changes what
@@ -48,17 +48,15 @@
 // stop-the-world flush. The X-Cache response header reports HIT or
 // MISS per request.
 //
-// Errors are JSON too. The /v1 routes keep their original flat shape
-// {"error": "..."} byte-for-byte; every /v2 route shares the
-// structured envelope {"error": {"code", "message", "details"}} with
-// typed codes (unknown_concept errors carry nearest-concept
-// suggestions in details.suggestions). See DESIGN.md §5 for the
-// versioning contract.
+// Errors are JSON too. The /v1 graph reads keep their original flat
+// shape {"error": "..."}; every /v2 route shares the structured
+// envelope {"error": {"code", "message", "details"}} with typed codes
+// (unknown_concept errors carry nearest-concept suggestions in
+// details.suggestions). See DESIGN.md §5 for the versioning contract.
 package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -134,21 +132,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// defaultK is the page size applied when a query body omits k.
-const defaultK = 10
-
-// routes enumerated for per-endpoint request counters, in /statsz
-// display order; "other" counts unknown paths and wrong-method
-// requests.
-var routes = []string{
-	"rollup", "drilldown", "concepts", "broader", "keywords",
-	"topics", "v2rollup", "v2drilldown", "v2batch", "v2sessions",
-	"v2ingest", "v2watchlists", "internal", "healthz", "statsz", "other",
-}
-
-// Server is the HTTP serving layer over an Explorer. Safe for
+// Server is the HTTP serving layer over an Explorer: the query front
+// door it shares with the cluster router, executing through the result
+// cache and the facade, plus the server-only routes. Safe for
 // concurrent use; construct with New.
 type Server struct {
+	*Front
 	// x is the serving explorer, behind an atomic pointer so a replica
 	// can swap in a freshly caught-up generation while requests are in
 	// flight. It is nil on a replica that has not completed its first
@@ -156,7 +145,6 @@ type Server struct {
 	x        atomic.Pointer[ncexplorer.Explorer]
 	cache    *qcache.Cache
 	sessions *session.Store
-	mux      *http.ServeMux
 	opts     Options
 	started  time.Time
 
@@ -169,10 +157,6 @@ type Server struct {
 	syncing atomic.Pointer[syncState]
 	// clusterInfo, when set, supplies the /statsz cluster section.
 	clusterInfo atomic.Pointer[func() *ClusterInfo]
-
-	total   atomic.Int64
-	errors  atomic.Int64
-	byRoute map[string]*atomic.Int64
 
 	// streamStop, when closed, ends every live SSE stream; graceful
 	// shutdown closes it (StopStreams) before http.Server.Shutdown so
@@ -251,105 +235,41 @@ func New(x *ncexplorer.Explorer, opts Options) *Server {
 			MaxSessions: opts.MaxSessions,
 			Now:         opts.Clock,
 		}),
-		mux:        http.NewServeMux(),
 		opts:       opts,
 		started:    time.Now(),
-		byRoute:    make(map[string]*atomic.Int64, len(routes)),
 		streamStop: make(chan struct{}),
 	}
 	if x != nil {
 		s.x.Store(x)
 	}
-	for _, r := range routes {
-		s.byRoute[r] = new(atomic.Int64)
-	}
+	s.Front = NewFront(opts.MaxK, s.execHTTP, func() [][2]string { return s.explorer().EvaluationTopics() })
 	s.registerInternal()
-	s.mux.HandleFunc("POST /v1/rollup", s.counted("rollup", s.handleRollUp))
-	s.mux.HandleFunc("POST /v1/drilldown", s.counted("drilldown", s.handleDrillDown))
-	s.mux.HandleFunc("GET /v1/concepts/{entity}", s.counted("concepts", s.handleConcepts))
-	s.mux.HandleFunc("GET /v1/broader/{concept}", s.counted("broader", s.handleBroader))
-	s.mux.HandleFunc("GET /v1/keywords/{concept}", s.counted("keywords", s.handleKeywords))
-	s.mux.HandleFunc("GET /v1/topics", s.counted("topics", s.handleTopics))
-	s.mux.HandleFunc("GET /healthz", s.counted("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /statsz", s.counted("statsz", s.handleStatsz))
+	s.Handle("GET /v1/concepts/{entity}", "concepts", s.handleConcepts)
+	s.Handle("GET /v1/broader/{concept}", "broader", s.handleBroader)
+	s.Handle("GET /v1/keywords/{concept}", "keywords", s.handleKeywords)
+	s.Handle("GET /healthz", "healthz", s.handleHealthz)
+	s.Handle("GET /statsz", "statsz", s.handleStatsz)
 
-	// v2: typed queries, batch, exploration sessions (see v2.go and
-	// sessions.go).
-	s.mux.HandleFunc("POST /v2/query/rollup", s.counted("v2rollup", s.handleQueryV2("rollup")))
-	s.mux.HandleFunc("POST /v2/query/drilldown", s.counted("v2drilldown", s.handleQueryV2("drilldown")))
-	s.mux.HandleFunc("POST /v2/batch", s.counted("v2batch", s.handleBatch))
-	s.mux.HandleFunc("POST /v2/ingest", s.counted("v2ingest", s.handleIngest))
-	s.mux.HandleFunc("POST /v2/sessions", s.counted("v2sessions", s.handleSessionCreate))
-	s.mux.HandleFunc("GET /v2/sessions", s.counted("v2sessions", s.handleSessionList))
-	s.mux.HandleFunc("GET /v2/sessions/{id}", s.counted("v2sessions", s.handleSessionGet))
-	s.mux.HandleFunc("DELETE /v2/sessions/{id}", s.counted("v2sessions", s.handleSessionDelete))
-	s.mux.HandleFunc("POST /v2/sessions/{id}/rollup", s.counted("v2sessions", s.handleSessionRollUp))
-	s.mux.HandleFunc("POST /v2/sessions/{id}/drilldown", s.counted("v2sessions", s.handleSessionDrillDown))
-	s.mux.HandleFunc("POST /v2/sessions/{id}/zoom", s.counted("v2sessions", s.handleSessionZoom))
-	s.mux.HandleFunc("POST /v2/sessions/{id}/back", s.counted("v2sessions", s.handleSessionBack))
+	// Batch, ingest, exploration sessions (see v2.go, ingest.go and
+	// sessions.go). Mount order fixes each path's Allow list.
+	s.Handle("POST /v2/batch", "v2batch", s.handleBatch)
+	s.Handle("POST /v2/ingest", "v2ingest", s.handleIngest)
+	s.Handle("GET /v2/sessions", "v2sessions", s.handleSessionList)
+	s.Handle("POST /v2/sessions", "v2sessions", s.handleSessionCreate)
+	s.Handle("GET /v2/sessions/{id}", "v2sessions", s.handleSessionGet)
+	s.Handle("DELETE /v2/sessions/{id}", "v2sessions", s.handleSessionDelete)
+	s.Handle("POST /v2/sessions/{id}/rollup", "v2sessions", s.handleSessionRollUp)
+	s.Handle("POST /v2/sessions/{id}/drilldown", "v2sessions", s.handleSessionDrillDown)
+	s.Handle("POST /v2/sessions/{id}/zoom", "v2sessions", s.handleSessionZoom)
+	s.Handle("POST /v2/sessions/{id}/back", "v2sessions", s.handleSessionBack)
 
 	// Watchlists: standing queries with SSE alert streams (see watch.go).
-	s.mux.HandleFunc("POST /v2/watchlists", s.counted("v2watchlists", s.handleWatchlistCreate))
-	s.mux.HandleFunc("GET /v2/watchlists", s.counted("v2watchlists", s.handleWatchlistList))
-	s.mux.HandleFunc("GET /v2/watchlists/{id}", s.counted("v2watchlists", s.handleWatchlistGet))
-	s.mux.HandleFunc("DELETE /v2/watchlists/{id}", s.counted("v2watchlists", s.handleWatchlistDelete))
-	s.mux.HandleFunc("GET /v2/watchlists/{id}/events", s.counted("v2watchlists", s.handleWatchlistEvents))
-
-	// Method-less fallbacks (the method-specific patterns above win
-	// when they match) and a catch-all, so wrong-method and
-	// unknown-path responses are JSON and counted like everything
-	// else rather than ServeMux's plain-text defaults.
-	for pattern, allow := range map[string]string{
-		"/v1/rollup":             "POST",
-		"/v1/drilldown":          "POST",
-		"/v1/concepts/{entity}":  "GET",
-		"/v1/broader/{concept}":  "GET",
-		"/v1/keywords/{concept}": "GET",
-		"/v1/topics":             "GET",
-		"/healthz":               "GET",
-		"/statsz":                "GET",
-	} {
-		s.mux.HandleFunc(pattern, s.methodNotAllowed(allow))
-	}
-	for pattern, allow := range map[string]string{
-		"/v2/query/rollup":            "POST",
-		"/v2/query/drilldown":         "POST",
-		"/v2/batch":                   "POST",
-		"/v2/ingest":                  "POST",
-		"/v2/sessions":                "GET, POST",
-		"/v2/sessions/{id}":           "GET, DELETE",
-		"/v2/sessions/{id}/rollup":    "POST",
-		"/v2/sessions/{id}/drilldown": "POST",
-		"/v2/sessions/{id}/zoom":      "POST",
-		"/v2/sessions/{id}/back":      "POST",
-		"/v2/watchlists":              "GET, POST",
-		"/v2/watchlists/{id}":         "GET, DELETE",
-		"/v2/watchlists/{id}/events":  "GET",
-	} {
-		s.mux.HandleFunc(pattern, s.methodNotAllowedV2(allow))
-	}
-	// Unknown /v2 paths get the structured envelope; everything else
-	// keeps the v1-era flat error shape.
-	s.mux.HandleFunc("/v2/", s.counted("other", func(w http.ResponseWriter, r *http.Request) {
-		s.writeAPIError(w, &apiError{
-			status:  http.StatusNotFound,
-			code:    ncexplorer.CodeNotFound,
-			message: fmt.Sprintf("unknown path %q", r.URL.Path),
-		})
-	}))
-	s.mux.HandleFunc("/", s.counted("other", func(w http.ResponseWriter, r *http.Request) {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown path %q", r.URL.Path))
-	}))
+	s.Handle("GET /v2/watchlists", "v2watchlists", s.handleWatchlistList)
+	s.Handle("POST /v2/watchlists", "v2watchlists", s.handleWatchlistCreate)
+	s.Handle("GET /v2/watchlists/{id}", "v2watchlists", s.handleWatchlistGet)
+	s.Handle("DELETE /v2/watchlists/{id}", "v2watchlists", s.handleWatchlistDelete)
+	s.Handle("GET /v2/watchlists/{id}/events", "v2watchlists", s.handleWatchlistEvents)
 	return s
-}
-
-// methodNotAllowed answers a known path hit with the wrong method.
-func (s *Server) methodNotAllowed(allow string) http.HandlerFunc {
-	return s.counted("other", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		s.writeError(w, http.StatusMethodNotAllowed,
-			fmt.Errorf("method %s not allowed (want %s)", r.Method, allow))
-	})
 }
 
 // Handler returns the root http.Handler: the mux behind the readiness
@@ -389,89 +309,6 @@ func (s *Server) writeSyncing(w http.ResponseWriter, st *syncState) {
 // CacheStats exposes the result cache counters (for tests and ops).
 func (s *Server) CacheStats() qcache.Stats { return s.cache.Stats() }
 
-func (s *Server) counted(route string, h http.HandlerFunc) http.HandlerFunc {
-	n := s.byRoute[route]
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.total.Add(1)
-		n.Add(1)
-		h(w, r)
-	}
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
-		return
-	}
-	s.writeBody(w, status, body)
-}
-
-func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-	w.Write([]byte("\n"))
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	s.errors.Add(1)
-	body, _ := json.Marshal(map[string]string{"error": err.Error()})
-	s.writeBody(w, status, body)
-}
-
-// queryRequest is the body of the two POST query endpoints.
-type queryRequest struct {
-	Concepts []string `json:"concepts"`
-	K        int      `json:"k"`
-}
-
-// maxBodyBytes bounds query request bodies; concept queries are a few
-// names, so 1 MiB is generous.
-const maxBodyBytes = 1 << 20
-
-// decodeQuery parses and validates a query body, returning the
-// canonicalized concept set and clamped k.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) ([]string, int, bool) {
-	var req queryRequest
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return nil, 0, false
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
-		return nil, 0, false
-	}
-	concepts := ncexplorer.CanonicalConcepts(req.Concepts)
-	if len(concepts) == 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("empty concept query"))
-		return nil, 0, false
-	}
-	k := req.K
-	if k < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid k %d: want a positive integer", k))
-		return nil, 0, false
-	}
-	if k == 0 { // absent from the body
-		k = defaultK
-	}
-	if k > s.opts.MaxK {
-		k = s.opts.MaxK
-	}
-	return concepts, k, true
-}
-
-// clientError marks a fill failure caused by the request (unknown
-// concept, invalid query) rather than by the server; serveCached maps
-// it to 400 and everything else to 500.
-type clientError struct{ err error }
-
-func (e clientError) Error() string { return e.err.Error() }
-func (e clientError) Unwrap() error { return e.err }
-
 // epochKey scopes a result-cache key to the explorer's current query
 // epoch. The epoch advances on every ingested batch and every
 // ResetQueryCaches call, so entries cached under an older epoch become
@@ -484,101 +321,30 @@ func (s *Server) epochKey(key string) string {
 		"e" + strconv.FormatUint(s.explorer().QueryEpoch(), 36) + "|" + key
 }
 
-// serveCached answers a query endpoint through the result cache: on a
-// miss, fill runs the engine and the marshaled body is retained so
-// every later hit is byte-identical. Keys are epoch-scoped (see
-// epochKey).
-func (s *Server) serveCached(w http.ResponseWriter, key string, fill func() (any, error)) {
-	v, hit, err := s.cache.Do(s.epochKey(key), fill)
-	if err != nil {
-		var ce clientError
-		if errors.As(err, &ce) {
-			s.writeError(w, http.StatusBadRequest, ce.err)
-		} else {
-			s.writeError(w, http.StatusInternalServerError, err)
-		}
-		return
-	}
-	if hit {
-		w.Header().Set("X-Cache", "HIT")
-	} else {
-		w.Header().Set("X-Cache", "MISS")
-	}
-	s.writeBody(w, http.StatusOK, v.([]byte))
-}
-
-type rollUpResponse struct {
-	Query    []string             `json:"query"`
-	K        int                  `json:"k"`
-	Count    int                  `json:"count"`
-	Articles []ncexplorer.Article `json:"articles"`
-}
-
-func (s *Server) handleRollUp(w http.ResponseWriter, r *http.Request) {
-	concepts, k, ok := s.decodeQuery(w, r)
-	if !ok {
-		return
-	}
-	s.serveCached(w, ncexplorer.QueryKey("rollup", concepts, k), func() (any, error) {
-		articles, err := s.explorer().RollUp(concepts, k)
-		if err != nil {
-			return nil, clientError{err}
-		}
-		if articles == nil {
-			articles = []ncexplorer.Article{}
-		}
-		return json.Marshal(rollUpResponse{Query: concepts, K: k, Count: len(articles), Articles: articles})
-	})
-}
-
-type drillDownResponse struct {
-	Query       []string                        `json:"query"`
-	K           int                             `json:"k"`
-	Count       int                             `json:"count"`
-	Suggestions []ncexplorer.SubtopicSuggestion `json:"suggestions"`
-}
-
-func (s *Server) handleDrillDown(w http.ResponseWriter, r *http.Request) {
-	concepts, k, ok := s.decodeQuery(w, r)
-	if !ok {
-		return
-	}
-	s.serveCached(w, ncexplorer.QueryKey("drilldown", concepts, k), func() (any, error) {
-		subs, err := s.explorer().DrillDown(concepts, k)
-		if err != nil {
-			return nil, clientError{err}
-		}
-		if subs == nil {
-			subs = []ncexplorer.SubtopicSuggestion{}
-		}
-		return json.Marshal(drillDownResponse{Query: concepts, K: k, Count: len(subs), Suggestions: subs})
-	})
-}
-
 func (s *Server) handleConcepts(w http.ResponseWriter, r *http.Request) {
 	entity := r.PathValue("entity")
 	concepts, err := s.explorer().ConceptsForEntity(entity)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeFlatError(w, http.StatusBadRequest, err)
 		return
 	}
 	if concepts == nil {
 		concepts = []string{}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"entity": entity, "concepts": concepts})
+	s.WriteJSON(w, http.StatusOK, map[string]any{"entity": entity, "concepts": concepts})
 }
 
 func (s *Server) handleBroader(w http.ResponseWriter, r *http.Request) {
 	concept := r.PathValue("concept")
 	broader, err := s.explorer().BroaderConcepts(concept)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeFlatError(w, http.StatusBadRequest, err)
 		return
 	}
 	if broader == nil {
 		broader = []string{}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"concept": concept, "broader": broader})
+	s.WriteJSON(w, http.StatusOK, map[string]any{"concept": concept, "broader": broader})
 }
 
 func (s *Server) handleKeywords(w http.ResponseWriter, r *http.Request) {
@@ -587,7 +353,7 @@ func (s *Server) handleKeywords(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v <= 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q: want a positive integer", raw))
+			s.writeFlatError(w, http.StatusBadRequest, fmt.Errorf("invalid n %q: want a positive integer", raw))
 			return
 		}
 		n = v
@@ -600,30 +366,17 @@ func (s *Server) handleKeywords(w http.ResponseWriter, r *http.Request) {
 	}
 	keywords, err := s.explorer().TopicKeywords(concept, n)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeFlatError(w, http.StatusBadRequest, err)
 		return
 	}
 	if keywords == nil {
 		keywords = []string{}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"concept": concept, "keywords": keywords})
-}
-
-type topicResponse struct {
-	Concept string `json:"concept"`
-	Group   string `json:"group"`
-}
-
-func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {
-	topics := make([]topicResponse, 0, 6)
-	for _, t := range s.explorer().EvaluationTopics() {
-		topics = append(topics, topicResponse{Concept: t[0], Group: t[1]})
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"topics": topics})
+	s.WriteJSON(w, http.StatusOK, map[string]any{"concept": concept, "keywords": keywords})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	s.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"articles":       s.explorer().NumArticles(),
 		"uptime_seconds": time.Since(s.started).Seconds(),
@@ -636,7 +389,7 @@ type statszResponse struct {
 	Index    ncexplorer.Stats `json:"index"`
 	Cache    qcache.Stats     `json:"cache"`
 	Sessions sessionStats     `json:"sessions"`
-	Requests requestStats     `json:"requests"`
+	Requests RequestStats     `json:"requests"`
 	Cluster  *ClusterInfo     `json:"cluster,omitempty"`
 	Uptime   float64          `json:"uptime_seconds"`
 }
@@ -645,30 +398,16 @@ type sessionStats struct {
 	Live int `json:"live"`
 }
 
-type requestStats struct {
-	Total   int64            `json:"total"`
-	Errors  int64            `json:"errors"`
-	ByRoute map[string]int64 `json:"by_route"`
-}
-
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	by := make(map[string]int64, len(routes))
-	for _, route := range routes {
-		by[route] = s.byRoute[route].Load()
-	}
 	resp := statszResponse{
 		Index:    s.explorer().Stats(),
 		Cache:    s.cache.Stats(),
 		Sessions: sessionStats{Live: s.sessions.Len()},
-		Requests: requestStats{
-			Total:   s.total.Load(),
-			Errors:  s.errors.Load(),
-			ByRoute: by,
-		},
-		Uptime: time.Since(s.started).Seconds(),
+		Requests: s.Requests(),
+		Uptime:   time.Since(s.started).Seconds(),
 	}
 	if p := s.clusterInfo.Load(); p != nil {
 		resp.Cluster = (*p)()
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }

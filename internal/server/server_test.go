@@ -92,24 +92,19 @@ func wantErrorBody(t *testing.T, rec *httptest.ResponseRecorder, status int) {
 }
 
 func TestRollUpHappyPath(t *testing.T) {
-	rec := postJSON(t, "/v1/rollup", map[string]any{"concepts": topicConcepts(t, 0), "k": 3})
+	rec := postJSON(t, "/v2/query/rollup", map[string]any{"concepts": topicConcepts(t, 0), "k": 3, "explain": true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d; body %q", rec.Code, rec.Body.String())
 	}
 	if got := rec.Header().Get("Content-Type"); got != "application/json" {
 		t.Fatalf("content-type = %q", got)
 	}
-	var resp struct {
-		Query    []string             `json:"query"`
-		K        int                  `json:"k"`
-		Count    int                  `json:"count"`
-		Articles []ncexplorer.Article `json:"articles"`
-	}
+	var resp ncexplorer.RollUpResult
 	decodeBody(t, rec, &resp)
-	if resp.K != 3 || resp.Count != len(resp.Articles) {
-		t.Fatalf("k = %d count = %d articles = %d", resp.K, resp.Count, len(resp.Articles))
+	if resp.K != 3 || len(resp.Articles) > 3 || resp.Total < len(resp.Articles) {
+		t.Fatalf("k = %d total = %d articles = %d", resp.K, resp.Total, len(resp.Articles))
 	}
-	if resp.Count == 0 {
+	if len(resp.Articles) == 0 {
 		t.Fatal("expected at least one article for an evaluation topic")
 	}
 	for _, a := range resp.Articles {
@@ -121,8 +116,8 @@ func TestRollUpHappyPath(t *testing.T) {
 
 func TestRollUpCacheHitIsByteIdentical(t *testing.T) {
 	body := map[string]any{"concepts": topicConcepts(t, 1), "k": 4}
-	first := postJSON(t, "/v1/rollup", body)
-	second := postJSON(t, "/v1/rollup", body)
+	first := postJSON(t, "/v2/query/rollup", body)
+	second := postJSON(t, "/v2/query/rollup", body)
 	if first.Code != http.StatusOK || second.Code != http.StatusOK {
 		t.Fatalf("statuses = %d, %d", first.Code, second.Code)
 	}
@@ -139,8 +134,8 @@ func TestRollUpCacheHitIsByteIdentical(t *testing.T) {
 
 func TestRollUpOrderInsensitiveCaching(t *testing.T) {
 	c := topicConcepts(t, 2)
-	first := postJSON(t, "/v1/rollup", map[string]any{"concepts": []string{c[0], c[1]}, "k": 5})
-	reversed := postJSON(t, "/v1/rollup", map[string]any{"concepts": []string{c[1], c[0], c[0]}, "k": 5})
+	first := postJSON(t, "/v2/query/rollup", map[string]any{"concepts": []string{c[0], c[1]}, "k": 5})
+	reversed := postJSON(t, "/v2/query/rollup", map[string]any{"concepts": []string{c[1], c[0], c[0]}, "k": 5})
 	if reversed.Header().Get("X-Cache") != "HIT" {
 		t.Fatalf("permuted duplicate query X-Cache = %q; want HIT", reversed.Header().Get("X-Cache"))
 	}
@@ -150,63 +145,60 @@ func TestRollUpOrderInsensitiveCaching(t *testing.T) {
 }
 
 func TestRollUpUnknownConcept(t *testing.T) {
-	rec := postJSON(t, "/v1/rollup", map[string]any{"concepts": []string{"No such concept zzz"}})
-	wantErrorBody(t, rec, http.StatusBadRequest)
+	rec := postJSON(t, "/v2/query/rollup", map[string]any{"concepts": []string{"No such concept zzz"}})
+	wantV2Error(t, rec, http.StatusBadRequest, "unknown_concept")
 	if !strings.Contains(rec.Body.String(), "unknown concept") {
 		t.Fatalf("error body %q should name the unknown concept", rec.Body.String())
 	}
 }
 
 func TestRollUpMalformedBody(t *testing.T) {
-	req := httptest.NewRequest(http.MethodPost, "/v1/rollup", strings.NewReader("{not json"))
+	req := httptest.NewRequest(http.MethodPost, "/v2/query/rollup", strings.NewReader("{not json"))
 	rec := httptest.NewRecorder()
 	testServer(t).Handler().ServeHTTP(rec, req)
-	wantErrorBody(t, rec, http.StatusBadRequest)
+	wantV2Error(t, rec, http.StatusBadRequest, "invalid_argument")
 }
 
 func TestRollUpOversizedBody(t *testing.T) {
 	// Valid JSON that exceeds the 1 MiB body limit.
 	huge := append([]byte(`{"concepts":["`), bytes.Repeat([]byte("x"), 2<<20)...)
 	huge = append(huge, []byte(`"]}`)...)
-	req := httptest.NewRequest(http.MethodPost, "/v1/rollup", bytes.NewReader(huge))
+	req := httptest.NewRequest(http.MethodPost, "/v2/query/rollup", bytes.NewReader(huge))
 	rec := httptest.NewRecorder()
 	testServer(t).Handler().ServeHTTP(rec, req)
-	wantErrorBody(t, rec, http.StatusRequestEntityTooLarge)
+	wantV2Error(t, rec, http.StatusRequestEntityTooLarge, "invalid_argument")
 }
 
 func TestRollUpEmptyConcepts(t *testing.T) {
-	rec := postJSON(t, "/v1/rollup", map[string]any{"concepts": []string{"  ", ""}})
-	wantErrorBody(t, rec, http.StatusBadRequest)
+	rec := postJSON(t, "/v2/query/rollup", map[string]any{"concepts": []string{"  ", ""}})
+	wantV2Error(t, rec, http.StatusBadRequest, "invalid_argument")
 }
 
 func TestRollUpNegativeK(t *testing.T) {
-	rec := postJSON(t, "/v1/rollup", map[string]any{"concepts": topicConcepts(t, 0), "k": -5})
-	wantErrorBody(t, rec, http.StatusBadRequest)
+	rec := postJSON(t, "/v2/query/rollup", map[string]any{"concepts": topicConcepts(t, 0), "k": -5})
+	wantV2Error(t, rec, http.StatusBadRequest, "invalid_argument")
 }
 
 func TestRollUpMethodNotAllowed(t *testing.T) {
-	rec := get(t, "/v1/rollup")
-	wantErrorBody(t, rec, http.StatusMethodNotAllowed)
+	rec := get(t, "/v2/query/rollup")
+	wantV2Error(t, rec, http.StatusMethodNotAllowed, "invalid_argument")
 	if got := rec.Header().Get("Allow"); got != "POST" {
 		t.Fatalf("Allow = %q; want POST", got)
 	}
 }
 
 func TestDrillDownHappyPath(t *testing.T) {
-	rec := postJSON(t, "/v1/drilldown", map[string]any{"concepts": topicConcepts(t, 3), "k": 5})
+	rec := postJSON(t, "/v2/query/drilldown", map[string]any{"concepts": topicConcepts(t, 3), "k": 5})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d; body %q", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Count       int                             `json:"count"`
-		Suggestions []ncexplorer.SubtopicSuggestion `json:"suggestions"`
-	}
+	var resp ncexplorer.DrillDownResult
 	decodeBody(t, rec, &resp)
-	if resp.Count != len(resp.Suggestions) {
-		t.Fatalf("count = %d suggestions = %d", resp.Count, len(resp.Suggestions))
+	if resp.K != 5 || len(resp.Suggestions) > 5 || resp.Total < len(resp.Suggestions) {
+		t.Fatalf("k = %d total = %d suggestions = %d", resp.K, resp.Total, len(resp.Suggestions))
 	}
 	// A repeat is a cache hit on the drilldown keyspace.
-	again := postJSON(t, "/v1/drilldown", map[string]any{"concepts": topicConcepts(t, 3), "k": 5})
+	again := postJSON(t, "/v2/query/drilldown", map[string]any{"concepts": topicConcepts(t, 3), "k": 5})
 	if again.Header().Get("X-Cache") != "HIT" {
 		t.Fatalf("repeat drilldown X-Cache = %q; want HIT", again.Header().Get("X-Cache"))
 	}
@@ -324,8 +316,8 @@ func TestHealthz(t *testing.T) {
 func TestStatsz(t *testing.T) {
 	// Generate at least one miss and one hit on a private key.
 	body := map[string]any{"concepts": topicConcepts(t, 4), "k": 7}
-	postJSON(t, "/v1/rollup", body)
-	postJSON(t, "/v1/rollup", body)
+	postJSON(t, "/v2/query/rollup", body)
+	postJSON(t, "/v2/query/rollup", body)
 
 	rec := get(t, "/statsz")
 	if rec.Code != http.StatusOK {
@@ -385,7 +377,7 @@ func TestStatsz(t *testing.T) {
 	if ec.Match.Entries == 0 {
 		t.Fatalf("engine query plans not reported: %+v", ec)
 	}
-	if resp.Requests.Total == 0 || resp.Requests.ByRoute["rollup"] < 2 || resp.Requests.ByRoute["statsz"] == 0 {
+	if resp.Requests.Total == 0 || resp.Requests.ByRoute["v2rollup"] < 2 || resp.Requests.ByRoute["statsz"] == 0 {
 		t.Fatalf("request stats = %+v", resp.Requests)
 	}
 }
@@ -407,7 +399,7 @@ func TestConcurrentIdenticalRollUps(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			req := httptest.NewRequest(http.MethodPost, "/v1/rollup", bytes.NewReader(raw))
+			req := httptest.NewRequest(http.MethodPost, "/v2/query/rollup", bytes.NewReader(raw))
 			rec := httptest.NewRecorder()
 			s.Handler().ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {
@@ -432,7 +424,7 @@ func TestCacheDisabled(t *testing.T) {
 	s := server.New(explorer, server.Options{CacheCapacity: -1})
 	raw, _ := json.Marshal(map[string]any{"concepts": topicConcepts(t, 0), "k": 2})
 	for i := 0; i < 2; i++ {
-		req := httptest.NewRequest(http.MethodPost, "/v1/rollup", bytes.NewReader(raw))
+		req := httptest.NewRequest(http.MethodPost, "/v2/query/rollup", bytes.NewReader(raw))
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {

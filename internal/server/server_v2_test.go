@@ -234,12 +234,11 @@ func TestV2CancelledContext(t *testing.T) {
 	wantV2Error(t, rec, 499, "cancelled")
 }
 
-// TestV1EnvelopeCompat pins the /v1 error shape — a flat string — so
-// the structured v2 envelope cannot leak backwards.
+// TestV1EnvelopeCompat pins the /v1 error shape — a flat string — on
+// the graph reads and unknown paths, so the structured v2 envelope
+// cannot leak backwards.
 func TestV1EnvelopeCompat(t *testing.T) {
 	cases := []*httptest.ResponseRecorder{
-		postJSON(t, "/v1/rollup", map[string]any{"concepts": []string{"No such concept zzz"}}),
-		postJSON(t, "/v1/rollup", map[string]any{"concepts": topicConcepts(t, 0), "k": -5}),
 		get(t, "/v1/keywords/whatever?n=0"),
 		get(t, "/v1/keywords/whatever?n=-3"),
 		get(t, "/v1/nope"),
@@ -354,7 +353,7 @@ type sessionResponse struct {
 }
 
 // articlesOf extracts the raw "articles" value from a rollup response
-// body (either shape: v1 or v2).
+// body.
 func articlesOf(t *testing.T, body []byte) []byte {
 	t.Helper()
 	var probe struct {
@@ -369,7 +368,7 @@ func articlesOf(t *testing.T, body []byte) []byte {
 // TestSessionWalkthrough is the acceptance test: a scripted session —
 // create → rollup → drilldown (refine) → drilldown (refine) → back →
 // rollup — reproduces byte-identical articles to the equivalent
-// stateless /v1 calls. The suite runs under -race in CI.
+// stateless /v2/query/rollup calls. The suite runs under -race in CI.
 func TestSessionWalkthrough(t *testing.T) {
 	base := topicConcepts(t, 3)
 
@@ -386,25 +385,24 @@ func TestSessionWalkthrough(t *testing.T) {
 	}
 	sessionPath := "/v2/sessions/" + id
 
-	// Helper: the stateless /v1 articles for a concept set.
-	v1Articles := func(concepts []string, k int) []byte {
-		rec := postJSON(t, "/v1/rollup", map[string]any{"concepts": concepts, "k": k})
+	// Helper: the stateless articles for a concept set.
+	statelessArticles := func(concepts []string, k int) []byte {
+		rec := postJSON(t, "/v2/query/rollup", map[string]any{"concepts": concepts, "k": k, "explain": true})
 		if rec.Code != http.StatusOK {
-			t.Fatalf("/v1/rollup %v status = %d; body %q", concepts, rec.Code, rec.Body.String())
+			t.Fatalf("/v2/query/rollup %v status = %d; body %q", concepts, rec.Code, rec.Body.String())
 		}
 		return articlesOf(t, rec.Body.Bytes())
 	}
 
-	// Step 1 — roll up the base pattern. explain on: /v1 always
-	// explains, and byte-identity is the requirement.
+	// Step 1 — roll up the base pattern, with explanations.
 	rec = postJSON(t, sessionPath+"/rollup", map[string]any{"k": 5, "explain": true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("session rollup status = %d; body %q", rec.Code, rec.Body.String())
 	}
 	var r1 sessionResponse
 	decodeBody(t, rec, &r1)
-	if !bytes.Equal(articlesOf(t, r1.Result), v1Articles(base, 5)) {
-		t.Fatal("session rollup articles differ from stateless /v1 rollup")
+	if !bytes.Equal(articlesOf(t, r1.Result), statelessArticles(base, 5)) {
+		t.Fatal("session rollup articles differ from the stateless rollup")
 	}
 
 	// Step 2 — drill down and refine with the top suggestion not
@@ -474,15 +472,15 @@ func TestSessionWalkthrough(t *testing.T) {
 	}
 
 	// Step 5 — roll up the restored pattern: byte-identical to the
-	// stateless /v1 call on the same concepts.
+	// stateless call on the same concepts.
 	rec = postJSON(t, sessionPath+"/rollup", map[string]any{"k": 5, "explain": true})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("final rollup status = %d; body %q", rec.Code, rec.Body.String())
 	}
 	var r2 sessionResponse
 	decodeBody(t, rec, &r2)
-	if !bytes.Equal(articlesOf(t, r2.Result), v1Articles(refined1, 5)) {
-		t.Fatal("post-back session rollup differs from stateless /v1 rollup on the same pattern")
+	if !bytes.Equal(articlesOf(t, r2.Result), statelessArticles(refined1, 5)) {
+		t.Fatal("post-back session rollup differs from the stateless rollup on the same pattern")
 	}
 
 	// The breadcrumb trail recorded the whole walk.

@@ -71,16 +71,16 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	concepts := ncexplorer.CanonicalConcepts(req.Concepts)
 	if err := s.explorer().ValidateConcepts(concepts); err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
+		s.WriteError(w, err)
 		return
 	}
 	snap := s.sessions.Create(concepts)
-	s.writeJSON(w, http.StatusCreated, sessionEnvelope{Session: snap})
+	s.WriteJSON(w, http.StatusCreated, sessionEnvelope{Session: snap})
 }
 
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	list := s.sessions.List()
-	s.writeJSON(w, http.StatusOK, map[string]any{"count": len(list), "sessions": list})
+	s.WriteJSON(w, http.StatusOK, map[string]any{"count": len(list), "sessions": list})
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
@@ -89,7 +89,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, sessionError(err))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, sessionEnvelope{Session: snap})
+	s.WriteJSON(w, http.StatusOK, sessionEnvelope{Session: snap})
 }
 
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
@@ -98,7 +98,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, sessionError(session.ErrNotFound))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
+	s.WriteJSON(w, http.StatusOK, map[string]any{"deleted": id})
 }
 
 // handleSessionRollUp rolls up the session's current pattern. A
@@ -108,7 +108,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 // /v2/query/rollup.
 func (s *Server) handleSessionRollUp(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var q v2QueryRequest
+	var q QueryRequest
 	if aerr := decodeV2(w, r, &q); aerr != nil {
 		s.writeAPIError(w, aerr)
 		return
@@ -125,7 +125,7 @@ func (s *Server) handleSessionRollUp(w http.ResponseWriter, r *http.Request) {
 	newConcepts := ncexplorer.CanonicalConcepts(q.Concepts)
 	if len(newConcepts) > 0 {
 		if err := s.explorer().ValidateConcepts(newConcepts); err != nil {
-			s.writeAPIError(w, apiErrorFrom(err))
+			s.WriteError(w, err)
 			return
 		}
 		q.Concepts = newConcepts
@@ -135,15 +135,15 @@ func (s *Server) handleSessionRollUp(w http.ResponseWriter, r *http.Request) {
 	zoom := q.Time != nil
 	if zoom {
 		if err := ncexplorer.ValidateTimeRange(q.Time); err != nil {
-			s.writeAPIError(w, apiErrorFrom(err))
+			s.WriteError(w, err)
 			return
 		}
 	} else {
 		q.Time = sessionTime(snap.Window)
 	}
-	body, _, aerr := s.execV2(r.Context(), "rollup", q)
-	if aerr != nil {
-		s.writeAPIError(w, aerr)
+	body, err := s.query(r.Context(), "rollup", q)
+	if err != nil {
+		s.WriteError(w, err)
 		return
 	}
 	if len(newConcepts) > 0 {
@@ -158,7 +158,7 @@ func (s *Server) handleSessionRollUp(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.writeJSON(w, http.StatusOK, sessionEnvelope{Session: snap, Result: body})
+	s.WriteJSON(w, http.StatusOK, sessionEnvelope{Session: snap, Result: body})
 }
 
 // sessionTime converts a stored zoom window to the query filter it
@@ -181,7 +181,7 @@ func sessionWindow(tr *ncexplorer.TimeRange) *session.Window {
 // sessionDrillDownRequest adds the refinement selector to the typed
 // request fields.
 type sessionDrillDownRequest struct {
-	v2QueryRequest
+	QueryRequest
 	// Select, when non-empty, appends this concept to the session's
 	// pattern after the suggestions are computed — the paper's
 	// "drill down into a subtopic" move, undoable with back.
@@ -204,20 +204,20 @@ func (s *Server) handleSessionDrillDown(w http.ResponseWriter, r *http.Request) 
 		s.writeAPIError(w, sessionError(err))
 		return
 	}
-	q := req.v2QueryRequest
+	q := req.QueryRequest
 	q.Concepts = snap.Concepts
 	zoom := q.Time != nil
 	if zoom {
 		if err := ncexplorer.ValidateTimeRange(q.Time); err != nil {
-			s.writeAPIError(w, apiErrorFrom(err))
+			s.WriteError(w, err)
 			return
 		}
 	} else {
 		q.Time = sessionTime(snap.Window)
 	}
-	body, _, aerr := s.execV2(r.Context(), "drilldown", q)
-	if aerr != nil {
-		s.writeAPIError(w, aerr)
+	body, err := s.query(r.Context(), "drilldown", q)
+	if err != nil {
+		s.WriteError(w, err)
 		return
 	}
 	if zoom {
@@ -231,7 +231,7 @@ func (s *Server) handleSessionDrillDown(w http.ResponseWriter, r *http.Request) 
 	// slip past the duplicate-refine guard.
 	if sel := ncexplorer.CanonicalConcepts([]string{req.Select}); len(sel) > 0 {
 		if err := s.explorer().ValidateConcepts(sel); err != nil {
-			s.writeAPIError(w, apiErrorFrom(err))
+			s.WriteError(w, err)
 			return
 		}
 		if snap, err = s.sessions.Refine(id, sel[0]); err != nil {
@@ -239,7 +239,7 @@ func (s *Server) handleSessionDrillDown(w http.ResponseWriter, r *http.Request) 
 			return
 		}
 	}
-	s.writeJSON(w, http.StatusOK, sessionEnvelope{Session: snap, Result: body})
+	s.WriteJSON(w, http.StatusOK, sessionEnvelope{Session: snap, Result: body})
 }
 
 // sessionZoomRequest is the /zoom body: a time window to apply, or an
@@ -259,7 +259,7 @@ func (s *Server) handleSessionZoom(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := ncexplorer.ValidateTimeRange(req.Time); err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
+		s.WriteError(w, err)
 		return
 	}
 	snap, err := s.sessions.Zoom(id, sessionWindow(req.Time))
@@ -267,7 +267,7 @@ func (s *Server) handleSessionZoom(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, sessionError(err))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, sessionEnvelope{Session: snap})
+	s.WriteJSON(w, http.StatusOK, sessionEnvelope{Session: snap})
 }
 
 func (s *Server) handleSessionBack(w http.ResponseWriter, r *http.Request) {
@@ -276,5 +276,5 @@ func (s *Server) handleSessionBack(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, sessionError(err))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, sessionEnvelope{Session: snap})
+	s.WriteJSON(w, http.StatusOK, sessionEnvelope{Session: snap})
 }

@@ -1,13 +1,13 @@
-// v2: the typed query surface. Where /v1 exposes fixed-shape one-shot
-// calls, /v2 speaks typed requests (pagination, source and score
-// filters, explanation toggles), executes batches under the engine's
-// bounded parallelism, and shares one structured error envelope:
+// v2: the typed query surface. /v2 speaks typed requests (pagination,
+// source and score filters, explanation toggles), executes batches
+// under the engine's bounded parallelism, and shares one structured
+// error envelope:
 //
 //	{"error": {"code": "...", "message": "...", "details": {...}}}
 //
 // with machine-readable codes (unknown_concept errors carry
-// nearest-concept suggestions in details). /v1 responses are untouched
-// — byte-compatibility there is a hard contract (see DESIGN.md §5).
+// nearest-concept suggestions in details). The /v1 graph reads keep
+// their flat error shape (see DESIGN.md §5).
 package server
 
 import (
@@ -34,6 +34,8 @@ type apiError struct {
 	message string
 	details map[string]any
 }
+
+func (e *apiError) Error() string { return e.message }
 
 func invalidArgument(format string, args ...any) *apiError {
 	return &apiError{
@@ -69,10 +71,13 @@ func statusForCode(code ncexplorer.ErrorCode) int {
 	}
 }
 
-// apiErrorFrom converts any error into a structured apiError: typed
-// facade errors keep their code and details, everything else becomes
-// an internal error.
+// apiErrorFrom converts any error into a structured apiError: an
+// apiError passes through, typed facade errors keep their code and
+// details, everything else becomes an internal error.
 func apiErrorFrom(err error) *apiError {
+	if e, ok := err.(*apiError); ok {
+		return e
+	}
 	if e, ok := ncexplorer.AsError(err); ok {
 		return &apiError{status: statusForCode(e.Code), code: e.Code, message: e.Message, details: e.Details}
 	}
@@ -100,52 +105,6 @@ func marshalAPIError(e *apiError) []byte {
 		body, _ = json.Marshal(errorEnvelope{Error: errorBody{Code: e.code, Message: e.message}})
 	}
 	return body
-}
-
-// StatusForCode maps a facade error code to the HTTP status the /v2
-// surface uses — exported for the cluster router, whose error
-// responses must be byte- and status-identical to a monolithic
-// server's.
-func StatusForCode(code ncexplorer.ErrorCode) int { return statusForCode(code) }
-
-// MarshalErrorEnvelope renders the shared /v2 error envelope — the
-// router counterpart of writeAPIError.
-func MarshalErrorEnvelope(code ncexplorer.ErrorCode, message string, details map[string]any) []byte {
-	return marshalAPIError(&apiError{code: code, message: message, details: details})
-}
-
-// writeAPIError writes the envelope with its status.
-func (s *Server) writeAPIError(w http.ResponseWriter, e *apiError) {
-	s.errors.Add(1)
-	s.writeBody(w, e.status, marshalAPIError(e))
-}
-
-// v2QueryRequest is the body of the typed query endpoints (and of the
-// per-item entries in /v2/batch and the session navigation calls).
-type v2QueryRequest struct {
-	Concepts []string              `json:"concepts"`
-	K        int                   `json:"k"`
-	Offset   int                   `json:"offset"`
-	Sources  []string              `json:"sources"`
-	MinScore float64               `json:"min_score"`
-	Time     *ncexplorer.TimeRange `json:"time_range"`
-	GroupBy  string                `json:"group_by"`
-	Explain  bool                  `json:"explain"`
-}
-
-// normalizeV2 applies the HTTP-layer page-size conventions: an absent
-// k (0) means the default page size, matching /v1, and k is clamped
-// to MaxK. Everything that can be *invalid* (negative k, offset or
-// min_score, empty or unknown concepts, unknown sources) is left to
-// the facade, whose typed errors map onto the envelope — one
-// validation rulebook instead of two that drift.
-func (s *Server) normalizeV2(q *v2QueryRequest) {
-	if q.K == 0 {
-		q.K = defaultK
-	}
-	if q.K > s.opts.MaxK {
-		q.K = s.opts.MaxK
-	}
 }
 
 // decodeV2 parses a JSON body into v, mapping failures to the
@@ -203,87 +162,57 @@ func (s *Server) doCached(ctx context.Context, key string, fill func() (any, err
 	}
 }
 
-// execRollUpV2 runs a normalized typed roll-up through the result
-// cache, returning the marshaled body. Batch items and session
-// navigation share this path, so their payloads are byte-identical to
-// the single-call endpoint's.
-func (s *Server) execRollUpV2(ctx context.Context, q v2QueryRequest) ([]byte, bool, *apiError) {
-	req := ncexplorer.RollUpRequest{
-		Concepts: q.Concepts, K: q.K, Offset: q.Offset,
-		Sources: q.Sources, MinScore: q.MinScore,
-		Time: q.Time, GroupBy: q.GroupBy, Explain: q.Explain,
+// exec runs a normalized query through the result cache: on a miss the
+// facade executes it and the marshaled body is retained, so every
+// later hit is byte-identical. Keys are epoch-scoped (see epochKey)
+// and prefixed by scope — the internal scatter endpoint, whose k is
+// not normalized, caches under its own.
+func (s *Server) exec(ctx context.Context, scope, op string, q QueryRequest) ([]byte, bool, error) {
+	var key string
+	var run func() (any, error)
+	if op == "rollup" {
+		req := q.RollUp()
+		key, run = req.Key(), func() (any, error) { return s.explorer().RollUpQuery(ctx, req) }
+	} else {
+		req := q.DrillDown()
+		key, run = req.Key(), func() (any, error) { return s.explorer().DrillDownQuery(ctx, req) }
 	}
-	v, hit, err := s.doCached(ctx, req.Key(), func() (any, error) {
-		res, err := s.explorer().RollUpQuery(ctx, req)
+	v, hit, err := s.doCached(ctx, scope+key, func() (any, error) {
+		res, err := run()
 		if err != nil {
 			return nil, err
 		}
 		return json.Marshal(res)
 	})
 	if err != nil {
-		return nil, false, apiErrorFrom(err)
+		return nil, false, err
 	}
 	return v.([]byte), hit, nil
 }
 
-// execDrillDownV2 is the drill-down analogue of execRollUpV2.
-func (s *Server) execDrillDownV2(ctx context.Context, q v2QueryRequest) ([]byte, bool, *apiError) {
-	if len(q.Sources) > 0 {
-		return nil, false, invalidArgument("drilldown does not accept a sources filter")
-	}
-	if q.GroupBy != "" {
-		return nil, false, invalidArgument("drilldown does not accept group_by")
-	}
-	req := ncexplorer.DrillDownRequest{
-		Concepts: q.Concepts, K: q.K, Offset: q.Offset,
-		MinScore: q.MinScore, Time: q.Time, Explain: q.Explain,
-	}
-	v, hit, err := s.doCached(ctx, req.Key(), func() (any, error) {
-		res, err := s.explorer().DrillDownQuery(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(res)
-	})
-	if err != nil {
-		return nil, false, apiErrorFrom(err)
-	}
-	return v.([]byte), hit, nil
-}
-
-// execV2 dispatches one typed query by operation name.
-func (s *Server) execV2(ctx context.Context, op string, q v2QueryRequest) ([]byte, bool, *apiError) {
-	s.normalizeV2(&q)
-	switch op {
-	case "rollup":
-		return s.execRollUpV2(ctx, q)
-	case "drilldown":
-		return s.execDrillDownV2(ctx, q)
-	default:
-		return nil, false, invalidArgument("unknown op %q (want \"rollup\" or \"drilldown\")", op)
-	}
-}
-
-// handleQueryV2 returns the handler for one typed query endpoint.
-func (s *Server) handleQueryV2(op string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var q v2QueryRequest
-		if aerr := decodeV2(w, r, &q); aerr != nil {
-			s.writeAPIError(w, aerr)
-			return
-		}
-		body, hit, aerr := s.execV2(r.Context(), op, q)
-		if aerr != nil {
-			s.writeAPIError(w, aerr)
-			return
-		}
+// execHTTP is the Server's QueryExec: exec, with the cache outcome
+// reported in the X-Cache header.
+func (s *Server) execHTTP(w http.ResponseWriter, r *http.Request, op string, q QueryRequest) ([]byte, error) {
+	body, hit, err := s.exec(r.Context(), "", op, q)
+	if err == nil {
 		if hit {
 			w.Header().Set("X-Cache", "HIT")
 		} else {
 			w.Header().Set("X-Cache", "MISS")
 		}
-		s.writeBody(w, http.StatusOK, body)
 	}
+	return body, err
+}
+
+// query normalizes and executes one query for batch items and session
+// navigation — the path /v2/query/* takes, so their payloads are
+// byte-identical to the single-call endpoint's.
+func (s *Server) query(ctx context.Context, op string, q QueryRequest) ([]byte, error) {
+	if err := s.normalize(op, &q); err != nil {
+		return nil, err
+	}
+	body, _, err := s.exec(ctx, "", op, q)
+	return body, err
 }
 
 // batchRequest is the /v2/batch body: N independent typed queries.
@@ -294,7 +223,7 @@ type batchRequest struct {
 // batchQuery is one batch entry: an op plus the typed request fields.
 type batchQuery struct {
 	Op string `json:"op"`
-	v2QueryRequest
+	QueryRequest
 }
 
 // batchResponse returns one result slot per query, in request order.
@@ -334,29 +263,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			body, _, aerr := s.execV2(r.Context(), q.Op, q.v2QueryRequest)
-			if aerr != nil {
+			body, err := s.query(r.Context(), q.Op, q.QueryRequest)
+			if err != nil {
 				// Count item-level failures like whole-request ones so
 				// /statsz error monitoring sees them.
 				s.errors.Add(1)
-				body = marshalAPIError(aerr)
+				body = marshalAPIError(apiErrorFrom(err))
 			}
 			results[i] = body
 		}(i, q)
 	}
 	wg.Wait()
-	s.writeJSON(w, http.StatusOK, batchResponse{Count: len(results), Results: results})
-}
-
-// methodNotAllowedV2 answers a known /v2 path hit with the wrong
-// method, using the structured envelope.
-func (s *Server) methodNotAllowedV2(allow string) http.HandlerFunc {
-	return s.counted("other", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		s.writeAPIError(w, &apiError{
-			status:  http.StatusMethodNotAllowed,
-			code:    ncexplorer.CodeInvalidArgument,
-			message: fmt.Sprintf("method %s not allowed (want %s)", r.Method, allow),
-		})
-	})
+	s.WriteJSON(w, http.StatusOK, batchResponse{Count: len(results), Results: results})
 }

@@ -47,10 +47,10 @@ func (s *Server) handleWatchlistCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	wl, err := s.explorer().RegisterWatchlist(spec)
 	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
+		s.WriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, wl)
+	s.WriteJSON(w, http.StatusCreated, wl)
 }
 
 func (s *Server) handleWatchlistList(w http.ResponseWriter, r *http.Request) {
@@ -58,24 +58,24 @@ func (s *Server) handleWatchlistList(w http.ResponseWriter, r *http.Request) {
 	if lists == nil {
 		lists = []ncexplorer.Watchlist{}
 	}
-	s.writeJSON(w, http.StatusOK, watchlistsResponse{Count: len(lists), Watchlists: lists})
+	s.WriteJSON(w, http.StatusOK, watchlistsResponse{Count: len(lists), Watchlists: lists})
 }
 
 func (s *Server) handleWatchlistGet(w http.ResponseWriter, r *http.Request) {
 	wl, err := s.explorer().GetWatchlist(r.PathValue("id"))
 	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
+		s.WriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, wl)
+	s.WriteJSON(w, http.StatusOK, wl)
 }
 
 func (s *Server) handleWatchlistDelete(w http.ResponseWriter, r *http.Request) {
 	if err := s.explorer().RemoveWatchlist(r.PathValue("id")); err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
+		s.WriteError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "removed"})
+	s.WriteJSON(w, http.StatusOK, map[string]string{"status": "removed"})
 }
 
 // handleWatchlistEvents serves the SSE alert stream. The subscription
@@ -104,7 +104,7 @@ func (s *Server) handleWatchlistEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	sub, err := s.explorer().WatchSubscribe(r.PathValue("id"), after)
 	if err != nil {
-		s.writeAPIError(w, apiErrorFrom(err))
+		s.WriteError(w, err)
 		return
 	}
 	defer sub.Cancel()

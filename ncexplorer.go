@@ -31,7 +31,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -360,10 +359,10 @@ func (x *Explorer) ResetQueryCaches() { x.engine.ResetQueryCaches() }
 // CanonicalConcepts returns a canonical form of a concept query:
 // names are whitespace-trimmed, empties dropped, duplicates removed,
 // and the rest sorted. Two queries naming the same concept set
-// canonicalize identically, which is what makes cache keys (QueryKey)
-// and cached responses order-insensitive. Already-canonical input is
-// returned as-is (the result may alias the input; the input is never
-// mutated).
+// canonicalize identically, which is what makes cache keys
+// (RollUpRequest.Key) and cached responses order-insensitive.
+// Already-canonical input is returned as-is (the result may alias the
+// input; the input is never mutated).
 func CanonicalConcepts(concepts []string) []string {
 	canonical := true
 	for i, c := range concepts {
@@ -387,25 +386,6 @@ func CanonicalConcepts(concepts []string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// QueryKey builds a canonical cache key for an operation over a
-// concept query at result size k. The concept set is canonicalized
-// first, so permutations and duplicates of the same query map to the
-// same key. Each concept is length-prefixed in the key, so distinct
-// queries cannot collide no matter what bytes the names contain.
-func QueryKey(op string, concepts []string, k int) string {
-	var b strings.Builder
-	b.WriteString(op)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(k))
-	for _, c := range CanonicalConcepts(concepts) {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(len(c)))
-		b.WriteByte(':')
-		b.WriteString(c)
-	}
-	return b.String()
 }
 
 // resolveConcepts maps concept names to node IDs, producing typed

@@ -179,27 +179,6 @@ func TestCanonicalConcepts(t *testing.T) {
 	}
 }
 
-func TestQueryKey(t *testing.T) {
-	a := QueryKey("rollup", []string{"Swiss bank", "Money laundering"}, 10)
-	b := QueryKey("rollup", []string{"Money laundering", "Swiss bank", "Swiss bank"}, 10)
-	if a != b {
-		t.Fatalf("permuted/duplicated queries got different keys:\n%q\n%q", a, b)
-	}
-	if QueryKey("rollup", []string{"Swiss bank"}, 10) == QueryKey("rollup", []string{"Swiss bank"}, 5) {
-		t.Fatal("k must be part of the key")
-	}
-	if QueryKey("rollup", []string{"Swiss bank"}, 10) == QueryKey("drilldown", []string{"Swiss bank"}, 10) {
-		t.Fatal("operation must be part of the key")
-	}
-	// Length prefixing: a single name embedding arbitrary separator
-	// bytes must not collide with a multi-concept query.
-	joined := QueryKey("rollup", []string{"a|1:b"}, 10)
-	split := QueryKey("rollup", []string{"a", "b"}, 10)
-	if joined == split {
-		t.Fatal("user-controlled name bytes must not collide with a distinct query")
-	}
-}
-
 func TestStatsFacade(t *testing.T) {
 	x := getExplorer(t)
 	s := x.Stats()

@@ -434,7 +434,7 @@ func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.SetIngestPipeline(false)
+	x.Engine().SetSyncPersist(true)
 	ingest := func(seed uint64, n int) {
 		t.Helper()
 		arts, err := x.SampleArticles(seed, n)

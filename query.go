@@ -1,6 +1,7 @@
 package ncexplorer
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/qcache"
+	"ncexplorer/internal/topk"
 )
 
 // RollUpRequest is a typed roll-up query: the concept pattern plus the
@@ -297,20 +299,94 @@ func ResolveTimeRange(tr *TimeRange) (*core.TimeRange, error) {
 	return resolveTimeRange(tr)
 }
 
-// ValidateGroupBy checks a wire group_by value without running a query
-// — the router mirrors the facade's validation order with it.
-func ValidateGroupBy(name string) error {
-	_, err := resolveGroupBy(name)
-	return err
+// queryPlan is a typed request validated and resolved against a graph:
+// the canonical concept list and everything the engine takes in
+// resolved form.
+type queryPlan struct {
+	concepts []string
+	q        core.Query
+	sources  []corpus.Source
+	tr       *core.TimeRange
+	gb       core.GroupBy
 }
 
-// MergePeriods merges per-shard period histograms associatively: equal
+// plan is the one validate-and-resolve step of every typed query —
+// RollUpQuery, DrillDownQuery, and a router's QueryWorld — in one
+// order: page, sources, time, group_by, concepts. A request with
+// several defects therefore fails on the same one on every path.
+func (r RollUpRequest) plan(g *kg.Graph) (queryPlan, error) {
+	var p queryPlan
+	if err := validatePage(r.K, r.Offset, r.MinScore); err != nil {
+		return p, err
+	}
+	var err error
+	if p.sources, err = resolveSources(r.Sources); err != nil {
+		return p, err
+	}
+	if p.tr, err = resolveTimeRange(r.Time); err != nil {
+		return p, err
+	}
+	if p.gb, err = resolveGroupBy(r.GroupBy); err != nil {
+		return p, err
+	}
+	p.concepts = CanonicalConcepts(r.Concepts)
+	p.q, err = resolveConceptsOn(g, p.concepts)
+	return p, err
+}
+
+// plan validates and resolves a drill-down: a roll-up plan without
+// sources or group_by.
+func (r DrillDownRequest) plan(g *kg.Graph) (queryPlan, error) {
+	return RollUpRequest{Concepts: r.Concepts, K: r.K, Offset: r.Offset, MinScore: r.MinScore, Time: r.Time}.plan(g)
+}
+
+// MergeRollUp merges shard roll-up pages into the page RollUpQuery
+// answers over the union corpus. req is the public request as
+// QueryWorld.ResolveRollUp returned it; each shard page is that shard's
+// top-(k+offset) at offset 0, scored with corpus-global statistics, all
+// at one generation. Articles merge under the engine's (score desc, doc
+// asc) order and slice to [offset:][:k]; totals sum; period histograms
+// sum per period with their trends recomputed.
+func MergeRollUp(req RollUpRequest, shards []RollUpResult) RollUpResult {
+	lists := make([][]Article, 0, len(shards))
+	periodLists := make([][]Period, 0, len(shards))
+	res := RollUpResult{Query: req.Concepts, K: req.K, Offset: req.Offset}
+	for _, s := range shards {
+		res.Total += s.Total
+		res.Generation = s.Generation
+		lists = append(lists, s.Articles)
+		periodLists = append(periodLists, s.Periods)
+	}
+	merged := topk.MergeSorted(lists, cmpArticle, req.K+req.Offset)
+	res.Articles = []Article{}
+	if req.Offset < len(merged) {
+		res.Articles = merged[req.Offset:]
+	}
+	res.NextOffset = nextOffset(req.Offset, len(res.Articles), res.Total)
+	res.Periods = mergePeriods(req.GroupBy, periodLists)
+	return res
+}
+
+// cmpArticle is the roll-up ranking order over rendered articles —
+// identical to the engine's (score desc, doc asc), the article ID being
+// the global document ID.
+func cmpArticle(a, b Article) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// mergePeriods merges per-shard period histograms associatively: equal
 // period starts sum their counts (shards are document-disjoint, so the
 // sums equal a monolithic engine's buckets), and the trend annotations
 // are recomputed over the merged listing with the same arithmetic
-// buildPeriods applies locally. groupBy must be a valid non-empty
-// group_by value — the router validates before scattering.
-func MergePeriods(groupBy string, lists [][]Period) []Period {
+// buildPeriods applies locally. groupBy was validated before the
+// scatter.
+func mergePeriods(groupBy string, lists [][]Period) []Period {
 	gb, err := resolveGroupBy(groupBy)
 	if err != nil || gb == core.GroupNone {
 		return nil
@@ -423,29 +499,13 @@ func nextOffset(offset, returned, total int) int {
 // pattern is canonicalized before execution, so permutations of one
 // pattern produce identical results.
 func (x *Explorer) RollUpQuery(ctx context.Context, req RollUpRequest) (RollUpResult, error) {
-	if err := validatePage(req.K, req.Offset, req.MinScore); err != nil {
-		return RollUpResult{}, err
-	}
-	sources, err := resolveSources(req.Sources)
+	p, err := req.plan(x.g)
 	if err != nil {
 		return RollUpResult{}, err
 	}
-	tr, err := resolveTimeRange(req.Time)
-	if err != nil {
-		return RollUpResult{}, err
-	}
-	gb, err := resolveGroupBy(req.GroupBy)
-	if err != nil {
-		return RollUpResult{}, err
-	}
-	concepts := CanonicalConcepts(req.Concepts)
-	q, err := x.resolveConcepts(concepts)
-	if err != nil {
-		return RollUpResult{}, err
-	}
-	page, err := x.engine.RollUpPage(ctx, q, core.RollUpOptions{
-		K: req.K, Offset: req.Offset, Sources: sources, MinScore: req.MinScore,
-		Time: tr, GroupBy: gb,
+	page, err := x.engine.RollUpPage(ctx, p.q, core.RollUpOptions{
+		K: req.K, Offset: req.Offset, Sources: p.sources, MinScore: req.MinScore,
+		Time: p.tr, GroupBy: p.gb,
 	})
 	if err != nil {
 		return RollUpResult{}, ctxError(err)
@@ -455,14 +515,14 @@ func (x *Explorer) RollUpQuery(ctx context.Context, req RollUpRequest) (RollUpRe
 		articles = append(articles, x.article(r, req.Explain))
 	}
 	return RollUpResult{
-		Query:      concepts,
+		Query:      p.concepts,
 		K:          req.K,
 		Offset:     req.Offset,
 		Total:      page.Total,
 		NextOffset: nextOffset(req.Offset, len(articles), page.Total),
 		Generation: page.Generation,
 		Articles:   articles,
-		Periods:    buildPeriods(gb, page.Periods),
+		Periods:    buildPeriods(p.gb, page.Periods),
 	}, nil
 }
 
@@ -470,28 +530,28 @@ func (x *Explorer) RollUpQuery(ctx context.Context, req RollUpRequest) (RollUpRe
 // suggestion side of RollUpQuery with the same pagination and
 // cancellation contract.
 func (x *Explorer) DrillDownQuery(ctx context.Context, req DrillDownRequest) (DrillDownResult, error) {
-	if err := validatePage(req.K, req.Offset, req.MinScore); err != nil {
-		return DrillDownResult{}, err
-	}
-	tr, err := resolveTimeRange(req.Time)
+	p, err := req.plan(x.g)
 	if err != nil {
 		return DrillDownResult{}, err
 	}
-	concepts := CanonicalConcepts(req.Concepts)
-	q, err := x.resolveConcepts(concepts)
-	if err != nil {
-		return DrillDownResult{}, err
-	}
-	page, err := x.engine.DrillDownPage(ctx, q, core.DrillDownOptions{
-		K: req.K, Offset: req.Offset, MinScore: req.MinScore, Time: tr,
+	page, err := x.engine.DrillDownPage(ctx, p.q, core.DrillDownOptions{
+		K: req.K, Offset: req.Offset, MinScore: req.MinScore, Time: p.tr,
 	})
 	if err != nil {
 		return DrillDownResult{}, ctxError(err)
 	}
+	req.Concepts = p.concepts
+	return renderDrillDown(x.g, req, page), nil
+}
+
+// renderDrillDown renders one drill-down page — the engine's, or a
+// router's merge of shard partials — for a request whose concept list
+// is already canonical. Score components appear only under Explain.
+func renderDrillDown(g *kg.Graph, req DrillDownRequest, page core.DrillDownPage) DrillDownResult {
 	subs := make([]SubtopicSuggestion, 0, len(page.Results))
 	for _, s := range page.Results {
 		sub := SubtopicSuggestion{
-			Concept:     x.g.Name(s.Concept),
+			Concept:     g.Name(s.Concept),
 			Score:       s.Score,
 			MatchedDocs: s.MatchedDocs,
 		}
@@ -503,14 +563,14 @@ func (x *Explorer) DrillDownQuery(ctx context.Context, req DrillDownRequest) (Dr
 		subs = append(subs, sub)
 	}
 	return DrillDownResult{
-		Query:       concepts,
+		Query:       req.Concepts,
 		K:           req.K,
 		Offset:      req.Offset,
 		Total:       page.Total,
 		NextOffset:  nextOffset(req.Offset, len(subs), page.Total),
 		Generation:  page.Generation,
 		Suggestions: subs,
-	}, nil
+	}
 }
 
 // article converts one engine result, attaching explanations only when
