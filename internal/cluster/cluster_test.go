@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -216,6 +217,9 @@ func (tc *testCluster) checkEquivalence(stage string) {
 		queryReq{Concepts: queries[0], MinScore: 2},
 		queryReq{Concepts: []string{"no-such-concept"}},
 		queryReq{Concepts: queries[0], Sources: []string{"tabloid"}},
+		// Not an error: k+offset overflows int, and the answer is an
+		// empty page with next_offset -1.
+		queryReq{Concepts: queries[0], Offset: math.MaxInt - 5},
 	)
 	for _, op := range []string{"rollup", "drilldown"} {
 		path := "/v2/query/" + op

@@ -401,7 +401,9 @@ func readAll(resp *http.Response) ([]byte, error) {
 // TestRouterRejectsBadPartialsFrames pins the router's side of the
 // binary drill-down hop: a shard answer that is not a readable partials
 // frame, or a frame whose contents do not fit the graph, ends the
-// request in a typed error — never a panic, never a page. Shard 1 is a
+// request in a typed error — never a panic, never a page. So does a
+// phase-two answer at another generation than phase one's: past the
+// retry budget the barrier refuses it, naming the shard. Shard 1 is a
 // proxy that forwards to the real shard and tampers with one route's
 // answer.
 func TestRouterRejectsBadPartialsFrames(t *testing.T) {
@@ -446,26 +448,31 @@ func TestRouterRejectsBadPartialsFrames(t *testing.T) {
 		path      string
 		tamper    func(http.Header, []byte) []byte
 		wantShard bool // the error names shard 1
+		skew      bool // a barrier refusal: 503 shard_unavailable, not 500 internal
 	}{
 		{"JSON content type", rows, func(h http.Header, b []byte) []byte {
 			h.Set("Content-Type", "application/json")
 			return b
-		}, true},
-		{"bad magic", rows, func(_ http.Header, b []byte) []byte { b[0] ^= 0xFF; return b }, true},
-		{"future version", sets, func(_ http.Header, b []byte) []byte { b[4] = 0x7F; return b }, true},
-		{"truncated frame", rows, func(_ http.Header, b []byte) []byte { return b[:len(b)-1] }, true},
-		{"trailing bytes", sets, func(_ http.Header, b []byte) []byte { return append(b, 0) }, true},
+		}, true, false},
+		{"bad magic", rows, func(_ http.Header, b []byte) []byte { b[0] ^= 0xFF; return b }, true, false},
+		{"future version", sets, func(_ http.Header, b []byte) []byte { b[4] = 0x7F; return b }, true, false},
+		{"truncated frame", rows, func(_ http.Header, b []byte) []byte { return b[:len(b)-1] }, true, false},
+		{"trailing bytes", sets, func(_ http.Header, b []byte) []byte { return append(b, 0) }, true, false},
 		{"concept outside the graph", rows, recodeRows(func(p *core.DrillDownPartial) {
 			p.Rows[0].Concepts[0] = 1 << 30
-		}), false},
+		}), false, false},
 		{"too few diversity sets", sets, recodeSets(func(p *core.DiversityPartial) {
 			p.Sets = p.Sets[:len(p.Sets)-1]
-		}), false},
+		}), false, false},
 		{"entity outside the graph", sets, recodeSets(func(p *core.DiversityPartial) {
 			for i := range p.Sets {
 				p.Sets[i] = append(p.Sets[i], 1<<30)
 			}
-		}), false},
+		}), false, false},
+		// Phase two at another generation than phase one, on every retry.
+		{"diversity sets at another generation", sets, recodeSets(func(p *core.DiversityPartial) {
+			p.Generation++
+		}), true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -492,13 +499,17 @@ func TestRouterRejectsBadPartialsFrames(t *testing.T) {
 			ts := routerOver(t, tc, 2*time.Second, tc.router.Shards[0], []string{proxy.URL})
 			req := queryReq{Concepts: []string{tc.world.EvaluationTopics()[0][0]}, K: 5}
 			for _, path := range []string{"/v2/query/drilldown", "/v2/query/drilldown?partial=true"} {
+				wantStatus, wantCode := http.StatusInternalServerError, ncexplorer.CodeInternal
+				if c.skew {
+					wantStatus, wantCode = http.StatusServiceUnavailable, ncexplorer.CodeShardUnavailable
+				}
 				status, body := postJSON(t, ts.URL, path, req)
-				if status != http.StatusInternalServerError {
-					t.Fatalf("%s: status = %d, want 500: %s", path, status, body)
+				if status != wantStatus {
+					t.Fatalf("%s: status = %d, want %d: %s", path, status, wantStatus, body)
 				}
 				env := decodeEnvelope(t, body)
-				if env.Error.Code != string(ncexplorer.CodeInternal) {
-					t.Fatalf("%s: code = %q, want internal: %s", path, env.Error.Code, body)
+				if env.Error.Code != string(wantCode) {
+					t.Fatalf("%s: code = %q, want %s: %s", path, env.Error.Code, wantCode, body)
 				}
 				if shard, ok := env.Error.Details["shard"].(float64); c.wantShard && (!ok || int(shard) != 1) {
 					t.Fatalf("%s: details.shard = %v, want 1: %s", path, env.Error.Details["shard"], body)

@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -308,24 +309,66 @@ func (rt *Router) scatter(allowPartial bool, n int, fn func(shard int) error) ([
 	return ok, true, nil
 }
 
-// commonGeneration verifies the barrier: all participating generations
-// equal. Returns the generation, or ok=false on skew.
-func commonGeneration(gens []uint64, participating []bool) (uint64, bool) {
+// skewError names the first shard whose answer broke the generation
+// barrier.
+type skewError int
+
+func (s skewError) Error() string {
+	return fmt.Sprintf("cluster: shard %d answered at a skewed generation", int(s))
+}
+
+// commonGeneration is the generation barrier over one request's
+// answers: every shard that answered (ok[i]) must report one
+// generation in every phase. gens[p](i) is shard i's generation in
+// phase p. It returns that generation, or a skewError naming the first
+// shard that differs from the first answer. A drill-down's barrier is
+// core.MergeDrillDown, which applies the same rule to the answered
+// shards; on its ErrGenerationSkew this names the shard.
+func commonGeneration(ok []bool, gens ...func(shard int) uint64) (uint64, error) {
 	var gen uint64
 	first := true
-	for i, g := range gens {
-		if !participating[i] {
-			continue
-		}
-		if first {
-			gen, first = g, false
-			continue
-		}
-		if g != gen {
-			return 0, false
+	for _, phase := range gens {
+		for i := range ok {
+			switch g := phase(i); {
+			case !ok[i]:
+			case first:
+				gen, first = g, false
+			case g != gen:
+				return 0, skewError(i)
+			}
 		}
 	}
-	return gen, true
+	return gen, nil
+}
+
+// underBarrier runs one scatter-and-merge round until it stops
+// reporting generation skew: each skew re-syncs the term statistics
+// and retries, and past the retry budget the request is refused with
+// shard_unavailable naming the skewed shard.
+func (rt *Router) underBarrier(ctx context.Context, op string, round func() ([]byte, error)) ([]byte, error) {
+	for attempt := 0; ; attempt++ {
+		body, err := round()
+		var skew skewError
+		if !errors.As(err, &skew) {
+			return body, err
+		}
+		if attempt >= rt.skewRetries() {
+			return nil, shardUnavailable(int(skew), "generation skew past retry budget")
+		}
+		rt.logf("cluster: router %s generation skew at shard %d, re-syncing (attempt %d)", op, int(skew), attempt+1)
+		rt.SyncStats(ctx)
+	}
+}
+
+// answered keeps the answers of the shards that answered.
+func answered[T any](all []T, ok []bool) []T {
+	out := make([]T, 0, len(all))
+	for i := range all {
+		if ok[i] {
+			out = append(out, all[i])
+		}
+	}
+	return out
 }
 
 // partialRollUpResult adds the opt-in partial marker. When false the
@@ -350,7 +393,10 @@ func (rt *Router) rollUp(ctx context.Context, req ncexplorer.RollUpRequest, allo
 	}
 	shardReq := req
 	shardReq.K, shardReq.Offset = req.K+req.Offset, 0
-	for attempt := 0; ; attempt++ {
+	if shardReq.K < req.K { // a huge offset: saturate, never wrap negative
+		shardReq.K = math.MaxInt
+	}
+	return rt.underBarrier(ctx, "roll-up", func() ([]byte, error) {
 		results := make([]ncexplorer.RollUpResult, len(rt.Shards))
 		ok, partial, err := rt.scatter(allowPartial, len(rt.Shards), func(i int) error {
 			return rt.shardPost(ctx, i, "/internal/query/rollup", shardReq, &results[i])
@@ -358,62 +404,27 @@ func (rt *Router) rollUp(ctx context.Context, req ncexplorer.RollUpRequest, allo
 		if err != nil {
 			return nil, err
 		}
-		gens := make([]uint64, len(results))
-		for i := range results {
-			gens[i] = results[i].Generation
-		}
-		gen, aligned := commonGeneration(gens, ok)
-		if !aligned {
-			if attempt < rt.skewRetries() {
-				rt.logf("cluster: router roll-up generation skew, re-syncing (attempt %d)", attempt+1)
-				rt.SyncStats(ctx)
-				continue
-			}
-			return nil, shardUnavailable(firstSkewed(gens, ok), "generation skew past retry budget")
+		gen, err := commonGeneration(ok, func(i int) uint64 { return results[i].Generation })
+		if err != nil {
+			return nil, err
 		}
 		rt.generation.Store(gen)
-		answered := results[:0]
-		for i := range results {
-			if ok[i] {
-				answered = append(answered, results[i])
-			}
-		}
-		return json.Marshal(partialRollUpResult{RollUpResult: ncexplorer.MergeRollUp(req, answered), Partial: partial})
-	}
-}
-
-// firstSkewed names a shard involved in a generation skew, for the
-// error detail.
-func firstSkewed(gens []uint64, ok []bool) int {
-	var gen uint64
-	first := -1
-	for i := range gens {
-		if !ok[i] {
-			continue
-		}
-		if first < 0 {
-			first, gen = i, gens[i]
-			continue
-		}
-		if gens[i] != gen {
-			return i
-		}
-	}
-	return 0
+		return json.Marshal(partialRollUpResult{RollUpResult: ncexplorer.MergeRollUp(req, answered(results, ok)), Partial: partial})
+	})
 }
 
 // drillDown scatters a drill-down: phase one gathers each shard's raw
 // accumulation rows, phase two (inside core.MergeDrillDown, via the
-// fetchSets callback) gathers diversity sets for the merged shortlist;
-// both phases must answer at one generation or the merge reports skew
-// and the router re-syncs and retries.
+// fetchSets callback) gathers the answering shards' diversity sets for
+// the merged shortlist. The merge is the barrier: it refuses answers
+// that span generations, and the router then names the skewed shard.
 func (rt *Router) drillDown(ctx context.Context, req ncexplorer.DrillDownRequest, allowPartial bool) ([]byte, error) {
 	req, err := rt.World.ResolveDrillDown(req)
 	if err != nil {
 		return nil, err
 	}
 	opts := core.DrillDownOptions{K: req.K, Offset: req.Offset, MinScore: req.MinScore}
-	for attempt := 0; ; attempt++ {
+	return rt.underBarrier(ctx, "drill-down", func() ([]byte, error) {
 		parts := make([]core.DrillDownPartial, len(rt.Shards))
 		ok, partial, err := rt.scatter(allowPartial, len(rt.Shards), func(i int) error {
 			return rt.shardPost(ctx, i, "/internal/query/drilldown-partials",
@@ -422,66 +433,36 @@ func (rt *Router) drillDown(ctx context.Context, req ncexplorer.DrillDownRequest
 		if err != nil {
 			return nil, err
 		}
-		gens := make([]uint64, len(parts))
-		for i := range parts {
-			gens[i] = parts[i].Generation
-		}
-		_, aligned := commonGeneration(gens, ok)
-		if !aligned {
-			if attempt < rt.skewRetries() {
-				rt.logf("cluster: router drill-down generation skew, re-syncing (attempt %d)", attempt+1)
-				rt.SyncStats(ctx)
-				continue
-			}
-			return nil, shardUnavailable(firstSkewed(gens, ok), "generation skew past retry budget")
-		}
-
-		participating := make([]core.DrillDownPartial, 0, len(parts))
-		shardOf := make([]int, 0, len(parts))
-		for i := range parts {
-			if ok[i] {
-				participating = append(participating, parts[i])
-				shardOf = append(shardOf, i)
-			}
-		}
-		// Phase two: every participating shard's diversity sets for the
-		// merged shortlist. MergeDrillDown re-asserts phase one's
-		// generation on them, replica failover included.
+		var divs []core.DiversityPartial
 		fetchSets := func(short []kg.NodeID) ([]core.DiversityPartial, error) {
-			divs := make([]core.DiversityPartial, len(shardOf))
-			var wg sync.WaitGroup
-			errs := make([]error, len(shardOf))
-			for j, shard := range shardOf {
-				wg.Add(1)
-				go func(j, shard int) {
-					defer wg.Done()
-					errs[j] = rt.shardPost(ctx, shard, "/internal/query/diversity",
-						server.PartialsRequest{Concepts: req.Concepts, Shortlist: short, Time: req.Time}, &divs[j])
-				}(j, shard)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return nil, err
+			divs = make([]core.DiversityPartial, len(rt.Shards))
+			if _, _, err := rt.scatter(false, len(rt.Shards), func(i int) error {
+				if !ok[i] {
+					return nil
 				}
+				return rt.shardPost(ctx, i, "/internal/query/diversity",
+					server.PartialsRequest{Concepts: req.Concepts, Shortlist: short, Time: req.Time}, &divs[i])
+			}); err != nil {
+				return nil, err
 			}
-			return divs, nil
+			return answered(divs, ok), nil
 		}
-		page, err := core.MergeDrillDown(rt.World.Graph(), opts, participating, fetchSets)
+		page, err := core.MergeDrillDown(rt.World.Graph(), opts, answered(parts, ok), fetchSets)
 		if errors.Is(err, core.ErrGenerationSkew) {
-			if attempt < rt.skewRetries() {
-				rt.logf("cluster: router drill-down phase-2 skew, re-syncing (attempt %d)", attempt+1)
-				rt.SyncStats(ctx)
-				continue
+			phases := []func(int) uint64{func(i int) uint64 { return parts[i].Generation }}
+			if divs != nil {
+				phases = append(phases, func(i int) uint64 { return divs[i].Generation })
 			}
-			return nil, shardUnavailable(0, "generation skew past retry budget")
+			if _, serr := commonGeneration(ok, phases...); serr != nil {
+				err = serr
+			}
 		}
 		if err != nil {
 			return nil, err
 		}
 		rt.generation.Store(page.Generation)
 		return json.Marshal(partialDrillDownResult{DrillDownResult: rt.World.RenderDrillDown(req, page), Partial: partial})
-	}
+	})
 }
 
 // handleKeywords proxies to the first shard that answers: topic

@@ -1,14 +1,12 @@
 package core
 
-// Distributed exact querying: the scatter/gather surface a query
+// Distributed exact drill-down: the scatter/gather surface a query
 // router uses to answer over a sharded corpus (see shard.go for the
 // sharding model) with pages byte-identical to a monolithic engine's.
-//
-// Roll-up distributes trivially: scores are per-document and already
+// Roll-up needs nothing here: scores are per-document and already
 // corpus-global on every shard (remote IDF statistics are folded in),
-// so each shard returns its local top-(K+Offset) page and
-// MergeRollUpPages k-way-merges them under the same (score desc, doc
-// asc) total order the shards ranked by.
+// so the router k-way-merges the shards' rendered top-(K+Offset) pages
+// (ncexplorer.MergeRollUp).
 //
 // Drill-down does not distribute per-document: coverage sums cdr
 // contributions across *all* matched documents, and float addition is
@@ -26,10 +24,10 @@ package core
 // dedupes across shards. A shard builds those sets over the same
 // per-concept document chain DrillDownPage unions over
 // (chainCandidates: D(Q ∪ {c}), the documents where c is a kept
-// candidate), and everything downstream — shortlist selection, score
-// composition, tie-breaking, pagination — follows the same helpers and
-// collector semantics as DrillDownPage, so the merged page is
-// byte-identical.
+// candidate). From the replayed accumulators on, the merge is
+// DrillDownPage's own code — the same shortlist and the same ranking
+// (queryScratch.rank), fed the deduplicated union counts — so the
+// merged page is byte-identical.
 //
 // Both partials cross the router↔shard hop as binary frames (frame.go)
 // that carry every cdr as its exact bits.
@@ -38,75 +36,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
 	"ncexplorer/internal/kg"
-	"ncexplorer/internal/topk"
 )
 
 // ErrGenerationSkew marks a merge over shard partials that were served
 // from different snapshot generations. Routers treat it as transient:
 // re-fetch until every shard answers at the same generation.
 var ErrGenerationSkew = errors.New("core: shard answers span different snapshot generations")
-
-// cmpDocResult is the roll-up ranking order — (score desc, doc asc) —
-// shared by every shard's collector and the router's merge. Document
-// IDs are globally unique, so the order is total.
-func cmpDocResult(a, b DocResult) int {
-	switch {
-	case a.Score > b.Score:
-		return -1
-	case a.Score < b.Score:
-		return 1
-	case a.Doc < b.Doc:
-		return -1
-	case a.Doc > b.Doc:
-		return 1
-	}
-	return 0
-}
-
-// MergeRollUpPages merges per-shard roll-up pages into the global page
-// for (k, offset). Every input page must have been produced at the
-// same generation with K = k+offset, Offset = 0, and identical source
-// and score filters; Total sums (shards partition the corpus, so
-// filter-passing counts add), and the merged ranking is sliced like
-// the monolithic page.
-func MergeRollUpPages(pages []RollUpPage, k, offset int) (RollUpPage, error) {
-	var out RollUpPage
-	if len(pages) == 0 {
-		return out, nil
-	}
-	out.Generation = pages[0].Generation
-	lists := make([][]DocResult, 0, len(pages))
-	for _, p := range pages {
-		if p.Generation != out.Generation {
-			return RollUpPage{}, ErrGenerationSkew
-		}
-		out.Total += p.Total
-		if len(p.Results) > 0 {
-			lists = append(lists, p.Results)
-		}
-	}
-	if k <= 0 || offset < 0 {
-		return out, nil
-	}
-	limit := k + offset
-	if limit < 0 { // overflow of a huge caller offset
-		limit = -1
-	}
-	merged := topk.MergeSorted(lists, cmpDocResult, limit)
-	if offset >= len(merged) {
-		return out, nil
-	}
-	merged = merged[offset:]
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	out.Results = merged
-	return out, nil
-}
 
 // DrillDownRow is one matched document's contribution to the drill-down
 // accumulation: its candidate concepts (the query's own concepts
@@ -136,15 +76,9 @@ type DrillDownPartial struct {
 func (e *Engine) DrillDownPartials(ctx context.Context, q Query, tr *TimeRange) (DrillDownPartial, error) {
 	st := e.state()
 	out := DrillDownPartial{Generation: st.snap.Generation}
-	if len(q) == 0 {
-		return out, nil
-	}
-	if tr != nil && !tr.overlapsSnapshot(st.snap) {
-		return out, nil
-	}
-	docs, err := st.matchedDocsCtx(ctx, q)
+	docs, err := st.drillDownDocs(ctx, q, tr)
 	if err != nil {
-		return DrillDownPartial{Generation: st.snap.Generation}, err
+		return out, err
 	}
 	for i, d := range docs {
 		if i%ctxStride == 0 {
@@ -190,13 +124,10 @@ type DiversityPartial struct {
 func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.NodeID, tr *TimeRange) (DiversityPartial, error) {
 	st := e.state()
 	out := DiversityPartial{Generation: st.snap.Generation, Sets: make([][]kg.NodeID, len(concepts))}
-	if len(q) == 0 || len(concepts) == 0 {
+	if len(concepts) == 0 {
 		return out, nil
 	}
-	if tr != nil && !tr.overlapsSnapshot(st.snap) {
-		return out, nil
-	}
-	docs, err := st.matchedDocsCtx(ctx, q)
+	docs, err := st.drillDownDocs(ctx, q, tr)
 	if err != nil {
 		return DiversityPartial{Generation: st.snap.Generation}, err
 	}
@@ -231,48 +162,22 @@ func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.N
 	return out, nil
 }
 
-// mergeScratch is MergeDrillDown's pooled workspace: dense per-node
-// coverage and count accumulators validated by the embedded stamp, the
-// same never-cleared pattern as divScratch. After the replay the stamp
-// is reused, with fresh marks per shortlisted concept, as the
-// cross-shard entity deduplicator; cov and cnt are only read for
-// concepts the replay touched, so that reuse cannot disturb them.
-type mergeScratch struct {
-	divScratch
-	cov     []float64
-	cnt     []int32
-	cursors []int
-	touched []kg.NodeID
-	cand    []candScore
-	short   []kg.NodeID
-}
-
-var mergePool sync.Pool
-
-func getMergeScratch(numNodes int) *mergeScratch {
-	ms, _ := mergePool.Get().(*mergeScratch)
-	if ms == nil || len(ms.stamp) < numNodes {
-		ms = &mergeScratch{
-			divScratch: divScratch{stamp: make([]uint32, numNodes)},
-			cov:        make([]float64, numNodes),
-			cnt:        make([]int32, numNodes),
-		}
-	}
-	return ms
-}
+// routerScratch pools the queryScratch merges rank on: a router holds no
+// Engine, so the pool is package-wide, and an entry sized for a smaller
+// graph than the merge names is replaced.
+var routerScratch sync.Pool
 
 // MergeDrillDown reproduces DrillDownPage over shard partials: it
 // replays the rows in ascending global document order (a k-way merge of
 // the already ascending per-shard rows) — the exact float operation
-// sequence of the monolithic accumulation — selects the same shortlist
-// (shortlist), fetches every shard's diversity sets for exactly that
-// shortlist via fetchSets (one DiversityPartial per shard, each with one
-// set per shortlisted concept), counts each concept's union across
-// shards, and pages the scored window with the same collector
-// semantics. The graph must be the one the shards were built on.
-// Partials at differing generations yield ErrGenerationSkew; concept or
-// entity IDs outside the graph, or a diversity answer of the wrong
-// length, yield ErrFrame.
+// sequence of the monolithic accumulation — selects the same shortlist,
+// fetches every shard's diversity sets for exactly that shortlist via
+// fetchSets (one DiversityPartial per shard, each with one set per
+// shortlisted concept), and ranks with DrillDownPage's ranking, counting
+// each concept's union across shards. The graph must be the one the
+// shards were built on. Partials at differing generations yield
+// ErrGenerationSkew; concept or entity IDs outside the graph, or a
+// diversity answer of the wrong length, yield ErrFrame.
 func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial,
 	fetchSets func(shortlist []kg.NodeID) ([]DiversityPartial, error)) (DrillDownPage, error) {
 	var page DrillDownPage
@@ -285,25 +190,27 @@ func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial
 			return DrillDownPage{}, ErrGenerationSkew
 		}
 	}
-	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
-	k := opts.K
-	if k <= 0 || opts.Offset < 0 {
+	if opts.K <= 0 || opts.Offset < 0 {
 		return page, nil
 	}
 	numNodes := g.NumNodes()
-	ms := getMergeScratch(numNodes)
-	defer mergePool.Put(ms)
+	sc, _ := routerScratch.Get().(*queryScratch)
+	if sc == nil || len(sc.stamp) < numNodes {
+		sc = newQueryScratch(numNodes)
+	}
+	defer routerScratch.Put(sc)
 
 	// Replay the accumulation: documents ascending, concepts in stored
 	// per-document order — the exact float addition sequence
-	// DrillDownPage executes over the monolithic snapshot.
-	covMark, _ := ms.marks()
-	touched := ms.touched[:0]
-	cursors := ms.cursors[:0]
+	// DrillDownPage executes over the monolithic snapshot. Rows carry no
+	// entity probe totals, so the pruning bound keeps |Ψ(c)| alone.
+	covMark, _ := sc.marks()
+	touched := sc.touched[:0]
+	cursors := sc.cursors[:0]
 	for range parts {
 		cursors = append(cursors, 0)
 	}
-	ms.cursors = cursors
+	sc.cursors = cursors
 	for {
 		best := -1
 		for i := range parts {
@@ -321,25 +228,21 @@ func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial
 			if c < 0 || int(c) >= numNodes {
 				return DrillDownPage{}, fmt.Errorf("%w: concept %d outside the graph", ErrFrame, c)
 			}
-			if ms.stamp[c] != covMark {
-				ms.stamp[c] = covMark
-				ms.cov[c] = 0
-				ms.cnt[c] = 0
+			if sc.stamp[c] != covMark {
+				sc.stamp[c] = covMark
+				sc.cov[c], sc.cnt[c], sc.pr[c] = 0, 0, math.MaxInt32
 				touched = append(touched, c)
 			}
-			ms.cov[c] += row.CDRs[j]
-			ms.cnt[c]++
+			sc.cov[c] += row.CDRs[j]
+			sc.cnt[c]++
 		}
 	}
-	ms.touched = touched
+	sc.touched = touched
 	if len(touched) == 0 {
 		return page, nil
 	}
 
-	spec := g.SpecTable()
-	ms.short, ms.cand = shortlist(ms.short[:0], ms.cand[:0], touched, ms.cov, spec, useSpecificity, k)
-	short := ms.short
-
+	short := sc.shortlist(touched, g.SpecTable(), opts)
 	divs, err := fetchSets(short)
 	if err != nil {
 		return DrillDownPage{}, err
@@ -352,74 +255,30 @@ func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial
 			return DrillDownPage{}, fmt.Errorf("%w: diversity answer %d holds %d sets for %d shortlisted concepts",
 				ErrFrame, j, len(d.Sets), len(short))
 		}
-	}
-	subs := make([]Subtopic, len(short))
-	for i, c := range short {
-		seen, _ := ms.marks()
-		union := 0
-		for _, d := range divs {
-			for _, v := range d.Sets[i] {
+		for _, set := range d.Sets {
+			for _, v := range set {
 				if v < 0 || int(v) >= numNodes {
 					return DrillDownPage{}, fmt.Errorf("%w: entity %d outside the graph", ErrFrame, v)
 				}
-				if ms.stamp[v] != seen {
-					ms.stamp[v] = seen
+			}
+		}
+	}
+	// The ranking reuses sc's stamp as the cross-shard deduplicator; it
+	// reads the accumulators only for shortlisted concepts, whose values
+	// no stamp decides any more. Ranking at most max(128, K) entries is
+	// not worth cancelling, so it runs under a background context.
+	err = sc.rank(context.Background(), nil, g, opts, func(i int, ds *divScratch) int {
+		seen, _ := ds.marks()
+		union := 0
+		for _, d := range divs {
+			for _, v := range d.Sets[i] {
+				if ds.stamp[v] != seen {
+					ds.stamp[v] = seen
 					union++
 				}
 			}
 		}
-		sub := Subtopic{
-			Concept:     c,
-			Coverage:    ms.cov[c],
-			Specificity: spec[c],
-			MatchedDocs: int(ms.cnt[c]),
-		}
-		if n := int(ms.cnt[c]); n > 0 {
-			sub.Diversity = float64(union) / float64(n)
-		}
-		score := sub.Coverage
-		if useSpecificity {
-			score *= sub.Specificity
-		}
-		if useDiversity {
-			score *= sub.Diversity
-		}
-		sub.Score = score
-		subs[i] = sub
-	}
-
-	// Page exactly like DrillDownPage: push every scored entry in
-	// shortlist order (its pruning provably retains the same set), same
-	// collector, same Total semantics, same offset slice.
-	limit := k + opts.Offset
-	if limit < 0 || limit > len(subs) {
-		limit = len(subs)
-	}
-	coll := topk.New[int32](limit)
-	var total int
-	if opts.MinScore > 0 {
-		for i, sub := range subs {
-			if sub.Score < opts.MinScore {
-				continue
-			}
-			total++
-			coll.Push(int32(i), sub.Score)
-		}
-	} else {
-		total = len(subs)
-		for i := range subs {
-			coll.Push(int32(i), subs[i].Score)
-		}
-	}
-	items := coll.Sorted()
-	page.Total = total
-	if opts.Offset >= len(items) {
-		return page, nil
-	}
-	items = items[opts.Offset:]
-	page.Results = make([]Subtopic, len(items))
-	for i, it := range items {
-		page.Results[i] = subs[it.Value]
-	}
-	return page, nil
+		return union
+	}, &page)
+	return page, err
 }

@@ -99,9 +99,10 @@ func midSpanWindow(e *Engine) *TimeRange {
 
 // TestDistributedMergeMatchesMonolithic is the router's exactness
 // contract at the engine level: over two shards grown by a randomized
-// ingest schedule, MergeRollUpPages and MergeDrillDown must reproduce
-// the monolithic pages byte-for-byte across a K/offset/filter grid at
-// every generation.
+// ingest schedule, the roll-up merge (mergeShardRollUps over per-shard
+// top-(K+offset) pages) and MergeDrillDown must reproduce the
+// monolithic pages byte-for-byte across a K/offset/filter grid at every
+// generation.
 func TestDistributedMergeMatchesMonolithic(t *testing.T) {
 	g, meta, c, _ := world(t)
 	opts := Options{Seed: 11, Samples: 20, MaxSegments: 2}
@@ -134,7 +135,9 @@ func TestDistributedMergeMatchesMonolithic(t *testing.T) {
 		windows := timeWindows()
 		for _, q := range queries {
 			for _, k := range []int{1, 3, 8} {
-				for _, offset := range []int{0, 2, 7} {
+				// Offset 130 lies past the 128-entry drill-down shortlist
+				// window: an empty page whose Total is the window.
+				for _, offset := range []int{0, 2, 7, 130} {
 					for _, minScore := range []float64{0, 0.05} {
 						// Alternate the time window across the grid so
 						// the filtered scatter path is covered without
@@ -144,7 +147,8 @@ func TestDistributedMergeMatchesMonolithic(t *testing.T) {
 						if k == 8 && offset == 0 {
 							ro.Sources = sources
 						}
-						pages := make([]RollUpPage, len(shards))
+						var got RollUpPage
+						lists := make([][]DocResult, len(shards))
 						for s, e := range shards {
 							shardOpts := ro
 							shardOpts.K, shardOpts.Offset = k+offset, 0
@@ -152,12 +156,11 @@ func TestDistributedMergeMatchesMonolithic(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							pages[s] = page
+							lists[s] = page.Results
+							got.Total += page.Total
+							got.Generation = page.Generation
 						}
-						got, err := MergeRollUpPages(pages, k, offset)
-						if err != nil {
-							t.Fatal(err)
-						}
+						got.Results = mergeShardRollUps(lists, k, offset)
 						want, err := mono.RollUpPage(ctx, q, ro)
 						if err != nil {
 							t.Fatal(err)
@@ -182,6 +185,12 @@ func TestDistributedMergeMatchesMonolithic(t *testing.T) {
 						if !reflect.DeepEqual(gotDD, wantDD) {
 							t.Fatalf("%s: merged drill-down diverges for %v k=%d offset=%d min=%g:\n got:  %+v\n want: %+v",
 								stage, q, k, offset, minScore, gotDD, wantDD)
+						}
+						// Past the window the cursor ends: nothing returned,
+						// and offset+k reaches no counted entry.
+						if offset == 130 && (len(gotDD.Results) > 0 || gotDD.Total > 128) {
+							t.Fatalf("%s: drill-down %v past the shortlist window: %d results, Total %d",
+								stage, q, len(gotDD.Results), gotDD.Total)
 						}
 					}
 				}
@@ -209,12 +218,9 @@ func TestDistributedMergeMatchesMonolithic(t *testing.T) {
 	check("after merges")
 }
 
-// TestMergeGenerationSkew pins the typed error the router's generation
-// barrier retries on.
+// TestMergeGenerationSkew pins the typed error a drill-down merge
+// reports over partials from different generations.
 func TestMergeGenerationSkew(t *testing.T) {
-	if _, err := MergeRollUpPages([]RollUpPage{{Generation: 1}, {Generation: 2}}, 5, 0); err != ErrGenerationSkew {
-		t.Fatalf("roll-up skew error = %v", err)
-	}
 	_, err := MergeDrillDown(nil, DrillDownOptions{K: 5},
 		[]DrillDownPartial{{Generation: 1}, {Generation: 2}}, nil)
 	if err != ErrGenerationSkew {
@@ -226,8 +232,9 @@ func TestMergeGenerationSkew(t *testing.T) {
 // equivalence at the scale where the MaxConceptsPerDoc cap drops
 // candidates (the tiny world never does): two shards against one
 // monolithic engine, every topic's concept and group concept alone,
-// k ∈ {5, 10}, with and without a time window. Diversity over D(Q)
-// instead of D(Q ∪ {c}) on the shard side made 3 of these 48 pages
+// k ∈ {5, 10, 64}, with and without a time window. k = 64 is the
+// monolith's parallel seeding branch. Diversity over D(Q) instead of
+// D(Q ∪ {c}) on the shard side made 3 of the 48 k ∈ {5, 10} pages
 // differ (2 of the 24 without a window).
 func TestDistributedDrillDownDefaultScale(t *testing.T) {
 	if testing.Short() {
@@ -249,7 +256,7 @@ func TestDistributedDrillDownDefaultScale(t *testing.T) {
 	for _, tr := range []*TimeRange{nil, midSpanWindow(mono)} {
 		for _, topic := range meta.Topics {
 			for _, q := range []Query{{topic.Concept}, {topic.GroupConcept}} {
-				for _, k := range []int{5, 10} {
+				for _, k := range []int{5, 10, 64} {
 					do := DrillDownOptions{K: k, Time: tr}
 					want, err := mono.DrillDownPage(ctx, q, do)
 					if err != nil {

@@ -235,7 +235,7 @@ type Engine struct {
 	extents  *relevance.ExtentCache
 
 	// querySem admits extra helper goroutines for intra-query fan-out
-	// (queryParallel). Capacity opts.Workers, engine-wide: C concurrent
+	// (queryParallelCtx). Capacity opts.Workers, engine-wide: C concurrent
 	// queries run on at most C caller goroutines + Workers helpers, not
 	// C × Workers, so request-level and intra-query parallelism compose
 	// without oversubscribing the scheduler.
@@ -866,22 +866,17 @@ func (e *Engine) parallel(n int, fn func(i int)) {
 	e.parallelWorker(n, func(_, i int) { fn(i) })
 }
 
-// queryParallel runs fn(i) for i in [0, n) at query time. The calling
-// goroutine always works; helper goroutines join only when (a) the
-// loop is big enough to amortise a spawn and (b) the engine-wide
+// queryParallelCtx runs fn(i) for i in [0, n) at query time. The
+// calling goroutine always works; helper goroutines join only when (a)
+// the loop is big enough to amortise a spawn and (b) the engine-wide
 // querySem has capacity — under saturation (many concurrent queries)
 // it degrades gracefully to an inline serial loop instead of piling
-// C × Workers goroutines onto the scheduler.
-func (e *Engine) queryParallel(n int, fn func(i int)) {
-	e.queryParallelCtx(context.Background(), n, fn)
-}
-
-// queryParallelCtx is queryParallel under a context: every worker
-// (caller and helpers alike) checks ctx before claiming the next index
-// and stops claiming once it is cancelled, so a cancelled query
-// releases its helper budget promptly instead of draining the loop.
-// Indices already claimed run to completion; the ctx error, if any, is
-// returned after all workers stop.
+// C × Workers goroutines onto the scheduler. Every worker (caller and
+// helpers alike) checks ctx before claiming the next index and stops
+// claiming once it is cancelled, so a cancelled query releases its
+// helper budget promptly instead of draining the loop. Indices already
+// claimed run to completion; the ctx error, if any, is returned after
+// all workers stop.
 func (e *Engine) queryParallelCtx(ctx context.Context, n int, fn func(i int)) error {
 	var next atomic.Int64
 	work := func() {

@@ -25,7 +25,8 @@ const ctxStride = 64
 // queryScratch is the pooled per-query workspace: the roll-up collector
 // and page scratch, plus the dense per-node accumulators behind
 // drill-down. Dense arrays are sized by the immutable graph, so the
-// pool is engine-wide and a warmed entry serves any generation.
+// pool is engine-wide and a warmed entry serves any generation. The
+// router's drill-down merge runs on the same type (routerScratch).
 type queryScratch struct {
 	// Roll-up state.
 	coll    *topk.Keyed[int32]
@@ -34,9 +35,9 @@ type queryScratch struct {
 	cursors []int
 
 	// Drill-down dense per-concept accumulators, indexed by node ID and
-	// validity-stamped so they never need clearing between queries.
-	stamp   []uint32
-	gen     uint32
+	// validity-stamped (the embedded stamp) so they never need clearing
+	// between queries.
+	divScratch
 	cov     []float64
 	cnt     []int32
 	pr      []int32
@@ -127,26 +128,12 @@ func selectTopCand(s []candScore, k int) {
 
 func newQueryScratch(numNodes int) *queryScratch {
 	return &queryScratch{
-		stamp: make([]uint32, numNodes),
-		cov:   make([]float64, numNodes),
-		cnt:   make([]int32, numNodes),
-		pr:    make([]int32, numNodes),
-		head:  make([]int32, numNodes),
+		divScratch: divScratch{stamp: make([]uint32, numNodes)},
+		cov:        make([]float64, numNodes),
+		cnt:        make([]int32, numNodes),
+		pr:         make([]int32, numNodes),
+		head:       make([]int32, numNodes),
 	}
-}
-
-// marks reserves two fresh stamp values (wrap-safe): stale entries are
-// always strictly below both, so the arrays act as cleared without a
-// clearing pass.
-func (sc *queryScratch) marks() (uint32, uint32) {
-	if sc.gen >= math.MaxUint32-2 {
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.gen = 0
-	}
-	sc.gen += 2
-	return sc.gen - 1, sc.gen
 }
 
 // divScratch is the pooled per-worker diversity workspace: one dense
@@ -157,6 +144,9 @@ type divScratch struct {
 	gen   uint32
 }
 
+// marks reserves two fresh stamp values (wrap-safe): stale entries are
+// always strictly below both, so the array acts as cleared without a
+// clearing pass.
 func (ds *divScratch) marks() (uint32, uint32) {
 	if ds.gen >= math.MaxUint32-2 {
 		for i := range ds.stamp {
@@ -599,10 +589,20 @@ func (e *Engine) DrillDownComponents(q Query, k int, useSpecificity, useDiversit
 	return page.Results
 }
 
+// drillDownDocs is the prologue every drill-down entry point shares —
+// DrillDownPage and both shard phases (DrillDownPartials,
+// DiversityPartials): D(Q) at st, or nothing when the query is empty or
+// the time window misses every segment of the snapshot.
+func (st *genState) drillDownDocs(ctx context.Context, q Query, tr *TimeRange) ([]int32, error) {
+	if len(q) == 0 || (tr != nil && !tr.overlapsSnapshot(st.snap)) {
+		return nil, nil
+	}
+	return st.matchedDocsCtx(ctx, q)
+}
+
 // shortlist selects the concepts a drill-down pays diversity for: the
-// top max(128, k) touched concepts by cheap score — coverage, times
-// specificity unless disabled — appended to short best first. cand is
-// scratch, returned for reuse.
+// top max(128, K) touched concepts by cheap score — coverage, times
+// specificity unless disabled — best first, into sc.shortVals.
 //
 // The window is deliberately independent of the page offset: every
 // page of a fixed-k listing re-ranks the *same* shortlist, so stitched
@@ -618,11 +618,12 @@ func (e *Engine) DrillDownComponents(q Query, k int, useSpecificity, useDiversit
 // window. The selected set and its order are exactly the former bounded
 // heap's deterministic (score, earliest-push) output, without sorting
 // the full candidate list.
-func shortlist(short []kg.NodeID, cand []candScore, touched []kg.NodeID, cov, spec []float64, useSpecificity bool, k int) ([]kg.NodeID, []candScore) {
-	size := max(128, k)
+func (sc *queryScratch) shortlist(touched []kg.NodeID, spec []float64, opts DrillDownOptions) []kg.NodeID {
+	size := max(128, opts.K)
+	cand := sc.cand[:0]
 	for _, c := range touched {
-		s := cov[c]
-		if useSpecificity {
+		s := sc.cov[c]
+		if !opts.NoSpecificity {
 			s *= spec[c]
 		}
 		cand = append(cand, candScore{c: c, s: s})
@@ -633,10 +634,12 @@ func shortlist(short []kg.NodeID, cand []candScore, touched []kg.NodeID, cov, sp
 		window = window[:size]
 	}
 	slices.SortFunc(window, cmpCandScore)
+	short := sc.shortVals[:0]
 	for _, cs := range window {
 		short = append(short, cs.c)
 	}
-	return short, cand
+	sc.cand, sc.shortVals = cand, short
+	return short
 }
 
 // chainCandidates is the drill-down candidate pass over the matched
@@ -768,72 +771,95 @@ func (e *Engine) directUnion(st *genState, sc *queryScratch, c kg.NodeID, ds *di
 // and tie-breaking are unchanged.
 func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptions) (DrillDownPage, error) {
 	st := e.state()
-	empty := DrillDownPage{Generation: st.snap.Generation}
-	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
-	k := opts.K
-	if k <= 0 || len(q) == 0 || opts.Offset < 0 {
-		return empty, nil
+	page := DrillDownPage{Generation: st.snap.Generation}
+	if opts.K <= 0 || opts.Offset < 0 {
+		return page, nil
 	}
-	if opts.Time != nil && !opts.Time.overlapsSnapshot(st.snap) {
-		return empty, nil
-	}
-	docs, err := st.matchedDocsCtx(ctx, q)
-	if err != nil {
-		return empty, err
-	}
-	if len(docs) == 0 {
-		return empty, nil
+	docs, err := st.drillDownDocs(ctx, q, opts.Time)
+	if err != nil || len(docs) == 0 {
+		return page, err
 	}
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	spec := e.g.SpecTable()
-
 	touched, _ := sc.chainCandidates(st, q, docs, opts.Time)
 	if len(touched) == 0 {
-		return empty, nil
+		return page, nil
 	}
+	sc.shortlist(touched, e.g.SpecTable(), opts)
+	err = sc.rank(ctx, e, e.g, opts, func(i int, ds *divScratch) int {
+		return e.directUnion(st, sc, sc.shortVals[i], ds, nil)
+	}, &page)
+	return page, err
+}
 
-	// Shortlist by the cheap components before paying for diversity.
-	sc.shortVals, sc.cand = shortlist(sc.shortVals[:0], sc.cand[:0], touched, sc.cov, spec, useSpecificity, k)
-	short := sc.shortVals
-
-	// Score the shortlist: each concept's diversity computation is
-	// independent (reads only the immutable snapshot and the pair log),
-	// and results land in a per-index slot, so the final Push order —
-	// and with it tie-breaking — is identical to a serial loop.
+// rank is Definition 2's ranking over the shortlist sc.shortVals, whose
+// coverage, match counts and entity probe totals sc holds (pr is only
+// the pruning bound's second cap: math.MaxInt32 leaves |Ψ(c)| alone).
+// It scores every entry coverage × specificity × diversity, prunes the
+// tail by an upper bound, and pages the scored window into page.Results
+// and page.Total by the MinScore/Total rule and the offset slice.
+//
+// DrillDownPage and MergeDrillDown both rank here, and differ in one
+// input only: union(i, ds) counts the diversity union of shortlist
+// entry i on the worker stamp ds — a node walks its candidate chain
+// (directUnion), the router dedupes the shards' sets. A non-nil e lends
+// its query workers and diversity pool to seeding windows of 64 or
+// more; a nil e scores serially on sc's own stamp. On a ctx error page
+// is left untouched.
+func (sc *queryScratch) rank(ctx context.Context, e *Engine, g *kg.Graph, opts DrillDownOptions,
+	union func(i int, ds *divScratch) int, page *DrillDownPage) error {
+	short, spec := sc.shortVals, g.SpecTable()
+	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
+	// Each entry's score is independent (it reads only immutable data and
+	// the accumulators) and lands in its own slot, so the Push order —
+	// and with it tie-breaking — does not depend on who scored it. The
+	// closure reads the shortlist and slots through sc, keeping the one
+	// allocation it costs small.
 	for len(sc.subs) < len(short) {
 		sc.subs = append(sc.subs, Subtopic{})
 	}
 	subs := sc.subs[:len(short)]
-	scoreWith := func(i int, ds *divScratch) {
-		c := short[i]
-		sub := Subtopic{
-			Concept:     c,
-			Coverage:    sc.cov[c],
-			Specificity: spec[c],
-			MatchedDocs: int(sc.cnt[c]),
+	score := func(i int, ds *divScratch) {
+		c := sc.shortVals[i]
+		sub := Subtopic{Concept: c, Coverage: sc.cov[c], Specificity: spec[c], MatchedDocs: int(sc.cnt[c])}
+		if n := sub.MatchedDocs; n > 0 {
+			sub.Diversity = float64(union(i, ds)) / float64(n)
 		}
-		union := e.directUnion(st, sc, c, ds, nil)
-		if n := int(sc.cnt[c]); n > 0 {
-			sub.Diversity = float64(union) / float64(n)
-		}
-		score := sub.Coverage
+		sub.Score = sub.Coverage
 		if useSpecificity {
-			score *= sub.Specificity
+			sub.Score *= sub.Specificity
 		}
 		if useDiversity {
-			score *= sub.Diversity
+			sub.Score *= sub.Diversity
 		}
-		sub.Score = score
-		subs[i] = sub
+		sc.subs[i] = sub
 	}
-	scoreOne := func(i int) {
-		ds := e.divPool.Get().(*divScratch)
-		scoreWith(i, ds)
-		e.divPool.Put(ds)
+	ds := &sc.divScratch
+	if e != nil {
+		ds = e.divPool.Get().(*divScratch)
+		defer e.divPool.Put(ds)
+	}
+	// scoreHead scores entries [0, n).
+	scoreHead := func(n int) error {
+		if e != nil && n >= 64 {
+			return e.queryParallelCtx(ctx, n, func(i int) {
+				ds := e.divPool.Get().(*divScratch)
+				score(i, ds)
+				e.divPool.Put(ds)
+			})
+		}
+		for i := 0; i < n; i++ {
+			if i%ctxStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			score(i, ds)
+		}
+		return nil
 	}
 
-	limit := k + opts.Offset
+	limit := opts.K + opts.Offset
 	if limit < 0 || limit > len(subs) {
 		limit = len(subs)
 	}
@@ -846,13 +872,14 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 		sc.subColl.Reset(limit)
 	}
 	coll := sc.subColl
-	var total int
+	total := len(subs)
 	if opts.MinScore > 0 {
 		// The floor's Total counts every shortlist entry at or above it,
-		// so all scores are needed: compute the whole window in parallel.
-		if err := e.queryParallelCtx(ctx, len(short), scoreOne); err != nil {
-			return empty, err
+		// so all scores are needed.
+		if err := scoreHead(len(subs)); err != nil {
+			return err
 		}
+		total = 0
 		for i, sub := range subs {
 			if sub.Score < opts.MinScore {
 				continue
@@ -862,38 +889,25 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 		}
 	} else {
 		// Upper-bound pruning over the shortlist tail: the first `limit`
-		// entries always seed the collector, so score them (in parallel
-		// when the window is worth it) and push in order. Every later
-		// entry first gets a cheap bound — coverage (× specificity) ×
-		// min(|Ψ(c)|, entity probes)/|D| — that dominates its real score
-		// (the diversity union is capped by both the direct extent and
-		// the probe count, and fp multiplication is monotone). A full
-		// collector rejects later pushes at scores equal to its
-		// threshold (ties favour earlier pushes), so entries with bound
-		// ≤ threshold are skipped without computing their diversity
-		// union: the retained set and order are provably unchanged.
-		total = len(subs)
-		ds := e.divPool.Get().(*divScratch)
-		if limit >= 64 {
-			if err := e.queryParallelCtx(ctx, limit, scoreOne); err != nil {
-				e.divPool.Put(ds)
-				return empty, err
-			}
-		} else {
-			for i := 0; i < limit; i++ {
-				scoreWith(i, ds)
-			}
+		// entries always seed the collector. Every later entry first gets
+		// a cheap bound — coverage (× specificity) × min(|Ψ(c)|, entity
+		// probes)/|D| — that dominates its real score (the diversity
+		// union is capped by both the direct extent and the probe count,
+		// and fp multiplication is monotone). A full collector rejects
+		// later pushes at scores equal to its threshold (ties favour
+		// earlier pushes), so entries with bound ≤ threshold are skipped
+		// without computing their diversity union: the retained set and
+		// order are provably unchanged.
+		if err := scoreHead(limit); err != nil {
+			return err
 		}
 		for i := 0; i < limit; i++ {
 			coll.Push(int32(i), subs[i].Score)
 		}
-		// The tail walk is strictly serial, so one diversity scratch
-		// serves every surviving entry.
 		for i := limit; i < len(short); i++ {
 			if (i-limit)%ctxStride == 0 {
 				if err := ctx.Err(); err != nil {
-					e.divPool.Put(ds)
-					return empty, err
+					return err
 				}
 			}
 			if th, full := coll.Threshold(); full {
@@ -903,37 +917,26 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 					ub *= spec[c]
 				}
 				if useDiversity {
-					if n := int(sc.cnt[c]); n == 0 {
-						ub = 0
-					} else {
-						bound := len(e.g.Extent(c))
-						if p := int(sc.pr[c]); p < bound {
-							bound = p
-						}
-						ub *= float64(bound) / float64(n)
-					}
+					ub *= float64(min(len(g.Extent(c)), int(sc.pr[c]))) / float64(sc.cnt[c])
 				}
 				if ub <= th {
 					continue
 				}
 			}
-			scoreWith(i, ds)
+			score(i, ds)
 			coll.Push(int32(i), subs[i].Score)
 		}
-		e.divPool.Put(ds)
 	}
 	sc.subItems = coll.AppendSorted(sc.subItems[:0])
-	items := sc.subItems
-	page := DrillDownPage{Total: total, Generation: st.snap.Generation}
-	if opts.Offset >= len(items) {
-		return page, nil
+	page.Total = total
+	if items := sc.subItems; opts.Offset < len(items) {
+		items = items[opts.Offset:]
+		page.Results = make([]Subtopic, len(items))
+		for i, it := range items {
+			page.Results[i] = subs[it.Value]
+		}
 	}
-	items = items[opts.Offset:]
-	page.Results = make([]Subtopic, len(items))
-	for i, it := range items {
-		page.Results[i] = subs[it.Value]
-	}
-	return page, nil
+	return nil
 }
 
 // BroaderOptions lists the roll-up targets of a concept: its `broader`

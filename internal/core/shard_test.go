@@ -27,10 +27,11 @@ func syncShards(t testing.TB, shards []*Engine) {
 }
 
 // mergeShardRollUps is the router's roll-up merge in miniature: the
-// union of per-shard top-k lists re-ranked by (score desc, doc asc) —
-// exact because shards partition the corpus and each shard's top-k
-// contains every global top-k document it owns.
-func mergeShardRollUps(lists [][]DocResult, k int) []DocResult {
+// union of per-shard top-(k+offset) lists re-ranked by (score desc, doc
+// asc) and sliced to [offset:][:k] — exact because shards partition the
+// corpus and each shard's top-(k+offset) contains every global
+// top-(k+offset) document it owns.
+func mergeShardRollUps(lists [][]DocResult, k, offset int) []DocResult {
 	var union []DocResult
 	for _, l := range lists {
 		union = append(union, l...)
@@ -41,6 +42,10 @@ func mergeShardRollUps(lists [][]DocResult, k int) []DocResult {
 		}
 		return union[i].Doc < union[j].Doc
 	})
+	if offset >= len(union) {
+		return nil
+	}
+	union = union[offset:]
 	if len(union) > k {
 		union = union[:k]
 	}
@@ -90,7 +95,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 				for s, e := range shards {
 					lists[s] = e.RollUp(q, k)
 				}
-				got, want := mergeShardRollUps(lists, k), mono.RollUp(q, k)
+				got, want := mergeShardRollUps(lists, k, 0), mono.RollUp(q, k)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: merged roll-up for %v diverges:\n merged: %+v\n mono:   %+v",
 						stage, q, got, want)
