@@ -186,7 +186,7 @@ func BenchmarkRollUpQuery(b *testing.B) {
 	w := defaultWorld(b)
 	topic := w.Meta.Topics[0]
 	q := core.Query{topic.Concept, topic.GroupConcept}
-	w.Engine.RollUp(q, 10) // warm cdr cache
+	w.Engine.RollUp(q, 10) // warm the pooled scratch and ceilings
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Engine.RollUp(q, 10)

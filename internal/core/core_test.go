@@ -351,7 +351,7 @@ func TestDoubleIndexPanics(t *testing.T) {
 func BenchmarkRollUp(b *testing.B) {
 	_, meta, _, e := world(b)
 	q := Query{meta.Topics[0].Concept, meta.Topics[0].GroupConcept}
-	e.RollUp(q, 5) // warm cdr cache
+	e.RollUp(q, 5) // warm the pooled scratch and ceilings
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RollUp(q, 5)

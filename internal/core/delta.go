@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"ncexplorer/internal/corpus"
-	"ncexplorer/internal/kg"
-)
+import "ncexplorer/internal/corpus"
 
 // Standing-query support: the ingest-time evaluation hook.
 //
@@ -65,43 +60,25 @@ func (v *DeltaView) Article(doc int32) *corpus.Document {
 }
 
 // MatchedInDelta returns the delta documents matching every concept of
-// q (Definition 1), ascending. The work is proportional to the delta —
-// per concept, one extent-closure walk (graph-sized, memoised
-// engine-wide) plus the postings of the segments overlapping the delta
-// range — never to the whole corpus, which is what keeps standing-query
-// evaluation cost flat as the corpus grows.
+// q (Definition 1), ascending: the tails of the query concepts' plans
+// from the view's base, intersected — the same match lists a roll-up
+// reads. Plans are sorted by document ID and the delta is the view's
+// trailing ID range, so each tail is one binary search away and the
+// work is proportional to the delta's matches, never to the corpus.
+// The result may alias a plan and must not be modified.
 func (v *DeltaView) MatchedInDelta(q Query) []int32 {
 	if len(q) == 0 || v.n == 0 {
 		return nil
 	}
-	st := v.st
-	s := st.getScorer()
-	defer st.putScorer(s)
-	lists := make([][]int32, len(q))
+	var out []int32
 	for i, c := range q {
-		ext, _ := s.Extent(c)
-		seen := make(map[int32]struct{})
-		var docs []int32
-		for _, ent := range ext {
-			v.deltaEntityDocs(ent, func(list []int32) {
-				for _, d := range list {
-					if _, ok := seen[d]; !ok {
-						seen[d] = struct{}{}
-						docs = append(docs, d)
-					}
-				}
-			})
+		p := v.st.plan(c)
+		tail := p.docs[p.from(v.base):]
+		if i == 0 {
+			out = tail
+		} else {
+			out = intersectSorted(out, tail)
 		}
-		if len(docs) == 0 {
-			return nil
-		}
-		sort.Slice(docs, func(a, b int) bool { return docs[a] < docs[b] })
-		lists[i] = docs
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	out := lists[0]
-	for _, l := range lists[1:] {
-		out = intersectSorted(out, l)
 		if len(out) == 0 {
 			return nil
 		}
@@ -109,41 +86,17 @@ func (v *DeltaView) MatchedInDelta(q Query) []int32 {
 	return out
 }
 
-// deltaEntityDocs streams entity ent's posting lists restricted to the
-// delta range, skipping segments that end before it. At hook time the
-// delta is exactly the newly appended segment, so only that segment is
-// touched; the in-segment filter handles views that straddle a segment
-// boundary (a full-corpus view, or a delta re-read after a merge).
-func (v *DeltaView) deltaEntityDocs(ent kg.NodeID, fn func(docs []int32)) {
-	segs := v.st.snap.Segments
-	for i := len(segs) - 1; i >= 0; i-- {
-		seg := segs[i]
-		if seg.Base+int32(seg.Len()) <= v.base {
-			break
-		}
-		list := seg.EntDocs[ent]
-		if len(list) == 0 {
-			continue
-		}
-		// Posting lists are ascending: binary-search the first delta doc.
-		lo := sort.Search(len(list), func(j int) bool { return list[j] >= v.base })
-		if lo < len(list) {
-			fn(list[lo:])
-		}
-	}
-}
-
 // Score computes rel(q, d) = Σ cdr(c, d) at this generation, with the
-// per-concept explanation — the same memoised path RollUp uses, so a
+// per-concept explanation — read from the plans RollUp reads, so a
 // standing query and a from-scratch query over the same generation
 // report byte-identical scores and evidence.
 func (v *DeltaView) Score(q Query, doc int32) (float64, []ConceptContribution) {
 	rel := 0.0
 	contribs := make([]ConceptContribution, 0, len(q))
 	for _, c := range q {
-		ent := v.st.cdr(c, doc)
-		rel += ent.cdr
-		contribs = append(contribs, ConceptContribution{Concept: c, CDR: ent.cdr, Pivot: ent.pivot})
+		cc := v.st.contribution(c, doc)
+		rel += cc.CDR
+		contribs = append(contribs, cc)
 	}
 	return rel, contribs
 }

@@ -12,16 +12,20 @@
 //   - an entity→documents inverted index per segment gives exact
 //     Definition-1 matching semantics (a document matches concept c iff
 //     it contains an entity in c's extent closure);
+//   - per generation, one plan per concept (plan.go) lists the
+//     matching documents with their cdr scores and pivots: every
+//     roll-up, drill-down and standing-query evaluation reads matches
+//     and scores from the plans and from nowhere else;
 //   - per document, the candidate concepts (the direct Ψ⁻¹ concepts of
 //     its entities plus a configurable number of `broader` ancestor
-//     levels) are scored with cdr when a snapshot is built — these
-//     postings drive drill-down coverage and act as a cdr cache;
-//   - query-time cdr for concepts outside a document's candidate set is
-//     computed on demand and memoised, with a per-(concept, doc) seeded
-//     sampler so results are reproducible regardless of query order,
-//     of which goroutine computes them, and of how the corpus was
-//     grown (one monolithic build and any sequence of ingested batches
-//     produce identical values at equal content).
+//     levels) project the plans into the postings that drive
+//     drill-down coverage;
+//   - the expensive connectivity factor of cdr is memoised engine-wide
+//     with a per-(concept, doc) seeded sampler, so values are
+//     reproducible regardless of build order, of which goroutine
+//     computes them, and of how the corpus was grown (one monolithic
+//     build and any sequence of ingested batches produce identical
+//     values at equal content).
 //
 // Live ingestion (Ingest) appends a new segment and swaps in a new
 // snapshot generation; queries pin one generation end-to-end, so a
@@ -178,26 +182,21 @@ type ConceptScore struct {
 	CDRC float64
 }
 
-type cdrEntry struct {
-	cdr   float64
-	pivot kg.NodeID
-}
-
 // cdrStreamSalt seeds the per-(concept, document) sampler streams for
-// the context-relevance factor. One salt for indexing-time and
-// on-demand computation: whichever path computes cdrc(c, d) first
-// computes THE value.
+// the context-relevance factor. One salt for the plan builder and the
+// ingest pre-warm: whichever path computes cdrc(c, d) first computes
+// THE value.
 const cdrStreamSalt = 0x9e3779b97f4a7c15
 
 // Engine is an indexed NCExplorer instance. Safe for concurrent
 // queries after IndexCorpus returns, including concurrently with
 // Ingest: the query path takes no global lock — all post-index
 // structures hang off an atomic snapshot pointer pinned once per
-// query, memoisation goes through sharded concurrent maps with
-// per-shard singleflight, and miss-path scoring borrows a
-// per-goroutine scorer from a pool. Results are deterministic
-// regardless of interleaving because every on-demand sample stream is
-// seeded by its (concept, document) key alone.
+// query, every score a query reads was computed into the generation's
+// plans at swap time, and the engine-wide memos are sharded concurrent
+// maps with per-shard singleflight. Results are deterministic
+// regardless of interleaving because every sample stream is seeded by
+// its (concept, document) key alone.
 type Engine struct {
 	g       *kg.Graph
 	opts    Options
@@ -301,11 +300,11 @@ type Engine struct {
 }
 
 // genState is everything a query needs from one snapshot generation:
-// the raw snapshot, the generation-derived per-document concept
-// scores, and fresh memo maps. Swapping the whole bundle atomically is
-// what makes cache invalidation free: a new generation starts with
-// clean memos while in-flight queries keep using — and filling — the
-// generation they pinned.
+// the raw snapshot, the concept plans, and the per-document concept
+// scores projected from them. Swapping the whole bundle atomically is
+// what makes invalidation free: a new generation starts from its own
+// plans while in-flight queries keep reading the generation they
+// pinned.
 type genState struct {
 	e    *Engine
 	snap *snapshot.Snapshot
@@ -342,17 +341,6 @@ type genState struct {
 	// verbatim.
 	entIDFN []float64
 	ceil    *ceilState
-
-	// Query-path memoisation, valid for this generation only: cdrMemo
-	// caches cdr(c, d) values for non-matching pairs (the
-	// delta-evaluation path probes arbitrary keys); matching pairs are
-	// read straight from the plans.
-	cdrMemo *shardmap.Map[uint64, cdrEntry]
-
-	// scorers pools per-goroutine relevance scorers whose DocView is
-	// this state — a borrowed scorer reads one generation's statistics
-	// no matter when the engine swaps.
-	scorers sync.Pool
 }
 
 // Entities implements relevance.DocView.
@@ -609,8 +597,8 @@ func localDocs(snap *snapshot.Snapshot) []int32 {
 }
 
 // buildState derives a complete generation state over the given
-// segments: per-document concept scores (Phase C) plus seeded memo
-// maps. Expensive connectivity factors are fetched from the
+// segments: the concept plans and per-document concept scores (Phase
+// C). Expensive connectivity factors are fetched from the
 // generation-independent connMemo, so only documents (or candidates)
 // never scored before pay for random walks — the heart of cheap
 // snapshot rebuilds after an ingest. prev, when non-nil and covering a
@@ -647,18 +635,14 @@ func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState
 	return st, total
 }
 
-// newStateShell allocates a genState with empty memos and a scorer
-// pool bound to it. prev, when non-nil, donates its per-document
-// entity table: the rows are generation-independent (a document's
-// entity list never changes once ingested), so a rebuild over the
-// same document range shares the table outright and a growing range
-// copies the prefix and resolves only the new segments.
+// newStateShell allocates a genState over snap without plans. prev,
+// when non-nil, donates its per-document entity table: the rows are
+// generation-independent (a document's entity list never changes once
+// ingested), so a rebuild over the same document range shares the
+// table outright and a growing range copies the prefix and resolves
+// only the new segments.
 func (e *Engine) newStateShell(snap *snapshot.Snapshot, prev *genState) *genState {
-	st := &genState{
-		e:       e,
-		snap:    snap,
-		cdrMemo: shardmap.New[uint64, cdrEntry](cdrShards, hashCDRKey),
-	}
+	st := &genState{e: e, snap: snap}
 	bound := snap.DocBound()
 	prevBound := 0
 	if prev != nil {
@@ -682,9 +666,6 @@ func (e *Engine) newStateShell(snap *snapshot.Snapshot, prev *genState) *genStat
 				st.ents[seg.Base+int32(i)] = seg.Docs[i].Entities
 			}
 		}
-	}
-	st.scorers.New = func() any {
-		return relevance.NewScorer(e.g, st, e.reachIx, e.scorerOpts())
 	}
 	return st
 }
@@ -994,17 +975,14 @@ func (e *Engine) DocConcepts(doc corpus.DocID) []ConceptScore {
 	return e.state().docConcepts(int32(doc))
 }
 
-// ResetQueryCaches restores the query-time memoisation to the current
-// generation's post-build state: a fresh (empty) cdr memo for
-// non-matching probes, and the connectivity memo reduced to the
+// ResetQueryCaches restores the engine's memoisation to the current
+// generation's post-build state: the connectivity memo reduced to the
 // entries the plans pin. The plans and per-document scores themselves
-// are generation
-// state, not query caches — they are carried over, exactly as a fresh
-// build of this generation would recreate them. Benchmarks use this
-// to replay cold-cache traffic; results are unaffected because
-// on-demand values are seeded per (concept, document) — a query in
-// flight during the reset keeps its pinned state and recomputes
-// identical values.
+// are generation state, not caches — they are carried over, exactly as
+// a fresh build of this generation would recreate them. Benchmarks use
+// this to replay cold-cache traffic; results are unaffected because
+// connectivity values are seeded per (concept, document) — a query in
+// flight during the reset keeps its pinned state.
 func (e *Engine) ResetQueryCaches() {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()

@@ -278,37 +278,7 @@ func (v pendingDocView) ContextWeight(ent kg.NodeID, doc int32) float64 {
 // the memo are skipped; a cancelled ctx returns the pairs warmed so
 // far (pre-warming is an optimisation, never a correctness step).
 func (e *Engine) prewarmConn(ctx context.Context, seg *snapshot.Segment) []connPair {
-	numNodes := e.g.NumNodes()
-	entSeen := make([]bool, numNodes)
-	conceptSeen := make([]bool, numNodes)
-	var concepts []kg.NodeID
-	var stack []kg.NodeID
-	mark := func(c kg.NodeID) {
-		if !conceptSeen[c] {
-			conceptSeen[c] = true
-			concepts = append(concepts, c)
-			stack = append(stack, c)
-		}
-	}
-	for di := range seg.Docs {
-		for _, v := range seg.Docs[di].Entities {
-			if entSeen[v] {
-				continue
-			}
-			entSeen[v] = true
-			for _, c0 := range e.g.ConceptsOf(v) {
-				mark(c0)
-			}
-			for len(stack) > 0 {
-				c := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				for _, b := range e.g.Broader(c) {
-					mark(b)
-				}
-			}
-		}
-	}
-
+	concepts, _ := e.matchableConcepts([]*snapshot.Segment{seg})
 	view := pendingDocView{seg: seg}
 	workers := e.opts.Workers
 	scorers := make([]*relevance.Scorer, workers)
@@ -332,8 +302,7 @@ func (e *Engine) prewarmConn(ctx context.Context, seg *snapshot.Segment) []connP
 		gens[worker]++
 		gen := gens[worker]
 		stamp := stamps[worker]
-		ext, _ := s.Extent(c)
-		for _, v := range ext {
+		for _, v := range e.extent(c) {
 			for _, d := range seg.EntDocs[v] {
 				if local := d - seg.Base; stamp[local] == gen {
 					continue
@@ -376,10 +345,10 @@ func (e *Engine) maybeMerge(segments int) {
 
 // mergeSegments folds the smallest adjacent segment pairs together
 // until the count respects MaxSegments, then swaps in a state that
-// keeps the SAME generation and transplants the memo maps and derived
+// keeps the SAME generation and transplants the plans and derived
 // scores: a merge reorganises storage without changing any statistic,
-// so every cached value — engine memos and external response caches
-// alike — stays valid and warm.
+// so every derived value — plans, ceilings and external response
+// caches alike — stays valid and warm.
 func (e *Engine) mergeSegments() {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -426,7 +395,6 @@ func (e *Engine) mergeSegments() {
 	}
 	st := e.newStateShell(e.buildSnapshot(cur.snap.Generation, segs), cur)
 	st.concepts = cur.concepts
-	st.cdrMemo = cur.cdrMemo
 	// Plans stay valid verbatim: merges keep document IDs, corpus-global
 	// statistics, and (global-ID-aligned) block identities unchanged.
 	// That covers the ceiling state too — merged block-max tables fold

@@ -104,6 +104,15 @@ var emptyPlan conceptPlan
 
 // planIdx returns the index of doc in p.docs, or -1.
 func (p *conceptPlan) planIdx(doc int32) int {
+	if i := p.from(doc); i < len(p.docs) && p.docs[i] == doc {
+		return i
+	}
+	return -1
+}
+
+// from returns the index of the first document ≥ doc in p.docs
+// (len(p.docs) when there is none).
+func (p *conceptPlan) from(doc int32) int {
 	lo, hi := 0, len(p.docs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -113,10 +122,7 @@ func (p *conceptPlan) planIdx(doc int32) int {
 			hi = mid
 		}
 	}
-	if lo < len(p.docs) && p.docs[lo] == doc {
-		return lo
-	}
-	return -1
+	return lo
 }
 
 // maxInstanceDegree scans the instance space once for Δ, the walk
@@ -180,12 +186,54 @@ func (sc *planScratch) bump() {
 	}
 }
 
-// buildPlans derives the generation's concept plans. Concepts that can
-// match at least one document are exactly those with a document entity
-// in their extent closure; enumerating the broader-closure of every
-// document entity's direct concepts gives a superset (the closure cap
-// can only shrink a concept's matches), and gathering per concept via
-// the capped extent reproduces Definition 1 matching exactly.
+// matchableConcepts enumerates a superset of the concepts a document of
+// segs can match: every entity's direct concepts and their whole
+// broader closure, deterministically (documents ascending, entities in
+// first-mention order). A concept matches a document iff a document
+// entity lies in its capped extent closure, and every concept whose
+// closure holds v is a direct concept of v or one of its ancestors, so
+// nothing outside the set can match (the cap only shrinks matches).
+// seen marks the returned concepts. buildPlans gathers every concept
+// listed here and prewarmConn walks exactly their matching pairs, so
+// the pre-warm and the commit-time replay walk the same pairs.
+func (e *Engine) matchableConcepts(segs []*snapshot.Segment) (concepts []kg.NodeID, seen []bool) {
+	numNodes := e.g.NumNodes()
+	entSeen := make([]bool, numNodes)
+	seen = make([]bool, numNodes)
+	var stack []kg.NodeID
+	mark := func(c kg.NodeID) {
+		if !seen[c] {
+			seen[c] = true
+			concepts = append(concepts, c)
+			stack = append(stack, c)
+		}
+	}
+	for _, seg := range segs {
+		for di := range seg.Docs {
+			for _, v := range seg.Docs[di].Entities {
+				if entSeen[v] {
+					continue
+				}
+				entSeen[v] = true
+				for _, c0 := range e.g.ConceptsOf(v) {
+					mark(c0)
+				}
+				for len(stack) > 0 {
+					c := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					for _, b := range e.g.Broader(c) {
+						mark(b)
+					}
+				}
+			}
+		}
+	}
+	return concepts, seen
+}
+
+// buildPlans derives the generation's concept plans: it gathers every
+// concept matchableConcepts lists via the capped extent, which
+// reproduces Definition 1 matching exactly.
 //
 // Incremental rebuilds: when prev is the previous generation's state
 // and its segments are a pointer-prefix of st's (the shape every
@@ -230,43 +278,12 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 	}
 
 	// Phase 1: enumerate the matching-concept superset from the segments
-	// being (re)scanned, deterministically (documents ascending, entities
-	// in first-mention order); under reuse, concepts whose previous plan
+	// being (re)scanned; under reuse, concepts whose previous plan
 	// matched something are appended afterwards. A concept absent from
 	// both sets matches no document: the previous gather was exact over
-	// the old segments, and the closure walk covers every concept a new
+	// the old segments, and matchableConcepts covers every concept a new
 	// entity can reach.
-	entSeen := make([]bool, numNodes)
-	conceptSeen := make([]bool, numNodes)
-	var concepts []kg.NodeID
-	var stack []kg.NodeID
-	mark := func(c kg.NodeID) {
-		if !conceptSeen[c] {
-			conceptSeen[c] = true
-			concepts = append(concepts, c)
-			stack = append(stack, c)
-		}
-	}
-	for _, seg := range newSegs {
-		for di := range seg.Docs {
-			for _, v := range seg.Docs[di].Entities {
-				if entSeen[v] {
-					continue
-				}
-				entSeen[v] = true
-				for _, c0 := range e.g.ConceptsOf(v) {
-					mark(c0)
-				}
-				for len(stack) > 0 {
-					c := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					for _, b := range e.g.Broader(c) {
-						mark(b)
-					}
-				}
-			}
-		}
-	}
+	concepts, conceptSeen := e.matchableConcepts(newSegs)
 	if reuse {
 		for c := range prev.plans {
 			if len(prev.plans[c].docs) > 0 && !conceptSeen[c] {
@@ -330,7 +347,7 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 		s := scorers[worker]
 		sc := scratches[worker]
 		sc.bump()
-		ext, _ := s.Extent(c)
+		ext := e.extent(c)
 		for _, v := range ext {
 			sc.extStamp[v] = sc.gen
 		}
@@ -467,8 +484,6 @@ func (st *genState) ensureCeilings(c kg.NodeID, p *conceptPlan) {
 	}
 	st.ceil.slots(len(st.plans))[c].Do(func() {
 		e := st.e
-		s := st.getScorer()
-		defer st.putScorer(s)
 		sc := e.planPool.Get().(*planScratch)
 		defer e.planPool.Put(sc)
 		snap := st.snap
@@ -477,7 +492,7 @@ func (st *genState) ensureCeilings(c kg.NodeID, p *conceptPlan) {
 
 		// Fold the persisted block-max tf tables over the extent into
 		// per-block ubOnt maxima.
-		ext, _ := s.Extent(c)
+		ext := e.extent(c)
 		for _, v := range ext {
 			q := st.entIDFN[v]
 			if q == 0 {

@@ -17,10 +17,10 @@ import (
 const ctxStride = 64
 
 // Generation pinning: every public query entry point loads the current
-// genState exactly once and threads it through all per-document reads,
-// plan lookups, and scorer borrows. A query therefore observes one
-// snapshot generation end-to-end — an Ingest swapping mid-query can
-// never hand it a half-old, half-new view.
+// genState exactly once and threads it through all per-document reads
+// and plan lookups. A query therefore observes one snapshot generation
+// end-to-end — an Ingest swapping mid-query can never hand it a
+// half-old, half-new view.
 
 // queryScratch is the pooled per-query workspace: the roll-up collector
 // and page scratch, plus the dense per-node accumulators behind
@@ -247,31 +247,16 @@ func intersectSorted(a, b []int32) []int32 {
 	return out
 }
 
-// cdr returns the cached or freshly computed cdr(c, d) with its pivot
-// at this generation. For matching pairs the value lives in the
-// concept's plan — the same score and pivot the old pre-seeded memo
-// held, read directly so the swap path no longer pays to copy every
-// planned pair into a map. The memoised compute path remains for
-// non-matching pairs (delta evaluation probes arbitrary keys). The
-// expensive connectivity factor comes from the engine-wide memo,
-// seeded by (concept, doc) so values are independent of query order
-// AND of which goroutine computes them — the determinism anchor of the
-// lock-free query path.
-func (st *genState) cdr(c kg.NodeID, doc int32) cdrEntry {
+// contribution is concept c's share of document d's relevance at this
+// generation, read from c's plan: cdr(c, d) and its pivot, or zero
+// with kg.InvalidNode when d does not match c. Every explanation and
+// every rel(Q, d) outside the plan scans is summed from here.
+func (st *genState) contribution(c kg.NodeID, d int32) ConceptContribution {
 	p := st.plan(c)
-	if idx := p.planIdx(doc); idx >= 0 {
-		return cdrEntry{cdr: p.scores[idx], pivot: p.pivots[idx]}
+	if i := p.planIdx(d); i >= 0 {
+		return ConceptContribution{Concept: c, CDR: p.scores[i], Pivot: p.pivots[i]}
 	}
-	ent, _ := st.cdrMemo.GetOrCompute(cdrKey(c, doc), func() cdrEntry {
-		s := st.getScorer()
-		defer st.putScorer(s)
-		cdro, pivot := s.OntologyRel(c, doc)
-		if cdro <= 0 {
-			return cdrEntry{cdr: 0, pivot: pivot}
-		}
-		return cdrEntry{cdr: cdro * st.e.contextRel(s, c, doc), pivot: pivot}
-	})
-	return ent
+	return ConceptContribution{Concept: c, Pivot: kg.InvalidNode}
 }
 
 // MatchedDocs returns all documents matching the concept pattern Q, in
@@ -444,18 +429,14 @@ func (e *Engine) RollUpPageInto(ctx context.Context, q Query, opts RollUpOptions
 		res.Score = it.Score
 		res.Contributors = res.Contributors[:0]
 		for _, c := range q {
-			p := st.plan(c)
-			idx := p.planIdx(it.Value)
-			res.Contributors = append(res.Contributors, ConceptContribution{
-				Concept: c, CDR: p.scores[idx], Pivot: p.pivots[idx],
-			})
+			res.Contributors = append(res.Contributors, st.contribution(c, it.Value))
 		}
 	}
 	return nil
 }
 
 // rollUpPageExhaustive is the pre-planner roll-up: score every matched
-// document in ascending ID order through the memoised cdr path into a
+// document in ascending ID order, concept by concept, into a
 // sequential collector. Kept as the equivalence oracle for the pruned
 // scan — property tests require RollUpPage to reproduce its pages
 // byte-for-byte at every generation, offset, and filter combination.
@@ -505,7 +486,7 @@ func (e *Engine) rollUpPageExhaustive(ctx context.Context, q Query, opts RollUpO
 		}
 		rel := 0.0
 		for _, c := range q {
-			rel += st.cdr(c, d).cdr
+			rel += st.contribution(c, d).CDR
 		}
 		if opts.MinScore > 0 && rel < opts.MinScore {
 			continue
@@ -527,10 +508,7 @@ func (e *Engine) rollUpPageExhaustive(ctx context.Context, q Query, opts RollUpO
 	for i, it := range items {
 		res := DocResult{Doc: corpus.DocID(it.Value), Score: it.Score}
 		for _, c := range q {
-			ent := st.cdr(c, it.Value)
-			res.Contributors = append(res.Contributors, ConceptContribution{
-				Concept: c, CDR: ent.cdr, Pivot: ent.pivot,
-			})
+			res.Contributors = append(res.Contributors, st.contribution(c, it.Value))
 		}
 		out.Results[i] = res
 	}
@@ -963,10 +941,7 @@ func (e *Engine) ConceptsForEntity(v kg.NodeID) []kg.NodeID {
 // names of the topic's most connected extent entities (what the paper
 // calls "curating a list of relevant keywords for retrieval").
 func (e *Engine) TopicKeywords(c kg.NodeID, n int) []string {
-	st := e.state()
-	s := st.getScorer()
-	ext, _ := s.Extent(c)
-	st.putScorer(s)
+	ext := e.extent(c)
 	if n <= 0 || len(ext) == 0 {
 		return nil
 	}

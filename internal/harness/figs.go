@@ -131,9 +131,8 @@ func (w *World) Fig5(nQueries int) []Fig5Point {
 		}
 		pt := Fig5Point{Concepts: nc, PerMethodSec: map[string]float64{}}
 		for _, s := range w.Searchers {
-			// Cold-cache measurement for the engine: repeated queries
-			// would otherwise be served from the cdr memo and report
-			// lookup time instead of query processing time.
+			// Cold-cache measurement for the engine: reset its memos so
+			// every method starts from the same post-build state.
 			if s.Name() == MethodNCExplorer {
 				w.Engine.ResetQueryCaches()
 			}

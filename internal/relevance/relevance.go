@@ -71,9 +71,12 @@ type Options struct {
 	// across scorers (create with NewExtentCache), so a fleet of pooled
 	// workers computes each concept's extent closure once instead of
 	// once per scorer. Scorers sharing a cache must use the same
-	// MaxExtent. When nil, the scorer keeps a private memo.
+	// MaxExtent. When nil, the scorer keeps a private cache.
 	Extents *ExtentCache
 }
+
+// defaultMaxExtent is the extent cap a zero Options.MaxExtent selects.
+const defaultMaxExtent = 4000
 
 func (o Options) withDefaults() Options {
 	if o.Tau <= 0 {
@@ -89,7 +92,7 @@ func (o Options) withDefaults() Options {
 		o.MaxContext = 8
 	}
 	if o.MaxExtent <= 0 {
-		o.MaxExtent = 4000
+		o.MaxExtent = defaultMaxExtent
 	}
 	return o
 }
@@ -97,10 +100,9 @@ func (o Options) withDefaults() Options {
 // Scorer computes cdr and its components.
 //
 // Concurrency contract (the scorer-per-worker rule): a Scorer is NOT
-// safe for concurrent use — it owns random-walk scratch buffers and an
-// extent memo table. Create one per worker goroutine, or pool them
-// (sync.Pool) and borrow for the duration of a computation, as the
-// engine's query path does. Two scorers over the same graph are fully
+// safe for concurrent use — it owns random-walk scratch buffers. Create
+// one per worker goroutine, or pool them (sync.Pool) and borrow for the
+// duration of a computation. Two scorers over the same graph are fully
 // independent and may run in parallel; the graph, DocView, and
 // reach.Index they share must themselves be safe for concurrent reads
 // (kg.Graph and reach.Index are; the engine's DocView is immutable
@@ -108,7 +110,7 @@ func (o Options) withDefaults() Options {
 //
 // Values a Scorer *returns* are a different matter: Extent results are
 // immutable shared slices that remain valid and safe to read after the
-// scorer is released to another goroutine — see Extent.
+// scorer is released to another goroutine — see ExtentCache.Extent.
 type Scorer struct {
 	g    *kg.Graph
 	view DocView
@@ -117,7 +119,8 @@ type Scorer struct {
 	est     *rw.Estimator
 	counter *paths.Counter
 
-	extents map[kg.NodeID]extentEntry
+	// xc is Options.Extents, or a private cache when that is nil.
+	xc *ExtentCache
 
 	// Scratch reused across calls (part of the zero-alloc warm path):
 	// Split's result slices and Conn's context-truncation collector.
@@ -133,10 +136,10 @@ type extentEntry struct {
 }
 
 // ExtentCache is a concurrency-safe memo of concept extent closures,
-// shareable by any number of scorers (per-shard singleflight: N
-// scorers missing the same concept compute its closure once). Entries
-// are immutable once stored. Construct with NewExtentCache and hand it
-// to scorers via Options.Extents.
+// shareable by any number of scorers and readable without one
+// (per-shard singleflight: N callers missing the same concept compute
+// its closure once). Entries are immutable once stored. Construct with
+// NewExtentCache and hand it to scorers via Options.Extents.
 type ExtentCache struct {
 	m *shardmap.Map[kg.NodeID, extentEntry]
 }
@@ -148,13 +151,37 @@ func NewExtentCache(shards int) *ExtentCache {
 	})}
 }
 
+// Extent returns concept c's matching extent in g — its extent closure
+// cut to maxExtent entities (maxExtent <= 0 selects the Options
+// default) — as both list and set, computing it on first use. Both are
+// immutable shared views: callers must not modify them, and may retain
+// them and share them across goroutines. Every caller of one cache must
+// pass the same graph and cap.
+func (xc *ExtentCache) Extent(g *kg.Graph, c kg.NodeID, maxExtent int) ([]kg.NodeID, map[kg.NodeID]struct{}) {
+	e, _ := xc.m.GetOrCompute(c, func() extentEntry {
+		if maxExtent <= 0 {
+			maxExtent = defaultMaxExtent
+		}
+		list := g.ExtentClosure(c, 0)
+		if len(list) > maxExtent {
+			list = list[:maxExtent]
+		}
+		set := make(map[kg.NodeID]struct{}, len(list))
+		for _, v := range list {
+			set[v] = struct{}{}
+		}
+		return extentEntry{list: list, set: set}
+	})
+	return e.list, e.set
+}
+
 // NewScorer builds a scorer. index may be nil (unguided walks); it is
 // ignored when opts.Exact is set.
 func NewScorer(g *kg.Graph, view DocView, index *reach.Index, opts Options) *Scorer {
 	opts = opts.withDefaults()
-	s := &Scorer{
-		g: g, view: view, opts: opts,
-		extents: make(map[kg.NodeID]extentEntry),
+	s := &Scorer{g: g, view: view, opts: opts, xc: opts.Extents}
+	if s.xc == nil {
+		s.xc = NewExtentCache(1)
 	}
 	if opts.Exact {
 		s.counter = paths.NewCounter(g)
@@ -178,36 +205,10 @@ func (s *Scorer) Release() {
 }
 
 // Extent returns the matching extent of c — the capped extent closure —
-// as both list and set. Both are immutable shared views: the scorer
-// never mutates a memoised entry after creating it and callers must
-// not modify them either, so the returned slice and set may be
-// retained, shared across goroutines, and read after the scorer has
-// been handed to another worker.
+// as both list and set, from the scorer's extent cache (Options.Extents,
+// or its private one).
 func (s *Scorer) Extent(c kg.NodeID) ([]kg.NodeID, map[kg.NodeID]struct{}) {
-	if s.opts.Extents != nil {
-		e, _ := s.opts.Extents.m.GetOrCompute(c, func() extentEntry { return s.buildExtent(c) })
-		return e.list, e.set
-	}
-	if e, ok := s.extents[c]; ok {
-		return e.list, e.set
-	}
-	e := s.buildExtent(c)
-	s.extents[c] = e
-	return e.list, e.set
-}
-
-// buildExtent computes the capped extent closure of c. Pure: depends
-// only on the immutable graph and MaxExtent.
-func (s *Scorer) buildExtent(c kg.NodeID) extentEntry {
-	list := s.g.ExtentClosure(c, 0)
-	if len(list) > s.opts.MaxExtent {
-		list = list[:s.opts.MaxExtent]
-	}
-	set := make(map[kg.NodeID]struct{}, len(list))
-	for _, v := range list {
-		set[v] = struct{}{}
-	}
-	return extentEntry{list: list, set: set}
+	return s.xc.Extent(s.g, c, s.opts.MaxExtent)
 }
 
 // Matches reports whether document doc contains an entity matching c.

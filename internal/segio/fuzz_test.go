@@ -2,6 +2,7 @@ package segio
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -177,6 +178,75 @@ func FuzzDecodeConn(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeConn(keys, values), data) {
 			t.Fatal("conn decode accepted non-canonical input")
+		}
+	})
+}
+
+// FuzzParseManifest: arbitrary bytes never panic the manifest parser,
+// every rejection is typed, and every accepted manifest names only
+// plain segment, conn and watch files inside the snapshot directory —
+// what a replica relies on before it fetches, reuses or collects a
+// referenced file. testdata/seed-tiny.manifest is the MANIFEST of a
+// tiny world's Save (e.g. boot `ncserver -scale tiny -data-dir DIR`,
+// stop it, and copy DIR/MANIFEST).
+func FuzzParseManifest(f *testing.F) {
+	tiny, err := os.ReadFile(filepath.Join("testdata", "seed-tiny.manifest"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := ParseManifest(tiny)
+	if err != nil {
+		f.Fatalf("seed manifest rejected: %v", err)
+	}
+	f.Add(tiny)
+	add := func(mutate func(*Manifest)) {
+		v := *m
+		v.Segments = append([]SegmentRef(nil), m.Segments...)
+		mutate(&v)
+		data, err := json.Marshal(&v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// A shard snapshot with a conn companion and a watch file exercises
+	// every reference kind; the rest are the references a replica once
+	// mistook for already-fetched files.
+	add(func(v *Manifest) {
+		v.Segments[0].Base = 4096
+		v.Segments[0].Conn = "segconn-0000004096-0000226-0badc0de.nccm"
+		v.WatchFile = "watch-01234567.ncwl"
+		v.Shard = &ShardMeta{Index: 1, Count: 2, RemoteDocs: 200}
+	})
+	for _, bad := range []string{"..", ".", ManifestName, "x.nccm", "/", "../x.ncseg"} {
+		add(func(v *Manifest) { v.Segments[0].File = bad })
+	}
+	f.Add([]byte("{}"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ParseManifest(data)
+		if err != nil {
+			if m != nil {
+				t.Fatal("error with non-nil manifest")
+			}
+			typedDecodeError(t, err)
+			return
+		}
+		plain := func(name, ext string) {
+			if strings.ContainsRune(name, '/') || !strings.HasSuffix(name, ext) {
+				t.Fatalf("accepted manifest references %q, not a plain %s file", name, ext)
+			}
+		}
+		for _, ref := range m.Segments {
+			plain(ref.File, SegmentExt)
+			if ref.Conn != "" {
+				plain(ref.Conn, ConnExt)
+			}
+		}
+		if m.ConnFile != "" {
+			plain(m.ConnFile, ConnExt)
+		}
+		if m.WatchFile != "" {
+			plain(m.WatchFile, WatchExt)
 		}
 	})
 }

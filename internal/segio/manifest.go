@@ -197,8 +197,8 @@ func (m *Manifest) validate() error {
 	next := int32(0)
 	sum := 0
 	for i, ref := range m.Segments {
-		if ref.File == "" || ref.File != filepath.Base(ref.File) || ref.Docs <= 0 {
-			return fmt.Errorf("%w: manifest segment %d: bad file reference", ErrCorrupt, i)
+		if ref.File == "" || !auxName(ref.File, SegmentExt) || ref.Docs <= 0 {
+			return fmt.Errorf("%w: manifest segment %d: bad file reference %q", ErrCorrupt, i, ref.File)
 		}
 		if !auxName(ref.Conn, ConnExt) {
 			return fmt.Errorf("%w: manifest segment %d: bad conn companion reference %q", ErrCorrupt, i, ref.Conn)
@@ -231,9 +231,10 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// auxName reports whether an optional auxiliary file reference is
-// absent or a plain file name inside the snapshot directory carrying
-// its kind's extension.
+// auxName reports whether an optional file reference is absent or a
+// plain file name inside the snapshot directory carrying its kind's
+// extension — never ".", "..", MANIFEST or another kind's file, which
+// a replica would otherwise take for an already-fetched file.
 func auxName(name, ext string) bool {
 	return name == "" || (name == filepath.Base(name) && strings.HasSuffix(name, ext))
 }

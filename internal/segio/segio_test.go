@@ -231,6 +231,11 @@ func TestManifestValidation(t *testing.T) {
 		{"companion without extension", func(m *Manifest) { m.Segments[0].Conn = "conn-1.ncseg" }},
 		{"watch without extension", func(m *Manifest) { m.WatchFile = "watch-1.nccm" }},
 		{"empty segment", func(m *Manifest) { m.Segments[0].Docs = 0; m.NumDocs = 0 }},
+		{"segment parent dir", func(m *Manifest) { m.Segments[0].File = ".." }},
+		{"segment current dir", func(m *Manifest) { m.Segments[0].File = "." }},
+		{"segment is the manifest", func(m *Manifest) { m.Segments[0].File = ManifestName }},
+		{"segment is a conn file", func(m *Manifest) { m.Segments[0].File = "x.nccm" }},
+		{"segment root", func(m *Manifest) { m.Segments[0].File = "/" }},
 	}
 	for _, tc := range cases {
 		m := base()

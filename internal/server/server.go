@@ -32,7 +32,8 @@
 //	                              doc counts, ingest throughput), cache,
 //	                              session, and request counters;
 //	                              index.engine_cache reports the
-//	                              engine's sharded memo caches and
+//	                              engine's plans and connectivity
+//	                              memo (cdr is always zero) and
 //	                              index.watch the standing-query
 //	                              counters
 //

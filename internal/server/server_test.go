@@ -364,12 +364,9 @@ func TestStatsz(t *testing.T) {
 	if resp.Cache.Misses == 0 || resp.Cache.Hits == 0 || resp.Cache.Entries == 0 {
 		t.Fatalf("cache stats = %+v; want visible misses, hits, and entries", resp.Cache)
 	}
-	// The engine-side memo caches must be threaded through: the match
-	// stats report the swap-time query plans and the conn memo holds
-	// the walked context factors from indexing (both entries > 0). The
-	// cdr memo holds only on-demand non-matching probes — matching
-	// pairs are answered straight from the plans — so roll-up traffic
-	// leaves it empty.
+	// The engine-side caches must be threaded through: the match stats
+	// report the swap-time query plans and the conn memo holds the
+	// walked context factors from indexing (both entries > 0).
 	ec := resp.Index.EngineCache
 	if ec.Conn.Entries == 0 {
 		t.Fatalf("engine conn cache not seeded: %+v", ec)

@@ -8,7 +8,7 @@
 // cursor and worker, and the versioned codec that persists it all
 // alongside the snapshot manifest. It knows nothing about matching or
 // scoring: the facade evaluates each ingested delta through the
-// engine's DeltaView hook and hands finished Alert values to Publish.
+// engine's DeltaView hook and hands the rendered articles to Publish.
 //
 // Delivery semantics (documented in DESIGN.md §8):
 //
@@ -78,22 +78,26 @@ type Alert struct {
 	Article Article `json:"article"`
 }
 
-// Article mirrors the facade's roll-up article payload (same JSON
-// shape) so alert envelopes and query results read identically.
+// Article is the one article payload of roll-up results and alerts
+// alike: the facade re-exports it as ncexplorer.Article and renders
+// both through the same function, so alert envelopes and query results
+// read identically.
 type Article struct {
 	ID     int     `json:"id"`
 	Source string  `json:"source"`
 	Title  string  `json:"title"`
 	Body   string  `json:"body"`
 	Score  float64 `json:"score"`
-	// PublishedAt is the article's publication time, RFC3339 UTC —
-	// identical to the facade article field of the same name.
+	// PublishedAt is the article's publication time, RFC3339 UTC.
+	// Always present: articles ingested without one were stamped with
+	// the ingest wall clock.
 	PublishedAt  string        `json:"published_at"`
 	Explanations []Explanation `json:"explanations,omitempty"`
 }
 
-// Explanation attributes part of an alert's relevance to one query
-// concept, exactly like a roll-up explanation.
+// Explanation attributes part of an article's relevance to one query
+// concept: the concept-document relevance (cdr) and the pivot entity
+// whose mention carried the match.
 type Explanation struct {
 	Concept string  `json:"concept"`
 	CDR     float64 `json:"cdr"`

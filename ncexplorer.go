@@ -74,30 +74,16 @@ type Config struct {
 	Shard int
 }
 
-// Article is one roll-up result. Explanations are present when the
-// query asked for them (RollUp always does; RollUpQuery honours its
-// Explain toggle).
-type Article struct {
-	ID     int     `json:"id"`
-	Source string  `json:"source"`
-	Title  string  `json:"title"`
-	Body   string  `json:"body"`
-	Score  float64 `json:"score"`
-	// PublishedAt is the article's publication time, RFC3339 UTC.
-	// Always present: articles ingested without one were stamped with
-	// the ingest wall clock.
-	PublishedAt  string        `json:"published_at"`
-	Explanations []Explanation `json:"explanations,omitempty"`
-}
+// Article is one roll-up result — and the article inside every
+// standing-query alert, which the same renderer produces. Explanations
+// are present when the query asked for them (RollUp and alerts always
+// do; RollUpQuery honours its Explain toggle).
+type Article = watch.Article
 
 // Explanation attributes part of an article's relevance to one query
 // concept: the concept-document relevance (cdr) and the pivot entity
 // whose mention carried the match.
-type Explanation struct {
-	Concept string  `json:"concept"`
-	CDR     float64 `json:"cdr"`
-	Pivot   string  `json:"pivot,omitempty"`
-}
+type Explanation = watch.Explanation
 
 // SubtopicSuggestion is one drill-down suggestion.
 type SubtopicSuggestion struct {
@@ -120,12 +106,12 @@ type CacheCounters struct {
 	Entries   int64 `json:"entries"`
 }
 
-// EngineCacheStats reports the engine's query-path memo caches: CDR
-// is the (concept, document) relevance memo (pre-seeded when a
-// snapshot is built, so Entries starts large), Match the
-// concept→matching-documents memo — both scoped to the current index
-// generation — and Conn the generation-independent connectivity memo
-// that makes post-ingest snapshot rebuilds cheap.
+// EngineCacheStats reports the engine's query-path caches: Match
+// counts the current generation's concept plans (Entries only: plans
+// are built at swap time, never faulted in), Conn the
+// generation-independent connectivity memo that makes post-ingest
+// rebuilds cheap. CDR is always zero — cdr values live in the plans,
+// and no relevance memo exists — and stays for readers of the field.
 type EngineCacheStats struct {
 	CDR   CacheCounters `json:"cdr"`
 	Match CacheCounters `json:"match"`
@@ -347,11 +333,11 @@ func (x *Explorer) Stats() Stats {
 	return st
 }
 
-// ResetQueryCaches restores the engine's query-time memoisation to its
-// post-build state for the current generation. Benchmarks and stress
-// tests use it to replay cold-cache traffic; results are unaffected
-// because on-demand values are seeded per (concept, document), and
-// queries in flight keep their pinned snapshot. It advances
+// ResetQueryCaches restores the engine's memoisation (the connectivity
+// memo) to its post-build state for the current generation. Benchmarks
+// and stress tests use it to replay cold-cache traffic; results are
+// unaffected because connectivity values are seeded per (concept,
+// document), and queries in flight keep their pinned snapshot. It advances
 // QueryEpoch, so layered response caches stop serving retained bodies
 // too.
 func (x *Explorer) ResetQueryCaches() { x.engine.ResetQueryCaches() }

@@ -245,10 +245,13 @@ func (x *Explorer) initWatch(opts watch.Options) {
 // after the generation swap and before the batch's checkpoint, so
 // alert state persists atomically with the batch that fired it.
 //
-// Cost is proportional to the delta (and the watchlist count), not the
-// corpus: matching walks only the new segment's postings, and scoring
-// touches only matched delta documents. That keeps per-ingest overhead
-// flat as the corpus grows — the property BenchmarkWatchEvaluate pins.
+// Matches and scores come from the generation's concept plans and the
+// alert's article from the roll-up renderer (x.article), so an alert
+// equals the roll-up's answer for that article at that generation by
+// construction. Cost is proportional to the delta (and the watchlist
+// count), not the corpus: each plan is entered at the delta's first
+// document by binary search. That keeps per-ingest overhead flat as the
+// corpus grows — the property BenchmarkWatchEvaluate pins.
 func (x *Explorer) watchEvaluate(v *core.DeltaView) {
 	defs := x.watch.Definitions()
 	if len(x.watchWindows) > 0 {
@@ -291,7 +294,7 @@ func (x *Explorer) watchEvaluate(v *core.DeltaView) {
 				srcs[s] = true
 			}
 		}
-		var arts []watch.Article
+		var arts []Article
 		var pubs []int64
 		for _, doc := range matched {
 			if srcs != nil && !srcs[v.Source(doc)] {
@@ -301,24 +304,8 @@ func (x *Explorer) watchEvaluate(v *core.DeltaView) {
 			if def.MinScore > 0 && score < def.MinScore {
 				continue
 			}
-			d := v.Article(doc)
-			art := watch.Article{
-				ID:          int(doc),
-				Source:      d.Source.String(),
-				Title:       d.Title,
-				Body:        d.Body,
-				Score:       score,
-				PublishedAt: time.Unix(d.PublishedAt, 0).UTC().Format(time.RFC3339),
-			}
-			pubs = append(pubs, d.PublishedAt)
-			for _, cc := range contribs {
-				expl := watch.Explanation{Concept: x.g.Name(cc.Concept), CDR: cc.CDR}
-				if cc.Pivot >= 0 {
-					expl.Pivot = x.g.Name(cc.Pivot)
-				}
-				art.Explanations = append(art.Explanations, expl)
-			}
-			arts = append(arts, art)
+			pubs = append(pubs, v.Article(doc).PublishedAt)
+			arts = append(arts, x.article(core.DocResult{Doc: corpus.DocID(doc), Score: score, Contributors: contribs}, true))
 		}
 		if def.WindowCount > 0 && !x.windowArmed(def, pubs) {
 			continue

@@ -83,8 +83,24 @@ func statelessMatches(t testing.TB, x *Explorer, wl Watchlist) (map[int]Article,
 	return byID, ids
 }
 
+// TestWatchIncrementalMatchesStatelessReference runs the property over
+// a monolith and over one shard of a two-shard cluster, whose document
+// IDs have a gap below its slice and whose reference is its own
+// roll-up.
 func TestWatchIncrementalMatchesStatelessReference(t *testing.T) {
-	x, err := New(Config{Scale: "tiny", Seed: 42, AlertBuffer: 8192})
+	for _, w := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"monolith", Config{Scale: "tiny", Seed: 42, AlertBuffer: 8192}},
+		{"shard", Config{Scale: "tiny", Seed: 42, AlertBuffer: 8192, ShardCount: 2, Shard: 1}},
+	} {
+		t.Run(w.name, func(t *testing.T) { checkWatchMatchesStatelessReference(t, w.cfg) })
+	}
+}
+
+func checkWatchMatchesStatelessReference(t *testing.T, cfg Config) {
+	x, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +156,9 @@ func TestWatchIncrementalMatchesStatelessReference(t *testing.T) {
 				preIDs[wl.ID] = set
 			}
 		}
-		prevDocs := x.NumArticles()
+		// The batch's first global ID: the local documents plus, on a
+		// shard, the documents its peers hold.
+		prevDocs := x.NumArticles() + x.engine.RemoteStatsSnapshot().Docs
 		arts, err := x.SampleArticles(1000+uint64(batch), 1+rng.Intn(20))
 		if err != nil {
 			t.Fatal(err)
