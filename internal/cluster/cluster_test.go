@@ -313,6 +313,15 @@ func TestRouterTopicsMatchesMonolithic(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s diverges:\n got:  %s\n want: %s", path, got, want)
 	}
+	// The proxy re-escapes the decoded concept: a '?', '#' or '/' inside
+	// it must reach the shard as part of the name, not split the URL.
+	for _, path := range []string{"/v1/keywords/Foo%3Fbar?n=3", "/v1/keywords/Foo%23bar", "/v1/keywords/Foo%2Fbar"} {
+		wantCode, want := send(t, http.MethodGet, tc.mono.URL+path, nil)
+		gotCode, got := send(t, http.MethodGet, tc.rts.URL+path, nil)
+		if gotCode != wantCode || !bytes.Equal(got, want) {
+			t.Fatalf("%s diverges:\n got:  %d %s\n want: %d %s", path, gotCode, got, wantCode, want)
+		}
+	}
 	// Router-only endpoints; the stats-sync loop ends with its context.
 	getBody(t, tc.rts.URL+"/healthz")
 	if st := getBody(t, tc.rts.URL+"/statsz"); !bytes.Contains(st, []byte(`"topics":1`)) {

@@ -188,17 +188,14 @@ func TestReplicaRestartFetchesOnlyMissingSegments(t *testing.T) {
 		}
 		x.Quiesce() // the checkpoint lands asynchronously; replicas ship durable state
 	}
-	// referenced counts the files a manifest pins: segments, their
-	// companions, and the base conn file.
+	// referenced counts the files a manifest pins: segments and their
+	// companions.
 	referenced := func(m *segio.Manifest) int {
 		n := len(m.Segments)
 		for _, ref := range m.Segments {
 			if ref.Conn != "" {
 				n++
 			}
-		}
-		if m.ConnFile != "" {
-			n++
 		}
 		return n
 	}
@@ -261,8 +258,8 @@ func TestReplicaRestartFetchesOnlyMissingSegments(t *testing.T) {
 }
 
 // TestReplicaCatchUpWalksNothing: a leader under steady ingest only
-// checkpoints, never saves, so its store holds no full conn file. The
-// conn companions its checkpoints write ship with the segments, and a
+// checkpoints, never saves. The conn companions its checkpoints write
+// ship with the segments, and a
 // replica's warm open re-runs no random walk the leader already ran —
 // while answering exactly what the leader answers.
 func TestReplicaCatchUpWalksNothing(t *testing.T) {
@@ -307,8 +304,10 @@ func TestReplicaCatchUpWalksNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ConnFile != "" {
-		t.Fatalf("a checkpoint-only leader shipped a full conn file %q", m.ConnFile)
+	for _, ref := range m.Segments {
+		if ref.Conn == "" {
+			t.Fatalf("shipped segment %s carries no conn companion", ref.File)
+		}
 	}
 	if served.Generation() != x.Generation() || served.NumArticles() != x.NumArticles() {
 		t.Fatalf("replica at generation %d with %d articles, leader at %d with %d",

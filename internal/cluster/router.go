@@ -45,6 +45,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,9 +75,6 @@ type Router struct {
 	Timeout time.Duration
 	// MaxK caps k like the public server does (default 100).
 	MaxK int
-	// SkewRetries bounds generation-barrier retries, each preceded by a
-	// stats re-sync (default 3).
-	SkewRetries int
 	// Logf, when set, receives router diagnostics.
 	Logf func(format string, args ...any)
 
@@ -113,13 +111,6 @@ func (rt *Router) maxK() int {
 		return rt.MaxK
 	}
 	return 100
-}
-
-func (rt *Router) skewRetries() int {
-	if rt.SkewRetries > 0 {
-		return rt.SkewRetries
-	}
-	return 3
 }
 
 // Handler returns the router's HTTP surface: the server's query front
@@ -341,6 +332,10 @@ func commonGeneration(ok []bool, gens ...func(shard int) uint64) (uint64, error)
 	return gen, nil
 }
 
+// skewRetries bounds generation-barrier retries, each preceded by a
+// stats re-sync.
+const skewRetries = 3
+
 // underBarrier runs one scatter-and-merge round until it stops
 // reporting generation skew: each skew re-syncs the term statistics
 // and retries, and past the retry budget the request is refused with
@@ -352,7 +347,7 @@ func (rt *Router) underBarrier(ctx context.Context, op string, round func() ([]b
 		if !errors.As(err, &skew) {
 			return body, err
 		}
-		if attempt >= rt.skewRetries() {
+		if attempt >= skewRetries {
 			return nil, shardUnavailable(int(skew), "generation skew past retry budget")
 		}
 		rt.logf("cluster: router %s generation skew at shard %d, re-syncing (attempt %d)", op, int(skew), attempt+1)
@@ -469,7 +464,7 @@ func (rt *Router) drillDown(ctx context.Context, req ncexplorer.DrillDownRequest
 // keywords derive from the graph and the deterministic connectivity
 // estimates, so every shard returns the same list.
 func (rt *Router) handleKeywords(w http.ResponseWriter, r *http.Request) {
-	path := "/v1/keywords/" + r.PathValue("concept")
+	path := "/v1/keywords/" + url.PathEscape(r.PathValue("concept"))
 	if raw := r.URL.Query().Encode(); raw != "" {
 		path += "?" + raw
 	}

@@ -19,13 +19,11 @@ import (
 	"context"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"ncexplorer/internal/segio"
@@ -96,24 +94,25 @@ func (f *Fetcher) Sync(ctx context.Context) (*segio.Manifest, bool, error) {
 		return m, false, nil
 	}
 	for _, ref := range m.Segments {
-		if err := f.fetchFile(ctx, ref.File, ref.CRC); err != nil {
+		crc := ref.CRC
+		if err := f.fetchFile(ctx, ref.File, func(data []byte) error {
+			if sum := crc32.ChecksumIEEE(data); sum != crc {
+				return fmt.Errorf("checksum %08x does not match the manifest's %08x", sum, crc)
+			}
+			return nil
+		}); err != nil {
 			return nil, false, err
 		}
 		// The segment's conn companion ships with it, so the replica's
 		// open walks nothing the leader already walked.
 		if ref.Conn != "" {
-			if err := f.fetchFile(ctx, ref.Conn, contentHash(ref.Conn)); err != nil {
+			if err := f.fetchNamed(ctx, ref.Conn); err != nil {
 				return nil, false, err
 			}
 		}
 	}
-	if m.ConnFile != "" {
-		if err := f.fetchFile(ctx, m.ConnFile, contentHash(m.ConnFile)); err != nil {
-			return nil, false, err
-		}
-	}
 	if m.WatchFile != "" {
-		if err := f.fetchFile(ctx, m.WatchFile, contentHash(m.WatchFile)); err != nil {
+		if err := f.fetchNamed(ctx, m.WatchFile); err != nil {
 			return nil, false, err
 		}
 	}
@@ -135,8 +134,7 @@ func (f *Fetcher) Sync(ctx context.Context) (*segio.Manifest, bool, error) {
 // reorganise files without advancing the generation. Refs compare
 // whole, so a changed conn companion counts as a change.
 func sameSnapshot(a, b *segio.Manifest) bool {
-	if a.Generation != b.Generation || len(a.Segments) != len(b.Segments) ||
-		a.ConnFile != b.ConnFile || a.WatchFile != b.WatchFile {
+	if a.Generation != b.Generation || len(a.Segments) != len(b.Segments) || a.WatchFile != b.WatchFile {
 		return false
 	}
 	for i := range a.Segments {
@@ -147,36 +145,21 @@ func sameSnapshot(a, b *segio.Manifest) bool {
 	return true
 }
 
-// contentHash extracts the checksum a content-addressed auxiliary file
-// name pins: the base conn file embeds a CRC32, conn companions and
-// watch files an FNV-1a sum. The returned value is what checksumFor
-// must reproduce over the fetched bytes.
-func contentHash(name string) uint32 {
-	base := strings.TrimSuffix(strings.TrimSuffix(name, segio.ConnExt), segio.WatchExt)
-	if i := strings.LastIndexByte(base, '-'); i >= 0 {
-		if v, err := strconv.ParseUint(base[i+1:], 16, 32); err == nil {
-			return uint32(v)
-		}
-	}
-	return 0
+// fetchNamed fetches a conn companion or watch file, whose name pins
+// its content (segio.CheckContentName — the rule OpenSnapshot applies
+// too).
+func (f *Fetcher) fetchNamed(ctx context.Context, name string) error {
+	return f.fetchFile(ctx, name, func(data []byte) error { return segio.CheckContentName(name, data) })
 }
 
-// checksumFor computes the checksum a file kind's name scheme uses.
-func checksumFor(name string, data []byte) uint32 {
-	if strings.HasSuffix(name, segio.WatchExt) || strings.HasPrefix(name, segio.CompanionPrefix) {
-		h := fnv.New32a()
-		h.Write(data)
-		return h.Sum32()
-	}
-	return crc32.ChecksumIEEE(data)
-}
-
-// fetchFile ensures name exists in Dir with the pinned checksum,
-// fetching it from the leader if absent. Files are immutable and
-// content-addressed, so an existing file is reused without a byte
-// moving (SegmentsReused). A partial download persists as name+".part"
-// and resumes with a Range request on the next attempt.
-func (f *Fetcher) fetchFile(ctx context.Context, name string, want uint32) error {
+// fetchFile ensures name exists in Dir, fetching it from the leader if
+// absent and accepting the bytes only when verify passes. Files are
+// immutable and content-addressed, so an existing file is reused
+// without a byte moving (SegmentsReused): it landed under its name only
+// after verify passed, and the open re-checks every checksum anyway. A
+// partial download persists as name+".part" and resumes with a Range
+// request on the next attempt.
+func (f *Fetcher) fetchFile(ctx context.Context, name string, verify func([]byte) error) error {
 	path := filepath.Join(f.Dir, name)
 	if _, err := os.Stat(path); err == nil {
 		f.segmentsReused.Add(1)
@@ -194,9 +177,9 @@ func (f *Fetcher) fetchFile(ctx context.Context, name string, want uint32) error
 	if resumed && len(have) > 0 {
 		body = append(have, body...)
 	}
-	if sum := checksumFor(name, body); sum != want {
+	if err := verify(body); err != nil {
 		os.Remove(part)
-		return fmt.Errorf("cluster: fetched %s: checksum %08x does not match expected %08x", name, sum, want)
+		return fmt.Errorf("cluster: fetched %s: %w", name, err)
 	}
 	f.segmentsFetched.Add(1)
 	// Deferred dirsync: Sync's manifest publish syncs the directory once

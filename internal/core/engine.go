@@ -82,16 +82,6 @@ type Options struct {
 	// influences only the timestamps stamped into documents, not how
 	// anything is scored. nil ⇒ time.Now.
 	Now func() time.Time
-	// PersistWindow is the group-commit batching window: before each
-	// checkpoint write the persist goroutine holds the queue open this
-	// long and adopts the newest pending job, so commits arriving
-	// within a window share one fsync cycle. The window only opens
-	// while NO goroutine is blocked on durability and closes the moment
-	// one registers (see persistLoop), so commit latency and durable-ack
-	// latency are both unaffected — batching happens exactly when
-	// nobody is waiting for the ack. 0 ⇒ 5ms; negative ⇒ disabled
-	// (only the one-slot queue's natural coalescing remains).
-	PersistWindow time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -118,11 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Now == nil {
 		o.Now = time.Now
-	}
-	if o.PersistWindow == 0 {
-		o.PersistWindow = 5 * time.Millisecond
-	} else if o.PersistWindow < 0 {
-		o.PersistWindow = 0
 	}
 	return o
 }

@@ -83,9 +83,8 @@ type groupCommit struct {
 	lineage map[*snapshot.Segment][]*snapshot.Segment
 
 	// writeMu serialises every disk write (checkpoints, saves, opens)
-	// and guards the writer-side persist fields: segFiles, segDelta,
-	// connFile, connEntries, connChecked, and the written watermark
-	// below.
+	// and guards the writer-side persist fields (segFiles, segDelta,
+	// verified, lastWatchFile) and the written watermark below.
 	writeMu sync.Mutex
 	written uint64 // highest sequence actually written (under writeMu)
 }
@@ -205,6 +204,16 @@ func (e *Engine) checkpointSyncLocked(st *genState) {
 	}
 }
 
+// persistWindow is the group-commit batching window: before each
+// checkpoint write the persist goroutine holds the queue open this long
+// and adopts the newest pending job, so commits arriving within a
+// window share one fsync cycle. The window only opens while NO
+// goroutine is blocked on durability and closes the moment one
+// registers (see persistLoop), so commit latency and durable-ack
+// latency are both unaffected — batching happens exactly when nobody
+// is waiting for the ack.
+const persistWindow = 5 * time.Millisecond
+
 // persistLoop drains the one-slot queue until it is empty, then exits;
 // the next enqueue restarts it. Before each write it may hold the
 // group-commit window open and adopt the newest pending job, so
@@ -234,8 +243,8 @@ func (e *Engine) persistLoop() {
 		default:
 		}
 		gc.mu.Unlock()
-		if w := e.opts.PersistWindow; w > 0 && noWaiters {
-			t := time.NewTimer(w)
+		if noWaiters {
+			t := time.NewTimer(persistWindow)
 			select {
 			case <-gc.waiterCh: // a waiter arrived: write now
 				t.Stop()

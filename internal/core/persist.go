@@ -4,12 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -31,10 +28,10 @@ import (
 // document) under the engine seed, a loaded engine answers every query
 // byte-identically to the engine that saved it.
 //
-// Checkpoints make the memo durable too: every segment file a
+// The memo reaches disk in one file kind: every segment file a save or
 // checkpoint writes gets a conn companion holding that segment's
-// memoised values, so a store reopened after a crash walks nothing
-// either. A full save folds memo and companions into one conn file.
+// memoised values, so a store reopened after a clean save or a crash
+// walks nothing either way.
 //
 // Crash safety: segment and conn files are immutable and content-named;
 // each is written via temp-file + fsync + atomic rename, and the
@@ -90,8 +87,8 @@ var (
 
 // persistState is the engine's persistence bookkeeping. The
 // commit-side fields (checkpoint dir, world meta, watch encoder) are
-// guarded by ingestMu; the writer-side fields (segFiles, connFile,
-// connEntries, connChecked) are guarded by gc.writeMu, because the
+// guarded by ingestMu; the writer-side fields (segFiles, segDelta,
+// verified, lastWatchFile) are guarded by gc.writeMu, because the
 // group-commit writer touches them off the commit path.
 type persistState struct {
 	saves, opens, checkpoints       atomic.Int64
@@ -126,13 +123,6 @@ type persistState struct {
 	// garbage scan (a delta checkpoint never unreferences a file), so
 	// a superseded watch file — the one exception — is removed here.
 	lastWatchFile string
-	// connFile/connEntries remember the last conn-memo file this engine
-	// wrote or loaded, so checkpoints can keep referencing it without
-	// re-reading the manifest on every ingest. connChecked marks the
-	// one-time fallback read of a pre-existing manifest as done.
-	connFile    string
-	connEntries int
-	connChecked bool
 	// watchEnc, when set, renders the standing-query state (watchlists,
 	// alert rings, delivery cursors) for manifest participation. It
 	// returns nil when there is nothing to persist.
@@ -175,10 +165,10 @@ func (e *Engine) SetCheckpointDir(dir string, world map[string]string) {
 	}
 }
 
-// SaveSnapshot durably persists the current snapshot (segments, conn
-// memo, manifest) into dir, which is created if needed. world is an
-// opaque facade-level map stored in the manifest for reconstruction
-// (e.g. the synthetic-world scale). Save excludes writers — a batch
+// SaveSnapshot durably persists the current snapshot (segments, their
+// conn companions, manifest) into dir, which is created if needed.
+// world is an opaque facade-level map stored in the manifest for
+// reconstruction (e.g. the synthetic-world scale). Save excludes writers — a batch
 // racing with Ingest lands either entirely before or entirely after
 // the saved generation — and never blocks queries. On any error the
 // directory's previous manifest, if one exists, is untouched.
@@ -211,11 +201,14 @@ func (e *Engine) SaveSnapshot(dir string, world map[string]string) error {
 	return nil
 }
 
-// writeStore writes segments (+ conn memo when writeConn) and swaps
-// the manifest. world and watch are the manifest inputs captured at
-// commit time — the writer must not read them from the engine, whose
-// commit-side fields may have moved on. gc.writeMu must be held.
-func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[string]string, watch []byte, hasWatch bool) error {
+// writeStore writes segments and their conn companions and swaps the
+// manifest. compact (saves) encodes every live segment whole and sweeps
+// the directory after the swap; checkpoints instead cover merged
+// segments with delta refs and skip the sweep. world and watch are the
+// manifest inputs captured at commit time — the writer must not read
+// them from the engine, whose commit-side fields may have moved on.
+// gc.writeMu must be held.
+func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[string]string, watch []byte, hasWatch bool) error {
 	if err := ensureDir(dir); err != nil {
 		return err
 	}
@@ -242,9 +235,9 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 			// already durable is covered by referencing their files — the
 			// manifest's layout lags the in-memory segmentation, but the
 			// documents and generation it describes are identical, and no
-			// O(corpus) re-encode rides the writer. Saves (writeConn)
-			// compact to the live layout instead.
-			if !writeConn {
+			// O(corpus) re-encode rides the writer. Saves compact to the
+			// live layout instead.
+			if !compact {
 				if drefs, dok := e.resolveDeltaRefs(seg, dir); dok {
 					e.persist.segDelta[seg] = drefs
 					e.gc.purgeLineage(seg)
@@ -265,11 +258,6 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 			delete(e.persist.segDelta, seg)
 			e.gc.purgeLineage(seg)
 		}
-		if writeConn {
-			// Saves compact: the full conn file written below covers every
-			// segment, so no ref carries a companion.
-			ref.Conn = ""
-		}
 		onDisk := e.knownFile(dir, ref.File)
 		if onDisk {
 			e.persist.segmentsReused.Add(1)
@@ -281,12 +269,14 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 			}
 			pend = append(pend, pendingFile{name: ref.File, data: data, segment: true})
 		}
-		if !writeConn && (!onDisk || (ref.Conn != "" && !e.knownFile(dir, ref.Conn))) {
-			// Every segment file a checkpoint writes gets a conn companion,
-			// so a crash before the next save reopens without re-walking its
-			// documents — as does one whose companion an earlier, failed
-			// attempt never placed. The content derives from the plans, so
-			// a rewrite lands under the same name.
+		if ref.Conn == "" || !e.knownFile(dir, ref.Conn) {
+			// Every segment carries a conn companion, so the store reopens
+			// without re-walking its documents: a new segment, one whose
+			// companion an earlier, failed attempt never placed, and one
+			// opened from a store that predates companions. The content
+			// derives from the plans, so a rewrite lands under the same
+			// name. (A segment with no memoised pair has none; re-checking
+			// it is cheap.)
 			ref.Conn = ""
 			if conn := st.companionConn(ref.Base, ref.Docs); conn != nil {
 				ref.Conn = segio.CompanionFileName(ref.Base, ref.Docs, conn)
@@ -380,40 +370,6 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 			RemoteBatches:  rs.Batches,
 		}
 	}
-	if writeConn {
-		data, entries := e.encodeConnMemo()
-		name := fmt.Sprintf("conn-%08x%s", crc32.ChecksumIEEE(data), segio.ConnExt)
-		if !e.knownFile(dir, name) {
-			if err := writeSegioFile(dir, name, data); err != nil {
-				return fmt.Errorf("core: writing conn memo: %w", err)
-			}
-			wrote = true
-			e.markFile(dir, name)
-			e.persist.bytesWritten.Add(int64(len(data)))
-		}
-		m.ConnFile, m.ConnEntries = name, entries
-		e.persist.connFile, e.persist.connEntries, e.persist.connChecked = name, entries, true
-	} else {
-		// Checkpoints keep the last fully saved conn file: its entries
-		// are content-addressed and never go stale, and the companions
-		// above cover every segment written since. The reference is
-		// cached from the save/open that produced it; the manifest is
-		// read at most once, for a store inherited from a previous
-		// process that this engine has neither saved nor opened — and
-		// only adopted when that manifest's content-determining engine
-		// options match this engine's, since conn values computed under
-		// a different graph/seed/sampling would silently poison a later
-		// open's prefill.
-		if !e.persist.connChecked {
-			if prev, err := segio.ReadManifest(dir); err == nil && compatibleEngineMeta(e.engineMeta(), prev.Engine) {
-				e.persist.connFile, e.persist.connEntries = prev.ConnFile, prev.ConnEntries
-			}
-			e.persist.connChecked = true
-		}
-		if e.persist.connFile != "" && e.knownFile(dir, e.persist.connFile) {
-			m.ConnFile, m.ConnEntries = e.persist.connFile, e.persist.connEntries
-		}
-	}
 	// Standing-query state participates in the same atomic manifest
 	// swap: the content-named file is written first, the manifest points
 	// at it, and stale generations are garbage-collected after the swap.
@@ -424,13 +380,7 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 	// the manifest pairs each batch with exactly the alerts it fired.
 	if hasWatch {
 		if data := watch; len(data) > 0 {
-			// Content-address with FNV-1a, not CRC32: the payload ends with
-			// its own CRC32 trailer, and the CRC of data-plus-trailer is the
-			// fixed CRC-32 residue — every version would share one name and
-			// the fileExists fast path would silently never persist updates.
-			h := fnv.New32a()
-			h.Write(data)
-			name := fmt.Sprintf("watch-%08x%s", h.Sum32(), segio.WatchExt)
+			name := segio.WatchFileName(data)
 			if !e.knownFile(dir, name) {
 				if err := writeSegioFile(dir, name, data); err != nil {
 					return fmt.Errorf("core: writing watch state: %w", err)
@@ -452,10 +402,11 @@ func (e *Engine) writeStore(dir string, st *genState, writeConn bool, world map[
 	if err := writeSegioManifest(dir, m); err != nil {
 		return fmt.Errorf("core: writing manifest: %w", err)
 	}
-	if writeConn {
+	if compact {
 		// Saves compact: the manifest may have stopped referencing delta
-		// leaf files, folded segments, or old conn/watch versions —
-		// sweep the directory against it.
+		// leaf files, folded segments, old companion/watch versions or a
+		// pre-companion store's whole-memo conn file — sweep the
+		// directory against it.
 		for _, name := range segio.CollectGarbage(dir, m) {
 			e.forgetFile(dir, name)
 		}
@@ -571,34 +522,14 @@ func (e *Engine) Checkpoint() {
 	}
 }
 
-// encodeConnMemo dumps the engine-wide connectivity memo in canonical
-// (key-sorted) order.
-func (e *Engine) encodeConnMemo() ([]byte, int) {
-	type kv struct {
-		k uint64
-		v float64
-	}
-	var entries []kv
-	e.connMemo.Range(func(k uint64, v float64) {
-		entries = append(entries, kv{k, v})
-	})
-	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
-	keys := make([]uint64, len(entries))
-	values := make([]float64, len(entries))
-	for i, ent := range entries {
-		keys[i] = ent.k
-		values[i] = ent.v
-	}
-	return segio.EncodeConn(keys, values), len(entries)
-}
-
 // OpenSnapshot loads a persisted snapshot into a freshly constructed
 // engine (NewEngine with the same graph and options as the saver —
 // the manifest's EngineMeta is cross-checked). It decodes every
-// referenced segment, pre-fills the connectivity memo from the saved
-// cache, and derives the generation state through the same rescore an
-// ingest performs, so the opened engine is indistinguishable from the
-// one that saved: same generation, same scores, same answers.
+// referenced segment, pre-fills the connectivity memo from the
+// segments' conn companions, and derives the generation state through
+// the same rescore an ingest performs, so the opened engine is
+// indistinguishable from the one that saved: same generation, same
+// scores, same answers.
 func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -640,7 +571,6 @@ func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 	for i, seg := range segs {
 		e.persist.segFiles[seg] = m.Segments[i]
 	}
-	e.persist.connFile, e.persist.connEntries, e.persist.connChecked = m.ConnFile, m.ConnEntries, true
 	e.gc.writeMu.Unlock()
 
 	e.stats = statsFromMeta(m.Stats)
@@ -663,66 +593,45 @@ func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 	return nil
 }
 
-// prefillConn loads the manifest's base conn file plus every segment's
-// conn companion into the engine-wide memo, so the rescore below walks
-// nothing the store already holds. Each file is validated on its own
-// (CRC and canonical form, by DecodeConn); the files may overlap — a
-// companion of a segment re-encoded after a merge repeats base entries
-// — but a key carrying two different values is corruption. Entries are
-// staged and installed only once every file passed: a failed open must
-// not leave stray values in the memo (the engine stays reusable after a
-// failed open, so a later successful open would silently serve them).
+// prefillConn loads every segment's conn companion into the
+// engine-wide memo, so the rescore below walks nothing the store
+// already holds. Each file is validated on its own: its name pins its
+// FNV-1a (segio.ReadConnFile), DecodeConn checks CRC and canonical
+// form, and every key's document must lie in its own segment's range.
+// The manifest keeps segments disjoint, so no two files can carry the
+// same key. Entries are staged and installed only once every file
+// passed: a failed open must not leave stray values in the memo (the
+// engine stays reusable after a failed open, so a later successful
+// open would silently serve them). A segment without a companion (a
+// store written before saves wrote them) is simply walked.
 func (e *Engine) prefillConn(dir string, m *segio.Manifest) error {
-	var names []string
-	if m.ConnFile != "" {
-		names = append(names, m.ConnFile)
-	}
+	var files [][]connPair
 	for _, ref := range m.Segments {
-		if ref.Conn != "" {
-			names = append(names, ref.Conn)
+		if ref.Conn == "" {
+			continue
 		}
-	}
-	files := make([][]connPair, len(names))
-	largest := 0
-	for i, name := range names {
-		data, err := segio.ReadConnFile(dir, name)
+		data, err := segio.ReadConnFile(dir, ref.Conn)
 		if err != nil {
 			return err
 		}
 		e.persist.bytesRead.Add(int64(len(data)))
-		// Capacity from the validated file size, never from the
-		// manifest's (attacker- or rot-controllable) ConnEntries field:
-		// a hostile count must not panic make or balloon the allocation.
-		staged := make([]connPair, 0, len(data)/16)
+		staged := make([]connPair, 0, len(data)/16) // 16 bytes per entry
+		lo, hi := uint32(ref.Base), uint32(ref.Base)+uint32(ref.Docs)
+		var stray uint64
+		var outside bool
 		if err := segio.DecodeConn(data, func(k uint64, v float64) {
+			if d := uint32(k); d < lo || d >= hi {
+				stray, outside = k, true
+			}
 			staged = append(staged, connPair{key: k, val: v})
 		}); err != nil {
-			return fmt.Errorf("conn-memo file %s: %w", name, err)
+			return fmt.Errorf("conn-memo file %s: %w", ref.Conn, err)
 		}
-		files[i] = staged
-		if len(staged) > len(files[largest]) {
-			largest = i
+		if outside {
+			return fmt.Errorf("%w: conn-memo file %s: key %#x lies outside its segment's documents [%d, %d)",
+				segio.ErrCorrupt, ref.Conn, stray, lo, hi)
 		}
-	}
-	if len(files) > 1 {
-		// Cross-file agreement: index every file but the largest (the
-		// base conn file after a save; companions are small), then probe
-		// the largest, moved last, against the index.
-		last := len(files) - 1
-		files[largest], files[last] = files[last], files[largest]
-		names[largest], names[last] = names[last], names[largest]
-		seen := make(map[uint64]uint64)
-		for i, f := range files {
-			for _, p := range f {
-				bits := math.Float64bits(p.val)
-				if prev, ok := seen[p.key]; ok && prev != bits {
-					return fmt.Errorf("%w: conn-memo file %s disagrees with another on key %#x", segio.ErrCorrupt, names[i], p.key)
-				}
-				if i != last {
-					seen[p.key] = bits
-				}
-			}
-		}
+		files = append(files, staged)
 	}
 	for _, f := range files {
 		for _, p := range f {

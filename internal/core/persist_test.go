@@ -1,15 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
-
-	"hash/crc32"
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
@@ -190,20 +192,13 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 	}
 
 	// "Crash": no SaveSnapshot call; a fresh engine must reopen the
-	// checkpointed state. Only full saves write the base conn file; the
-	// memo reaches disk through the segments' conn companions instead.
+	// checkpointed state. The memo reaches disk through the segments'
+	// conn companions.
 	m, err := segio.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ConnFile != "" {
-		t.Fatalf("checkpoint wrote a base conn file: %q", m.ConnFile)
-	}
-	for i, ref := range m.Segments {
-		if ref.Conn == "" {
-			t.Fatalf("checkpointed segment %d (%s) carries no conn companion", i, ref.File)
-		}
-	}
+	everySegmentCarriesCompanion(t, m)
 	if m.Generation != e.Generation() {
 		t.Fatalf("manifest generation %d, engine %d", m.Generation, e.Generation())
 	}
@@ -216,8 +211,8 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 	}
 	enginesEquivalent(t, e, recovered)
 
-	// A full save upgrades the store with the conn cache; a checkpoint
-	// after it keeps referencing that cache.
+	// A full save writes the same companions; a checkpoint after it
+	// keeps referencing them.
 	if err := e.SaveSnapshot(dir, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -229,22 +224,50 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ConnFile == "" {
-		t.Fatal("checkpoint dropped the saved conn file reference")
-	}
+	everySegmentCarriesCompanion(t, m)
 	if m.Generation != e.Generation() {
 		t.Fatalf("post-save checkpoint generation %d, engine %d", m.Generation, e.Generation())
 	}
 }
 
+// everySegmentCarriesCompanion asserts the one-file-kind layout: each
+// manifest segment names its conn companion.
+func everySegmentCarriesCompanion(t *testing.T, m *segio.Manifest) {
+	t.Helper()
+	for i, ref := range m.Segments {
+		if ref.Conn == "" {
+			t.Fatalf("segment %d (%s) carries no conn companion", i, ref.File)
+		}
+	}
+}
+
+// memoDump encodes the engine-wide connectivity memo in key order —
+// the whole-memo conn file saves wrote before companions replaced it —
+// so two engines' memos compare as strings.
+func memoDump(e *Engine) []byte {
+	var keys []uint64
+	vals := make(map[uint64]float64)
+	e.connMemo.Range(func(k uint64, v float64) {
+		keys = append(keys, k)
+		vals[k] = v
+	})
+	slices.Sort(keys)
+	values := make([]float64, len(keys))
+	for i, k := range keys {
+		values[i] = vals[k]
+	}
+	return segio.EncodeConn(keys, values)
+}
+
 // TestCrashReopenWalksNothing pins the durable memo: after a save and
 // then checkpoints only (merges folding segments in between, so delta
 // refs carry their parents' companions), a post-crash open pre-fills
-// the connectivity memo from the base conn file plus the companions,
-// walks nothing, holds exactly the live engine's memo, and answers
-// byte-identically. A second phase makes a checkpoint re-encode a
-// merged segment that spans saved documents: its companion repeats
-// base-file entries, which open must accept because the values agree.
+// the connectivity memo from the companions, walks nothing, holds
+// exactly the live engine's memo, and answers byte-identically — as
+// does an open after the clean save that follows, whose directory holds
+// one companion per segment and nothing else of the kind. A second
+// phase makes a checkpoint re-encode a merged segment that spans saved
+// documents: its companion covers the whole merged range.
 func TestCrashReopenWalksNothing(t *testing.T) {
 	g, _, c, _ := world(t)
 	opts := Options{Seed: 11, Samples: 20, MaxSegments: 2}
@@ -255,12 +278,10 @@ func TestCrashReopenWalksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		if misses := recovered.CacheStats().Conn.Misses; misses != 0 {
-			t.Fatalf("post-crash open re-walked %d pairs", misses)
+			t.Fatalf("reopen re-walked %d pairs", misses)
 		}
-		got, _ := recovered.encodeConnMemo()
-		want, _ := e.encodeConnMemo()
-		if string(got) != string(want) {
-			t.Fatal("post-crash memo differs from the live engine's")
+		if !bytes.Equal(memoDump(recovered), memoDump(e)) {
+			t.Fatal("reopened memo differs from the live engine's")
 		}
 		enginesEquivalent(t, e, recovered)
 	}
@@ -287,15 +308,18 @@ func TestCrashReopenWalksNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.ConnFile == "" || m.Segments[0].Conn != "" || m.Segments[len(m.Segments)-1].Conn == "" {
-			t.Fatalf("want the saved segment covered by the base conn file and the rest by companions: %+v", m)
-		}
+		everySegmentCarriesCompanion(t, m)
 		crashOpen(t, e, dir)
 
-		// A clean save folds the companions away.
+		// A clean save leaves exactly one companion per segment and a
+		// manifest that names no other conn file.
 		if err := e.SaveSnapshot(dir, nil); err != nil {
 			t.Fatal(err)
 		}
+		if m, err = segio.ReadManifest(dir); err != nil {
+			t.Fatal(err)
+		}
+		everySegmentCarriesCompanion(t, m)
 		entries, _ := os.ReadDir(dir)
 		conns := 0
 		for _, ent := range entries {
@@ -303,12 +327,20 @@ func TestCrashReopenWalksNothing(t *testing.T) {
 				conns++
 			}
 		}
-		if conns != 1 {
-			t.Fatalf("%d conn files after a save, want the one base file", conns)
+		if conns != len(m.Segments) {
+			t.Fatalf("%d conn files after a save, want one per segment (%d)", conns, len(m.Segments))
 		}
+		raw, err := os.ReadFile(filepath.Join(dir, segio.ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, []byte(`"conn_file"`)) || bytes.Contains(raw, []byte(`"conn_entries"`)) {
+			t.Fatalf("saved manifest names a whole-memo conn file:\n%s", raw)
+		}
+		crashOpen(t, e, dir)
 	})
 
-	t.Run("re-encoded merge overlaps the base file", func(t *testing.T) {
+	t.Run("re-encoded merge spans saved documents", func(t *testing.T) {
 		dir := t.TempDir()
 		e := NewEngine(g, opts)
 		e.IndexCorpus(c)
@@ -326,12 +358,13 @@ func TestCrashReopenWalksNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		overlap := false
+		everySegmentCarriesCompanion(t, m)
+		spans := false
 		for _, ref := range m.Segments {
-			overlap = overlap || (ref.Conn != "" && ref.Base < saved)
+			spans = spans || (ref.Base < saved && ref.Base+int32(ref.Docs) > saved)
 		}
-		if m.ConnFile == "" || !overlap {
-			t.Fatalf("want a companion spanning saved documents beside the base conn file: %+v", m)
+		if !spans {
+			t.Fatalf("want a re-encoded segment spanning the saved documents: %+v", m)
 		}
 		crashOpen(t, e, dir)
 	})
@@ -631,8 +664,9 @@ func TestOpenRejectsOutOfGraphNodes(t *testing.T) {
 
 // TestCheckpointRejectsForeignConnFile: a checkpoint into a directory
 // previously saved by an engine with different content-determining
-// options must not adopt that store's conn file — its walk values were
-// computed under a different seed and would poison a later open.
+// options references none of that store's conn companions — their walk
+// values were computed under a different seed and would poison a later
+// open — and reopens walking nothing, with exactly its own memo.
 func TestCheckpointRejectsForeignConnFile(t *testing.T) {
 	g, _, c, _ := world(t)
 	dir := t.TempDir()
@@ -642,9 +676,10 @@ func TestCheckpointRejectsForeignConnFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	fm, err := segio.ReadManifest(dir)
-	if err != nil || fm.ConnFile == "" {
-		t.Fatalf("foreign save: manifest=%+v err=%v", fm, err)
+	if err != nil {
+		t.Fatal(err)
 	}
+	everySegmentCarriesCompanion(t, fm)
 
 	e := NewEngine(g, persistTestOptions()) // Seed 11: different content
 	e.IndexCorpus(c)
@@ -657,21 +692,107 @@ func TestCheckpointRejectsForeignConnFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ConnFile != "" {
-		t.Fatalf("checkpoint inherited foreign conn file %q", m.ConnFile)
+	everySegmentCarriesCompanion(t, m)
+	for _, ref := range m.Segments {
+		for _, fref := range fm.Segments {
+			if ref.Conn == fref.Conn {
+				t.Fatalf("checkpoint inherited foreign conn companion %q", ref.Conn)
+			}
+		}
 	}
-	// Same-options inheritance still works (covered structurally by
-	// TestCheckpointSurvivesCrash; assert the meta comparison here).
 	if !compatibleEngineMeta(e.engineMeta(), m.Engine) {
 		t.Fatal("checkpoint manifest does not carry this engine's options")
 	}
+	recovered := NewEngine(g, persistTestOptions())
+	if err := recovered.OpenSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	if misses := recovered.CacheStats().Conn.Misses; misses != 0 {
+		t.Fatalf("reopen re-walked %d pairs", misses)
+	}
+	if !bytes.Equal(memoDump(recovered), memoDump(e)) {
+		t.Fatal("reopened memo differs from the checkpointing engine's")
+	}
+}
+
+// expectCorruptOpen asserts that opening dir fails with ErrCorrupt and
+// leaves the engine pristine: no state and no conn-memo entries — the
+// engine stays reusable after a failed open, and a later successful
+// open must not silently serve values from a rejected file.
+func expectCorruptOpen(t *testing.T, g *kg.Graph, dir, what string) {
+	t.Helper()
+	victim := NewEngine(g, persistTestOptions())
+	if err := victim.OpenSnapshot(dir, nil); !errors.Is(err, segio.ErrCorrupt) {
+		t.Fatalf("open with %s: %v", what, err)
+	}
+	if victim.state() != nil {
+		t.Fatalf("open with %s installed state", what)
+	}
+	if n := victim.connMemo.Len(); n != 0 {
+		t.Fatalf("failed open with %s leaked %d conn-memo entries", what, n)
+	}
+}
+
+// readCompanion decodes a conn companion into parallel key/value slices.
+func readCompanion(t *testing.T, dir, name string) ([]uint64, []float64) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []uint64
+	var values []float64
+	if err := segio.DecodeConn(data, func(k uint64, v float64) {
+		keys, values = append(keys, k), append(values, v)
+	}); err != nil || len(keys) == 0 {
+		t.Fatalf("companion %s: %d entries, err %v", name, len(keys), err)
+	}
+	return keys, values
+}
+
+// rewriteCompanion replaces segment i's companion with data under its
+// correct content name and points the manifest at it, so only checks
+// beyond the file's own name and CRC can reject it.
+func rewriteCompanion(t *testing.T, dir string, m *segio.Manifest, i int, data []byte) {
+	t.Helper()
+	ref := &m.Segments[i]
+	ref.Conn = segio.CompanionFileName(ref.Base, ref.Docs, data)
+	if err := segio.WriteFileAtomic(dir, ref.Conn, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := segio.WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyStore clones a store directory, replacing the named file's bytes
+// when data is non-nil.
+func copyStore(t *testing.T, src, name string, data []byte) string {
+	t.Helper()
+	d := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		b, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ent.Name() == name && data != nil {
+			b = data
+		}
+		if err := os.WriteFile(filepath.Join(d, ent.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
 }
 
 // TestFailedOpenLeavesNoConnEntries: a conn-memo file that passes its
 // CRC but fails structural validation partway through must not leave
-// any streamed entries behind in the engine-wide memo — the engine
-// stays reusable after a failed open, and a later successful open
-// must not silently serve values from the rejected file.
+// any streamed entries behind in the engine-wide memo — nor may any
+// damaged companion beside companions that decode cleanly.
 func TestFailedOpenLeavesNoConnEntries(t *testing.T) {
 	g, _, c, _ := world(t)
 	dir := t.TempDir()
@@ -684,34 +805,16 @@ func TestFailedOpenLeavesNoConnEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ConnFile == "" {
-		t.Fatal("full save wrote no conn file")
-	}
-	// Unsorted keys: the header and CRC are valid, so entries stream to
-	// the callback before the violation is detected. (The manifest does
-	// not pin the conn file's CRC, so the overwrite reaches the decoder.)
-	bad := segio.EncodeConn([]uint64{9, 3}, []float64{1, 2})
-	if err := os.WriteFile(filepath.Join(dir, m.ConnFile), bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	expectCorrupt := func(t *testing.T, dir, what string) {
-		t.Helper()
-		victim := NewEngine(g, persistTestOptions())
-		if err := victim.OpenSnapshot(dir, nil); !errors.Is(err, segio.ErrCorrupt) {
-			t.Fatalf("open with %s: %v", what, err)
-		}
-		if victim.state() != nil {
-			t.Fatalf("open with %s installed state", what)
-		}
-		if n := victim.connMemo.Len(); n != 0 {
-			t.Fatalf("failed open with %s leaked %d conn-memo entries", what, n)
-		}
-	}
-	expectCorrupt(t, dir, "an unsorted conn file")
+	everySegmentCarriesCompanion(t, m)
+	// Unsorted keys inside the segment's range, under the correct content
+	// name: the header and CRC are valid, so entries stream to the
+	// callback before the violation is detected.
+	rewriteCompanion(t, dir, m, 0, segio.EncodeConn([]uint64{9, 3}, []float64{1, 2}))
+	expectCorruptOpen(t, g, dir, "an unsorted conn file")
 
-	// Conn companions: a checkpointed store on top of a valid base conn
-	// file, so every damaged companion below sits beside files that
-	// decode cleanly — and whose entries must not leak either.
+	// A saved store plus checkpoints, so every damaged companion below
+	// sits beside files that decode cleanly — and whose entries must not
+	// leak either.
 	cdir := t.TempDir()
 	ce := NewEngine(g, persistTestOptions())
 	ce.IndexCorpus(c)
@@ -729,57 +832,154 @@ func TestFailedOpenLeavesNoConnEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var comps []string
-	for _, ref := range cm.Segments {
-		if ref.Conn != "" {
-			comps = append(comps, ref.Conn)
-		}
+	everySegmentCarriesCompanion(t, cm)
+	if len(cm.Segments) < 2 {
+		t.Fatalf("checkpoints left %d segments, want one per batch beside the saved one", len(cm.Segments))
 	}
-	if len(comps) < 2 {
-		t.Fatalf("checkpoints wrote %d conn companions, want one per batch", len(comps))
-	}
-	first, err := os.ReadFile(filepath.Join(cdir, comps[0]))
+	first := cm.Segments[0].Conn
+	data, err := os.ReadFile(filepath.Join(cdir, first))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keys []uint64
-	var values []float64
-	if err := segio.DecodeConn(first, func(k uint64, v float64) {
-		keys, values = append(keys, k), append(values, v)
-	}); err != nil || len(keys) == 0 {
-		t.Fatalf("companion %s: %d entries, err %v", comps[0], len(keys), err)
-	}
-	flipped := append([]byte(nil), first...)
+	keys, values := readCompanion(t, cdir, first)
+	flipped := append([]byte(nil), data...)
 	flipped[len(flipped)/2] ^= 0x01
 	for _, tc := range []struct {
 		name, file string
 		data       []byte
 	}{
-		{"a truncated companion", comps[0], first[:len(first)-5]},
-		{"a flipped companion", comps[0], flipped},
-		// Valid on its own, but it gives the first companion's key a
-		// different value.
-		{"a conflicting companion", comps[len(comps)-1], segio.EncodeConn(keys[:1], []float64{values[0] + 1})},
+		{"a truncated companion", first, data[:len(data)-5]},
+		{"a flipped companion", first, flipped},
+		// Valid on its own, but not the content its name pins, and its
+		// key lies outside the last segment's documents.
+		{"a conflicting companion", cm.Segments[len(cm.Segments)-1].Conn, segio.EncodeConn(keys[:1], []float64{values[0] + 1})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := t.TempDir()
-			entries, err := os.ReadDir(cdir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ent := range entries {
-				data, err := os.ReadFile(filepath.Join(cdir, ent.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ent.Name() == tc.file {
-					data = tc.data
-				}
-				if err := os.WriteFile(filepath.Join(d, ent.Name()), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			expectCorrupt(t, d, tc.name)
+			expectCorruptOpen(t, g, copyStore(t, cdir, tc.file, tc.data), tc.name)
 		})
 	}
+}
+
+// TestOpenChecksCompanionContent pins the two rules that make each
+// conn companion stand alone, on a checkpointed store: a companion's
+// bytes must hash to the FNV-1a its name pins, and every key's document
+// must lie in its own segment's range. Each damage below keeps the file
+// canonical and its CRC valid, so only the rule under test catches it.
+func TestOpenChecksCompanionContent(t *testing.T) {
+	g, _, c, _ := world(t)
+	dir := t.TempDir()
+	e := NewEngine(g, persistTestOptions())
+	e.IndexCorpus(c)
+	e.SetCheckpointDir(dir, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := e.Ingest(context.Background(), ingestBatch(t, 8900+uint64(i), 5)); err != nil {
+			t.Fatal(err)
+		}
+		e.WaitMerges()
+	}
+	m, err := segio.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	everySegmentCarriesCompanion(t, m)
+	last := len(m.Segments) - 1
+	if last < 1 {
+		t.Fatalf("want at least two segments, manifest has %d", len(m.Segments))
+	}
+
+	t.Run("value changed under its old name", func(t *testing.T) {
+		name := m.Segments[last].Conn
+		keys, values := readCompanion(t, dir, name)
+		values[0] += 1
+		expectCorruptOpen(t, g, copyStore(t, dir, name, segio.EncodeConn(keys, values)), "a renamed companion")
+	})
+
+	t.Run("key moved into another segment's companion", func(t *testing.T) {
+		d := copyStore(t, dir, "", nil)
+		dm, err := segio.ReadManifest(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lk, lv := readCompanion(t, d, dm.Segments[last].Conn)
+		j := slices.IndexFunc(lv, func(v float64) bool { return v != 0 })
+		if j < 0 {
+			t.Fatal("last companion holds no nonzero value")
+		}
+		moved, val := lk[j], lv[j]
+		rewriteCompanion(t, d, dm, last, segio.EncodeConn(slices.Delete(lk, j, j+1), slices.Delete(lv, j, j+1)))
+		fk, fv := readCompanion(t, d, dm.Segments[0].Conn)
+		at, _ := slices.BinarySearch(fk, moved)
+		fk, fv = slices.Insert(fk, at, moved), slices.Insert(fv, at, val/3)
+		rewriteCompanion(t, d, dm, 0, segio.EncodeConn(fk, fv))
+		expectCorruptOpen(t, g, d, "a key outside its segment")
+	})
+}
+
+// TestOpenLegacyConnFileStore: a store written before saves wrote
+// companions — its manifest names a whole-memo conn_file and no segment
+// carries a companion — still opens, walking what no companion covers,
+// and answers byte-identically to the engine that saved it. The next
+// save writes companions and collects the old file.
+func TestOpenLegacyConnFileStore(t *testing.T) {
+	g, _, c, _ := world(t)
+	dir := t.TempDir()
+	e := NewEngine(g, persistTestOptions())
+	e.IndexCorpus(c)
+	if _, err := e.Ingest(context.Background(), ingestBatch(t, 8950, 6)); err != nil {
+		t.Fatal(err)
+	}
+	e.WaitMerges()
+	if err := e.SaveSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	m, err := segio.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the store in the old layout: one conn file holding the
+	// whole memo, named by its CRC32, and no companions.
+	legacy := memoDump(e)
+	legacyName := fmt.Sprintf("conn-%08x%s", crc32.ChecksumIEEE(legacy), segio.ConnExt)
+	if err := segio.WriteFileAtomic(dir, legacyName, legacy); err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Segments {
+		os.Remove(filepath.Join(dir, m.Segments[i].Conn))
+		m.Segments[i].Conn = ""
+	}
+	if err := segio.WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, segio.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte("{\n"), []byte(fmt.Sprintf("{\n  \"conn_file\": %q,\n  \"conn_entries\": %d,\n", legacyName, e.connMemo.Len())), 1)
+	if err := os.WriteFile(filepath.Join(dir, segio.ManifestName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded := NewEngine(g, persistTestOptions())
+	if err := loaded.OpenSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	enginesEquivalent(t, e, loaded)
+	if err := loaded.SaveSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	if fileExists(dir, legacyName) {
+		t.Fatalf("save kept the legacy conn file %s", legacyName)
+	}
+	if m, err = segio.ReadManifest(dir); err != nil {
+		t.Fatal(err)
+	}
+	everySegmentCarriesCompanion(t, m)
+	reopened := NewEngine(g, persistTestOptions())
+	if err := reopened.OpenSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	if misses := reopened.CacheStats().Conn.Misses; misses != 0 {
+		t.Fatalf("reopen after the upgrading save re-walked %d pairs", misses)
+	}
+	enginesEquivalent(t, e, reopened)
 }

@@ -242,9 +242,6 @@ func FuzzParseManifest(f *testing.F) {
 				plain(ref.Conn, ConnExt)
 			}
 		}
-		if m.ConnFile != "" {
-			plain(m.ConnFile, ConnExt)
-		}
 		if m.WatchFile != "" {
 			plain(m.WatchFile, WatchExt)
 		}

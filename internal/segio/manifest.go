@@ -1,6 +1,6 @@
 // Manifest handling: the MANIFEST file is the single source of truth
-// for a snapshot directory. Segment and conn-memo files are immutable
-// and content-named; the manifest says which of them constitute the
+// for a snapshot directory. Segment, conn-companion and watch files are
+// immutable and content-named; the manifest says which of them constitute the
 // current snapshot. It is always written via temp-file + fsync +
 // atomic rename, so at every instant the directory holds either the
 // previous complete manifest or the new complete manifest — a crash
@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ncexplorer/internal/snapshot"
@@ -47,12 +48,12 @@ const (
 // snapshot's time coverage without fetching segment bytes; the decoder
 // rederives the authoritative bounds from the DOCS section.
 //
-// Conn, when set, names the segment's conn companion: a content-named
-// conn-memo file (same codec as Manifest.ConnFile) holding the
-// memoised connectivity values of this segment's documents. Checkpoints
-// write one per segment file they write, so a store that was never
-// fully saved since its last ingest still opens without re-walking;
-// a full save folds them into ConnFile and drops them.
+// Conn, when set, names the segment's conn companion: the one
+// conn-memo file kind (see EncodeConn), holding the memoised
+// connectivity values of this segment's documents and no others —
+// every key's document lies in [Base, Base+Docs). Saves and checkpoints
+// both write one beside every segment file, so any store opens without
+// re-walking. Its name pins its FNV-1a (see CompanionFileName).
 type SegmentRef struct {
 	File    string `json:"file"`
 	Base    int32  `json:"base"`
@@ -114,9 +115,11 @@ type ShardMeta struct {
 	RemoteBatches uint64 `json:"remote_batches"`
 }
 
-// Manifest describes one complete snapshot: the ordered segment files,
-// the optional conn-memo cache file, the generation stamp, and the
-// engine/world parameters needed to reopen it.
+// Manifest describes one complete snapshot: the ordered segment files
+// with their conn companions, the generation stamp, and the
+// engine/world parameters needed to reopen it. (Stores written before
+// companions replaced the whole-memo conn file carry a conn_file key;
+// the decoder ignores it, and the next save collects the file.)
 type Manifest struct {
 	Magic         string `json:"magic"`
 	FormatVersion int    `json:"format_version"`
@@ -125,13 +128,6 @@ type Manifest struct {
 	Generation uint64       `json:"generation"`
 	NumDocs    int          `json:"num_docs"`
 	Segments   []SegmentRef `json:"segments"`
-	// ConnFile names the connectivity-memo cache file, when one was
-	// saved. Its entries are content-addressed and never go stale, so a
-	// checkpoint may keep referencing a conn file written by an earlier
-	// full save; segments written since carry their own companions
-	// (SegmentRef.Conn).
-	ConnFile    string `json:"conn_file,omitempty"`
-	ConnEntries int    `json:"conn_entries,omitempty"`
 	// WatchFile names the standing-query state file (watchlists, alert
 	// ring buffers, delivery cursors), when the saving engine had any.
 	// Like segments it is immutable and content-named; unlike them it is
@@ -222,9 +218,6 @@ func (m *Manifest) validate() error {
 		m.Shard.RemoteDocs < 0 || m.Shard.RemoteTotalLen < 0) {
 		return fmt.Errorf("%w: manifest shard section inconsistent", ErrCorrupt)
 	}
-	if !auxName(m.ConnFile, ConnExt) {
-		return fmt.Errorf("%w: bad manifest conn file reference %q", ErrCorrupt, m.ConnFile)
-	}
 	if !auxName(m.WatchFile, WatchExt) {
 		return fmt.Errorf("%w: bad manifest watch file reference %q", ErrCorrupt, m.WatchFile)
 	}
@@ -290,32 +283,60 @@ func ReadSegmentFile(dir string, ref SegmentRef) (*snapshot.Segment, int, error)
 	return s, len(data), nil
 }
 
-// ReadConnFile reads a manifest-referenced conn-memo file's bytes
-// (decode with DecodeConn). A missing or unreadable file is corruption:
-// the manifest promised it.
+// ReadConnFile reads a manifest-referenced conn companion's bytes
+// (decode with DecodeConn) and checks them against the FNV-1a its name
+// pins. A missing, unreadable or renamed file is corruption: the
+// manifest promised it.
 func ReadConnFile(dir, name string) ([]byte, error) {
+	return readNamedFile(dir, name, "conn-memo")
+}
+
+// ReadWatchFile reads a manifest-referenced standing-query state file's
+// bytes (decode with the watch package's codec) and checks them against
+// the FNV-1a its name pins. A missing, unreadable or renamed file is
+// corruption: the manifest promised it.
+func ReadWatchFile(dir, name string) ([]byte, error) {
+	return readNamedFile(dir, name, "watch")
+}
+
+func readNamedFile(dir, name, kind string) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(dir, name))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("%w: manifest references missing conn-memo file %s: %v", ErrCorrupt, name, err)
+		return nil, fmt.Errorf("%w: manifest references missing %s file %s: %v", ErrCorrupt, kind, name, err)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading conn-memo file %s: %v", ErrCorrupt, name, err)
+		return nil, fmt.Errorf("%w: reading %s file %s: %v", ErrCorrupt, kind, name, err)
+	}
+	if err := CheckContentName(name, data); err != nil {
+		return nil, err
 	}
 	return data, nil
 }
 
-// ReadWatchFile reads a manifest-referenced standing-query state file's
-// bytes (decode with the watch package's codec). A missing or
-// unreadable file is corruption: the manifest promised it.
-func ReadWatchFile(dir, name string) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(dir, name))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("%w: manifest references missing watch file %s: %v", ErrCorrupt, name, err)
+// CheckContentName enforces the name rule of the FNV-named file kinds
+// (conn companions and watch files): the hex field between a name's
+// last '-' and its extension is the FNV-1a of the file's bytes. Not
+// CRC32 — both kinds end with the CRC32 of their payload, and the CRC32
+// of data followed by its own CRC is fixed by the length alone, so
+// every same-sized version would share one name. Segment files are
+// pinned by SegmentRef.CRC instead. Any mismatch is ErrCorrupt.
+func CheckContentName(name string, data []byte) error {
+	stem := strings.TrimSuffix(strings.TrimSuffix(name, ConnExt), WatchExt)
+	i := strings.LastIndexByte(stem, '-')
+	want, err := strconv.ParseUint(stem[i+1:], 16, 32)
+	if i < 0 || err != nil {
+		return fmt.Errorf("%w: %s: name carries no content hash", ErrCorrupt, name)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading watch file %s: %v", ErrCorrupt, name, err)
+	if got := fnv32a(data); got != uint32(want) {
+		return fmt.Errorf("%w: %s: content FNV-1a %08x does not match its name", ErrCorrupt, name, got)
 	}
-	return data, nil
+	return nil
+}
+
+func fnv32a(data []byte) uint32 {
+	h := fnv.New32a()
+	h.Write(data)
+	return h.Sum32()
 }
 
 // SegmentFileName derives the canonical content-addressed name for an
@@ -326,18 +347,17 @@ func SegmentFileName(base int32, docs int, crc uint32) string {
 	return fmt.Sprintf("seg-%010d-%07d-%08x%s", base, docs, crc, SegmentExt)
 }
 
-// CompanionPrefix starts the name of every segment's conn companion.
-const CompanionPrefix = "segconn-"
-
 // CompanionFileName derives the content-addressed name of a segment's
 // conn companion: the document range it covers plus the FNV-1a hash of
-// the encoded bytes. Not CRC32 — a conn file ends with the CRC32 of its
-// payload, and the CRC32 of data followed by its own CRC is fixed by
-// the length alone, so every same-sized companion would share a name.
+// the encoded bytes (see CheckContentName).
 func CompanionFileName(base int32, docs int, data []byte) string {
-	h := fnv.New32a()
-	h.Write(data)
-	return fmt.Sprintf("%s%010d-%07d-%08x%s", CompanionPrefix, base, docs, h.Sum32(), ConnExt)
+	return fmt.Sprintf("segconn-%010d-%07d-%08x%s", base, docs, fnv32a(data), ConnExt)
+}
+
+// WatchFileName derives the content-addressed name of a standing-query
+// state file from the FNV-1a hash of its bytes (see CheckContentName).
+func WatchFileName(data []byte) string {
+	return fmt.Sprintf("watch-%08x%s", fnv32a(data), WatchExt)
 }
 
 // WriteFileAtomic durably writes an immutable artifact (segment or
@@ -411,8 +431,9 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// CollectGarbage removes segment/conn files in dir that the manifest
-// does not reference — leftovers of interrupted or superseded saves.
+// CollectGarbage removes segment/conn/watch files in dir that the
+// manifest does not reference — leftovers of interrupted or superseded
+// saves, and a pre-companion store's whole-memo conn file.
 // Call it only after the new manifest is durably in place. Unremovable
 // files are skipped (they stay garbage; the next save retries).
 func CollectGarbage(dir string, m *Manifest) (removed []string) {
@@ -422,9 +443,6 @@ func CollectGarbage(dir string, m *Manifest) (removed []string) {
 		if ref.Conn != "" {
 			keep[ref.Conn] = true
 		}
-	}
-	if m.ConnFile != "" {
-		keep[m.ConnFile] = true
 	}
 	if m.WatchFile != "" {
 		keep[m.WatchFile] = true

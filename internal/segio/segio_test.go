@@ -179,13 +179,11 @@ func TestManifestRoundTrip(t *testing.T) {
 		NumDocs:    30,
 		Segments: []SegmentRef{
 			{File: "seg-a.ncseg", Base: 0, Docs: 20, CRC: 123},
-			{File: "seg-b.ncseg", Base: 20, Docs: 10, CRC: 456, Conn: "conn-2.nccm"},
+			{File: "seg-b.ncseg", Base: 20, Docs: 10, CRC: 456, Conn: "segconn-2.nccm"},
 		},
-		ConnFile:    "conn-1.nccm",
-		ConnEntries: 5,
-		Engine:      EngineMeta{Tau: 2, Beta: 0.5, Samples: 50, Seed: 42, MaxConceptsPerDoc: 64, AncestorLevels: 1, MaxSegments: 4},
-		World:       map[string]string{"scale": "tiny"},
-		Stats:       StatsMeta{Docs: 20, LinkNanos: 10, ScoreNanos: 20, PerSource: map[string]SourceStatsMeta{"nyt": {Articles: 20, TotalMentions: 100, LinkedMentions: 80}}},
+		Engine: EngineMeta{Tau: 2, Beta: 0.5, Samples: 50, Seed: 42, MaxConceptsPerDoc: 64, AncestorLevels: 1, MaxSegments: 4},
+		World:  map[string]string{"scale": "tiny"},
+		Stats:  StatsMeta{Docs: 20, LinkNanos: 10, ScoreNanos: 20, PerSource: map[string]SourceStatsMeta{"nyt": {Articles: 20, TotalMentions: 100, LinkedMentions: 80}}},
 	}
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
@@ -224,8 +222,6 @@ func TestManifestValidation(t *testing.T) {
 		{"gap in bases", func(m *Manifest) { m.Segments[0].Base = 5 }},
 		{"docs mismatch", func(m *Manifest) { m.NumDocs = 11 }},
 		{"path escape", func(m *Manifest) { m.Segments[0].File = "../evil.ncseg" }},
-		{"conn escape", func(m *Manifest) { m.ConnFile = "../evil.nccm" }},
-		{"conn without extension", func(m *Manifest) { m.ConnFile = "conn-1" }},
 		{"companion escape", func(m *Manifest) { m.Segments[0].Conn = "../evil.nccm" }},
 		{"companion absolute path", func(m *Manifest) { m.Segments[0].Conn = "/tmp/conn-1.nccm" }},
 		{"companion without extension", func(m *Manifest) { m.Segments[0].Conn = "conn-1.ncseg" }},
@@ -296,23 +292,80 @@ func TestCompanionFileNameIsContentSensitive(t *testing.T) {
 	if na == nb {
 		t.Fatalf("different companions share the name %s", na)
 	}
-	if !strings.HasPrefix(na, CompanionPrefix) || !strings.HasSuffix(na, ConnExt) || na != CompanionFileName(0, 4, a) {
-		t.Fatalf("companion name %s is not a stable %s…%s name", na, CompanionPrefix, ConnExt)
+	if !strings.HasPrefix(na, "segconn-") || !strings.HasSuffix(na, ConnExt) || na != CompanionFileName(0, 4, a) {
+		t.Fatalf("companion name %s is not a stable segconn-…%s name", na, ConnExt)
 	}
 }
 
+// TestReadConnFile: a conn companion reads back only under the name
+// its content pins; bytes that no longer hash to their name, a name
+// without a hash, and a missing file are all corruption.
 func TestReadConnFile(t *testing.T) {
 	dir := t.TempDir()
 	data := EncodeConn([]uint64{1}, []float64{2})
-	if err := WriteFileAtomic(dir, "conn-x.nccm", data); err != nil {
+	name := CompanionFileName(0, 4, data)
+	if err := WriteFileAtomic(dir, name, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadConnFile(dir, "conn-x.nccm")
+	got, err := ReadConnFile(dir, name)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read back: %v", err)
 	}
+	if err := WriteFileAtomic(dir, name, EncodeConn([]uint64{1}, []float64{3})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadConnFile(dir, name); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rewritten under its old name: err = %v, want ErrCorrupt", err)
+	}
+	if err := WriteFileAtomic(dir, "conn-x.nccm", data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadConnFile(dir, "conn-x.nccm"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("name without a content hash: err = %v, want ErrCorrupt", err)
+	}
 	if _, err := ReadConnFile(dir, "conn-gone.nccm"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing conn file: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReadWatchFile: watch files follow the same name rule.
+func TestReadWatchFile(t *testing.T) {
+	dir := t.TempDir()
+	data := []byte("standing-query state")
+	name := WatchFileName(data)
+	if err := WriteFileAtomic(dir, name, data); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadWatchFile(dir, name); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: %v", err)
+	}
+	if err := WriteFileAtomic(dir, name, []byte("other state")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadWatchFile(dir, name); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("rewritten under its old name: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestManifestIgnoresLegacyConnFile: a manifest from before saves wrote
+// companions names a whole-memo conn file; it still parses, and
+// CollectGarbage removes the file it named.
+func TestManifestIgnoresLegacyConnFile(t *testing.T) {
+	dir := t.TempDir()
+	raw := `{"magic":"ncexplorer-snapshot","format_version":1,"generation":1,"num_docs":10,` +
+		`"segments":[{"file":"a.ncseg","base":0,"docs":10,"crc":1}],` +
+		`"conn_file":"conn-0badc0de.nccm","conn_entries":5}`
+	m, err := ParseManifest([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a.ncseg", "conn-0badc0de.nccm"} {
+		if err := WriteFileAtomic(dir, name, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if removed := CollectGarbage(dir, m); !reflect.DeepEqual(removed, []string{"conn-0badc0de.nccm"}) {
+		t.Fatalf("collected %v, want the legacy conn file only", removed)
 	}
 }
 

@@ -36,8 +36,9 @@ type OpenOptions struct {
 
 // Save durably persists the Explorer's current index snapshot into
 // dir (created if needed): one immutable, CRC-protected file per
-// segment, the engine's connectivity-memo cache, and an atomically
-// replaced MANIFEST. Concurrent queries are unaffected; concurrent
+// segment, beside it that segment's conn companion (the memoised
+// connectivity values of its documents, so a reopen walks nothing), and
+// an atomically replaced MANIFEST. Concurrent queries are unaffected; concurrent
 // ingests serialize around the save. On error the directory's previous
 // snapshot, if any, is untouched.
 func (x *Explorer) Save(dir string) error {

@@ -224,29 +224,14 @@ func TestOpenErrorMapping(t *testing.T) {
 		expectCode(t, d, CodeCorruptSnapshot)
 	})
 	t.Run("flipped byte in conn companion", func(t *testing.T) {
-		// Only checkpoints write companions: a store that was never saved.
-		y, err := New(Config{Scale: "tiny"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cdir := t.TempDir()
-		y.CheckpointTo(cdir)
-		arts, err := y.SampleArticles(5, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := y.Ingest(context.Background(), arts); err != nil {
-			t.Fatal(err)
-		}
-		y.Quiesce()
-		d := corruptedCopy(t, cdir, func(d string) {
+		d := corruptedCopy(t, dir, func(d string) {
 			m, err := segio.ReadManifest(d)
 			if err != nil {
 				t.Fatal(err)
 			}
 			name := m.Segments[len(m.Segments)-1].Conn
 			if name == "" {
-				t.Fatal("checkpointed segment carries no conn companion")
+				t.Fatal("saved segment carries no conn companion")
 			}
 			path := filepath.Join(d, name)
 			data, err := os.ReadFile(path)
@@ -261,9 +246,9 @@ func TestOpenErrorMapping(t *testing.T) {
 		expectCode(t, d, CodeCorruptSnapshot)
 	})
 	t.Run("hostile conn_entries count", func(t *testing.T) {
-		// conn_entries is informational; negative or absurd values must
-		// neither panic (makeslice) nor balloon allocations — the real
-		// entry count comes from the validated file.
+		// conn_entries is a key of the retired whole-memo conn file that
+		// the decoder ignores; negative or absurd values must neither panic
+		// (makeslice) nor balloon allocations.
 		for _, count := range []any{-7, int64(1) << 60} {
 			d := corruptedCopy(t, dir, func(d string) {
 				rewriteManifestJSON(t, d, func(m map[string]any) { m["conn_entries"] = count })
@@ -411,23 +396,24 @@ func storeDigest(t *testing.T, dir string, exts ...string) string {
 // memo at the live_feed benchmark's shape: a default-scale world takes
 // 8 × 512 articles and a clean save, then 80 × 32 checkpointed articles
 // and no save. A copy of that directory — what a SIGKILL leaves —
-// opens without a single random walk (the base conn file plus the
-// segments' conn companions cover every pair), answers roll-up and
-// drill-down byte-identically to an open of a clean save at the same
-// corpus, and its segment files are byte-identical to those written
-// before companions existed; so are the segment and conn files of the
-// clean save. Ingest runs unpipelined so merges and checkpoints land
-// in a fixed order and the file set is deterministic.
+// opens without a single random walk (the segments' conn companions
+// cover every pair), as does an open of the clean save that follows;
+// both hold the live engine's memo and answer roll-up and drill-down
+// byte-identically. The segment files of both stores are byte-identical
+// to those written before saves wrote companions, and the clean save's
+// companions are pinned too. Ingest runs unpipelined so merges and
+// checkpoints land in a fixed order and the file set is deterministic.
 func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale world")
 	}
 	const (
 		// SHA-256 over the schedule's seg-*.ncseg files after the
-		// checkpointed ingests, and over the seg-*.ncseg and conn-*.nccm
-		// files of the clean save that follows.
-		crashSegments = "8281361861e8287263507a3fd19fba788d6368fa61c005a6149fde3671af439a"
-		cleanStore    = "697b48efb40f54b396bdb7751e26365c8ef40fe29a88bfa8f4b8a5662e3fea83"
+		// checkpointed ingests, and over the seg-*.ncseg and the
+		// segconn-*.nccm files of the clean save that follows.
+		crashSegments   = "8281361861e8287263507a3fd19fba788d6368fa61c005a6149fde3671af439a"
+		cleanSegments   = "a124aaf8426689b9c654dfea74f4ad3d7fbea908c25bdec473c206cabf33c72b"
+		cleanCompanions = "7376c2bdf6bf3e2cf3bb6c93cda12c345e6d4d5f22851de22488cb6e5aba229b"
 	)
 	ctx := context.Background()
 	x, err := New(Config{Scale: "default", Seed: 42, MaxSegments: 4})
@@ -475,8 +461,11 @@ func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
 	if err := x.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if got := storeDigest(t, dir, segio.SegmentExt, segio.ConnExt); got != cleanStore {
-		t.Errorf("clean save digest %s, want %s", got, cleanStore)
+	if got := storeDigest(t, dir, segio.SegmentExt); got != cleanSegments {
+		t.Errorf("clean save segment files digest %s, want %s", got, cleanSegments)
+	}
+	if got := storeDigest(t, dir, segio.ConnExt); got != cleanCompanions {
+		t.Errorf("clean save conn companions digest %s, want %s", got, cleanCompanions)
 	}
 	start = time.Now()
 	clean, err := Open(dir, OpenOptions{})
@@ -484,5 +473,14 @@ func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("clean open: %v, conn memo %+v", time.Since(start), clean.Stats().EngineCache.Conn)
+	if misses := clean.Stats().EngineCache.Conn.Misses; misses != 0 {
+		t.Errorf("clean open re-walked %d pairs", misses)
+	}
+	live := x.Stats().EngineCache.Conn.Entries
+	for _, y := range []*Explorer{crashed, clean} {
+		if got := y.Stats().EngineCache.Conn.Entries; got != live {
+			t.Errorf("reopened memo holds %d entries, the live engine %d", got, live)
+		}
+	}
 	explorersEquivalent(t, clean, crashed, 42, "post-crash open vs clean open")
 }
