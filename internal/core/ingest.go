@@ -61,10 +61,11 @@ type IngestResult struct {
 	Generation uint64
 	// TotalDocs is the corpus size after the batch.
 	TotalDocs int
-	// LinkNanos / ScoreNanos split the batch's indexing cost:
-	// annotation+linking of the new documents vs deriving the new
-	// generation's scores (which spans the whole corpus but re-walks
-	// only never-seen candidates).
+	// LinkNanos / ScoreNanos time annotation+linking of the new
+	// documents and building the new generation's plans under the
+	// writer lock. Neither times the batch's connectivity walks:
+	// prewarmConn runs them between the two, before the lock. Only a
+	// batch that lost the base race re-walks inside ScoreNanos.
 	LinkNanos  int64
 	ScoreNanos int64
 	// PersistSeq is the batch's group-commit persist sequence: pass it

@@ -11,22 +11,29 @@ import (
 )
 
 // refEstimator is the estimator as it was when the reachability index
-// held one dense []int16 per target: same eligibility rules, same order
-// of random draws, distances read from a test-local dense BFS table.
-// The production estimator must reproduce its sample sequences bit for
-// bit — that is what "painting a sparse table changes no answer" means.
+// held one dense []int16 per target and every sample scanned every
+// neighbour list it met: same eligibility rules, same order of random
+// draws, distances read from a test-local dense BFS table (or none,
+// unguided). The production estimator must reproduce its sample
+// sequences bit for bit — that is what "painting a sparse table" and
+// "memoising first hops" change no answer means.
 type refEstimator struct {
 	g      *kg.Graph
 	tau    int
 	beta   float64
+	guided bool
 	tables map[kg.NodeID][]int16
 }
 
-func newRef(g *kg.Graph, tau int, beta float64) *refEstimator {
-	return &refEstimator{g: g, tau: tau, beta: beta, tables: make(map[kg.NodeID][]int16)}
+func newRef(g *kg.Graph, tau int, beta float64, guided bool) *refEstimator {
+	return &refEstimator{g: g, tau: tau, beta: beta, guided: guided, tables: make(map[kg.NodeID][]int16)}
 }
 
+// distTo returns v's dense distance table, or nil unguided.
 func (e *refEstimator) distTo(v kg.NodeID) []int16 {
+	if !e.guided {
+		return nil
+	}
 	if d, ok := e.tables[v]; ok {
 		return d
 	}
@@ -57,7 +64,7 @@ func (e *refEstimator) Walk(r *xrand.Rand, u, v kg.NodeID) float64 {
 		return 0
 	}
 	dist := e.distTo(v)
-	if dist[u] == reach.Unreachable {
+	if dist != nil && dist[u] == reach.Unreachable {
 		return 0
 	}
 	visited := map[kg.NodeID]bool{u: true}
@@ -74,8 +81,10 @@ func (e *refEstimator) Walk(r *xrand.Rand, u, v kg.NodeID) float64 {
 			if remaining == 0 || visited[y] {
 				continue
 			}
-			if d := dist[y]; d == reach.Unreachable || int(d) > remaining {
-				continue
+			if dist != nil {
+				if d := dist[y]; d == reach.Unreachable || int(d) > remaining {
+					continue
+				}
 			}
 			eligible = append(eligible, y)
 		}
@@ -103,11 +112,13 @@ func (e *refEstimator) EstimatePair(r *xrand.Rand, u, v kg.NodeID, n int) float6
 }
 
 func (e *refEstimator) EstimateConcept(r *xrand.Rand, ext []kg.NodeID, v kg.NodeID, n int) float64 {
-	dist := e.distTo(v)
-	var pool []kg.NodeID
-	for _, u := range ext {
-		if d := dist[u]; d != reach.Unreachable && int(d) <= e.tau && u != v {
-			pool = append(pool, u)
+	pool := ext
+	if dist := e.distTo(v); dist != nil {
+		pool = nil
+		for _, u := range ext {
+			if d := dist[u]; d != reach.Unreachable && int(d) <= e.tau && u != v {
+				pool = append(pool, u)
+			}
 		}
 	}
 	if len(pool) == 0 {
@@ -121,15 +132,18 @@ func (e *refEstimator) EstimateConcept(r *xrand.Rand, ext []kg.NodeID, v kg.Node
 	return sum / float64(n)
 }
 
-// replay drives est and a fresh reference through the same seeded mix
-// of Walk / EstimatePair / EstimateConcept calls and reports the first
-// divergence. Targets cycle A, B, A, C, B, …: the estimator keeps the
-// last target painted, so a mark that un-painting A left behind would
-// make some node look eligible (or some source look in range) under B
-// and change a sample — or shift the random stream, which the final
-// draw comparison catches.
+// replay drives est and a fresh reference (guided iff est is) through
+// the same seeded mix of Walk / EstimatePair / EstimateConcept calls
+// and reports the first divergence. Targets cycle A, B, A, C, B, …: the
+// estimator keeps the last target painted, so a mark that un-painting A
+// left behind would make some node look eligible (or some source look
+// in range) under B and change a sample — or shift the random stream,
+// which the final draw comparison catches. The 50-sample estimates over
+// at most 12 sources, the target among them at a random slot, redraw
+// most sources several times: a first-hop list kept from an earlier
+// estimate, or a walk from the target itself, shows there.
 func replay(est *Estimator, g *kg.Graph, tau int, beta float64, ids []kg.NodeID, seed uint64, steps int) (step int, got, want float64, ok bool) {
-	ref := newRef(g, tau, beta)
+	ref := newRef(g, tau, beta, est.index != nil)
 	plan := xrand.New(seed)
 	r1, r2 := xrand.New(seed^0x9e37), xrand.New(seed^0x9e37)
 	targets := make([]kg.NodeID, 3)
@@ -141,20 +155,27 @@ func replay(est *Estimator, g *kg.Graph, tau int, beta float64, ids []kg.NodeID,
 		if step%17 == 16 { // rotate one target so the set keeps moving
 			targets[plan.Intn(3)] = ids[plan.Intn(len(ids))]
 		}
-		switch plan.Intn(3) {
+		switch plan.Intn(4) {
 		case 0:
 			u := ids[plan.Intn(len(ids))]
 			got, want = est.Walk(r1, u, v), ref.Walk(r2, u, v)
 		case 1:
 			u := ids[plan.Intn(len(ids))]
 			got, want = est.EstimatePair(r1, u, v, 5), ref.EstimatePair(r2, u, v, 5)
-		default:
+		case 2:
 			ext := make([]kg.NodeID, 1+plan.Intn(12))
 			for i := range ext {
 				ext[i] = ids[plan.Intn(len(ids))]
 			}
 			ext[0] = v // the target itself must be filtered from the pool
 			got, want = est.EstimateConcept(r1, ext, v, 8), ref.EstimateConcept(r2, ext, v, 8)
+		default:
+			ext := make([]kg.NodeID, 2+plan.Intn(11))
+			for i := range ext {
+				ext[i] = ids[plan.Intn(len(ids))]
+			}
+			ext[plan.Intn(len(ext))] = v
+			got, want = est.EstimateConcept(r1, ext, v, 50), ref.EstimateConcept(r2, ext, v, 50)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
 			return step, got, want, false
@@ -191,6 +212,22 @@ func TestGuidedMatchesDenseReference(t *testing.T) {
 			}
 			if st := ix.Stats(); st.Builds != st.Tables || st.Hits == 0 || st.Bytes < 5*st.Tables {
 				t.Fatalf("tau %d seed %d: implausible index stats %+v", tau, seed, st)
+			}
+		}
+	}
+}
+
+// TestUnguidedMatchesDenseReference: the unguided estimator, which has
+// no source filter, so its pools keep the target and every dead end,
+// follows the reference bit for bit too.
+func TestUnguidedMatchesDenseReference(t *testing.T) {
+	const beta = 0.5
+	for tau := 1; tau <= 3; tau++ {
+		for seed := uint64(1); seed <= 5; seed++ {
+			g, ids := randomGraph(t, seed, 60, 150)
+			est := New(g, nil, tau, beta)
+			if step, got, want, ok := replay(est, g, tau, beta, ids, seed*37, 400); !ok {
+				t.Fatalf("tau %d seed %d step %d: got %v, reference %v", tau, seed, step, got, want)
 			}
 		}
 	}

@@ -31,6 +31,8 @@
 package rw
 
 import (
+	"slices"
+
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/reach"
 	"ncexplorer/internal/xrand"
@@ -56,7 +58,13 @@ type Estimator struct {
 	visited  []kg.NodeID // scratch: nodes on the current walk
 	eligible []kg.NodeID // scratch: eligible neighbours at a step
 	sources  []kg.NodeID // scratch: eligible source pool per target
+	firsts   []kg.NodeID // scratch: the pool's first-hop lists, back to back
+	spans    []span      // scratch: per pool slot, its list in firsts
 }
+
+// span locates one source's first-hop list in Estimator.firsts; lo < 0
+// until the estimate first draws that pool slot.
+type span struct{ lo, hi int32 }
 
 // New returns an estimator with hop bound tau and damping beta. Pass a
 // nil index for unguided walks.
@@ -109,41 +117,80 @@ func (e *Estimator) Walk(r *xrand.Rand, u, v kg.NodeID) float64 {
 			return 0
 		}
 	}
-	e.visited = e.visited[:0]
-	e.visited = append(e.visited, u)
-	cur := u
+	e.eligible = e.firstHops(e.eligible[:0], dist, u, v)
+	return e.walk(r, dist, u, v, e.eligible)
+}
+
+// firstHops appends u's eligible first hops toward v to out. The
+// visited set of a first hop is {u} whatever the sample, so the list
+// depends on (u, v, τ) alone and EstimateConcept reuses it for every
+// sample that redraws u.
+func (e *Estimator) firstHops(out []kg.NodeID, dist []int16, u, v kg.NodeID) []kg.NodeID {
+	e.visited = append(e.visited[:0], u)
+	return e.step(out, dist, u, v, e.tau-1)
+}
+
+// walk finishes a walk from u whose eligible first hops are first (u's
+// list from firstHops, possibly memoised). Later steps overwrite
+// e.eligible, so first may alias it.
+func (e *Estimator) walk(r *xrand.Rand, dist []int16, u, v kg.NodeID, first []kg.NodeID) float64 {
+	e.visited = append(e.visited[:0], u)
+	eligible := first
 	prod := 1.0
 	for l := 1; l <= e.tau; l++ {
-		remaining := e.tau - l // hops left after taking this step
-		e.eligible = e.eligible[:0]
-		for _, y := range e.g.InstanceNeighbors(cur) {
-			if y == v {
-				e.eligible = append(e.eligible, y)
-				continue
-			}
-			if remaining == 0 || e.onWalk(y) {
-				continue
-			}
-			if dist != nil {
-				if d := dist[y]; d == reach.Unreachable || int(d) > remaining {
-					continue
-				}
-			}
-			e.eligible = append(e.eligible, y)
-		}
-		n := len(e.eligible)
+		n := len(eligible)
 		if n == 0 {
 			return 0
 		}
 		prod *= float64(n)
-		next := e.eligible[r.Intn(n)]
+		next := eligible[r.Intn(n)]
 		if next == v {
 			return pow(e.beta, l) * prod
 		}
 		e.visited = append(e.visited, next)
-		cur = next
+		eligible = e.step(e.eligible[:0], dist, next, v, e.tau-l-1)
+		e.eligible = eligible
 	}
 	return 0
+}
+
+// step appends to out, in adjacency order, the neighbours of cur that a
+// walk on e.visited may step to with remaining hops left after the
+// step: v itself, or an unvisited node within remaining hops of v
+// (guided), or any unvisited node (unguided).
+//
+// With no hops left only v is eligible. Adjacency rows are sorted and
+// free of duplicates (kg.buildCSR), so the list is [v] iff v ∈ N(cur):
+// a binary search, or dist[cur] == 1 when guided. The caller still
+// draws r.Intn(1) from it, which keeps the random stream aligned.
+func (e *Estimator) step(out []kg.NodeID, dist []int16, cur, v kg.NodeID, remaining int) []kg.NodeID {
+	nbrs := e.g.InstanceNeighbors(cur)
+	if remaining == 0 {
+		if dist != nil {
+			if dist[cur] == 1 {
+				out = append(out, v)
+			}
+		} else if _, ok := slices.BinarySearch(nbrs, v); ok {
+			out = append(out, v)
+		}
+		return out
+	}
+	for _, y := range nbrs {
+		if y == v {
+			out = append(out, y)
+			continue
+		}
+		if dist != nil {
+			if d := dist[y]; d == reach.Unreachable || int(d) > remaining {
+				continue
+			}
+		}
+		if e.onWalk(y) {
+			continue
+		}
+		out = append(out, y)
+	}
+	return out
 }
 
 func (e *Estimator) onWalk(y kg.NodeID) bool {
@@ -192,9 +239,9 @@ func (e *Estimator) EstimateConcept(r *xrand.Rand, ext []kg.NodeID, v kg.NodeID,
 	if len(ext) == 0 || n <= 0 {
 		return 0
 	}
-	pool := ext
+	pool, dist := ext, []int16(nil)
 	if e.index != nil {
-		dist := e.distTo(v)
+		dist = e.distTo(v)
 		eligible := e.sources[:0]
 		for _, u := range ext {
 			if d := dist[u]; d != reach.Unreachable && int(d) <= e.tau && u != v {
@@ -207,11 +254,26 @@ func (e *Estimator) EstimateConcept(r *xrand.Rand, ext []kg.NodeID, v kg.NodeID,
 		}
 		pool = eligible
 	}
+	e.firsts = e.firsts[:0]
+	e.spans = slices.Grow(e.spans[:0], len(pool))[:len(pool)]
+	for i := range e.spans {
+		e.spans[i] = span{lo: -1}
+	}
 	scale := float64(len(pool))
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		u := pool[r.Intn(len(pool))]
-		sum += scale * e.Walk(r, u, v)
+		slot := r.Intn(len(pool))
+		u := pool[slot]
+		if u == v {
+			continue // Walk's u == v rule: a zero sample, no draws
+		}
+		sp := &e.spans[slot]
+		if sp.lo < 0 {
+			sp.lo = int32(len(e.firsts))
+			e.firsts = e.firstHops(e.firsts, dist, u, v)
+			sp.hi = int32(len(e.firsts))
+		}
+		sum += scale * e.walk(r, dist, u, v, e.firsts[sp.lo:sp.hi])
 	}
 	return sum / float64(n)
 }

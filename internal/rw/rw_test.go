@@ -256,11 +256,26 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
+// twoHopsFrom returns a node exactly two hops from u, so a τ = 2 walk
+// from u to it takes both hops instead of returning early.
+func twoHopsFrom(b *testing.B, ix *reach.Index, u kg.NodeID) kg.NodeID {
+	t := ix.Table(u)
+	for i, x := range t.Nodes {
+		if t.Dist[i] == 2 {
+			return x
+		}
+	}
+	b.Fatalf("node %d has nothing two hops away", u)
+	return 0
+}
+
 func BenchmarkWalkGuided(b *testing.B) {
 	g, ids := randomGraph(b, 1, 2000, 8000)
-	est := New(g, reach.New(g, 2), 2, 0.5)
+	ix := reach.New(g, 2)
+	est := New(g, ix, 2, 0.5)
 	r := xrand.New(1)
-	u, v := ids[0], ids[99]
+	u := ids[0]
+	v := twoHopsFrom(b, ix, u)
 	est.Walk(r, u, v) // warm the reach table
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -272,7 +287,8 @@ func BenchmarkWalkUnguided(b *testing.B) {
 	g, ids := randomGraph(b, 1, 2000, 8000)
 	est := New(g, nil, 2, 0.5)
 	r := xrand.New(1)
-	u, v := ids[0], ids[99]
+	u := ids[0]
+	v := twoHopsFrom(b, reach.New(g, 2), u)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		est.Walk(r, u, v)
@@ -296,5 +312,32 @@ func BenchmarkEstimateConceptGuided(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		est.EstimateConcept(r, ext, targets[i%len(targets)], 50)
+	}
+}
+
+// TestEstimateConceptAllocatesNothingWarm pins the steady state the
+// benchmark above reports: once the tables are built and the scratch
+// sized, estimates with a changing target allocate nothing, guided or
+// not.
+func TestEstimateConceptAllocatesNothingWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops scratch arrays at random")
+	}
+	g, ids := randomGraph(t, 1, 2000, 8000)
+	ext, targets := ids[:200], ids[200:264]
+	for _, ix := range []*reach.Index{reach.New(g, 2), nil} {
+		est := New(g, ix, 2, 0.5)
+		r := xrand.New(1)
+		for _, v := range targets {
+			est.EstimateConcept(r, ext, v, 50)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			est.EstimateConcept(r, ext, targets[i%len(targets)], 50)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("guided %v: %v allocs per warm estimate, want 0", ix != nil, allocs)
+		}
 	}
 }
