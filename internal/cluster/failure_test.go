@@ -313,8 +313,8 @@ func TestReplicaCatchUpWalksNothing(t *testing.T) {
 		t.Fatalf("replica at generation %d with %d articles, leader at %d with %d",
 			served.Generation(), served.NumArticles(), x.Generation(), x.NumArticles())
 	}
-	if c := served.Stats().EngineCache.Conn; c.Misses != 0 || c.Entries == 0 {
-		t.Fatalf("replica open re-walked: conn memo %+v, want 0 misses", c)
+	if w := served.Stats().Ingest.ConnWalks; w != 0 {
+		t.Fatalf("replica open walked %d pairs, want 0", w)
 	}
 	for _, topic := range x.EvaluationTopics() {
 		for _, concepts := range [][]string{{topic[0]}, {topic[0], topic[1]}} {

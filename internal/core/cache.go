@@ -3,54 +3,46 @@ package core
 import (
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/reach"
-	"ncexplorer/internal/shardmap"
 )
 
 // Query-path caching. Everything a query reads hangs off the pinned
 // genState: the snapshot's segments (docs, entity postings, term
 // index, knowledge graph) are immutable, and the generation's concept
 // plans (plan.go) hold every matching (concept, document) pair with
-// its cdr score and pivot — the one source of Definition-1 matches and
-// scores for roll-ups, drill-downs and standing queries alike. Plans
-// are derived at swap time, so a query never computes a score.
+// its cdr score, pivot and connectivity factor cdrc — the one source
+// of Definition-1 matches and scores for roll-ups, drill-downs and
+// standing queries alike. Plans are derived at swap time, so a query
+// never computes a score.
 //
-// What remains memoised is generation-independent and engine-wide
-// (valid forever, never invalidated by an ingest): connMemo holds the
-// context-relevance factor cdrc(c, d) — the random-walk part of cdr, a
-// pure function of graph + document — and the extent cache holds
-// concept extent closures (pure graph data). These are what make a
-// post-ingest plan rebuild cheap: only the cheap ontology factor is
-// replayed; nothing is re-walked. Both are sharded concurrent maps, so
-// concurrent queries never serialize behind a global lock.
-//
-// Determinism is unaffected by the concurrency: cdrc samplers are
-// seeded per (concept, doc) (see contextRel in engine.go), so whichever
-// goroutine — and whichever generation — computes a value computes THE
-// value.
+// The plan rows are also the one store of cdrc, the random-walk part
+// of cdr: a rebuild aliases the previous generation's cdrc arrays, and
+// a merge or reopen carries or reloads them, so nothing is re-walked.
+// What remains memoised engine-wide is the extent cache (pure graph
+// data, valid forever): a dense lock-free table, so concurrent queries
+// never serialize behind a global lock.
 
-// cdrShards/matchShards size the memo maps. Connectivity keys are
-// dense (every build touches many (concept, doc) pairs) so they get
-// more shards; matchShards sizes the engine-wide extent cache.
-const (
-	cdrShards   = 64
-	matchShards = 16
-)
+// MemoCounters is one memo's effectiveness counters.
+type MemoCounters struct {
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
+	Entries int64 `json:"entries"`
+}
 
 // CacheStats reports the engine's query-cache effectiveness: the
 // serving layer surfaces it through /statsz.
 type CacheStats struct {
-	// CDR is always zero: cdr values live in the generation's plans,
-	// and no (concept, document) relevance memo exists any more. Kept
-	// for readers that still decode the field.
-	CDR shardmap.Stats `json:"cdr"`
+	// CDR and Conn are always zero: cdr and cdrc values live in the
+	// generation's plans, and no relevance or connectivity memo exists.
+	// They remain only because bench/ncload/trace.go still reads their
+	// Hits and Misses for core.memo_hit_ratio; the bench-only follow-up
+	// on ROADMAP deletes that read, and then both fields.
+	CDR  MemoCounters `json:"cdr"`
+	Conn MemoCounters `json:"conn"`
 	// Match reports the concept→matching-documents plans (current
 	// generation). Plans are precomputed at swap time, so Entries is
 	// the number of concepts with a non-empty plan and the hit/miss
 	// counters stay zero — the query path never faults one in.
-	Match shardmap.Stats `json:"match"`
-	// Conn is the engine-wide (generation-independent) connectivity
-	// memo behind cdr's expensive factor.
-	Conn shardmap.Stats `json:"conn"`
+	Match MemoCounters `json:"match"`
 }
 
 // CacheStats returns a point-in-time snapshot of the query caches.
@@ -59,10 +51,7 @@ func (e *Engine) CacheStats() CacheStats {
 	if st == nil {
 		return CacheStats{}
 	}
-	return CacheStats{
-		Match: shardmap.Stats{Entries: int64(st.planned)},
-		Conn:  e.connMemo.Stats(),
-	}
+	return CacheStats{Match: MemoCounters{Entries: int64(st.planned)}}
 }
 
 // ReachStats reports the reachability index behind guided walks:
@@ -79,24 +68,6 @@ func (e *Engine) ReachStats() reach.Stats {
 // closure at the scorers' default cap — from the engine-wide extent
 // cache. The slice is immutable and shared.
 func (e *Engine) extent(c kg.NodeID) []kg.NodeID {
-	ext, _ := e.extents.Extent(e.g, c, 0)
+	ext, _ := e.extents.Extent(c)
 	return ext
 }
-
-// reseedConn pins every walked context factor back into the
-// engine-wide connectivity memo — after a ResetQueryCaches this
-// restores connMemo to exactly the state a fresh build of this
-// generation would leave behind. Pairs whose ontology factor is zero
-// were never walked and stay out of the connectivity memo.
-func (st *genState) reseedConn() {
-	for c := range st.plans {
-		p := &st.plans[c]
-		for i, d := range p.docs {
-			if p.ont[i] > 0 {
-				st.e.connMemo.Store(cdrKey(kg.NodeID(c), d), p.cdrc[i])
-			}
-		}
-	}
-}
-
-func hashCDRKey(k uint64) uint64 { return shardmap.Mix64(k) }

@@ -20,12 +20,12 @@
 //     its entities plus a configurable number of `broader` ancestor
 //     levels) project the plans into the postings that drive
 //     drill-down coverage;
-//   - the expensive connectivity factor of cdr is memoised engine-wide
-//     with a per-(concept, doc) seeded sampler, so values are
-//     reproducible regardless of build order, of which goroutine
-//     computes them, and of how the corpus was grown (one monolithic
-//     build and any sequence of ingested batches produce identical
-//     values at equal content).
+//   - the expensive connectivity factor of cdr is stored in the plan
+//     rows and sampled with a per-(concept, doc) seeded stream, so
+//     values are reproducible regardless of build order, of which
+//     goroutine computes them, and of how the corpus was grown (one
+//     monolithic build and any sequence of ingested batches produce
+//     identical values at equal content).
 //
 // Live ingestion (Ingest) appends a new segment and swaps in a new
 // snapshot generation; queries pin one generation end-to-end, so a
@@ -46,7 +46,6 @@ import (
 	"ncexplorer/internal/nlp"
 	"ncexplorer/internal/reach"
 	"ncexplorer/internal/relevance"
-	"ncexplorer/internal/shardmap"
 	"ncexplorer/internal/snapshot"
 	"ncexplorer/internal/xrand"
 )
@@ -178,10 +177,9 @@ const cdrStreamSalt = 0x9e3779b97f4a7c15
 // Ingest: the query path takes no global lock — all post-index
 // structures hang off an atomic snapshot pointer pinned once per
 // query, every score a query reads was computed into the generation's
-// plans at swap time, and the engine-wide memos are sharded concurrent
-// maps with per-shard singleflight. Results are deterministic
-// regardless of interleaving because every sample stream is seeded by
-// its (concept, document) key alone.
+// plans at swap time, and the engine-wide extent cache is a lock-free
+// table. Results are deterministic regardless of interleaving because
+// every sample stream is seeded by its (concept, document) key alone.
 type Engine struct {
 	g       *kg.Graph
 	opts    Options
@@ -202,21 +200,14 @@ type Engine struct {
 	// st is the current generation's query state. Query entry points
 	// load it exactly once and thread it through, so a query runs
 	// against one consistent snapshot even while Ingest swaps in a new
-	// one. Writers (IndexCorpus, Ingest, merge, ResetQueryCaches)
-	// serialise on ingestMu and publish with a single Store.
+	// one. Writers (IndexCorpus, Ingest, merge, SetRemoteStats,
+	// OpenSnapshot) serialise on ingestMu and publish with a single
+	// Store.
 	st atomic.Pointer[genState]
 
-	// Generation-independent caches, shared by every snapshot:
-	//
-	//   - connMemo memoises the context-relevance factor cdrc(c, d),
-	//     the expensive random-walk part of cdr. Its inputs (graph,
-	//     document entities, document-local term saturation) never
-	//     change once a document is ingested, so entries stay valid
-	//     across generations — a snapshot rebuild re-walks nothing
-	//     that was walked before;
-	//   - extents memoises concept extent closures (pure graph data).
-	connMemo *shardmap.Map[uint64, float64]
-	extents  *relevance.ExtentCache
+	// extents memoises concept extent closures (pure graph data),
+	// shared by every snapshot and every scorer.
+	extents *relevance.ExtentCache
 
 	// querySem admits extra helper goroutines for intra-query fan-out
 	// (queryParallelCtx). Capacity opts.Workers, engine-wide: C concurrent
@@ -342,7 +333,7 @@ func (st *genState) EntityWeight(v kg.NodeID, doc int32) float64 {
 // ContextWeight implements relevance.DocView: the document-local
 // saturated term frequency tf/(tf+1). Deliberately free of
 // corpus-global statistics so the truncated context set of (c, d) —
-// and with it the memoised connectivity estimate — is identical at
+// and with it the stored connectivity estimate — is identical at
 // every index generation.
 func (st *genState) ContextWeight(v kg.NodeID, doc int32) float64 {
 	tf := st.snap.Doc(doc).EntityFreq[v]
@@ -360,8 +351,7 @@ func NewEngine(g *kg.Graph, opts Options) *Engine {
 		opts:       opts,
 		linker:     nlp.NewLinker(g),
 		maxInstDeg: maxInstanceDegree(g),
-		connMemo:   shardmap.New[uint64, float64](cdrShards, hashCDRKey),
-		extents:    relevance.NewExtentCache(matchShards),
+		extents:    relevance.NewExtentCache(g, 0),
 	}
 	e.scratch.New = func() any { return newQueryScratch(g.NumNodes()) }
 	e.divPool.New = func() any { return &divScratch{stamp: make([]uint32, g.NumNodes())} }
@@ -414,7 +404,7 @@ func (e *Engine) IndexCorpus(c *corpus.Corpus) IndexStats {
 		panic("core: segment build failed without a cancellable context: " + err.Error())
 	}
 	e.stats = IndexStats{Docs: len(articles), PerSource: perSource, LinkNanos: linkNanos}
-	st, scoreNanos := e.buildState(1, []*snapshot.Segment{seg}, nil)
+	st, scoreNanos := e.buildState(1, []*snapshot.Segment{seg}, nil, nil)
 	e.stats.ScoreNanos = scoreNanos
 	e.localGen.Store(1)
 	e.st.Store(st)
@@ -583,15 +573,18 @@ func localDocs(snap *snapshot.Snapshot) []int32 {
 
 // buildState derives a complete generation state over the given
 // segments: the concept plans and per-document concept scores (Phase
-// C). Expensive connectivity factors are fetched from the
-// generation-independent connMemo, so only documents (or candidates)
-// never scored before pay for random walks — the heart of cheap
-// snapshot rebuilds after an ingest. prev, when non-nil and covering a
-// segment-pointer prefix of segs, lets the planner reuse the
-// generation-independent plan skeletons of untouched segments (see
-// buildPlans). Returns the state and the summed per-document scoring
-// nanoseconds.
-func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState) (*genState, int64) {
+// C). prev, when non-nil and covering a segment-pointer prefix of
+// segs, lets the planner reuse the generation-independent plan
+// skeletons — connectivity factors included — of untouched segments
+// (see buildPlans), so only new documents pay for random walks: the
+// heart of cheap snapshot rebuilds after an ingest. known carries the
+// connectivity factors already computed for the segments the build
+// scans — all of segs without prev, the ones appended after prev's
+// with it: known[i] is the i-th scanned segment's key-sorted run (the
+// ingest pre-warm's values, or an opened segment's conn companion),
+// and a missing or nil run means walk. Returns the state and the
+// summed per-document scoring nanoseconds.
+func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState, known [][]connPair) (*genState, int64) {
 	st := e.newStateShell(e.buildSnapshot(gen, segs), prev)
 	st.concepts = make([]atomic.Pointer[[]ConceptScore], st.snap.DocBound())
 
@@ -600,7 +593,7 @@ func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState
 		workerScorers[w] = relevance.NewScorer(e.g, st, e.reachIx, e.scorerOpts())
 		defer workerScorers[w].Release()
 	}
-	total := e.buildPlans(st, workerScorers, prev)
+	total := e.buildPlans(st, workerScorers, prev, known)
 	if prev == nil {
 		// Seed build / snapshot open: fill the per-document score view
 		// eagerly so the first queries after boot find it warm, and so
@@ -809,18 +802,13 @@ func selectTopSel(s []candSel, k int) {
 	}
 }
 
-// contextRel returns the memoised context-relevance factor cdrc(c, d),
-// computing it with the caller's scorer on a miss. The sampler is
-// seeded by (concept, doc) alone, so the value is independent of query
-// order, of goroutine interleaving, and of the generation that first
-// computed it.
-func (e *Engine) contextRel(s *relevance.Scorer, c kg.NodeID, doc int32) float64 {
-	key := cdrKey(c, doc)
-	v, _ := e.connMemo.GetOrCompute(key, func() float64 {
-		rnd := xrand.Stream(e.opts.Seed^cdrStreamSalt, key)
-		return s.ContextRel(c, doc, rnd)
-	})
-	return v
+// walkConn estimates the context-relevance factor cdrc(c, d) with the
+// caller's scorer. The sampler is seeded by the (concept, doc) key
+// alone, so the value is independent of goroutine interleaving, of
+// the generation that computes it, and of whether the ingest pre-warm
+// or the plan builder runs the walk.
+func (e *Engine) walkConn(s *relevance.Scorer, c kg.NodeID, doc int32) float64 {
+	return s.ContextRel(c, doc, xrand.Stream(e.opts.Seed^cdrStreamSalt, cdrKey(c, doc)))
 }
 
 func cdrKey(c kg.NodeID, doc int32) uint64 {
@@ -960,30 +948,14 @@ func (e *Engine) DocConcepts(doc corpus.DocID) []ConceptScore {
 	return e.state().docConcepts(int32(doc))
 }
 
-// ResetQueryCaches restores the engine's memoisation to the current
-// generation's post-build state: the connectivity memo reduced to the
-// entries the plans pin. The plans and per-document scores themselves
-// are generation state, not caches — they are carried over, exactly as
-// a fresh build of this generation would recreate them. Benchmarks use
-// this to replay cold-cache traffic; results are unaffected because
-// connectivity values are seeded per (concept, document) — a query in
-// flight during the reset keeps its pinned state.
+// ResetQueryCaches advances the cache epoch (see CacheEpoch), so
+// response caches layered above the engine stop serving retained
+// bodies. It changes no query's cost: the engine keeps no query-path
+// memo to drop — plans, per-document scores and extents are generation
+// state or pure graph data, and every query reads them as before.
 func (e *Engine) ResetQueryCaches() {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
-	cur := e.state()
-	if cur == nil {
-		return
-	}
-	e.connMemo.Reset()
-	st := e.newStateShell(cur.snap, cur)
-	st.concepts = cur.concepts
-	st.plans = cur.plans
-	st.planned = cur.planned
-	st.entIDFN = cur.entIDFN
-	st.ceil = cur.ceil
-	st.reseedConn()
-	e.st.Store(st)
 	e.epoch.Add(1)
 }
 

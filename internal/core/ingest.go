@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -10,7 +12,6 @@ import (
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/relevance"
 	"ncexplorer/internal/snapshot"
-	"ncexplorer/internal/xrand"
 )
 
 // Live corpus ingestion, as a three-stage pipeline:
@@ -18,10 +19,10 @@ import (
 //	analyze (lock-free) → commit (ingestMu, short) → persist (overlapped)
 //
 // Stage 1 runs the whole per-document analysis — NLP annotation,
-// entity linking, candidate enumeration, and speculative pre-warming
-// of the connectivity memo — before ingestMu is taken, so concurrent
-// Ingest calls analyze simultaneously and only serialise for the
-// short commit section. Stage 2 assigns the batch its real base ID
+// entity linking, candidate enumeration, and the speculative walks of
+// the batch's connectivity factors — before ingestMu is taken, so
+// concurrent Ingest calls analyze simultaneously and only serialise
+// for the short commit section. Stage 2 assigns the batch its real base ID
 // (rebasing the analyzed segment if another batch won the race),
 // replays the plans for the new segment only, and atomically swaps the
 // snapshot. Stage 3 is the group-commit checkpoint writer
@@ -42,13 +43,13 @@ import (
 //     ontology factor, candidate ranking, pivots) is recomputed for
 //     every document when a snapshot is built, never carried over;
 //  3. content-addressed sampling — the connectivity factor's sampler
-//     is seeded by (concept, doc) alone, so its memoised values are
-//     the ones a from-scratch build would draw. The speculative
+//     is seeded by (concept, doc) alone, so the values the plans store
+//     are the ones a from-scratch build would draw. The speculative
 //     pre-warm honors this: values computed against a guessed base are
-//     flushed into the memo only when the guess survived the commit
-//     race — otherwise they are dropped wholesale, because their keys
-//     (and therefore their sampler streams) belong to document IDs the
-//     batch did not get.
+//     handed to the plan replay only when the guess survived the
+//     commit race — otherwise they are dropped wholesale, because
+//     their keys (and therefore their sampler streams) belong to
+//     document IDs the batch did not get.
 
 // errNotIndexed is returned by Ingest before IndexCorpus has run.
 var errNotIndexed = errors.New("core: Ingest called before IndexCorpus")
@@ -65,7 +66,7 @@ type IngestResult struct {
 	// documents and building the new generation's plans under the
 	// writer lock. Neither times the batch's connectivity walks:
 	// prewarmConn runs them between the two, before the lock. Only a
-	// batch that lost the base race re-walks inside ScoreNanos.
+	// batch that lost the base race walks inside ScoreNanos.
 	LinkNanos  int64
 	ScoreNanos int64
 	// PersistSeq is the batch's group-commit persist sequence: pass it
@@ -81,6 +82,9 @@ type ingestCounters struct {
 	docs    atomic.Int64
 	nanos   atomic.Int64
 	merges  atomic.Int64
+	// connWalks counts cdrc estimates (see IngestCounters.ConnWalks);
+	// each build or pre-warm adds its per-worker totals once.
+	connWalks atomic.Int64
 	// defaultedTime counts documents whose PublishedAt was missing and
 	// was defaulted to the ingest wall clock.
 	defaultedTime atomic.Int64
@@ -97,6 +101,10 @@ type IngestCounters struct {
 	Nanos int64 `json:"nanos"`
 	// Merges counts background segment merges.
 	Merges int64 `json:"merges"`
+	// ConnWalks counts the connectivity-factor estimates this process
+	// ran: index builds, ingest pre-warms and plan-build misses. An
+	// open whose segments all carry conn companions walks none.
+	ConnWalks int64 `json:"conn_walks"`
 	// DocsDefaultedTime counts documents that arrived without a
 	// publication time and had it defaulted to the ingest wall clock.
 	DocsDefaultedTime int64 `json:"docs_defaulted_time"`
@@ -109,6 +117,7 @@ func (e *Engine) IngestCounters() IngestCounters {
 		Docs:              e.ing.docs.Load(),
 		Nanos:             e.ing.nanos.Load(),
 		Merges:            e.ing.merges.Load(),
+		ConnWalks:         e.ing.connWalks.Load(),
 		DocsDefaultedTime: e.ing.defaultedTime.Load(),
 	}
 }
@@ -189,13 +198,10 @@ func (e *Engine) Ingest(ctx context.Context, articles []corpus.Document) (Ingest
 	if base := e.nextBase(cur); base != seg.Base {
 		// Lost the base race: re-address the segment. The speculative
 		// conn values are dropped — their keys (and sampler streams)
-		// embed global IDs this batch did not get; buildState recomputes
-		// the batch's pairs under the real IDs.
+		// embed global IDs this batch did not get; buildState walks the
+		// batch's pairs under the real IDs.
 		seg = snapshot.Rebase(seg, base)
 		warm = nil
-	}
-	for _, w := range warm {
-		e.connMemo.Store(w.key, w.val)
 	}
 	remoteBatches := uint64(0)
 	if rs := e.remote.Load(); rs != nil {
@@ -205,7 +211,7 @@ func (e *Engine) Ingest(ctx context.Context, articles []corpus.Document) (Ingest
 	segs = append(segs, cur.snap.Segments...)
 	segs = append(segs, seg)
 	localGen := e.localGen.Load() + 1
-	st, scoreNanos := e.buildState(localGen+remoteBatches, segs, cur)
+	st, scoreNanos := e.buildState(localGen+remoteBatches, segs, cur, [][]connPair{warm})
 	e.localGen.Store(localGen)
 	e.st.Store(st)
 	e.epoch.Add(1)
@@ -238,9 +244,9 @@ func (e *Engine) Ingest(ctx context.Context, articles []corpus.Document) (Ingest
 	}, nil
 }
 
-// connPair is one speculative context-factor value computed during the
-// lock-free analysis stage, keyed by the GLOBAL (concept, doc) key its
-// sampler was seeded with.
+// connPair is one known context-factor value handed to a plan build —
+// walked by the ingest pre-warm or decoded from a conn companion —
+// keyed by the GLOBAL (concept, doc) key its sampler was seeded with.
 type connPair struct {
 	key uint64
 	val float64
@@ -270,14 +276,14 @@ func (v pendingDocView) ContextWeight(ent kg.NodeID, doc int32) float64 {
 // prewarmConn walks, outside the writer lock, exactly the (concept,
 // document) pairs the commit-time plan replay would otherwise walk for
 // this segment: matching pairs (a document entity in the concept's
-// capped extent) of concepts with positive specificity — no more (so
-// the connectivity memo's content stays byte-identical to what a
-// from-scratch build leaves behind) and no less (so the commit section
-// finds every pair memoised). Values are returned, not stored: the
-// keys embed the segment's speculative base, and the caller flushes
-// them only if that base survives the commit race. Pairs already in
-// the memo are skipped; a cancelled ctx returns the pairs warmed so
-// far (pre-warming is an optimisation, never a correctness step).
+// capped extent) of concepts with positive specificity — no more (no
+// walk is wasted) and no less (so the commit section walks nothing).
+// The values return as one key-sorted run for buildState: the keys
+// embed the segment's speculative base, and the caller hands them on
+// only if that base survives the commit race. The sort also runs here,
+// before the lock. A cancelled ctx returns the pairs warmed so far
+// (pre-warming is an optimisation, never a correctness step: the plan
+// build walks any pair the run lacks).
 func (e *Engine) prewarmConn(ctx context.Context, seg *snapshot.Segment) []connPair {
 	concepts, _ := e.matchableConcepts([]*snapshot.Segment{seg})
 	view := pendingDocView{seg: seg}
@@ -310,12 +316,7 @@ func (e *Engine) prewarmConn(ctx context.Context, seg *snapshot.Segment) []connP
 				} else {
 					stamp[local] = gen
 				}
-				key := cdrKey(c, d)
-				if _, ok := e.connMemo.Get(key); ok {
-					continue
-				}
-				rnd := xrand.Stream(e.opts.Seed^cdrStreamSalt, key)
-				bufs[worker] = append(bufs[worker], connPair{key: key, val: s.ContextRel(c, d, rnd)})
+				bufs[worker] = append(bufs[worker], connPair{key: cdrKey(c, d), val: e.walkConn(s, c, d)})
 			}
 		}
 	})
@@ -323,6 +324,8 @@ func (e *Engine) prewarmConn(ctx context.Context, seg *snapshot.Segment) []connP
 	for _, buf := range bufs {
 		out = append(out, buf...)
 	}
+	e.ing.connWalks.Add(int64(len(out)))
+	slices.SortFunc(out, func(a, b connPair) int { return cmp.Compare(a.key, b.key) })
 	return out
 }
 

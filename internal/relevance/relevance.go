@@ -20,11 +20,12 @@
 package relevance
 
 import (
+	"sync/atomic"
+
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/paths"
 	"ncexplorer/internal/reach"
 	"ncexplorer/internal/rw"
-	"ncexplorer/internal/shardmap"
 	"ncexplorer/internal/topk"
 	"ncexplorer/internal/xrand"
 )
@@ -45,7 +46,7 @@ type DocView interface {
 	// saturated term frequency tf/(tf+1)), never on corpus-global
 	// statistics: the selected context set — and with it the expensive
 	// connectivity estimate — is then a pure function of (concept,
-	// document) and can be memoised once and reused across index
+	// document) and can be computed once and reused across index
 	// generations as the corpus grows.
 	ContextWeight(v kg.NodeID, doc int32) float64
 }
@@ -70,8 +71,8 @@ type Options struct {
 	// Extents, when non-nil, is a concurrency-safe extent cache shared
 	// across scorers (create with NewExtentCache), so a fleet of pooled
 	// workers computes each concept's extent closure once instead of
-	// once per scorer. Scorers sharing a cache must use the same
-	// MaxExtent. When nil, the scorer keeps a private cache.
+	// once per scorer. The cache's cap then replaces MaxExtent. When
+	// nil, the scorer keeps a private cache at MaxExtent.
 	Extents *ExtentCache
 }
 
@@ -135,43 +136,51 @@ type extentEntry struct {
 	set  map[kg.NodeID]struct{}
 }
 
-// ExtentCache is a concurrency-safe memo of concept extent closures,
-// shareable by any number of scorers and readable without one
-// (per-shard singleflight: N callers missing the same concept compute
-// its closure once). Entries are immutable once stored. Construct with
-// NewExtentCache and hand it to scorers via Options.Extents.
+// ExtentCache is a concurrency-safe memo of concept extent closures
+// over one graph at one cap, shareable by any number of scorers and
+// readable without one. It is a dense table indexed by node ID: a miss
+// computes the closure and publishes it with a compare-and-swap, so
+// concurrent misses on one concept may each compute it, but every
+// caller gets the one stored entry. Entries are pure graph data and
+// immutable once stored. Construct with NewExtentCache and hand it to
+// scorers via Options.Extents.
 type ExtentCache struct {
-	m *shardmap.Map[kg.NodeID, extentEntry]
+	g         *kg.Graph
+	maxExtent int
+	entries   []atomic.Pointer[extentEntry]
 }
 
-// NewExtentCache returns an empty shared extent cache.
-func NewExtentCache(shards int) *ExtentCache {
-	return &ExtentCache{m: shardmap.New[kg.NodeID, extentEntry](shards, func(c kg.NodeID) uint64 {
-		return shardmap.Mix64(uint64(uint32(c)))
-	})}
+// NewExtentCache returns an empty extent cache over g whose extents
+// are cut to maxExtent entities (maxExtent <= 0 selects the Options
+// default).
+func NewExtentCache(g *kg.Graph, maxExtent int) *ExtentCache {
+	if maxExtent <= 0 {
+		maxExtent = defaultMaxExtent
+	}
+	return &ExtentCache{g: g, maxExtent: maxExtent, entries: make([]atomic.Pointer[extentEntry], g.NumNodes())}
 }
 
-// Extent returns concept c's matching extent in g — its extent closure
-// cut to maxExtent entities (maxExtent <= 0 selects the Options
-// default) — as both list and set, computing it on first use. Both are
-// immutable shared views: callers must not modify them, and may retain
-// them and share them across goroutines. Every caller of one cache must
-// pass the same graph and cap.
-func (xc *ExtentCache) Extent(g *kg.Graph, c kg.NodeID, maxExtent int) ([]kg.NodeID, map[kg.NodeID]struct{}) {
-	e, _ := xc.m.GetOrCompute(c, func() extentEntry {
-		if maxExtent <= 0 {
-			maxExtent = defaultMaxExtent
-		}
-		list := g.ExtentClosure(c, 0)
-		if len(list) > maxExtent {
-			list = list[:maxExtent]
-		}
-		set := make(map[kg.NodeID]struct{}, len(list))
-		for _, v := range list {
-			set[v] = struct{}{}
-		}
-		return extentEntry{list: list, set: set}
-	})
+// Extent returns concept c's matching extent — its extent closure cut
+// to the cache's cap — as both list and set, computing it on first
+// use. Both are immutable shared views: callers must not modify them,
+// and may retain them and share them across goroutines.
+func (xc *ExtentCache) Extent(c kg.NodeID) ([]kg.NodeID, map[kg.NodeID]struct{}) {
+	slot := &xc.entries[c]
+	if e := slot.Load(); e != nil {
+		return e.list, e.set
+	}
+	list := xc.g.ExtentClosure(c, 0)
+	if len(list) > xc.maxExtent {
+		list = list[:xc.maxExtent]
+	}
+	set := make(map[kg.NodeID]struct{}, len(list))
+	for _, v := range list {
+		set[v] = struct{}{}
+	}
+	e := &extentEntry{list: list, set: set}
+	if !slot.CompareAndSwap(nil, e) {
+		e = slot.Load() // another caller stored the same closure first
+	}
 	return e.list, e.set
 }
 
@@ -179,10 +188,12 @@ func (xc *ExtentCache) Extent(g *kg.Graph, c kg.NodeID, maxExtent int) ([]kg.Nod
 // ignored when opts.Exact is set.
 func NewScorer(g *kg.Graph, view DocView, index *reach.Index, opts Options) *Scorer {
 	opts = opts.withDefaults()
-	s := &Scorer{g: g, view: view, opts: opts, xc: opts.Extents}
+	s := &Scorer{g: g, view: view, xc: opts.Extents}
 	if s.xc == nil {
-		s.xc = NewExtentCache(1)
+		s.xc = NewExtentCache(g, opts.MaxExtent)
 	}
+	opts.MaxExtent = s.xc.maxExtent
+	s.opts = opts
 	if opts.Exact {
 		s.counter = paths.NewCounter(g)
 	} else {
@@ -208,7 +219,7 @@ func (s *Scorer) Release() {
 // as both list and set, from the scorer's extent cache (Options.Extents,
 // or its private one).
 func (s *Scorer) Extent(c kg.NodeID) ([]kg.NodeID, map[kg.NodeID]struct{}) {
-	return s.xc.Extent(s.g, c, s.opts.MaxExtent)
+	return s.xc.Extent(c)
 }
 
 // Matches reports whether document doc contains an entity matching c.

@@ -2,6 +2,7 @@ package relevance
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"ncexplorer/internal/kg"
@@ -327,7 +328,7 @@ func TestConnCapClosedForm(t *testing.T) {
 // immutable extents.
 func TestSharedExtentCache(t *testing.T) {
 	g, view, ids := testWorld(t)
-	cache := NewExtentCache(4)
+	cache := NewExtentCache(g, 0)
 	mk := func() *Scorer {
 		return NewScorer(g, view, nil, Options{Exact: true, Extents: cache})
 	}
@@ -339,6 +340,37 @@ func TestSharedExtentCache(t *testing.T) {
 	}
 	if len(setA) != len(setB) || len(listA) != len(setA) {
 		t.Fatalf("set/list mismatch: %d/%d/%d", len(listA), len(setA), len(setB))
+	}
+}
+
+// TestExtentCacheConcurrentMisses: goroutines missing the same concept
+// at once all receive the one stored entry, and the cache's cap binds
+// every scorer that shares it.
+func TestExtentCacheConcurrentMisses(t *testing.T) {
+	g, view, ids := testWorld(t)
+	cache := NewExtentCache(g, 1)
+	const n = 8
+	lists := make([][]kg.NodeID, n)
+	var wg sync.WaitGroup
+	for i := range lists {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			lists[i], _ = cache.Extent(ids["Broad"])
+		}(i)
+	}
+	wg.Wait()
+	for i, l := range lists {
+		if len(l) != 1 || &l[0] != &lists[0][0] {
+			t.Fatalf("caller %d got %v, want the one stored 1-entity extent %v", i, l, lists[0])
+		}
+	}
+	s := NewScorer(g, view, nil, Options{Exact: true, MaxExtent: 50, Extents: cache})
+	if got := s.Options().MaxExtent; got != 1 {
+		t.Fatalf("scorer MaxExtent = %d, want the shared cache's cap 1", got)
+	}
+	if ext, _ := s.Extent(ids["Broad"]); &ext[0] != &lists[0][0] {
+		t.Fatal("scorer recomputed an extent its shared cache holds")
 	}
 }
 

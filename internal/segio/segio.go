@@ -594,7 +594,7 @@ func decodeBlockMax(data []byte, seg *snapshot.Segment) error {
 
 // ---- conn-memo files ----------------------------------------------
 
-// EncodeConn renders the engine's connectivity-memo entries — the
+// EncodeConn renders walked connectivity factors — the
 // content-addressed (concept, document) → cdrc values behind cdr's
 // expensive random-walk factor. Entries are pure functions of graph +
 // document content under a fixed engine seed, so a saved entry is

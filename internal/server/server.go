@@ -32,10 +32,9 @@
 //	                              doc counts, ingest throughput), cache,
 //	                              session, and request counters;
 //	                              index.engine_cache reports the
-//	                              engine's plans and connectivity
-//	                              memo (cdr is always zero) and
-//	                              index.watch the standing-query
-//	                              counters
+//	                              engine's plans, index.ingest its
+//	                              conn_walks, and index.watch the
+//	                              standing-query counters
 //
 // The query endpoints and /v1/topics are the front door (frontdoor.go)
 // a cluster router mounts too; a Server executes behind it through a
@@ -315,8 +314,8 @@ func (s *Server) CacheStats() qcache.Stats { return s.cache.Stats() }
 // ResetQueryCaches call, so entries cached under an older epoch become
 // unreachable the instant the index changes — stale bodies are never
 // served and nothing is flushed (old entries simply age out of the
-// LRU). This is also what keeps the HTTP cache coherent with the
-// engine's own memo caches: both invalidate off the same event.
+// LRU). ResetQueryCaches advances the epoch without changing the
+// index, so it empties the HTTP cache's reachable set by itself.
 func (s *Server) epochKey(key string) string {
 	return "w" + strconv.FormatUint(s.swapSeq.Load(), 36) +
 		"e" + strconv.FormatUint(s.explorer().QueryEpoch(), 36) + "|" + key

@@ -95,10 +95,10 @@ type SubtopicSuggestion struct {
 	MatchedDocs int     `json:"matched_docs"`
 }
 
-// CacheCounters is one engine memo cache's effectiveness snapshot.
-// Misses count computations actually performed; Coalesced counts
-// callers that piggybacked on another goroutine's in-flight
-// computation for the same key (the engine's per-shard singleflight).
+// CacheCounters is one engine cache's effectiveness snapshot. Misses
+// count computations actually performed; Coalesced counts callers that
+// piggybacked on another goroutine's in-flight computation for the
+// same key.
 type CacheCounters struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -108,14 +108,9 @@ type CacheCounters struct {
 
 // EngineCacheStats reports the engine's query-path caches: Match
 // counts the current generation's concept plans (Entries only: plans
-// are built at swap time, never faulted in), Conn the
-// generation-independent connectivity memo that makes post-ingest
-// rebuilds cheap. CDR is always zero — cdr values live in the plans,
-// and no relevance memo exists — and stays for readers of the field.
+// are built at swap time, never faulted in).
 type EngineCacheStats struct {
-	CDR   CacheCounters `json:"cdr"`
 	Match CacheCounters `json:"match"`
-	Conn  CacheCounters `json:"conn"`
 }
 
 // IngestCounters reports live-ingestion throughput: successful
@@ -126,6 +121,11 @@ type IngestCounters struct {
 	Docs    int64 `json:"docs"`
 	Nanos   int64 `json:"nanos"`
 	Merges  int64 `json:"merges"`
+	// ConnWalks counts the connectivity-factor estimates (random-walk
+	// batches) this process ran: the seed build, ingest pre-warms and
+	// any pair a plan build found no stored value for. A warm open of a
+	// store whose segments all carry conn companions adds none.
+	ConnWalks int64 `json:"conn_walks"`
 	// DocsDefaultedTime counts ingested documents that carried no
 	// publication time and were stamped with the ingest wall clock.
 	DocsDefaultedTime int64 `json:"docs_defaulted_time"`
@@ -181,7 +181,7 @@ type Stats struct {
 	// ingest — they mean the data directory lags until the next
 	// checkpoint succeeds).
 	Persist PersistCounters `json:"persist"`
-	// EngineCache is a live snapshot of the engine's query-path memo
+	// EngineCache is a live snapshot of the engine's query-path
 	// caches, refreshed on every Stats call.
 	EngineCache EngineCacheStats `json:"engine_cache"`
 	// Watch reports standing-query activity: live watchlists, alerts
@@ -191,7 +191,8 @@ type Stats struct {
 	// Reach reports the reachability index: resident sparse distance
 	// tables, their bytes (entries × 5), BFS builds run and lookups
 	// served from cache. All zero on a warm-booted read-only process —
-	// it loads the connectivity memo and never walks.
+	// its plans load their connectivity factors from the store's conn
+	// companions, and it never walks.
 	Reach ReachCounters `json:"reach"`
 }
 
@@ -322,24 +323,18 @@ func (x *Explorer) Stats() Stats {
 	st.Segments = x.engine.SegmentSizes()
 	st.Ingest = IngestCounters(x.engine.IngestCounters())
 	st.Persist = PersistCounters(x.engine.PersistCounters())
-	cs := x.engine.CacheStats()
-	st.EngineCache = EngineCacheStats{
-		CDR:   CacheCounters(cs.CDR),
-		Match: CacheCounters(cs.Match),
-		Conn:  CacheCounters(cs.Conn),
-	}
+	st.EngineCache = EngineCacheStats{Match: CacheCounters{Entries: x.engine.CacheStats().Match.Entries}}
 	st.Watch = WatchCounters(x.watch.Counters())
 	st.Reach = ReachCounters(x.engine.ReachStats())
 	return st
 }
 
-// ResetQueryCaches restores the engine's memoisation (the connectivity
-// memo) to its post-build state for the current generation. Benchmarks
-// and stress tests use it to replay cold-cache traffic; results are
-// unaffected because connectivity values are seeded per (concept,
-// document), and queries in flight keep their pinned snapshot. It advances
-// QueryEpoch, so layered response caches stop serving retained bodies
-// too.
+// ResetQueryCaches advances QueryEpoch, so response caches layered
+// above the facade stop serving retained bodies. It does not make the
+// engine's own query path cold: queries read only the generation's
+// plans and graph data, which it leaves in place, so no query's cost
+// changes. Answers are unaffected, and queries in flight keep their
+// pinned snapshot.
 func (x *Explorer) ResetQueryCaches() { x.engine.ResetQueryCaches() }
 
 // CanonicalConcepts returns a canonical form of a concept query:

@@ -36,7 +36,7 @@ type OpenOptions struct {
 
 // Save durably persists the Explorer's current index snapshot into
 // dir (created if needed): one immutable, CRC-protected file per
-// segment, beside it that segment's conn companion (the memoised
+// segment, beside it that segment's conn companion (the walked
 // connectivity values of its documents, so a reopen walks nothing), and
 // an atomically replaced MANIFEST. Concurrent queries are unaffected; concurrent
 // ingests serialize around the save. On error the directory's previous
@@ -66,9 +66,9 @@ func HasSnapshot(dir string) bool {
 
 // Open loads a persisted snapshot: it regenerates the knowledge graph
 // from the manifest's recorded seed and scale, decodes the segment
-// files, pre-fills the engine's connectivity memo from the saved
-// cache, and rescores the corpus through the same swap path every
-// ingest uses. The result answers every query byte-identically to the
+// files and their conn companions, and rescores the corpus through the
+// same swap path every ingest uses, taking each connectivity factor
+// from the companions instead of walking it. The result answers every query byte-identically to the
 // Explorer that saved, at the same generation, and can keep ingesting
 // from there. Errors are typed: CodeNotFound (no snapshot in dir),
 // CodeCorruptSnapshot, or CodeVersionMismatch — never a partially

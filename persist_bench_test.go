@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkOpenSnapshot measures the warm-restart story: "warm" opens
-// a saved snapshot (decode + conn-memo prefill + rescore — no NLP, no
+// a saved snapshot (decode + conn companions + rescore — no NLP, no
 // linking, no random walks), "cold" is the from-scratch New() on the
 // same corpus it replaces. The acceptance bar for PR 5 is warm ≥ 5×
 // faster than cold; scripts/bench_json.sh records both and their
