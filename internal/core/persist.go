@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
@@ -23,7 +24,10 @@ import (
 // entirely — it decodes the immutable per-document indexing products
 // and goes straight to the swap-time rescore every ingest already
 // performs, with the persisted connectivity factors handed to the plan
-// build so no random walk re-runs. Because the rescore is the same
+// build so no random walk re-runs. It comes in two steps: ReadStore
+// decodes the files without a graph, so a caller may run it while the
+// graph and engine are still being built, and OpenStore does
+// everything that needs the graph. Because the rescore is the same
 // code path a from-scratch build ends with, and every sampled value is
 // content-addressed by (concept, document) under the engine seed, a
 // loaded engine answers every query byte-identically to the engine
@@ -44,13 +48,13 @@ import (
 // errNotPersisted marks persistence calls in the wrong lifecycle state.
 var (
 	errSaveBeforeIndex = errors.New("core: SaveSnapshot called before IndexCorpus")
-	errOpenAfterIndex  = errors.New("core: OpenSnapshot called on an already-indexed engine")
+	errOpenAfterIndex  = errors.New("core: opening a store on an already-indexed engine")
 )
 
 // PersistCounters aggregates persistence activity for /statsz.
 type PersistCounters struct {
 	// Saves counts successful SaveSnapshot calls; Opens successful
-	// OpenSnapshot calls; Checkpoints successful per-ingest (and
+	// OpenStore calls; Checkpoints successful per-ingest (and
 	// per-merge) incremental manifest updates.
 	Saves       int64 `json:"saves"`
 	Opens       int64 `json:"opens"`
@@ -70,6 +74,21 @@ type PersistCounters struct {
 	// swap already happened — it means the data directory lags until
 	// the next checkpoint or save succeeds.
 	CheckpointErrors int64 `json:"checkpoint_errors"`
+	// LastOpen splits the newest successful open into its stages.
+	LastOpen OpenClocks `json:"last_open"`
+}
+
+// OpenClocks are the stage wall times of one open, in milliseconds:
+// World regenerates the graph and constructs the engine, Files is
+// ReadStore, Build is OpenStore's install, and Wall is the open end to
+// end. The facade's Open runs World and Files at once, so Wall may be
+// less than their sum; OpenSnapshot's caller builds the engine
+// beforehand, so World is 0 there. All zero before the first open.
+type OpenClocks struct {
+	WorldMS float64 `json:"world_ms"`
+	FilesMS float64 `json:"files_ms"`
+	BuildMS float64 `json:"build_ms"`
+	WallMS  float64 `json:"wall_ms"`
 }
 
 // Indirections over segio's write functions: tests inject write
@@ -96,6 +115,7 @@ type persistState struct {
 	segmentsWritten, segmentsReused atomic.Int64
 	bytesWritten, bytesRead         atomic.Int64
 	checkpointErrors                atomic.Int64
+	lastOpen                        atomic.Pointer[OpenClocks]
 	checkpointDir                   string
 	world                           map[string]string
 	// segFiles caches the content-addressed file name of segments
@@ -132,7 +152,7 @@ type persistState struct {
 
 // PersistCounters returns the engine's persistence counters.
 func (e *Engine) PersistCounters() PersistCounters {
-	return PersistCounters{
+	pc := PersistCounters{
 		Saves:            e.persist.saves.Load(),
 		Opens:            e.persist.opens.Load(),
 		Checkpoints:      e.persist.checkpoints.Load(),
@@ -142,6 +162,10 @@ func (e *Engine) PersistCounters() PersistCounters {
 		BytesRead:        e.persist.bytesRead.Load(),
 		CheckpointErrors: e.persist.checkpointErrors.Load(),
 	}
+	if c := e.persist.lastOpen.Load(); c != nil {
+		pc.LastOpen = *c
+	}
+	return pc
 }
 
 // SetCheckpointDir enables (dir != "") or disables (dir == "")
@@ -523,46 +547,131 @@ func (e *Engine) Checkpoint() {
 	}
 }
 
-// OpenSnapshot loads a persisted snapshot into a freshly constructed
-// engine (NewEngine with the same graph and options as the saver —
-// the manifest's EngineMeta is cross-checked). It decodes every
-// referenced segment and its conn companion, and derives the
-// generation state through the same rescore an ingest performs — the
-// companions' values handed to the plan build, so a store whose
-// segments all carry one walks nothing — and the opened engine is
-// indistinguishable from the one that saved: same generation, same
-// scores, same answers. A failed open installs nothing, and the engine
-// may open again.
+// OpenSnapshot loads a persisted snapshot (nil m: dir's manifest) into
+// a freshly constructed engine — NewEngine with the saver's graph and
+// options — by ReadStore, then OpenStore, on the calling goroutine.
 func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
+	began := time.Now()
+	return e.OpenStore(ReadStore(dir, m), 0, began)
+}
+
+// Store is a snapshot directory decoded without a graph: segments in
+// manifest order, one key-sorted conn run per segment, the watch file.
+// Reading stops at the first bad file; its error waits for OpenStore
+// beside the segments decoded before it.
+type Store struct {
+	m     *segio.Manifest
+	segs  []*snapshot.Segment
+	known [][]connPair
+	// Watch holds the manifest's standing-query state file (decode with
+	// the watch package's codec); nil when the manifest names none.
+	Watch []byte
+	bytes int64         // file bytes read, counted on install
+	files time.Duration // ReadStore's wall time
+	err   error         // the first bad file, in read order
+}
+
+// ReadStore reads the store m describes (nil: dir's manifest): every
+// segment, CRC-checked, in manifest order, then every conn companion,
+// then the watch file. A companion's name pins its FNV-1a, DecodeConn
+// checks its CRC and canonical form (keys ascend), and each key's
+// document must lie in its own segment's range; the manifest keeps
+// segments disjoint, so no key repeats across companions. A segment
+// without one (a store older than companions) gets a nil run.
+func ReadStore(dir string, m *segio.Manifest) *Store {
+	start := time.Now()
+	s := &Store{m: m}
+	s.err = s.read(dir)
+	s.files = time.Since(start)
+	return s
+}
+
+func (s *Store) read(dir string) error {
+	if s.m == nil {
+		m, err := segio.ReadManifest(dir)
+		if err != nil {
+			return err
+		}
+		s.m = m
+	}
+	refs := s.m.Segments
+	s.segs = make([]*snapshot.Segment, 0, len(refs))
+	for _, ref := range refs {
+		seg, n, err := segio.ReadSegmentFile(dir, ref)
+		if err != nil {
+			return err
+		}
+		s.bytes += int64(n)
+		s.segs = append(s.segs, seg)
+	}
+	s.known = make([][]connPair, len(refs))
+	for i, ref := range refs {
+		if ref.Conn == "" {
+			continue
+		}
+		data, err := segio.ReadConnFile(dir, ref.Conn)
+		if err != nil {
+			return err
+		}
+		s.bytes += int64(len(data))
+		run := make([]connPair, 0, len(data)/16) // 16 bytes per entry
+		lo, hi := uint32(ref.Base), uint32(ref.Base)+uint32(ref.Docs)
+		var stray uint64
+		var outside bool
+		if err := segio.DecodeConn(data, func(k uint64, v float64) {
+			if d := uint32(k); d < lo || d >= hi {
+				stray, outside = k, true
+			}
+			run = append(run, connPair{key: k, val: v})
+		}); err != nil {
+			return fmt.Errorf("conn-memo file %s: %w", ref.Conn, err)
+		}
+		if outside {
+			return fmt.Errorf("%w: conn-memo file %s: key %#x lies outside its segment's documents [%d, %d)",
+				segio.ErrCorrupt, ref.Conn, stray, lo, hi)
+		}
+		s.known[i] = run
+	}
+	if s.m.WatchFile != "" {
+		data, err := segio.ReadWatchFile(dir, s.m.WatchFile)
+		if err != nil {
+			return err
+		}
+		s.Watch = data
+	}
+	return nil
+}
+
+// OpenStore installs a store ReadStore decoded into a freshly
+// constructed engine, doing under ingestMu everything that needs the
+// graph. Errors come in the order a serial open meets them: an indexed
+// engine, mismatched options, a decoded segment's out-of-graph node,
+// then the store's own read error. The rescore is the one every ingest
+// performs, with the companions' values handed to the plan build, so a
+// store whose segments all carry one walks nothing. world (0 when the
+// engine was built beforehand) and began feed the LastOpen clocks. A
+// failed open installs nothing, and the engine may open again.
+func (e *Engine) OpenStore(s *Store, world time.Duration, began time.Time) error {
+	start := time.Now()
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	if e.st.Load() != nil {
 		return errOpenAfterIndex
 	}
+	m := s.m
 	if m == nil {
-		var err error
-		if m, err = segio.ReadManifest(dir); err != nil {
-			return err
-		}
+		return s.err // no manifest
 	}
 	if got, want := e.engineMeta(), m.Engine; !compatibleEngineMeta(got, want) {
 		return fmt.Errorf("core: engine options %+v do not match saved snapshot %+v", got, want)
 	}
-	segs := make([]*snapshot.Segment, 0, len(m.Segments))
-	for _, ref := range m.Segments {
-		seg, n, err := segio.ReadSegmentFile(dir, ref)
-		if err != nil {
-			return err
-		}
+	for i, seg := range s.segs {
 		if err := validateSegmentNodes(seg, e.g.NumNodes()); err != nil {
-			return fmt.Errorf("segment file %s: %w", ref.File, err)
+			return fmt.Errorf("segment file %s: %w", m.Segments[i].File, err)
 		}
-		e.persist.bytesRead.Add(int64(n))
-		segs = append(segs, seg)
 	}
-	known, err := e.readCompanions(dir, m)
-	if err != nil {
-		return err
+	if s.err != nil {
+		return s.err
 	}
 	// Remember the loaded segments' file identities so a later save
 	// into the same directory rewrites nothing. (writeMu: these are
@@ -572,11 +681,12 @@ func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 	if e.persist.segFiles == nil {
 		e.persist.segFiles = make(map[*snapshot.Segment]segio.SegmentRef)
 	}
-	for i, seg := range segs {
+	for i, seg := range s.segs {
 		e.persist.segFiles[seg] = m.Segments[i]
 	}
 	e.gc.writeMu.Unlock()
 
+	e.persist.bytesRead.Add(s.bytes)
 	e.stats = statsFromMeta(m.Stats)
 	if m.Shard != nil {
 		e.shardIndex, e.shardCount = m.Shard.Index, m.Shard.Count
@@ -590,54 +700,20 @@ func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
 	} else {
 		e.localGen.Store(m.Generation)
 	}
-	st, _ := e.buildState(m.Generation, segs, nil, known)
+	st, _ := e.buildState(m.Generation, s.segs, nil, s.known)
 	e.st.Store(st)
 	e.epoch.Add(1)
 	e.persist.opens.Add(1)
+	e.persist.lastOpen.Store(&OpenClocks{
+		WorldMS: millis(world),
+		FilesMS: millis(s.files),
+		BuildMS: millis(time.Since(start)),
+		WallMS:  millis(time.Since(began)),
+	})
 	return nil
 }
 
-// readCompanions decodes every segment's conn companion into a
-// key-sorted run, parallel to m.Segments, for the plan build. Each
-// file is validated on its own: its name pins its FNV-1a
-// (segio.ReadConnFile), DecodeConn checks CRC and canonical form (so
-// keys ascend), and every key's document must lie in its own segment's
-// range. The manifest keeps segments disjoint, so no two files can
-// carry the same key. Nothing is installed unless every file passed:
-// the runs reach the plan build only through a successful return. A
-// segment without a companion (a store written before saves wrote
-// them) gets a nil run and is simply walked.
-func (e *Engine) readCompanions(dir string, m *segio.Manifest) ([][]connPair, error) {
-	runs := make([][]connPair, len(m.Segments))
-	for i, ref := range m.Segments {
-		if ref.Conn == "" {
-			continue
-		}
-		data, err := segio.ReadConnFile(dir, ref.Conn)
-		if err != nil {
-			return nil, err
-		}
-		e.persist.bytesRead.Add(int64(len(data)))
-		staged := make([]connPair, 0, len(data)/16) // 16 bytes per entry
-		lo, hi := uint32(ref.Base), uint32(ref.Base)+uint32(ref.Docs)
-		var stray uint64
-		var outside bool
-		if err := segio.DecodeConn(data, func(k uint64, v float64) {
-			if d := uint32(k); d < lo || d >= hi {
-				stray, outside = k, true
-			}
-			staged = append(staged, connPair{key: k, val: v})
-		}); err != nil {
-			return nil, fmt.Errorf("conn-memo file %s: %w", ref.Conn, err)
-		}
-		if outside {
-			return nil, fmt.Errorf("%w: conn-memo file %s: key %#x lies outside its segment's documents [%d, %d)",
-				segio.ErrCorrupt, ref.Conn, stray, lo, hi)
-		}
-		runs[i] = staged
-	}
-	return runs, nil
-}
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // validateSegmentNodes checks every node ID the rescore path will feed
 // into graph lookups against the graph's node count. The codec can only

@@ -661,6 +661,32 @@ func TestPersistErrors(t *testing.T) {
 	if other.state() != nil {
 		t.Fatal("failed open installed state")
 	}
+	// The options check precedes every file check: a store saved under
+	// other options reports the options even with a damaged segment,
+	// and the refused engine then opens an intact store.
+	foreign := t.TempDir()
+	fe := NewEngine(g, Options{Seed: 12, Samples: 20})
+	fe.IndexCorpus(c)
+	if err := fe.SaveSnapshot(foreign, nil); err != nil {
+		t.Fatal(err)
+	}
+	fm, err := segio.ReadManifest(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(foreign, fm.Segments[0].File), []byte("damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	probe := NewEngine(g, persistTestOptions())
+	if err := probe.OpenSnapshot(foreign, nil); err == nil || errors.Is(err, segio.ErrCorrupt) || !strings.Contains(err.Error(), "options") {
+		t.Fatalf("mismatched options over a damaged segment: %v", err)
+	}
+	if probe.state() != nil {
+		t.Fatal("failed open installed state")
+	}
+	if err := probe.OpenSnapshot(dir, nil); err != nil {
+		t.Fatalf("reopen after a refused open: %v", err)
+	}
 
 	// Manifest referencing a missing segment file: typed corruption,
 	// no partial engine.

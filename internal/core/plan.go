@@ -434,9 +434,11 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 		// generation-independent (Spec and tf do not change, and idfN is
 		// always positive), so aliased cdrc values cover exactly the rows
 		// a fresh build would walk. New documents ascend, and so do the
-		// segments, so one cursor finds each document's run.
+		// segments and each run's keys, so one cursor per (concept,
+		// segment run) finds every value: placed once at the concept's
+		// first key in the run, it only steps forward.
 		spec := e.g.Specificity(c)
-		si := 0
+		si, pos := 0, -1 // pos < 0: not yet placed in runs[si]
 		for j := 0; j < n; j++ {
 			best := -1.0
 			pivot := kg.InvalidNode
@@ -454,10 +456,21 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 				if cdro > 0 {
 					d := p.docs[j]
 					for si+1 < len(newSegs) && d >= newSegs[si+1].Base {
-						si++
+						si, pos = si+1, -1
 					}
-					var hit bool
-					if cc, hit = lookupConn(runs[si], cdrKey(c, d)); !hit {
+					run := runs[si]
+					if pos < 0 {
+						pos, _ = slices.BinarySearchFunc(run, cdrKey(c, newSegs[si].Base), func(x connPair, k uint64) int {
+							return cmp.Compare(x.key, k)
+						})
+					}
+					key := cdrKey(c, d)
+					for pos < len(run) && run[pos].key < key {
+						pos++
+					}
+					if pos < len(run) && run[pos].key == key {
+						cc = run[pos].val
+					} else {
 						cc = e.walkConn(s, c, d)
 						walks[worker]++
 					}
@@ -478,18 +491,6 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 	}
 	e.ing.connWalks.Add(walked)
 	return total
-}
-
-// lookupConn finds key in a key-sorted run of known connectivity
-// factors.
-func lookupConn(run []connPair, key uint64) (float64, bool) {
-	i, ok := slices.BinarySearchFunc(run, key, func(p connPair, k uint64) int {
-		return cmp.Compare(p.key, k)
-	})
-	if !ok {
-		return 0, false
-	}
-	return run[i].val, true
 }
 
 // ceilState guards the lazy ceiling materialisation of one plan

@@ -21,7 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -192,9 +192,8 @@ func (g *Graph) ExtentClosure(c NodeID, maxConcepts int) []NodeID {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	out = dedupSorted(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ExtentClosureSize returns |ExtentClosure(c, 0)| with memoisation. It
@@ -489,27 +488,27 @@ func (b *Builder) Build() (*Graph, error) {
 
 	// The instance space is bidirected: store each undirected edge in
 	// both adjacency rows, then dedup.
-	instPairs := make([][2]NodeID, 0, len(b.instEdges)*2)
+	instKeys := make([]uint64, 0, len(b.instEdges)*2)
 	for _, e := range b.instEdges {
-		instPairs = append(instPairs, e, [2]NodeID{e[1], e[0]})
+		instKeys = append(instKeys, edgeKey(e[0], e[1]), edgeKey(e[1], e[0]))
 	}
 	var kept int64
-	g.inst, kept = buildCSR(n, instPairs)
+	g.inst, kept = buildCSR(n, instKeys)
 	g.instEdges = kept / 2
 
-	g.broader, g.broaderEdges = buildCSR(n, b.broader)
-	reversed := make([][2]NodeID, len(b.broader))
+	up, down := make([]uint64, len(b.broader)), make([]uint64, len(b.broader))
 	for i, e := range b.broader {
-		reversed[i] = [2]NodeID{e[1], e[0]}
+		up[i], down[i] = edgeKey(e[0], e[1]), edgeKey(e[1], e[0])
 	}
-	g.narrower, _ = buildCSR(n, reversed)
+	g.broader, g.broaderEdges = buildCSR(n, up)
+	g.narrower, _ = buildCSR(n, down)
 
-	g.types, g.typeEdges = buildCSR(n, b.typeEdges)
-	extPairs := make([][2]NodeID, len(b.typeEdges))
+	up, down = make([]uint64, len(b.typeEdges)), make([]uint64, len(b.typeEdges))
 	for i, e := range b.typeEdges {
-		extPairs[i] = [2]NodeID{e[1], e[0]}
+		up[i], down[i] = edgeKey(e[0], e[1]), edgeKey(e[1], e[0])
 	}
-	g.extent, _ = buildCSR(n, extPairs)
+	g.types, g.typeEdges = buildCSR(n, up)
+	g.extent, _ = buildCSR(n, down)
 
 	if g.numInstances == 0 {
 		return nil, errors.New("kg: graph has no instance entities")
@@ -517,43 +516,27 @@ func (b *Builder) Build() (*Graph, error) {
 	return g, nil
 }
 
-// buildCSR sorts (src, dst) pairs into CSR form, deduplicating parallel
-// edges, and returns the structure plus the number of retained edges.
-func buildCSR(n int, pairs [][2]NodeID) (csr, int64) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
+// edgeKey packs a (src, dst) edge into one word that sorts by source,
+// then destination: node IDs are non-negative, so their uint32 images
+// keep their order.
+func edgeKey(src, dst NodeID) uint64 {
+	return uint64(uint32(src))<<32 | uint64(uint32(dst))
+}
+
+// buildCSR sorts packed edge keys (see edgeKey) into CSR form,
+// deduplicating parallel edges, and returns the structure plus the
+// number of retained edges. keys is sorted in place.
+func buildCSR(n int, keys []uint64) (csr, int64) {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
 	off := make([]int64, n+1)
-	adj := make([]NodeID, 0, len(pairs))
-	var prev [2]NodeID
-	first := true
-	for _, p := range pairs {
-		if !first && p == prev {
-			continue
-		}
-		first = false
-		prev = p
-		off[p[0]+1]++
-		adj = append(adj, p[1])
+	adj := make([]NodeID, len(keys))
+	for i, k := range keys {
+		off[k>>32+1]++
+		adj[i] = NodeID(uint32(k))
 	}
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
 	return csr{off: off, adj: adj}, int64(len(adj))
-}
-
-func dedupSorted(s []NodeID) []NodeID {
-	if len(s) == 0 {
-		return s
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package kg
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -360,4 +361,71 @@ func containsNode(s []NodeID, v NodeID) bool {
 		}
 	}
 	return false
+}
+
+// referenceCSR is the comparison-sort builder buildCSR replaced, kept
+// verbatim as the oracle for the packed-key version.
+func referenceCSR(n int, pairs [][2]NodeID) (csr, int64) {
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i][0] != pairs[j][0] {
+			return pairs[i][0] < pairs[j][0]
+		}
+		return pairs[i][1] < pairs[j][1]
+	})
+	off := make([]int64, n+1)
+	adj := make([]NodeID, 0, len(pairs))
+	var prev [2]NodeID
+	first := true
+	for _, p := range pairs {
+		if !first && p == prev {
+			continue
+		}
+		first = false
+		prev = p
+		off[p[0]+1]++
+		adj = append(adj, p[1])
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	return csr{off: off, adj: adj}, int64(len(adj))
+}
+
+// TestBuildCSRMatchesReference checks buildCSR row for row against the
+// reference on random edge lists with duplicates, self-loops, empty
+// rows and edges at the largest node ID.
+func TestBuildCSRMatchesReference(t *testing.T) {
+	r := xrand.New(7)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(64)
+		var pairs [][2]NodeID
+		for e := r.Intn(4 * n); e > 0; e-- {
+			// Sources skip odd IDs half the time so some rows stay empty.
+			src := NodeID(r.Intn(n))
+			if trial%2 == 0 {
+				src &^= 1
+			}
+			p := [2]NodeID{src, NodeID(r.Intn(n))}
+			switch r.Intn(6) {
+			case 0:
+				p[1] = p[0] // self-loop
+			case 1:
+				p = [2]NodeID{NodeID(n - 1), NodeID(n - 1 - r.Intn(n))} // largest ID
+			}
+			pairs = append(pairs, p)
+			if r.Intn(3) == 0 {
+				pairs = append(pairs, p) // parallel edge
+			}
+		}
+		keys := make([]uint64, len(pairs))
+		for i, p := range pairs {
+			keys[i] = edgeKey(p[0], p[1])
+		}
+		got, gotN := buildCSR(n, keys)
+		want, wantN := referenceCSR(n, pairs)
+		if gotN != wantN || !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) {
+			t.Fatalf("trial %d (n=%d, %d pairs): buildCSR = %v/%v (%d), reference %v/%v (%d)",
+				trial, n, len(pairs), got.off, got.adj, gotN, want.off, want.adj, wantN)
+		}
+	}
 }

@@ -141,7 +141,15 @@ type PersistCounters struct {
 	BytesWritten     int64 `json:"bytes_written"`
 	BytesRead        int64 `json:"bytes_read"`
 	CheckpointErrors int64 `json:"checkpoint_errors"`
+	// LastOpen splits the newest Open into its stages: the world build
+	// and the file decode, which overlap, then the install and the wall
+	// time end to end. All zero on an Explorer that was not opened.
+	LastOpen OpenClocks `json:"last_open"`
 }
+
+// OpenClocks are one Open's stage wall times in milliseconds (see
+// PersistCounters.LastOpen).
+type OpenClocks = core.OpenClocks
 
 // ReachCounters reports the k-hop reachability index that guides
 // connectivity walks (see Stats.Reach).
@@ -179,7 +187,7 @@ type Stats struct {
 	// per-ingest checkpoints, segment files written vs reused, bytes
 	// moved, and checkpoint failures (which never fail the triggering
 	// ingest — they mean the data directory lags until the next
-	// checkpoint succeeds).
+	// checkpoint succeeds), and the newest Open's stage clocks.
 	Persist PersistCounters `json:"persist"`
 	// EngineCache is a live snapshot of the engine's query-path
 	// caches, refreshed on every Stats call.

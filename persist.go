@@ -2,8 +2,10 @@ package ncexplorer
 
 import (
 	"errors"
+	"time"
 
 	"ncexplorer/internal/core"
+	"ncexplorer/internal/kg"
 	"ncexplorer/internal/kggen"
 	"ncexplorer/internal/segio"
 	"ncexplorer/internal/watch"
@@ -11,11 +13,12 @@ import (
 
 // Durable snapshot persistence: Save serializes an Explorer's indexed
 // corpus to a directory, Open restarts from one without re-running the
-// NLP/linking pipeline. The knowledge graph itself is not persisted —
-// it is regenerated deterministically from the seed recorded in the
+// linking pipeline. The knowledge graph itself is not persisted — it
+// is regenerated deterministically from the seed recorded in the
 // manifest (equal seeds produce byte-identical graphs), which keeps
 // the on-disk format about the one thing that is expensive to rebuild:
-// the indexed corpus.
+// the indexed corpus. The regeneration needs none of the files, so
+// Open runs it on its own goroutine while the caller decodes them.
 
 // OpenOptions adjusts storage policy when reopening a snapshot.
 // Content-determining parameters (seed, scale, sampling) always come
@@ -64,16 +67,24 @@ func HasSnapshot(dir string) bool {
 	return err == nil
 }
 
-// Open loads a persisted snapshot: it regenerates the knowledge graph
-// from the manifest's recorded seed and scale, decodes the segment
-// files and their conn companions, and rescores the corpus through the
-// same swap path every ingest uses, taking each connectivity factor
-// from the companions instead of walking it. The result answers every query byte-identically to the
-// Explorer that saved, at the same generation, and can keep ingesting
-// from there. Errors are typed: CodeNotFound (no snapshot in dir),
-// CodeCorruptSnapshot, or CodeVersionMismatch — never a partially
-// initialized Explorer.
+// Open loads a persisted snapshot in two lanes that share nothing
+// until the end. A goroutine regenerates the knowledge graph from the
+// manifest's recorded seed and scale and constructs the engine (its
+// linker builds the gazetteer), while the caller decodes the segment
+// files, their conn companions and the standing-query file. Open always
+// waits for both lanes. It then rescores the corpus through the same
+// swap path every ingest uses, taking each connectivity factor from the
+// companions instead of walking it. The result answers every query
+// byte-identically to the Explorer that saved, at the same generation,
+// and can keep ingesting from there. Errors are typed: CodeNotFound (no
+// snapshot in dir), CodeCorruptSnapshot, or CodeVersionMismatch — never
+// a partially initialized Explorer. They come in a fixed order whatever
+// the lanes' timing: the manifest, its world scale, the world build,
+// the engine options, then the first bad file in the order a serial
+// read meets them (segments in manifest order, companions, the watch
+// file).
 func Open(dir string, opts OpenOptions) (*Explorer, error) {
+	began := time.Now()
 	m, err := segio.ReadManifest(dir)
 	if err != nil {
 		return nil, persistError(err)
@@ -83,35 +94,48 @@ func Open(dir string, opts OpenOptions) (*Explorer, error) {
 		return nil, &Error{Code: CodeCorruptSnapshot,
 			Message: "ncexplorer: snapshot manifest names unknown world scale " + m.World["scale"]}
 	}
-	g, meta, err := kggen.Generate(kcfg)
-	if err != nil {
-		return nil, err
-	}
 	maxSegments := m.Engine.MaxSegments
 	if opts.MaxSegments > 0 {
 		maxSegments = opts.MaxSegments
 	}
-	engine := core.NewEngine(g, core.Options{
-		Tau:               m.Engine.Tau,
-		Beta:              m.Engine.Beta,
-		Samples:           m.Engine.Samples,
-		Seed:              m.Engine.Seed,
-		MaxConceptsPerDoc: m.Engine.MaxConceptsPerDoc,
-		AncestorLevels:    m.Engine.AncestorLevels,
-		Exact:             m.Engine.Exact,
-		MaxSegments:       maxSegments,
-	})
-	if err := engine.OpenSnapshot(dir, m); err != nil {
+	type world struct {
+		g      *kg.Graph
+		meta   *kggen.Meta
+		engine *core.Engine
+		took   time.Duration
+		err    error
+	}
+	lane := make(chan world, 1)
+	go func() {
+		start := time.Now()
+		var w world
+		if w.g, w.meta, w.err = kggen.Generate(kcfg); w.err == nil {
+			w.engine = core.NewEngine(w.g, core.Options{
+				Tau:               m.Engine.Tau,
+				Beta:              m.Engine.Beta,
+				Samples:           m.Engine.Samples,
+				Seed:              m.Engine.Seed,
+				MaxConceptsPerDoc: m.Engine.MaxConceptsPerDoc,
+				AncestorLevels:    m.Engine.AncestorLevels,
+				Exact:             m.Engine.Exact,
+				MaxSegments:       maxSegments,
+			})
+		}
+		w.took = time.Since(start)
+		lane <- w
+	}()
+	store := core.ReadStore(dir, m)
+	w := <-lane
+	if w.err != nil {
+		return nil, w.err
+	}
+	if err := w.engine.OpenStore(store, w.took, began); err != nil {
 		return nil, persistError(err)
 	}
-	x := &Explorer{g: g, meta: meta, engine: engine, ccfg: ccfg, scale: scale}
+	x := &Explorer{g: w.g, meta: w.meta, engine: w.engine, ccfg: ccfg, scale: scale}
 	x.initWatch(watch.Options{MaxWatchlists: opts.MaxWatchlists, AlertBuffer: opts.AlertBuffer})
 	if m.WatchFile != "" {
-		data, err := segio.ReadWatchFile(dir, m.WatchFile)
-		if err != nil {
-			return nil, persistError(err)
-		}
-		if err := x.watch.Load(data); err != nil {
+		if err := x.watch.Load(store.Watch); err != nil {
 			return nil, persistError(err)
 		}
 	}

@@ -8,9 +8,10 @@ import (
 )
 
 // BenchmarkOpenSnapshot measures the warm-restart story: "warm" opens
-// a saved snapshot (decode + conn companions + rescore — no NLP, no
-// linking, no random walks), "cold" is the from-scratch New() on the
-// same corpus it replaces. The acceptance bar for PR 5 is warm ≥ 5×
+// a saved snapshot (the world rebuild, whose engine builds the NLP
+// gazetteer, overlapped with decoding the segments and conn
+// companions, then the rescore — no linking, no random walks), "cold"
+// is the from-scratch New() on the same corpus it replaces. The acceptance bar for PR 5 is warm ≥ 5×
 // faster than cold; scripts/bench_json.sh records both and their
 // ratio in BENCH_pr5.json.
 func BenchmarkOpenSnapshot(b *testing.B) {

@@ -3,12 +3,14 @@ package ncexplorer
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -267,6 +269,113 @@ func TestOpenErrorMapping(t *testing.T) {
 		})
 		expectCode(t, d, CodeCorruptSnapshot)
 	})
+}
+
+// TestOpenErrorPrecedence: with two damaged files, Open reports the one
+// a serial read meets first, whatever the timing of its world and file
+// lanes, and every failed Open leaves the goroutine count where it
+// found it.
+func TestOpenErrorPrecedence(t *testing.T) {
+	x, err := New(Config{Scale: "tiny", MaxSegments: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 3; i++ {
+		arts, err := x.SampleArticles(700+i, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Ingest(context.Background(), arts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x.Quiesce()
+	dir := t.TempDir()
+	if err := x.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := segio.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Segments) < 3 || m.Segments[0].Conn == "" {
+		t.Fatalf("store has %d segments (first companion %q); want ≥ 3 with a companion", len(m.Segments), m.Segments[0].Conn)
+	}
+	edit := func(d, name string, fn func([]byte)) {
+		path := filepath.Join(d, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(data)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openFails := func(t *testing.T, d string, want ErrorCode, mention string) {
+		t.Helper()
+		baseline := runtime.NumGoroutine()
+		loaded, err := Open(d, OpenOptions{})
+		if e, ok := AsError(err); loaded != nil || !ok || e.Code != want || !strings.Contains(err.Error(), mention) {
+			t.Fatalf("Open = %v, %v; want code %v naming %s", loaded, err, want, mention)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutines = %d after a failed Open, baseline %d", runtime.NumGoroutine(), baseline)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	t.Run("version skew before a later corrupt segment", func(t *testing.T) {
+		d := corruptedCopy(t, dir, func(d string) {
+			edit(d, m.Segments[0].File, func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], binary.LittleEndian.Uint16(b[4:6])+1) })
+			edit(d, m.Segments[1].File, func(b []byte) { b[len(b)/2] ^= 0x01 })
+		})
+		for i := 0; i < 20; i++ {
+			openFails(t, d, CodeVersionMismatch, m.Segments[0].File)
+		}
+	})
+	t.Run("missing segment before a corrupt companion", func(t *testing.T) {
+		d := corruptedCopy(t, dir, func(d string) {
+			edit(d, m.Segments[0].Conn, func(b []byte) { b[len(b)/2] ^= 0x01 })
+			if err := os.Remove(filepath.Join(d, m.Segments[2].File)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		openFails(t, d, CodeCorruptSnapshot, m.Segments[2].File)
+	})
+}
+
+// TestOpenStageClocks: /statsz index.persist.last_open is all zero on
+// an Explorer that was not opened, and splits an Open into its stages.
+func TestOpenStageClocks(t *testing.T) {
+	x := getExplorer(t)
+	if c := x.Stats().Persist.LastOpen; c != (OpenClocks{}) {
+		t.Fatalf("LastOpen before any open = %+v, want zero", c)
+	}
+	dir := t.TempDir()
+	if err := x.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	y, err := Open(dir, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := y.Stats().Persist.LastOpen
+	if c.WorldMS <= 0 || c.FilesMS <= 0 || c.BuildMS <= 0 || c.WallMS < c.BuildMS {
+		t.Fatalf("LastOpen = %+v, want every stage > 0 and wall ≥ build", c)
+	}
+	body, err := json.Marshal(y.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"last_open":{"world_ms":`, `"files_ms":`, `"build_ms":`, `"wall_ms":`} {
+		if !strings.Contains(string(body), key) {
+			t.Fatalf("stats JSON lacks %s: %s", key, body)
+		}
+	}
 }
 
 // corruptedCopy clones a saved snapshot directory and applies damage.
