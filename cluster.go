@@ -39,37 +39,19 @@ func WrapContextErr(err error) error {
 // stability-guaranteed public API: the facade methods are.
 func (x *Explorer) Engine() *core.Engine { return x.engine }
 
-// Graph exposes the knowledge graph (immutable after construction).
-func (x *Explorer) Graph() *kg.Graph { return x.g }
-
-// Scale names the synthetic-world scale this Explorer was built at.
-func (x *Explorer) Scale() string { return x.scale }
-
-// Seed returns the world seed; together with Scale it identifies the
-// deterministic world, which is how cluster nodes verify they share
-// one graph (equal (scale, seed) ⇒ byte-identical graphs and node
-// IDs).
-func (x *Explorer) Seed() uint64 { return x.engine.Options().Seed }
-
 // ShardInfo reports the Explorer's cluster position: shard index,
 // shard count, and whether it is sharded at all.
 func (x *Explorer) ShardInfo() (index, count int, sharded bool) {
 	return x.engine.ShardInfo()
 }
 
-// ResolveConcepts maps concept names to node IDs with the facade's
-// typed errors — the internal scatter endpoints use it to turn a
-// router's canonical concept list into a core query.
-func (x *Explorer) ResolveConcepts(names []string) (core.Query, error) {
-	return resolveConceptsOn(x.g, names)
-}
-
-// QueryWorld is the router's world model: the knowledge graph (and
-// evaluation metadata) regenerated deterministically from (scale,
-// seed), with the same name resolution and error surface the Explorer
-// uses — but no corpus and no engine. A router resolves concept names
-// against it, ships node IDs to the shards, and renders shard answers
-// back to names.
+// QueryWorld is the world model every node resolves queries through:
+// the knowledge graph (and evaluation metadata) regenerated
+// deterministically from (scale, seed), with the facade's name
+// resolution and error surface. An Explorer embeds one beside its
+// corpus and engine; a router holds one alone — it resolves concept
+// names against it, ships node IDs to the shards, and renders shard
+// answers back to names.
 type QueryWorld struct {
 	g     *kg.Graph
 	meta  *kggen.Meta
@@ -87,21 +69,67 @@ func NewQueryWorld(scale string, seed uint64) (*QueryWorld, error) {
 	if err != nil {
 		return nil, err
 	}
+	return buildWorld(scale, kcfg)
+}
+
+// buildWorld regenerates the knowledge graph for a normalized scale and
+// its generator configuration — the one world build New, Open and
+// NewQueryWorld share.
+func buildWorld(scale string, kcfg kggen.Config) (*QueryWorld, error) {
 	g, meta, err := kggen.Generate(kcfg)
 	if err != nil {
 		return nil, err
 	}
-	return &QueryWorld{g: g, meta: meta, scale: scale, seed: seed}, nil
+	return &QueryWorld{g: g, meta: meta, scale: scale, seed: kcfg.Seed}, nil
 }
 
-// Graph returns the regenerated knowledge graph.
+// Graph exposes the knowledge graph (immutable after construction).
 func (w *QueryWorld) Graph() *kg.Graph { return w.g }
 
-// Scale returns the normalized world scale.
+// Scale names the synthetic-world scale, normalized ("" → "default").
 func (w *QueryWorld) Scale() string { return w.scale }
 
-// Seed returns the world seed.
+// Seed returns the world seed; together with Scale it identifies the
+// deterministic world, which is how cluster nodes verify they share
+// one graph (equal (scale, seed) ⇒ byte-identical graphs and node
+// IDs).
 func (w *QueryWorld) Seed() uint64 { return w.seed }
+
+// ResolveConcepts maps concept names to node IDs, producing typed
+// errors: an empty list yields CodeInvalidArgument, an unknown name
+// CodeUnknownConcept with nearest-concept suggestions in Details, and
+// an entity name CodeInvalidArgument. Every query path resolves
+// through it, so a router, a shard's scatter endpoints and a
+// monolithic server reject a pattern with the same error.
+func (w *QueryWorld) ResolveConcepts(names []string) (core.Query, error) {
+	if len(names) == 0 {
+		return nil, newErrorf(CodeInvalidArgument, "ncexplorer: empty concept query")
+	}
+	q := make(core.Query, 0, len(names))
+	for _, name := range names {
+		id, ok := w.g.Lookup(name)
+		if !ok {
+			return nil, w.unknownConceptError(name)
+		}
+		if !w.g.IsConcept(id) {
+			return nil, newErrorf(CodeInvalidArgument,
+				"ncexplorer: %q is an entity, not a concept (try ConceptsForEntity)", name)
+		}
+		q = append(q, id)
+	}
+	return q, nil
+}
+
+// unknownConceptError builds the typed unknown-concept error with its
+// nearest-concept suggestions.
+func (w *QueryWorld) unknownConceptError(concept string) *Error {
+	e := newErrorf(CodeUnknownConcept, "ncexplorer: unknown concept %q", concept)
+	e.Details = map[string]any{"concept": concept}
+	if sugg := w.SuggestConcepts(concept, maxSuggestions); len(sugg) > 0 {
+		e.Details["suggestions"] = sugg
+	}
+	return e
+}
 
 // ResolveRollUp validates req against the world's graph with the
 // rulebook, and in the order, RollUpQuery applies, and returns it with
@@ -109,27 +137,20 @@ func (w *QueryWorld) Seed() uint64 { return w.seed }
 // scatters, so every request fails with the error a monolithic server
 // gives it.
 func (w *QueryWorld) ResolveRollUp(req RollUpRequest) (RollUpRequest, error) {
-	p, err := req.plan(w.g)
+	p, err := req.plan(w)
 	req.Concepts = p.concepts
 	return req, err
 }
 
 // ResolveDrillDown is ResolveRollUp for a drill-down.
 func (w *QueryWorld) ResolveDrillDown(req DrillDownRequest) (DrillDownRequest, error) {
-	p, err := req.plan(w.g)
+	p, err := req.plan(w)
 	req.Concepts = p.concepts
 	return req, err
 }
 
-// RenderDrillDown renders a router's merged drill-down page for req (as
-// ResolveDrillDown returned it) exactly as DrillDownQuery renders the
-// engine's.
-func (w *QueryWorld) RenderDrillDown(req DrillDownRequest, page core.DrillDownPage) DrillDownResult {
-	return renderDrillDown(w.g, req, page)
-}
-
-// EvaluationTopics returns the Table-I topic names, like
-// Explorer.EvaluationTopics.
+// EvaluationTopics returns the six Table-I topic names with their
+// query concepts, for callers reproducing the paper's evaluation.
 func (w *QueryWorld) EvaluationTopics() [][2]string {
 	var out [][2]string
 	for _, t := range w.meta.Topics {

@@ -9,9 +9,8 @@
 //	                      [-cache-shards 8] [-cache-capacity 256] [-maxk 100]
 //	                      [-max-batch 64] [-session-ttl 30m] [-max-sessions 1024]
 //	                      [-ingest] [-max-ingest-batch 1024] [-max-segments 4]
-//	                      [-watch DIR] [-watch-interval 2s] [-data-dir DIR]
-//	                      [-max-watchlists 64] [-alert-buffer 256]
-//	                      [-webhook-timeout 5s]
+//	                      [-data-dir DIR] [-max-watchlists 64] [-alert-buffer 256]
+//	                      [-webhook-timeout 5s] [-shutdown-timeout 5s]
 //	                      [-role leader|replica] [-peer URL] [-shard i/n]
 //	                      [-sync-interval 500ms]
 //
@@ -21,7 +20,7 @@
 //	GET  /v1/concepts/{entity}  GET /v1/broader/{concept}
 //	GET  /v1/keywords/{concept} GET /v1/topics
 //	POST /v2/batch              POST /v2/ingest (with -ingest)
-//	/v2/sessions (+ /{id}/rollup|drilldown|back)
+//	/v2/sessions (+ /{id}/rollup|drilldown|zoom|back)
 //	/v2/watchlists (+ /{id}, /{id}/events SSE stream)
 //	GET  /healthz               GET /statsz
 //
@@ -29,8 +28,8 @@
 //
 //	POST /v2/watchlists registers a concept pattern (with optional
 //	source/min-score filters and a webhook URL); every batch ingested
-//	afterwards — via /v2/ingest or -watch — is evaluated against it and
-//	matches are pushed as alerts: streamed on GET
+//	afterwards via /v2/ingest is evaluated against it and matches are
+//	pushed as alerts: streamed on GET
 //	/v2/watchlists/{id}/events (SSE, resume with ?after=<last id>) and
 //	POSTed to the webhook with bounded retries. Watchlists and delivery
 //	cursors persist in -data-dir and survive restarts.
@@ -42,11 +41,6 @@
 //	-ingest enables POST /v2/ingest:
 //	    curl -s -X POST localhost:8080/v2/ingest \
 //	        -d '{"articles":[{"source":"reuters","title":"...","body":"..."}]}'
-//	-watch DIR additionally polls DIR for *.json files (each either an
-//	array of articles or {"articles":[...]}), ingests them, and renames
-//	processed files to *.json.ingested — a zero-dependency stand-in for
-//	a feed consumer. -watch implies -ingest's pipeline but does not
-//	open the HTTP endpoint unless -ingest is also set.
 //
 // Multi-node serving:
 //
@@ -75,26 +69,25 @@
 //	snapshot it is opened instead of rebuilding the world — the NLP/
 //	linking pipeline is skipped entirely and -scale/-seed are taken
 //	from the snapshot's manifest. While running, every committed ingest
-//	batch (HTTP or -watch) is checkpointed into DIR, so a crash loses
-//	at most the batch in flight. On graceful shutdown the index is
-//	fully saved (including the connectivity-score cache that makes the
-//	next open fast). A failed final save logs, leaves the previous
-//	snapshot intact, and exits non-zero so supervisors notice.
+//	batch is checkpointed into DIR, so a crash loses at most the batch
+//	in flight. On graceful shutdown the index is fully saved (including
+//	the connectivity-score cache that makes the next open fast). A
+//	failed final save logs, leaves the previous snapshot intact, and
+//	exits non-zero so supervisors notice.
 //
 // Shutdown: SIGINT/SIGTERM ends SSE streams, stops the listener,
 // drains in-flight requests (bounded by -shutdown-timeout), waits for
-// the directory watcher to finish any batch it started, stops the
-// webhook worker after its in-flight delivery, lets background segment
-// merges quiesce, and then performs the final -data-dir save. The
-// ordering matters: every committed batch's alerts are fired before
-// the final save runs, and an alert whose webhook delivery was cut off
-// keeps its un-acked cursor, so it is redelivered after restart rather
-// than dropped (at-least-once delivery).
+// a replica's catch-up loop to stop, stops the webhook worker after
+// its in-flight delivery, lets background segment merges quiesce, and
+// then performs the final -data-dir save. The ordering matters: every
+// committed batch's alerts are fired before the final save runs, and
+// an alert whose webhook delivery was cut off keeps its un-acked
+// cursor, so it is redelivered after restart rather than dropped
+// (at-least-once delivery).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -102,8 +95,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -129,8 +120,6 @@ func main() {
 	ingest := flag.Bool("ingest", false, "enable POST /v2/ingest (live article ingestion)")
 	maxIngestBatch := flag.Int("max-ingest-batch", 1024, "maximum articles per /v2/ingest call")
 	maxSegments := flag.Int("max-segments", 4, "index segment count above which background merges trigger")
-	watch := flag.String("watch", "", "directory to poll for *.json article batches to ingest")
-	watchInterval := flag.Duration("watch-interval", 2*time.Second, "poll interval for -watch")
 	maxWatchlists := flag.Int("max-watchlists", 64, "maximum registered watchlists (standing queries)")
 	alertBuffer := flag.Int("alert-buffer", 256, "per-watchlist alert retention window (SSE catch-up and webhook redelivery)")
 	webhookTimeout := flag.Duration("webhook-timeout", 5*time.Second, "per-attempt timeout for webhook alert deliveries")
@@ -255,14 +244,6 @@ func main() {
 	defer stop()
 
 	var watchWG sync.WaitGroup
-	if *watch != "" && x != nil {
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			watchLoop(ctx, x, *watch, *watchInterval)
-		}()
-		log.Printf("watching %s for article batches every %s", *watch, *watchInterval)
-	}
 	if rep != nil {
 		watchWG.Add(1)
 		go func() {
@@ -295,10 +276,10 @@ func main() {
 	}
 	// ErrServerClosed arrives as soon as the listener stops; wait for
 	// Shutdown to finish draining in-flight requests (queries AND
-	// ingest batches), then for the watcher to finish the batch it may
-	// have started — only then is the set of committed batches (and the
-	// alerts they fired) final — then stop the webhook worker after its
-	// in-flight delivery, then let background segment merges settle.
+	// ingest batches) — only then is the set of committed batches (and
+	// the alerts they fired) final — and for a replica's catch-up loop
+	// to stop. Then stop the webhook worker after its in-flight
+	// delivery and let background segment merges settle.
 	// An alert cut off un-acked keeps its delivery cursor; the final
 	// save persists it and the next boot redelivers.
 	<-drained
@@ -320,7 +301,7 @@ func main() {
 	}
 	cancelDrain()
 	x.Quiesce()
-	// The final save runs only after the watcher has drained and merges
+	// The final save runs only after requests have drained and merges
 	// have settled, so the snapshot captures everything that was
 	// committed. Failure here must NOT be silent: the previous snapshot
 	// in -data-dir stays intact (the manifest swap is atomic and runs
@@ -468,91 +449,4 @@ func persistOnShutdown(x *ncexplorer.Explorer, dataDir string) bool {
 	log.Printf("shutdown: saved snapshot to %s in %.1fs (generation %d, %d articles)",
 		dataDir, time.Since(start).Seconds(), x.Generation(), x.NumArticles())
 	return true
-}
-
-// watchLoop polls dir for *.json batch files and ingests them. A
-// processed file is renamed to <name>.ingested (or <name>.failed when
-// it cannot be parsed or ingested), so each batch is consumed once
-// and the outcome is visible in the directory. The loop exits when
-// ctx is cancelled; a batch already being ingested completes first —
-// Ingest is atomic, so shutdown never leaves a half-visible batch.
-func watchLoop(ctx context.Context, x *ncexplorer.Explorer, dir string, interval time.Duration) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		consumeBatches(ctx, x, dir)
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-		}
-	}
-}
-
-// consumeBatches ingests every pending *.json file in dir, oldest
-// name first (feeds conventionally timestamp their drops).
-func consumeBatches(ctx context.Context, x *ncexplorer.Explorer, dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		log.Printf("watch: %v", err)
-		return
-	}
-	var names []string
-	for _, ent := range entries {
-		if !ent.IsDir() && strings.HasSuffix(ent.Name(), ".json") {
-			names = append(names, ent.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if ctx.Err() != nil {
-			return
-		}
-		path := filepath.Join(dir, name)
-		articles, err := readBatch(path)
-		if err == nil && len(articles) > 0 {
-			// A batch that starts ingesting completes: the shutdown
-			// context stops the *loop* (checked above), never a batch
-			// in flight — a cancelled Ingest would abort before the
-			// swap and the file must not be marked failed for a
-			// shutdown that merely arrived mid-batch.
-			var res ncexplorer.IngestResult
-			res, err = x.Ingest(context.Background(), articles)
-			if err == nil {
-				log.Printf("watch: ingested %d articles from %s (generation %d, %d total)",
-					res.Accepted, name, res.Generation, res.TotalArticles)
-			}
-		} else if err == nil {
-			err = errors.New("no articles in batch")
-		}
-		suffix := ".ingested"
-		if err != nil {
-			log.Printf("watch: %s: %v", name, err)
-			suffix = ".failed"
-		}
-		if rerr := os.Rename(path, path+suffix); rerr != nil {
-			log.Printf("watch: rename %s: %v", name, rerr)
-			return // avoid re-ingesting the same file in a tight loop
-		}
-	}
-}
-
-// readBatch parses one batch file: either a bare article array or an
-// {"articles": [...]} envelope (the /v2/ingest body shape).
-func readBatch(path string) ([]ncexplorer.IngestArticle, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var arr []ncexplorer.IngestArticle
-	if err := json.Unmarshal(data, &arr); err == nil {
-		return arr, nil
-	}
-	var env struct {
-		Articles []ncexplorer.IngestArticle `json:"articles"`
-	}
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, err
-	}
-	return env.Articles, nil
 }

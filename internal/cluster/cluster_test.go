@@ -216,6 +216,8 @@ func (tc *testCluster) checkEquivalence(stage string) {
 		queryReq{Concepts: queries[0], Offset: -1},
 		queryReq{Concepts: queries[0], MinScore: 2},
 		queryReq{Concepts: []string{"no-such-concept"}},
+		queryReq{Concepts: []string{}},
+		queryReq{Concepts: []string{queries[0][0], "FTX"}}, // an entity, not a concept
 		queryReq{Concepts: queries[0], Sources: []string{"tabloid"}},
 		// Not an error: k+offset overflows int, and the answer is an
 		// empty page with next_offset -1.

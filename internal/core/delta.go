@@ -43,12 +43,6 @@ func (v *DeltaView) Generation() uint64 { return v.st.snap.Generation }
 // NumDocs returns the total corpus size at this generation.
 func (v *DeltaView) NumDocs() int { return v.st.snap.NumDocs() }
 
-// DeltaBase returns the global ID of the first delta document.
-func (v *DeltaView) DeltaBase() int32 { return v.base }
-
-// DeltaDocs returns the number of documents in the delta.
-func (v *DeltaView) DeltaDocs() int { return v.n }
-
 // Source returns the source of a document.
 func (v *DeltaView) Source(doc int32) corpus.Source {
 	return v.st.snap.Doc(doc).Source

@@ -389,27 +389,11 @@ func (e *Engine) scorerOpts() relevance.Options {
 // IndexCorpus runs the full pipeline over the corpus, producing the
 // base segment and the first snapshot generation. Documents must have
 // dense IDs 0..n−1 (the corpus generator guarantees this). It may be
-// called once per engine; grow the corpus afterwards with Ingest.
+// called once per engine; grow the corpus afterwards with Ingest. It
+// is IndexCorpusSharded with one shard, which leaves the engine
+// unsharded.
 func (e *Engine) IndexCorpus(c *corpus.Corpus) IndexStats {
-	if e.st.Load() != nil {
-		panic("core: IndexCorpus called twice")
-	}
-	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
-	// Private copy of the display articles: the engine owns them from
-	// here on (IDs are rewritten, and ingested articles extend them).
-	articles := append([]corpus.Document(nil), c.Docs...)
-	seg, perSource, linkNanos, err := e.buildSegment(context.Background(), articles, 0)
-	if err != nil {
-		panic("core: segment build failed without a cancellable context: " + err.Error())
-	}
-	e.stats = IndexStats{Docs: len(articles), PerSource: perSource, LinkNanos: linkNanos}
-	st, scoreNanos := e.buildState(1, []*snapshot.Segment{seg}, nil, nil)
-	e.stats.ScoreNanos = scoreNanos
-	e.localGen.Store(1)
-	e.st.Store(st)
-	e.epoch.Add(1)
-	return e.stats
+	return e.IndexCorpusSharded(c, 0, 1)
 }
 
 // buildSegment runs the annotation/linking pipeline (Phase A–B) over a

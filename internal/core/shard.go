@@ -156,7 +156,9 @@ func (e *Engine) SetRemoteStats(rs ShardStats) error {
 // Every slice is segmented exactly as its owning shard segments it, so
 // the statistics exchanged here equal the ones peers would publish —
 // no network round-trip is needed to boot a byte-identical shard from
-// a shared corpus. May be called once per engine, like IndexCorpus.
+// a shared corpus. With count == 1 the engine is monolithic: it keeps
+// no shard position and no remote summary. May be called once per
+// engine, like IndexCorpus.
 func (e *Engine) IndexCorpusSharded(c *corpus.Corpus, shard, count int) IndexStats {
 	if count < 1 || shard < 0 || shard >= count {
 		panic(fmt.Sprintf("core: invalid shard %d of %d", shard, count))
@@ -166,7 +168,8 @@ func (e *Engine) IndexCorpusSharded(c *corpus.Corpus, shard, count int) IndexSta
 	}
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
-	e.shardIndex, e.shardCount = shard, count
+	// Private copy of the display articles: the engine owns them from
+	// here on (IDs are rewritten, and ingested articles extend them).
 	articles := append([]corpus.Document(nil), c.Docs...)
 	n := len(articles)
 	var ownSeg *snapshot.Segment
@@ -184,7 +187,10 @@ func (e *Engine) IndexCorpusSharded(c *corpus.Corpus, shard, count int) IndexSta
 			remote.add(segmentStats(seg))
 		}
 	}
-	e.remote.Store(&remote)
+	if count > 1 {
+		e.shardIndex, e.shardCount = shard, count
+		e.remote.Store(&remote)
+	}
 	st, scoreNanos := e.buildState(1, []*snapshot.Segment{ownSeg}, nil, nil)
 	e.stats.ScoreNanos = scoreNanos
 	e.localGen.Store(1)

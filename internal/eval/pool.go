@@ -84,9 +84,6 @@ func NewPool(n int, seed uint64) *EvaluatorPool {
 	return p
 }
 
-// NumEvaluators returns the pool size.
-func (p *EvaluatorPool) NumEvaluators() int { return len(p.biases) }
-
 // Ratings returns the number of individual ratings issued so far (the
 // paper reports 3,900 across its study).
 func (p *EvaluatorPool) Ratings() int64 { return p.ratings.Load() }

@@ -126,9 +126,6 @@ func (g *Graph) IsConcept(v NodeID) bool { return g.kinds[v] == KindConcept }
 // IsInstance reports whether v ∈ V_I.
 func (g *Graph) IsInstance(v NodeID) bool { return g.kinds[v] == KindInstance }
 
-// Valid reports whether v is a node of this graph.
-func (g *Graph) Valid(v NodeID) bool { return v >= 0 && int(v) < len(g.names) }
-
 // Lookup resolves a canonical name to its node.
 func (g *Graph) Lookup(name string) (NodeID, bool) {
 	id, ok := g.byName[name]

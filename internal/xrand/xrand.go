@@ -109,9 +109,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Int63 returns a non-negative pseudo-random int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Range returns a uniform value in [lo, hi). It panics if hi <= lo.
 func (r *Rand) Range(lo, hi int) int { return lo + r.Intn(hi-lo) }
 

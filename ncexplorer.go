@@ -36,7 +36,6 @@ import (
 
 	"ncexplorer/internal/core"
 	"ncexplorer/internal/corpus"
-	"ncexplorer/internal/kg"
 	"ncexplorer/internal/kggen"
 	"ncexplorer/internal/watch"
 )
@@ -114,38 +113,12 @@ type EngineCacheStats struct {
 }
 
 // IngestCounters reports live-ingestion throughput: successful
-// batches, documents added, their summed wall-clock cost, and
-// background segment merges.
-type IngestCounters struct {
-	Batches int64 `json:"batches"`
-	Docs    int64 `json:"docs"`
-	Nanos   int64 `json:"nanos"`
-	Merges  int64 `json:"merges"`
-	// ConnWalks counts the connectivity-factor estimates (random-walk
-	// batches) this process ran: the seed build, ingest pre-warms and
-	// any pair a plan build found no stored value for. A warm open of a
-	// store whose segments all carry conn companions adds none.
-	ConnWalks int64 `json:"conn_walks"`
-	// DocsDefaultedTime counts ingested documents that carried no
-	// publication time and were stamped with the ingest wall clock.
-	DocsDefaultedTime int64 `json:"docs_defaulted_time"`
-}
+// batches, documents added, their summed wall-clock cost, background
+// segment merges, connectivity walks and defaulted publication times.
+type IngestCounters = core.IngestCounters
 
 // PersistCounters reports durable-snapshot activity (see Stats.Persist).
-type PersistCounters struct {
-	Saves            int64 `json:"saves"`
-	Opens            int64 `json:"opens"`
-	Checkpoints      int64 `json:"checkpoints"`
-	SegmentsWritten  int64 `json:"segments_written"`
-	SegmentsReused   int64 `json:"segments_reused"`
-	BytesWritten     int64 `json:"bytes_written"`
-	BytesRead        int64 `json:"bytes_read"`
-	CheckpointErrors int64 `json:"checkpoint_errors"`
-	// LastOpen splits the newest Open into its stages: the world build
-	// and the file decode, which overlap, then the install and the wall
-	// time end to end. All zero on an Explorer that was not opened.
-	LastOpen OpenClocks `json:"last_open"`
-}
+type PersistCounters = core.PersistCounters
 
 // OpenClocks are one Open's stage wall times in milliseconds (see
 // PersistCounters.LastOpen).
@@ -207,13 +180,12 @@ type Stats struct {
 // Explorer is a fully indexed NCExplorer instance. Safe for concurrent
 // queries, including queries concurrent with Ingest.
 type Explorer struct {
-	g      *kg.Graph
-	meta   *kggen.Meta
+	// QueryWorld is the knowledge graph and the name resolution over
+	// it; its scale and seed are persisted in snapshot manifests so
+	// Open can rebuild the graph.
+	*QueryWorld
 	engine *core.Engine
 	ccfg   corpus.Config
-	// scale names the synthetic-world scale the Explorer was built at;
-	// persisted in snapshot manifests so Open can rebuild the graph.
-	scale string
 	// watch is the standing-query registry; initWatch wires it to the
 	// engine's ingest hook and the persistence layer.
 	watch *watch.Registry
@@ -259,32 +231,31 @@ func New(cfg Config) (*Explorer, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	g, meta, err := kggen.Generate(kcfg)
+	w, err := buildWorld(scale, kcfg)
 	if err != nil {
 		return nil, err
 	}
-	c, err := corpus.Generate(g, meta, ccfg)
+	c, err := corpus.Generate(w.g, w.meta, ccfg)
 	if err != nil {
 		return nil, err
 	}
-	engine := core.NewEngine(g, core.Options{
+	engine := core.NewEngine(w.g, core.Options{
 		Seed:        cfg.Seed,
 		Samples:     cfg.Samples,
 		Tau:         cfg.Tau,
 		Beta:        cfg.Beta,
 		MaxSegments: cfg.MaxSegments,
 	})
+	shard, count := 0, 1
 	if cfg.ShardCount > 1 {
 		if cfg.Shard < 0 || cfg.Shard >= cfg.ShardCount {
 			return nil, newErrorf(CodeInvalidArgument,
 				"ncexplorer: shard index %d out of range [0, %d)", cfg.Shard, cfg.ShardCount)
 		}
-		engine.IndexCorpusSharded(c, cfg.Shard, cfg.ShardCount)
-	} else {
-		engine.IndexCorpus(c)
+		shard, count = cfg.Shard, cfg.ShardCount
 	}
-	x := &Explorer{g: g, meta: meta, engine: engine, ccfg: ccfg, scale: scale}
+	engine.IndexCorpusSharded(c, shard, count)
+	x := &Explorer{QueryWorld: w, engine: engine, ccfg: ccfg}
 	x.initWatch(watch.Options{MaxWatchlists: cfg.MaxWatchlists, AlertBuffer: cfg.AlertBuffer})
 	return x, nil
 }
@@ -329,8 +300,8 @@ func (x *Explorer) Stats() Stats {
 	st.Articles = x.engine.NumDocs()
 	st.Generation = x.engine.Generation()
 	st.Segments = x.engine.SegmentSizes()
-	st.Ingest = IngestCounters(x.engine.IngestCounters())
-	st.Persist = PersistCounters(x.engine.PersistCounters())
+	st.Ingest = x.engine.IngestCounters()
+	st.Persist = x.engine.PersistCounters()
 	st.EngineCache = EngineCacheStats{Match: CacheCounters{Entries: x.engine.CacheStats().Match.Entries}}
 	st.Watch = WatchCounters(x.watch.Counters())
 	st.Reach = ReachCounters(x.engine.ReachStats())
@@ -375,35 +346,6 @@ func CanonicalConcepts(concepts []string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// resolveConcepts maps concept names to node IDs, producing typed
-// errors: an unknown name yields CodeUnknownConcept with
-// nearest-concept suggestions in Details.
-func (x *Explorer) resolveConcepts(names []string) (core.Query, error) {
-	return resolveConceptsOn(x.g, names)
-}
-
-// resolveConceptsOn is resolveConcepts over an explicit graph — shared
-// with QueryWorld, so a corpus-less router validates and resolves
-// queries with the same typed errors a shard would produce.
-func resolveConceptsOn(g *kg.Graph, names []string) (core.Query, error) {
-	if len(names) == 0 {
-		return nil, newErrorf(CodeInvalidArgument, "ncexplorer: empty concept query")
-	}
-	q := make(core.Query, 0, len(names))
-	for _, name := range names {
-		id, ok := g.Lookup(name)
-		if !ok {
-			return nil, unknownConceptErrorOn(g, name)
-		}
-		if !g.IsConcept(id) {
-			return nil, newErrorf(CodeInvalidArgument,
-				"ncexplorer: %q is an entity, not a concept (try ConceptsForEntity)", name)
-		}
-		q = append(q, id)
-	}
-	return q, nil
 }
 
 // RollUp retrieves the top-k articles matching every named concept
@@ -477,30 +419,4 @@ func (x *Explorer) TopicKeywords(concept string, n int) ([]string, error) {
 		return nil, x.unknownConceptError(concept)
 	}
 	return x.engine.TopicKeywords(id, n), nil
-}
-
-// unknownConceptError builds the typed unknown-concept error with its
-// nearest-concept suggestions.
-func (x *Explorer) unknownConceptError(concept string) *Error {
-	return unknownConceptErrorOn(x.g, concept)
-}
-
-// unknownConceptErrorOn is unknownConceptError over an explicit graph.
-func unknownConceptErrorOn(g *kg.Graph, concept string) *Error {
-	e := newErrorf(CodeUnknownConcept, "ncexplorer: unknown concept %q", concept)
-	e.Details = map[string]any{"concept": concept}
-	if sugg := suggestConceptsOn(g, concept, maxSuggestions); len(sugg) > 0 {
-		e.Details["suggestions"] = sugg
-	}
-	return e
-}
-
-// EvaluationTopics returns the six Table-I topic names with their
-// query concepts, for callers reproducing the paper's evaluation.
-func (x *Explorer) EvaluationTopics() [][2]string {
-	var out [][2]string
-	for _, t := range x.meta.Topics {
-		out = append(out, [2]string{x.g.Name(t.Concept), x.g.Name(t.GroupConcept)})
-	}
-	return out
 }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"ncexplorer/internal/core"
-	"ncexplorer/internal/kg"
-	"ncexplorer/internal/kggen"
 	"ncexplorer/internal/segio"
 	"ncexplorer/internal/watch"
 )
@@ -99,8 +97,7 @@ func Open(dir string, opts OpenOptions) (*Explorer, error) {
 		maxSegments = opts.MaxSegments
 	}
 	type world struct {
-		g      *kg.Graph
-		meta   *kggen.Meta
+		*QueryWorld
 		engine *core.Engine
 		took   time.Duration
 		err    error
@@ -109,7 +106,7 @@ func Open(dir string, opts OpenOptions) (*Explorer, error) {
 	go func() {
 		start := time.Now()
 		var w world
-		if w.g, w.meta, w.err = kggen.Generate(kcfg); w.err == nil {
+		if w.QueryWorld, w.err = buildWorld(scale, kcfg); w.err == nil {
 			w.engine = core.NewEngine(w.g, core.Options{
 				Tau:               m.Engine.Tau,
 				Beta:              m.Engine.Beta,
@@ -132,7 +129,7 @@ func Open(dir string, opts OpenOptions) (*Explorer, error) {
 	if err := w.engine.OpenStore(store, w.took, began); err != nil {
 		return nil, persistError(err)
 	}
-	x := &Explorer{g: w.g, meta: w.meta, engine: w.engine, ccfg: ccfg, scale: scale}
+	x := &Explorer{QueryWorld: w.QueryWorld, engine: w.engine, ccfg: ccfg}
 	x.initWatch(watch.Options{MaxWatchlists: opts.MaxWatchlists, AlertBuffer: opts.AlertBuffer})
 	if m.WatchFile != "" {
 		if err := x.watch.Load(store.Watch); err != nil {

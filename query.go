@@ -314,7 +314,7 @@ type queryPlan struct {
 // RollUpQuery, DrillDownQuery, and a router's QueryWorld — in one
 // order: page, sources, time, group_by, concepts. A request with
 // several defects therefore fails on the same one on every path.
-func (r RollUpRequest) plan(g *kg.Graph) (queryPlan, error) {
+func (r RollUpRequest) plan(w *QueryWorld) (queryPlan, error) {
 	var p queryPlan
 	if err := validatePage(r.K, r.Offset, r.MinScore); err != nil {
 		return p, err
@@ -330,14 +330,14 @@ func (r RollUpRequest) plan(g *kg.Graph) (queryPlan, error) {
 		return p, err
 	}
 	p.concepts = CanonicalConcepts(r.Concepts)
-	p.q, err = resolveConceptsOn(g, p.concepts)
+	p.q, err = w.ResolveConcepts(p.concepts)
 	return p, err
 }
 
 // plan validates and resolves a drill-down: a roll-up plan without
 // sources or group_by.
-func (r DrillDownRequest) plan(g *kg.Graph) (queryPlan, error) {
-	return RollUpRequest{Concepts: r.Concepts, K: r.K, Offset: r.Offset, MinScore: r.MinScore, Time: r.Time}.plan(g)
+func (r DrillDownRequest) plan(w *QueryWorld) (queryPlan, error) {
+	return RollUpRequest{Concepts: r.Concepts, K: r.K, Offset: r.Offset, MinScore: r.MinScore, Time: r.Time}.plan(w)
 }
 
 // MergeRollUp merges shard roll-up pages into the page RollUpQuery
@@ -499,7 +499,7 @@ func nextOffset(offset, returned, total int) int {
 // pattern is canonicalized before execution, so permutations of one
 // pattern produce identical results.
 func (x *Explorer) RollUpQuery(ctx context.Context, req RollUpRequest) (RollUpResult, error) {
-	p, err := req.plan(x.g)
+	p, err := req.plan(x.QueryWorld)
 	if err != nil {
 		return RollUpResult{}, err
 	}
@@ -530,7 +530,7 @@ func (x *Explorer) RollUpQuery(ctx context.Context, req RollUpRequest) (RollUpRe
 // suggestion side of RollUpQuery with the same pagination and
 // cancellation contract.
 func (x *Explorer) DrillDownQuery(ctx context.Context, req DrillDownRequest) (DrillDownResult, error) {
-	p, err := req.plan(x.g)
+	p, err := req.plan(x.QueryWorld)
 	if err != nil {
 		return DrillDownResult{}, err
 	}
@@ -541,17 +541,18 @@ func (x *Explorer) DrillDownQuery(ctx context.Context, req DrillDownRequest) (Dr
 		return DrillDownResult{}, ctxError(err)
 	}
 	req.Concepts = p.concepts
-	return renderDrillDown(x.g, req, page), nil
+	return x.RenderDrillDown(req, page), nil
 }
 
-// renderDrillDown renders one drill-down page — the engine's, or a
+// RenderDrillDown renders one drill-down page — the engine's, or a
 // router's merge of shard partials — for a request whose concept list
-// is already canonical. Score components appear only under Explain.
-func renderDrillDown(g *kg.Graph, req DrillDownRequest, page core.DrillDownPage) DrillDownResult {
+// is already canonical (as ResolveDrillDown returns it). Score
+// components appear only under Explain.
+func (w *QueryWorld) RenderDrillDown(req DrillDownRequest, page core.DrillDownPage) DrillDownResult {
 	subs := make([]SubtopicSuggestion, 0, len(page.Results))
 	for _, s := range page.Results {
 		sub := SubtopicSuggestion{
-			Concept:     g.Name(s.Concept),
+			Concept:     w.g.Name(s.Concept),
 			Score:       s.Score,
 			MatchedDocs: s.MatchedDocs,
 		}
@@ -605,7 +606,7 @@ func (x *Explorer) article(r core.DocResult, explain bool) Article {
 // as the query methods. The session layer uses it to vet patterns
 // before storing them.
 func (x *Explorer) ValidateConcepts(names []string) error {
-	_, err := x.resolveConcepts(CanonicalConcepts(names))
+	_, err := x.ResolveConcepts(CanonicalConcepts(names))
 	return err
 }
 
@@ -624,13 +625,7 @@ const maxSuggestions = 5
 // case-insensitive exact and substring matches first, then small
 // edit-distance neighbours — the "did you mean" list behind
 // CodeUnknownConcept errors.
-func (x *Explorer) SuggestConcepts(name string, n int) []string {
-	return suggestConceptsOn(x.g, name, n)
-}
-
-// suggestConceptsOn is SuggestConcepts over an explicit graph (shared
-// with QueryWorld).
-func suggestConceptsOn(g *kg.Graph, name string, n int) []string {
+func (w *QueryWorld) SuggestConcepts(name string, n int) []string {
 	if n <= 0 || strings.TrimSpace(name) == "" {
 		return nil
 	}
@@ -643,8 +638,8 @@ func suggestConceptsOn(g *kg.Graph, name string, n int) []string {
 		rank int // lower is better
 	}
 	var cands []scored
-	g.Concepts(func(c kg.NodeID) bool {
-		cname := g.Name(c)
+	w.g.Concepts(func(c kg.NodeID) bool {
+		cname := w.g.Name(c)
 		lower := strings.ToLower(cname)
 		switch {
 		case lower == needle:

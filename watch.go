@@ -90,7 +90,7 @@ type WatchSubscription = watch.Subscription
 // is configured.
 func (x *Explorer) RegisterWatchlist(spec WatchlistSpec) (Watchlist, error) {
 	concepts := CanonicalConcepts(spec.Concepts)
-	if _, err := x.resolveConcepts(concepts); err != nil {
+	if _, err := x.ResolveConcepts(concepts); err != nil {
 		return Watchlist{}, err
 	}
 	if _, err := resolveSources(spec.Sources); err != nil {
@@ -275,7 +275,7 @@ func (x *Explorer) watchEvaluate(v *core.DeltaView) {
 		if def.CreatedGen >= v.Generation() {
 			continue
 		}
-		q, err := x.resolveConcepts(def.Concepts)
+		q, err := x.ResolveConcepts(def.Concepts)
 		if err != nil {
 			continue // world changed under a persisted list; never alerts
 		}
