@@ -546,16 +546,15 @@ func (rt *Router) SyncStats(ctx context.Context) error {
 		}
 	}
 	for i, replicas := range rt.Shards {
-		remote := core.ShardStats{DF: make(map[string]int)}
+		remote := core.ShardStats{DF: make(map[kg.NodeID]int)}
 		for j := range stats {
 			if j == i {
 				continue
 			}
 			remote.Docs += stats[j].Stats.Docs
-			remote.TotalLen += stats[j].Stats.TotalLen
 			remote.Batches += stats[j].Stats.Batches
-			for term, df := range stats[j].Stats.DF {
-				remote.DF[term] += df
+			for v, df := range stats[j].Stats.DF {
+				remote.DF[v] += df
 			}
 		}
 		var ack struct {

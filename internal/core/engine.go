@@ -324,10 +324,16 @@ func (st *genState) Entities(doc int32) []kg.NodeID {
 	return st.snap.Doc(doc).Entities
 }
 
-// EntityWeight implements relevance.DocView (tw(v, d), Eq. 3) over the
-// snapshot's corpus-global term statistics.
+// EntityWeight implements relevance.DocView (tw(v, d), Eq. 3): the
+// saturated term frequency tf/(tf+1) damped by the generation's
+// normalised corpus-global IDF (entIDFN, see buildPlans).
 func (st *genState) EntityWeight(v kg.NodeID, doc int32) float64 {
-	return st.snap.Text.TFIDF(snapshot.EntTerm(v), doc)
+	tf := st.snap.Doc(doc).EntityFreq[v]
+	if tf == 0 {
+		return 0
+	}
+	sat := float64(tf) / (float64(tf) + 1)
+	return sat * st.entIDFN[v]
 }
 
 // ContextWeight implements relevance.DocView: the document-local
@@ -533,13 +539,13 @@ func (e *Engine) candidateConcepts(ents []kg.NodeID, cs *candScratch) []kg.NodeI
 
 // buildSnapshot assembles the snapshot for the engine's sharding mode:
 // strictly contiguous for a monolithic engine, gap-tolerant with the
-// remote term statistics folded in for a shard.
+// remote entity statistics folded in for a shard.
 func (e *Engine) buildSnapshot(gen uint64, segs []*snapshot.Segment) *snapshot.Snapshot {
 	rs := e.remote.Load()
 	if rs == nil {
 		return snapshot.New(gen, segs)
 	}
-	return snapshot.NewSharded(gen, segs, rs.textStats())
+	return snapshot.NewSharded(gen, segs, rs.Docs, rs.DF)
 }
 
 // localDocs lists the snapshot's local global document IDs, ascending.

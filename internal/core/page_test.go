@@ -176,6 +176,41 @@ func TestDrillDownPageMatchesDrillDown(t *testing.T) {
 	}
 }
 
+// TestDrillDownMinScoreInclusive: the drill-down floor keeps a
+// subtopic scoring exactly MinScore. Scores are exact shortlist values,
+// so a floor set to a returned score is reachable.
+func TestDrillDownMinScoreInclusive(t *testing.T) {
+	_, _, _, e := world(t)
+	q := pageQuery(t)
+	ctx := context.Background()
+	full, err := e.DrillDownPage(ctx, q, DrillDownOptions{K: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Results) < 3 {
+		t.Skip("too few subtopics")
+	}
+	floor := full.Results[2].Score
+	want := 0
+	for _, s := range full.Results {
+		if s.Score >= floor {
+			want++
+		}
+	}
+	page, err := e.DrillDownPage(ctx, q, DrillDownOptions{K: 128, MinScore: floor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page.Total != want || len(page.Results) != want {
+		t.Fatalf("floor %g: total %d, %d results; want %d of each", floor, page.Total, len(page.Results), want)
+	}
+	for i := range page.Results {
+		if page.Results[i] != full.Results[i] {
+			t.Fatalf("rank %d differs under the floor: %+v vs %+v", i, page.Results[i], full.Results[i])
+		}
+	}
+}
+
 // TestQueryCancellation verifies both paged operations return the ctx
 // error without results once the context is cancelled.
 func TestQueryCancellation(t *testing.T) {

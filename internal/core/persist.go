@@ -289,8 +289,12 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 		} else {
 			if data == nil {
 				// Known segment but absent file (first save into a new
-				// dir, or external deletion): re-encode.
+				// dir, or external deletion): re-encode. A segment opened
+				// from an older-format file re-encodes in the current
+				// format, so its CRC and name are re-derived.
 				data = segio.EncodeSegment(seg)
+				ref.CRC = crc32.ChecksumIEEE(data)
+				ref.File = segio.SegmentFileName(ref.Base, ref.Docs, ref.CRC)
 			}
 			pend = append(pend, pendingFile{name: ref.File, data: data, segment: true})
 		}
@@ -381,18 +385,17 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 		World:      world,
 		Stats:      statsMeta(e.stats),
 	}
-	// A shard persists its cluster position and the remote term
+	// A shard persists its cluster position and the remote entity
 	// statistics its global scores were computed under, so a warm reopen
 	// (or a replica opening shipped segments) reproduces bit-identical
 	// answers without talking to any peer first.
 	if rs := e.remote.Load(); rs != nil {
 		m.Shard = &segio.ShardMeta{
-			Index:          e.shardIndex,
-			Count:          e.shardCount,
-			RemoteDocs:     rs.Docs,
-			RemoteTotalLen: rs.TotalLen,
-			RemoteDF:       rs.DF,
-			RemoteBatches:  rs.Batches,
+			Index:         e.shardIndex,
+			Count:         e.shardCount,
+			RemoteDocs:    rs.Docs,
+			RemoteDF:      rs.DF,
+			RemoteBatches: rs.Batches,
 		}
 	}
 	// Standing-query state participates in the same atomic manifest
@@ -646,7 +649,8 @@ func (s *Store) read(dir string) error {
 // constructed engine, doing under ingestMu everything that needs the
 // graph. Errors come in the order a serial open meets them: an indexed
 // engine, mismatched options, a decoded segment's out-of-graph node,
-// then the store's own read error. The rescore is the one every ingest
+// invalid remote statistics in the shard meta, then the store's own
+// read error. The rescore is the one every ingest
 // performs, with the companions' values handed to the plan build, so a
 // store whose segments all carry one walks nothing. world (0 when the
 // engine was built beforehand) and began feed the LastOpen clocks. A
@@ -670,6 +674,13 @@ func (e *Engine) OpenStore(s *Store, world time.Duration, began time.Time) error
 			return fmt.Errorf("segment file %s: %w", m.Segments[i].File, err)
 		}
 	}
+	var remote *ShardStats
+	if m.Shard != nil {
+		remote = &ShardStats{Docs: m.Shard.RemoteDocs, DF: m.Shard.RemoteDF, Batches: m.Shard.RemoteBatches}
+		if err := remote.validate(e.g.NumNodes()); err != nil {
+			return fmt.Errorf("%w: manifest shard section: %v", segio.ErrCorrupt, err)
+		}
+	}
 	if s.err != nil {
 		return s.err
 	}
@@ -688,14 +699,9 @@ func (e *Engine) OpenStore(s *Store, world time.Duration, began time.Time) error
 
 	e.persist.bytesRead.Add(s.bytes)
 	e.stats = statsFromMeta(m.Stats)
-	if m.Shard != nil {
+	if remote != nil {
 		e.shardIndex, e.shardCount = m.Shard.Index, m.Shard.Count
-		e.remote.Store(&ShardStats{
-			Docs:     m.Shard.RemoteDocs,
-			TotalLen: m.Shard.RemoteTotalLen,
-			DF:       m.Shard.RemoteDF,
-			Batches:  m.Shard.RemoteBatches,
-		})
+		e.remote.Store(remote)
 		e.localGen.Store(m.Generation - m.Shard.RemoteBatches)
 	} else {
 		e.localGen.Store(m.Generation)
@@ -726,6 +732,8 @@ func validateSegmentNodes(seg *snapshot.Segment, numNodes int) error {
 	bad := func(kind string, id kg.NodeID) error {
 		return fmt.Errorf("%w: %s node %d outside graph (%d nodes)", segio.ErrCorrupt, kind, id, numNodes)
 	}
+	// The decoder guarantees EntityFreq's keys are the Entities, and
+	// derives the postings from them, so checking Entities covers both.
 	for i := range seg.Docs {
 		d := &seg.Docs[i]
 		for _, v := range d.Entities {
@@ -733,20 +741,10 @@ func validateSegmentNodes(seg *snapshot.Segment, numNodes int) error {
 				return bad("entity", v)
 			}
 		}
-		for v := range d.EntityFreq {
-			if int(v) >= numNodes {
-				return bad("entity-frequency", v)
-			}
-		}
 		for _, c := range d.Candidates {
 			if int(c) >= numNodes {
 				return bad("candidate", c)
 			}
-		}
-	}
-	for v := range seg.EntDocs {
-		if int(v) >= numNodes {
-			return bad("posting", v)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -1087,6 +1088,86 @@ func TestOpenLegacyConnFileStore(t *testing.T) {
 	}
 	if walks := reopened.IngestCounters().ConnWalks; walks != 0 {
 		t.Fatalf("reopen after the upgrading save re-walked %d pairs", walks)
+	}
+	enginesEquivalent(t, e, reopened)
+}
+
+// TestOpenLegacyFormatStore: a store whose segment files are format v3
+// (the same DOCS and ARTS, followed by TEXT, POST and BMAX sections the
+// decoder CRC-checks and ignores) opens like its v4 twin. Saving it
+// into its own directory reuses the v3 files; saving it anywhere else
+// re-encodes them as v4 under the names and CRCs of the new bytes, so
+// that copy opens too.
+func TestOpenLegacyFormatStore(t *testing.T) {
+	g, _, c, _ := world(t)
+	dir := t.TempDir()
+	e := NewEngine(g, persistTestOptions())
+	e.IndexCorpus(c)
+	if _, err := e.Ingest(context.Background(), ingestBatch(t, 8960, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SaveSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	m, err := segio.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ref := range m.Segments {
+		data, err := os.ReadFile(filepath.Join(dir, ref.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := append([]byte(nil), data...)
+		legacy[4], legacy[5] = 3, 0
+		for _, tag := range []string{"TEXT", "POST", "BMAX"} {
+			legacy = append(legacy, tag...)
+			legacy = append(legacy, make([]byte, 8)...) // empty payload
+			legacy = binary.LittleEndian.AppendUint32(legacy, crc32.ChecksumIEEE(nil))
+		}
+		os.Remove(filepath.Join(dir, ref.File))
+		ref.CRC = crc32.ChecksumIEEE(legacy)
+		ref.File = segio.SegmentFileName(ref.Base, ref.Docs, ref.CRC)
+		if err := segio.WriteFileAtomic(dir, ref.File, legacy); err != nil {
+			t.Fatal(err)
+		}
+		m.Segments[i] = ref
+	}
+	if err := segio.WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded := NewEngine(g, persistTestOptions())
+	if err := loaded.OpenSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	enginesEquivalent(t, e, loaded)
+	if err := loaded.SaveSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := segio.ReadManifest(dir); err != nil || !reflect.DeepEqual(again.Segments, m.Segments) {
+		t.Fatalf("a save into the v3 store's own directory rewrote its segments (err %v)", err)
+	}
+	other := t.TempDir()
+	if err := loaded.SaveSnapshot(other, nil); err != nil {
+		t.Fatal(err)
+	}
+	copied, err := segio.ReadManifest(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range copied.Segments {
+		data, err := os.ReadFile(filepath.Join(other, ref.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint16(data[4:6]); v != 4 {
+			t.Fatalf("%s: format version %d in the copy, want 4", ref.File, v)
+		}
+	}
+	reopened := NewEngine(g, persistTestOptions())
+	if err := reopened.OpenSnapshot(other, nil); err != nil {
+		t.Fatal(err)
 	}
 	enginesEquivalent(t, e, reopened)
 }

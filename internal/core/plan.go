@@ -306,9 +306,11 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 	}
 	st.planned = len(concepts)
 
-	// Phase 2: per-entity normalised IDF, idfN(v) = IDF(v)/idfMax, with
-	// the exact floating-point operations of textindex TFIDF so the
-	// ceiling's ubOnt dominates every term weight op-for-op. The entity
+	// Phase 2: per-entity normalised IDF, idfN(v) = IDF(v)/idfMax, over
+	// the corpus-global N and DF (BM25's IDF, log(1 + (N−df+0.5)/(df+0.5)),
+	// and its df = 0 maximum). EntityWeight and the ceilings both
+	// multiply a saturated tf by this table, so the ceiling's ubOnt
+	// dominates every term weight op-for-op. The entity
 	// set is every posting key of ALL segments — the replay needs every
 	// local entity's idfN — maintained incrementally on the engine
 	// (extended from the rescanned segments only) instead of re-walking
@@ -327,11 +329,13 @@ func (e *Engine) buildPlans(st *genState, scorers []*relevance.Scorer, prev *gen
 			}
 		}
 	}
-	idfMax := math.Log(1 + (float64(snap.Text.NumDocs())+0.5)/0.5)
+	n := float64(snap.CorpusDocs())
+	idfMax := math.Log(1 + (n+0.5)/0.5)
 	entIDFN := make([]float64, numNodes)
 	if idfMax != 0 {
 		for _, v := range e.plannedEnts {
-			entIDFN[v] = snap.Text.IDF(snapshot.EntTerm(v)) / idfMax
+			df := float64(snap.EntityDF(v))
+			entIDFN[v] = math.Log(1+(n-df+0.5)/(df+0.5)) / idfMax
 		}
 	}
 	// Retained for the lazy ceiling builder (ensureCeilings), which

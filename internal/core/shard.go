@@ -6,8 +6,8 @@ import (
 	"fmt"
 
 	"ncexplorer/internal/corpus"
+	"ncexplorer/internal/kg"
 	"ncexplorer/internal/snapshot"
-	"ncexplorer/internal/textindex"
 )
 
 // Sharded serving: one engine holds one shard of a federated corpus.
@@ -16,11 +16,11 @@ import (
 // shard s of n owns a subset of the corpus's segments, every document
 // keeps the ID a monolithic build would have assigned, and the ID
 // space seen by one shard simply has gaps where other shards' segments
-// live. What a shard cannot compute locally is the corpus-global term
-// statistics behind IDF — so peers exchange ShardStats (document
-// count, token mass, per-term document frequencies), which fold into
-// the shard's merged text view (textindex.RemoteStats). DF and N are
-// plain sums over disjoint document sets, so a shard's every score is
+// live. What a shard cannot compute locally is the corpus-global
+// entity statistics behind IDF — so peers exchange ShardStats (document
+// count, per-entity document frequencies), which fold into the shard's
+// snapshot (snapshot.NewSharded). DF and N are plain sums over disjoint
+// document sets, so a shard's every score is
 // bit-identical to the monolithic engine's; a scatter-gather router
 // can therefore merge per-shard answers exactly (see the facade's
 // shard merge helpers and internal/cluster).
@@ -34,51 +34,48 @@ import (
 // errNotSharded marks remote-stats calls on a monolithic engine.
 var errNotSharded = errors.New("core: SetRemoteStats on a non-sharded engine")
 
-// ShardStats is the term-statistics summary one shard publishes to its
-// peers: everything another shard needs to make its local IDF
+// ShardStats is the entity-statistics summary one shard publishes to
+// its peers: everything another shard needs to make its local IDF
 // arithmetic corpus-global.
 type ShardStats struct {
 	// Docs is the number of documents the summarised shard(s) hold.
 	Docs int `json:"docs"`
-	// TotalLen is their summed token length.
-	TotalLen int64 `json:"total_len"`
 	// Batches counts the batches ingested there after the seed build.
 	Batches uint64 `json:"batches"`
-	// DF maps each term to its document frequency among those documents.
-	DF map[string]int `json:"df"`
+	// DF maps each entity to its document frequency among those
+	// documents (entities in none are absent).
+	DF map[kg.NodeID]int `json:"df"`
 }
 
-// add folds another shard's statistics into s.
-func (s *ShardStats) add(o ShardStats) {
-	s.Docs += o.Docs
-	s.TotalLen += o.TotalLen
-	s.Batches += o.Batches
-	if s.DF == nil {
-		s.DF = make(map[string]int, len(o.DF))
-	}
-	for term, df := range o.DF {
-		s.DF[term] += df
+// addSegment folds one segment's documents into s: its posting-list
+// lengths are its entity document frequencies, the same counts
+// snapshot.EntityDF sums — so remote stats built this way are
+// bit-identical to holding the segments locally.
+func (s *ShardStats) addSegment(seg *snapshot.Segment) {
+	s.Docs += seg.Len()
+	for v, docs := range seg.EntDocs {
+		s.DF[v] += len(docs)
 	}
 }
 
-// textStats renders the remote summary for the text index layer.
-func (s *ShardStats) textStats() *textindex.RemoteStats {
-	return &textindex.RemoteStats{Docs: s.Docs, TotalLen: s.TotalLen, DF: s.DF}
-}
-
-// segmentStats summarises one segment's term statistics, using the
-// same per-part reads textindex.Merged sums — so remote stats built
-// from these are bit-identical to holding the segments locally.
-func segmentStats(seg *snapshot.Segment) ShardStats {
-	out := ShardStats{
-		Docs:     seg.Text.NumDocs(),
-		TotalLen: seg.Text.TotalLen(),
-		DF:       make(map[string]int),
+// validate checks remote statistics against the graph they will index
+// into: a non-negative document count, and a document frequency in
+// [1, Docs] for entity keys that are nodes of the graph. It is the one
+// check every way in (the HTTP exchange, a shard manifest) goes
+// through.
+func (s *ShardStats) validate(numNodes int) error {
+	if s.Docs < 0 {
+		return fmt.Errorf("remote statistics: negative document count %d", s.Docs)
 	}
-	for _, term := range seg.Text.Terms() {
-		out.DF[term] += seg.Text.DF(term)
+	for v, df := range s.DF {
+		if v < 0 || int(v) >= numNodes {
+			return fmt.Errorf("remote statistics: entity %d outside graph (%d nodes)", v, numNodes)
+		}
+		if df < 1 || df > s.Docs {
+			return fmt.Errorf("remote statistics: entity %d document frequency %d outside [1, %d]", v, df, s.Docs)
+		}
 	}
-	return out
+	return nil
 }
 
 // LocalStats summarises the documents this engine holds, for peers to
@@ -86,7 +83,7 @@ func segmentStats(seg *snapshot.Segment) ShardStats {
 // seed is generation 1 on every shard, not a batch.
 func (e *Engine) LocalStats() ShardStats {
 	st := e.state()
-	out := ShardStats{DF: make(map[string]int)}
+	out := ShardStats{DF: make(map[kg.NodeID]int)}
 	if st == nil {
 		return out
 	}
@@ -94,12 +91,7 @@ func (e *Engine) LocalStats() ShardStats {
 		out.Batches = lg - 1
 	}
 	for _, seg := range st.snap.Segments {
-		ss := segmentStats(seg)
-		out.Docs += ss.Docs
-		out.TotalLen += ss.TotalLen
-		for term, df := range ss.DF {
-			out.DF[term] += df
-		}
+		out.addSegment(seg)
 	}
 	return out
 }
@@ -126,7 +118,7 @@ func (e *Engine) RemoteStatsSnapshot() ShardStats {
 // The swap bumps the cache epoch (scores changed) and checkpoints, so
 // a replica shipping this shard's store observes the generation
 // advance even when no local segment changed. Unchanged stats are a
-// no-op.
+// no-op; invalid ones (see ShardStats.validate) are refused.
 func (e *Engine) SetRemoteStats(rs ShardStats) error {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -138,7 +130,10 @@ func (e *Engine) SetRemoteStats(rs ShardStats) error {
 	if old == nil {
 		return errNotSharded
 	}
-	if old.Docs == rs.Docs && old.TotalLen == rs.TotalLen && old.Batches == rs.Batches {
+	if err := rs.validate(e.g.NumNodes()); err != nil {
+		return err
+	}
+	if old.Docs == rs.Docs && old.Batches == rs.Batches {
 		return nil
 	}
 	e.remote.Store(&rs)
@@ -152,7 +147,7 @@ func (e *Engine) SetRemoteStats(rs ShardStats) error {
 // IndexCorpusSharded is IndexCorpus for shard `shard` of `count`: it
 // runs the full pipeline over the corpus, keeps the contiguous slice
 // [shard·n/count, (shard+1)·n/count) as this engine's seed segment,
-// and folds the other slices' term statistics into the remote summary.
+// and folds the other slices' entity statistics into the remote summary.
 // Every slice is segmented exactly as its owning shard segments it, so
 // the statistics exchanged here equal the ones peers would publish —
 // no network round-trip is needed to boot a byte-identical shard from
@@ -173,7 +168,7 @@ func (e *Engine) IndexCorpusSharded(c *corpus.Corpus, shard, count int) IndexSta
 	articles := append([]corpus.Document(nil), c.Docs...)
 	n := len(articles)
 	var ownSeg *snapshot.Segment
-	remote := ShardStats{DF: make(map[string]int)}
+	remote := ShardStats{DF: make(map[kg.NodeID]int)}
 	for s := 0; s < count; s++ {
 		lo, hi := s*n/count, (s+1)*n/count
 		seg, perSource, linkNanos, err := e.buildSegment(context.Background(), articles[lo:hi], int32(lo))
@@ -184,7 +179,7 @@ func (e *Engine) IndexCorpusSharded(c *corpus.Corpus, shard, count int) IndexSta
 			ownSeg = seg
 			e.stats = IndexStats{Docs: hi - lo, PerSource: perSource, LinkNanos: linkNanos}
 		} else {
-			remote.add(segmentStats(seg))
+			remote.addSegment(seg)
 		}
 	}
 	if count > 1 {

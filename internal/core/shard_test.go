@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
 
 	"ncexplorer/internal/corpus"
+	"ncexplorer/internal/kg"
+	"ncexplorer/internal/segio"
 )
 
 // syncShards publishes every shard's local statistics to its peers —
@@ -14,10 +17,16 @@ import (
 func syncShards(t testing.TB, shards []*Engine) {
 	t.Helper()
 	for i, e := range shards {
-		var remote ShardStats
+		remote := ShardStats{DF: map[kg.NodeID]int{}}
 		for j, o := range shards {
-			if j != i {
-				remote.add(o.LocalStats())
+			if j == i {
+				continue
+			}
+			ls := o.LocalStats()
+			remote.Docs += ls.Docs
+			remote.Batches += ls.Batches
+			for v, df := range ls.DF {
+				remote.DF[v] += df
 			}
 		}
 		if err := e.SetRemoteStats(remote); err != nil {
@@ -222,5 +231,92 @@ func TestSetRemoteStatsContract(t *testing.T) {
 	}
 	if sh.Generation() != 2 {
 		t.Fatalf("generation = %d, want 2 after one remote batch", sh.Generation())
+	}
+}
+
+// invalidRemoteStats derives, from a shard's valid remote statistics,
+// one variant per rule ShardStats.validate enforces.
+func invalidRemoteStats(cur ShardStats, numNodes int) map[string]ShardStats {
+	var some kg.NodeID
+	for v := range cur.DF {
+		some = v
+		break
+	}
+	with := func(mutate func(*ShardStats)) ShardStats {
+		rs := cur
+		rs.DF = make(map[kg.NodeID]int, len(cur.DF)+1)
+		for v, df := range cur.DF {
+			rs.DF[v] = df
+		}
+		rs.Batches++ // never a no-op swap
+		mutate(&rs)
+		return rs
+	}
+	return map[string]ShardStats{
+		"negative docs":         with(func(rs *ShardStats) { rs.Docs = -1 }),
+		"key past the graph":    with(func(rs *ShardStats) { rs.DF[999999999] = 1 }),
+		"key at the node count": with(func(rs *ShardStats) { rs.DF[kg.NodeID(numNodes)] = 1 }),
+		"negative key":          with(func(rs *ShardStats) { rs.DF[-1] = 1 }),
+		"negative df":           with(func(rs *ShardStats) { rs.DF[some] = -100000 }),
+		"zero df":               with(func(rs *ShardStats) { rs.DF[some] = 0 }),
+		"df above docs":         with(func(rs *ShardStats) { rs.DF[some] = rs.Docs + 1 }),
+	}
+}
+
+// TestSetRemoteStatsRejectsInvalid: statistics that would index past
+// the graph or skew IDF (a DF outside [1, docs]) are refused, and the
+// refused call changes nothing — no swap, no generation, same answers.
+func TestSetRemoteStatsRejectsInvalid(t *testing.T) {
+	g, meta, c, _ := world(t)
+	sh := NewEngine(g, Options{Seed: 11, Samples: 20})
+	sh.IndexCorpusSharded(c, 0, 2)
+	q := Query{meta.Topics[0].Concept}
+	want := sh.RollUp(q, 8)
+	epoch, gen := sh.CacheEpoch(), sh.Generation()
+	for name, rs := range invalidRemoteStats(sh.RemoteStatsSnapshot(), g.NumNodes()) {
+		if err := sh.SetRemoteStats(rs); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if sh.CacheEpoch() != epoch || sh.Generation() != gen {
+		t.Fatal("a refused SetRemoteStats swapped state")
+	}
+	if got := sh.RollUp(q, 8); !reflect.DeepEqual(got, want) {
+		t.Fatalf("roll-up moved after refused remote stats:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestOpenRejectsInvalidShardStats: a shard manifest whose remote
+// statistics fail the same validation is typed corruption at open, and
+// the refused engine can still open the intact store.
+func TestOpenRejectsInvalidShardStats(t *testing.T) {
+	g, _, c, _ := world(t)
+	opts := Options{Seed: 11, Samples: 20}
+	sh := NewEngine(g, opts)
+	sh.IndexCorpusSharded(c, 0, 2)
+	dir := t.TempDir()
+	if err := sh.SaveSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	intact, err := segio.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rs := range invalidRemoteStats(sh.RemoteStatsSnapshot(), g.NumNodes()) {
+		m := *intact
+		m.Shard = &segio.ShardMeta{Index: 0, Count: 2, RemoteDocs: rs.Docs, RemoteDF: rs.DF, RemoteBatches: intact.Shard.RemoteBatches}
+		if err := segio.WriteManifest(dir, &m); err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(g, opts)
+		if err := e.OpenSnapshot(dir, nil); !errors.Is(err, segio.ErrCorrupt) {
+			t.Errorf("%s: open err = %v, want ErrCorrupt", name, err)
+		}
+		if err := segio.WriteManifest(dir, intact); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.OpenSnapshot(dir, nil); err != nil {
+			t.Fatalf("%s: reopening the intact store after a refused open: %v", name, err)
+		}
 	}
 }

@@ -172,6 +172,33 @@ func compareTimeFiltered(t *testing.T, e *Engine, meta *kggen.Meta) {
 			}
 		}
 	}
+
+	// Windows whose bounds sit exactly on a pruning block's time bounds:
+	// a block whose newest document is published at the window's start,
+	// or whose oldest at its end, overlaps the window (bounds are
+	// inclusive), so skipping it would lose that document.
+	for _, topic := range topics {
+		c := topic.Concept
+		p := &st.plans[c]
+		st.ensureCeilings(c, p)
+		for _, b := range p.blocks {
+			for _, tr := range []*TimeRange{{Min: b.maxT, Max: math.MaxInt64}, {Min: math.MinInt64, Max: b.minT}} {
+				opts := RollUpOptions{K: 3, Time: tr}
+				want, err := postFilteredPage(ctx, e, Query{c}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.RollUpPage(ctx, Query{c}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("block-edge window diverges from post-filter oracle (gen %d, c=%d, window %+v):\n got: %+v\nwant: %+v",
+						e.Generation(), c, *tr, got, want)
+				}
+			}
+		}
+	}
 }
 
 // postFilteredPage is the oracle: run the exhaustive scorer with no

@@ -4,19 +4,22 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 
+	"ncexplorer/internal/corpus"
+	"ncexplorer/internal/kg"
 	"ncexplorer/internal/snapshot"
 )
 
-// sectionRanges parses a valid segment encoding and returns the byte
-// range of each section's payload, keyed by tag.
+// sectionRanges parses a valid segment encoding (either version) and
+// returns the byte range of each section's payload, keyed by tag.
 func sectionRanges(t *testing.T, data []byte) map[string][2]int {
 	t.Helper()
 	out := make(map[string][2]int)
 	off := 6 // magic + version
-	for range segmentSections {
+	for off < len(data) {
 		tag := string(data[off : off+4])
 		n := int(binary.LittleEndian.Uint64(data[off+4 : off+12]))
 		start := off + 12
@@ -29,12 +32,16 @@ func sectionRanges(t *testing.T, data []byte) map[string][2]int {
 	return out
 }
 
-// TestCorruptionMatrix drives the ISSUE's corruption table: every
-// damaged input yields its typed error — never a panic, never a
-// half-decoded segment.
+// TestCorruptionMatrix drives the corruption table: every damaged
+// input yields its typed error — never a panic, never a half-decoded
+// segment. The sections only a v3 file carries are damaged in a v3
+// fixture: the decoder ignores their content but still checks their
+// CRCs.
 func TestCorruptionMatrix(t *testing.T) {
 	valid := EncodeSegment(buildTestSegment(77, 0, 25))
+	legacy := legacyFixture(t, 2)
 	sections := sectionRanges(t, valid)
+	legacyRanges := sectionRanges(t, legacy)
 
 	check := func(t *testing.T, data []byte, wantErr error, wantInMsg string) {
 		t.Helper()
@@ -80,16 +87,19 @@ func TestCorruptionMatrix(t *testing.T) {
 	t.Run("trailing bytes", func(t *testing.T) {
 		check(t, append(append([]byte(nil), valid...), 0), ErrCorrupt, "trailing")
 	})
-	for _, tag := range segmentSections {
+	for _, tag := range legacySections {
 		t.Run("flipped byte in "+tag, func(t *testing.T) {
-			r := sections[tag]
+			sample, r := valid, sections[tag]
+			if !slices.Contains(segmentSections, tag) {
+				sample, r = legacy, legacyRanges[tag]
+			}
 			if r[0] == r[1] {
 				t.Skipf("section %s empty in sample", tag)
 			}
 			// Flip one byte at the start, middle, and end of the payload;
 			// the section CRC must catch each.
 			for _, pos := range []int{r[0], (r[0] + r[1]) / 2, r[1] - 1} {
-				data := append([]byte(nil), valid...)
+				data := append([]byte(nil), sample...)
 				data[pos] ^= 0x40
 				check(t, data, ErrCorrupt, tag)
 			}
@@ -112,7 +122,7 @@ func TestConnCorruption(t *testing.T) {
 	}{
 		{"bad magic", func(b []byte) []byte { b[0] = 'x'; return b }, ErrCorrupt},
 		{"future version", func(b []byte) []byte {
-			binary.LittleEndian.PutUint16(b[4:6], formatVersion+1)
+			binary.LittleEndian.PutUint16(b[4:6], connVersion+1)
 			return b
 		}, ErrVersionMismatch},
 		{"flipped payload byte", func(b []byte) []byte { b[len(b)-6] ^= 1; return b }, ErrCorrupt},
@@ -127,7 +137,7 @@ func TestConnCorruption(t *testing.T) {
 			payload.u64(1 << 60)
 			var out writer
 			out.bytes([]byte(connMagic))
-			out.u16(formatVersion)
+			out.u16(connVersion)
 			out.u64(uint64(len(payload.buf)))
 			out.bytes(payload.buf)
 			out.u32(crc32.ChecksumIEEE(payload.buf))
@@ -152,41 +162,39 @@ func TestConnCorruption(t *testing.T) {
 	}
 }
 
-// TestBlockMaxDisagreement: the BMAX section is derivable from DOCS,
-// and the decoder validates it by recomputation — a structurally valid,
-// correctly-checksummed table with a wrong maximum (which would skew
-// pruning ceilings) must still be rejected.
-func TestBlockMaxDisagreement(t *testing.T) {
+// TestDocsEntitiesMatchFrequencies: a DOCS record's Entities must be
+// distinct and name exactly its EntityFreq keys — postings and block
+// maxima derive from the one, document frequencies and term weights
+// from the other. A CRC-valid record where they disagree is corrupt.
+func TestDocsEntitiesMatchFrequencies(t *testing.T) {
 	seg := buildTestSegment(77, 0, 25)
-	corrupt := func(name string, mutate func(*snapshot.Segment)) {
+	for name, mutate := range map[string]func(d *snapshot.DocRecord){
+		"duplicated entity": func(d *snapshot.DocRecord) {
+			d.Entities = append(d.Entities, d.Entities[0])
+		},
+		"entity missing from frequencies": func(d *snapshot.DocRecord) {
+			d.EntityFreq = map[kg.NodeID]int{}
+			for _, v := range d.Entities[1:] {
+				d.EntityFreq[v] = 1
+			}
+		},
+		"frequency without entity": func(d *snapshot.DocRecord) {
+			d.Entities = d.Entities[1:]
+		},
+		"entity swapped for another": func(d *snapshot.DocRecord) {
+			d.Entities = append([]kg.NodeID{d.Entities[0] + 1000}, d.Entities[1:]...)
+		},
+	} {
 		t.Run(name, func(t *testing.T) {
-			bad := *seg
-			bad.MaxTF = snapshot.ComputeMaxTF(seg.Base, seg.Docs)
-			mutate(&bad)
-			got, err := DecodeSegment(EncodeSegment(&bad))
-			if got != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "BMAX") {
-				t.Fatalf("seg=%v err=%v, want BMAX corruption", got, err)
+			docs := append([]snapshot.DocRecord(nil), seg.Docs...)
+			d := &docs[3]
+			d.Entities = append([]kg.NodeID(nil), d.Entities...)
+			mutate(d)
+			bad := snapshot.BuildSegment(seg.Base, docs, append([]corpus.Document(nil), seg.Articles...))
+			got, err := DecodeSegment(EncodeSegment(bad))
+			if got != nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "DOCS: doc 3") {
+				t.Fatalf("decoded=%v err=%v, want DOCS corruption at doc 3", got != nil, err)
 			}
 		})
 	}
-	corrupt("inflated maximum", func(s *snapshot.Segment) {
-		for v := range s.MaxTF {
-			s.MaxTF[v][0].TF++
-			return
-		}
-	})
-	corrupt("dropped entity", func(s *snapshot.Segment) {
-		for v := range s.MaxTF {
-			delete(s.MaxTF, v)
-			return
-		}
-	})
-	corrupt("extra block", func(s *snapshot.Segment) {
-		for v := range s.MaxTF {
-			tbl := s.MaxTF[v]
-			last := tbl[len(tbl)-1]
-			s.MaxTF[v] = append(tbl, snapshot.BlockTF{Block: last.Block + 1, TF: 1})
-			return
-		}
-	})
 }

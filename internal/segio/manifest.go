@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ncexplorer/internal/kg"
 	"ncexplorer/internal/snapshot"
 )
 
@@ -105,11 +106,12 @@ type ShardMeta struct {
 	// Index / Count identify this shard within the cluster layout.
 	Index int `json:"index"`
 	Count int `json:"count"`
-	// RemoteDocs / RemoteTotalLen / RemoteDF are the term statistics of
-	// the documents held by the other shards (see textindex.RemoteStats).
-	RemoteDocs     int            `json:"remote_docs"`
-	RemoteTotalLen int64          `json:"remote_total_len"`
-	RemoteDF       map[string]int `json:"remote_df,omitempty"`
+	// RemoteDocs / RemoteDF are the document count and the per-entity
+	// document frequencies of the documents held by the other shards.
+	// (Stores written before entity DF was keyed by node carry a
+	// remote_total_len key; the decoder ignores it.)
+	RemoteDocs int               `json:"remote_docs"`
+	RemoteDF   map[kg.NodeID]int `json:"remote_df,omitempty"`
 	// RemoteBatches counts the ingest batches other shards committed
 	// (the seed corpus is generation 1 cluster-wide and counts for none).
 	RemoteBatches uint64 `json:"remote_batches"`
@@ -214,8 +216,7 @@ func (m *Manifest) validate() error {
 		return fmt.Errorf("%w: manifest num_docs %d disagrees with segment sum %d",
 			ErrCorrupt, m.NumDocs, sum)
 	}
-	if m.Shard != nil && (m.Shard.Count < 1 || m.Shard.Index < 0 || m.Shard.Index >= m.Shard.Count ||
-		m.Shard.RemoteDocs < 0 || m.Shard.RemoteTotalLen < 0) {
+	if m.Shard != nil && (m.Shard.Count < 1 || m.Shard.Index < 0 || m.Shard.Index >= m.Shard.Count) {
 		return fmt.Errorf("%w: manifest shard section inconsistent", ErrCorrupt)
 	}
 	if !auxName(m.WatchFile, WatchExt) {
@@ -263,9 +264,8 @@ func ReadSegmentFile(dir string, ref SegmentRef) (*snapshot.Segment, int, error)
 	// rarely matches the manifest CRC, and reporting that mismatch would
 	// misdiagnose a version skew as corruption.
 	if len(data) >= 6 && string(data[:4]) == segmentMagic {
-		if v := binary.LittleEndian.Uint16(data[4:6]); v != formatVersion {
-			return nil, 0, fmt.Errorf("%w: segment file %s: format version %d (this build reads %d)",
-				ErrVersionMismatch, ref.File, v, formatVersion)
+		if v := binary.LittleEndian.Uint16(data[4:6]); v != formatVersion && v != legacyVersion {
+			return nil, 0, versionError("segment file "+ref.File+":", v)
 		}
 	}
 	if sum := crc32.ChecksumIEEE(data); sum != ref.CRC {

@@ -9,9 +9,13 @@
 //   - one segment = one file, written once and never modified. The
 //     format is length-prefixed binary: a magic + format-version
 //     header, then a fixed sequence of sections (document records,
-//     display articles, the frozen text index, entity→document
-//     postings), each carrying its own CRC32 so a flipped bit anywhere
-//     is detected before any partially-decoded state can escape;
+//     display articles), each carrying its own CRC32 so a flipped bit
+//     anywhere is detected before any partially-decoded state can
+//     escape. The document records are the one stored copy of which
+//     entities each document mentions and how often; the decoder
+//     derives the entity→document postings and the block-max tables
+//     from them exactly as snapshot.BuildSegment does, so derived data
+//     is never trusted from the wire;
 //   - a directory is described by a MANIFEST (JSON, see manifest.go)
 //     written via temp-file + atomic rename. Readers trust only what
 //     the manifest references; anything else in the directory is
@@ -20,16 +24,28 @@
 //   - the encoding is canonical: all maps are emitted in sorted key
 //     order and the decoder rejects non-canonical input (unsorted or
 //     duplicate keys, trailing bytes, out-of-range IDs). Consequently
-//     encode(decode(b)) == b for every accepted b — the property the
-//     fuzz battery pins — and re-saving an unchanged segment always
-//     reproduces the same bytes, which is what lets saves skip
-//     segment files that already exist on disk.
+//     encode(decode(b)) == b for every accepted current-version b — the
+//     property the fuzz battery pins — and re-saving an unchanged
+//     segment always reproduces the same bytes, which is what lets
+//     saves skip segment files that already exist on disk.
+//
+// Segment format versions:
+//
+//   - v2 added BMAX (per-entity per-block maximum term frequencies);
+//   - v3 added the per-document/per-article PublishedAt timestamp to
+//     DOCS and ARTS;
+//   - v4 (current) holds DOCS and ARTS only. v3's TEXT (a string-keyed
+//     term index), POST (entity→document postings) and BMAX repeated
+//     what DOCS already says.
 //
 // Version evolution policy: formatVersion is bumped on any
 // incompatible layout change; decoders reject newer versions with
-// ErrVersionMismatch (never a guess), and may keep read paths for
-// older versions. The manifest carries its own format_version with the
-// same rule.
+// ErrVersionMismatch (never a guess). A v3 segment is still read: its
+// DOCS and ARTS layouts are v4's, and its TEXT, POST and BMAX sections
+// are CRC-checked and then ignored. Re-encoding a decoded v3 segment
+// yields v4 bytes. Older versions are rejected with ErrVersionMismatch.
+// Conn-memo files carry their own version, and the manifest its own
+// format_version, with the same rule.
 //
 // All decode failures are typed: errors.Is(err, ErrCorrupt) or
 // errors.Is(err, ErrVersionMismatch) always holds, and the error text
@@ -44,12 +60,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sort"
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/snapshot"
-	"ncexplorer/internal/textindex"
 )
 
 // Typed decode failures. Every error returned by a decoder in this
@@ -70,13 +86,14 @@ var (
 const (
 	segmentMagic = "NCSG"
 	connMagic    = "NCCM"
-	// formatVersion is the binary layout version shared by segment and
-	// conn-memo files (the manifest versions independently). v2 added
-	// the BMAX section (per-entity per-block maximum term frequencies
-	// backing the pruned query planner's persisted score ceilings). v3
-	// added the per-document/per-article PublishedAt timestamp to the
-	// DOCS and ARTS sections (the temporal roll-up dimension).
-	formatVersion = 3
+	// formatVersion is the segment layout version this build writes,
+	// and legacyVersion the one older layout it still reads (see the
+	// package comment).
+	formatVersion = 4
+	legacyVersion = 3
+	// connVersion is the conn-memo layout version, independent of the
+	// segment format since v4.
+	connVersion = 3
 
 	// maxSegmentDocs bounds the per-segment document count a decoder
 	// will accept; far above anything the engine produces, low enough
@@ -85,14 +102,17 @@ const (
 	maxSegmentDocs = 1 << 28
 )
 
-// Section tags, in the order they appear in a segment file.
-var segmentSections = [5]string{"DOCS", "ARTS", "TEXT", "POST", "BMAX"}
+// Section tags, in the order they appear in a segment file: the
+// current layout, and v3's, whose last three sections are derived data.
+var (
+	segmentSections = []string{"DOCS", "ARTS"}
+	legacySections  = []string{"DOCS", "ARTS", "TEXT", "POST", "BMAX"}
+)
 
 // segmentSizeHint estimates the encoded size of a segment so the
 // encoder can allocate its output buffer once. The ARTS section
-// (article bodies) dominates; the entity-shaped sections are bounded
-// by a small multiple of the per-document entity data. Under-estimates
-// only cost a buffer growth, never correctness.
+// (article bodies) dominates. Under-estimates only cost a buffer
+// growth, never correctness.
 func segmentSizeHint(seg *snapshot.Segment) int {
 	n := 128
 	for i := range seg.Articles {
@@ -101,9 +121,7 @@ func segmentSizeHint(seg *snapshot.Segment) int {
 	}
 	for i := range seg.Docs {
 		d := &seg.Docs[i]
-		// DOCS itself, plus TEXT/POST/BMAX whose payloads mirror the
-		// per-document entity and term data.
-		n += 40 + 12*(len(d.Entities)+len(d.EntityFreq)+len(d.Candidates))
+		n += 21 + 4*len(d.Entities) + 8*len(d.EntityFreq) + 4*len(d.Candidates)
 	}
 	return n
 }
@@ -114,9 +132,7 @@ func segmentSizeHint(seg *snapshot.Segment) int {
 // — so the bytes are written exactly once (this runs on the
 // group-commit writer, where every cycle competes with ingest).
 func EncodeSegment(seg *snapshot.Segment) []byte {
-	encoders := [5]func(*writer, *snapshot.Segment){
-		encodeDocs, encodeArticles, encodeText, encodePostings, encodeBlockMax,
-	}
+	encoders := [...]func(*writer, *snapshot.Segment){encodeDocs, encodeArticles}
 	out := writer{buf: make([]byte, 0, segmentSizeHint(seg))}
 	out.bytes([]byte(segmentMagic))
 	out.u16(formatVersion)
@@ -133,24 +149,31 @@ func EncodeSegment(seg *snapshot.Segment) []byte {
 	return out.buf
 }
 
-// DecodeSegment parses a segment file produced by EncodeSegment. On
-// success the returned segment is fully initialized (including the
-// frozen text index). Any failure returns a nil segment and an error
-// wrapping ErrCorrupt or ErrVersionMismatch; arbitrary input never
-// panics.
+// DecodeSegment parses a segment file produced by EncodeSegment (or a
+// v3 file; see the package comment). On success the returned segment is
+// fully initialized: its postings, block-max tables and time bounds are
+// derived from the decoded document records. Any failure returns a nil
+// segment and an error wrapping ErrCorrupt or ErrVersionMismatch;
+// arbitrary input never panics.
 func DecodeSegment(data []byte) (*snapshot.Segment, error) {
 	r := &reader{buf: data}
 	if string(r.take(4)) != segmentMagic {
 		return nil, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
-	if v := r.u16(); r.err == nil && v != formatVersion {
-		return nil, fmt.Errorf("%w: segment format version %d (this build reads %d)", ErrVersionMismatch, v, formatVersion)
-	}
+	v := r.u16()
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: truncated segment header", ErrCorrupt)
 	}
-	sections := make([][]byte, len(segmentSections))
-	for i, tag := range segmentSections {
+	tags := segmentSections
+	switch v {
+	case formatVersion:
+	case legacyVersion:
+		tags = legacySections
+	default:
+		return nil, versionError("segment", v)
+	}
+	sections := make([][]byte, len(tags))
+	for i, tag := range tags {
 		if got := string(r.take(4)); r.err != nil || got != tag {
 			return nil, fmt.Errorf("%w: section %s: missing or out of order", ErrCorrupt, tag)
 		}
@@ -172,23 +195,22 @@ func DecodeSegment(data []byte) (*snapshot.Segment, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after final section", ErrCorrupt, r.remaining())
 	}
 
-	seg := &snapshot.Segment{}
-	if err := decodeDocs(sections[0], seg); err != nil {
+	base, docs, err := decodeDocs(sections[0])
+	if err != nil {
 		return nil, err
 	}
-	if err := decodeArticles(sections[1], seg); err != nil {
+	articles, err := decodeArticles(sections[1], base, len(docs))
+	if err != nil {
 		return nil, err
 	}
-	if err := decodeText(sections[2], seg); err != nil {
-		return nil, err
-	}
-	if err := decodePostings(sections[3], seg); err != nil {
-		return nil, err
-	}
-	if err := decodeBlockMax(sections[4], seg); err != nil {
-		return nil, err
-	}
-	return seg, nil
+	return snapshot.BuildSegment(base, docs, articles), nil
+}
+
+// versionError reports a well-formed header of a version this build
+// does not read.
+func versionError(kind string, v uint16) error {
+	return fmt.Errorf("%w: %s format version %d (this build reads %d and %d)",
+		ErrVersionMismatch, kind, v, formatVersion, legacyVersion)
 }
 
 // corruptf builds a section-scoped ErrCorrupt.
@@ -226,7 +248,11 @@ func encodeDocs(w *writer, seg *snapshot.Segment) {
 	}
 }
 
-func decodeDocs(data []byte, seg *snapshot.Segment) error {
+// decodeDocs parses the DOCS section. Each record's Entities must be
+// distinct and name exactly the keys of its EntityFreq: every derived
+// table (postings, block maxima, document frequencies) reads one or the
+// other, so a record where they disagree is corrupt.
+func decodeDocs(data []byte) (int32, []snapshot.DocRecord, error) {
 	const section = "DOCS"
 	r := &reader{buf: data}
 	base := int32(r.u32())
@@ -234,10 +260,10 @@ func decodeDocs(data []byte, seg *snapshot.Segment) error {
 	// 21 = the minimum encoded size of one document record; the bound
 	// keeps hostile counts from driving large allocations.
 	if r.err != nil || base < 0 || n < 0 || n > maxSegmentDocs || uint64(n)*21 > uint64(r.remaining()) {
-		return corruptf(section, "bad base/count header")
+		return 0, nil, corruptf(section, "bad base/count header")
 	}
-	seg.Base = base
-	seg.Docs = make([]snapshot.DocRecord, 0, n)
+	docs := make([]snapshot.DocRecord, 0, n)
+	var keys, sorted []kg.NodeID
 	for i := 0; i < n; i++ {
 		var d snapshot.DocRecord
 		d.Source = corpus.Source(r.u8())
@@ -245,44 +271,37 @@ func decodeDocs(data []byte, seg *snapshot.Segment) error {
 		d.Entities = r.nodeList(section, false)
 		nf := r.count(section, 8)
 		d.EntityFreq = make(map[kg.NodeID]int, nf)
-		prev := kg.NodeID(-1)
+		keys = keys[:0]
 		for j := 0; j < nf; j++ {
 			v := kg.NodeID(r.u32())
 			f := int(r.u32())
 			if r.err != nil {
 				break
 			}
-			if v < 0 || v <= prev || f <= 0 {
-				return corruptf(section, "doc %d: entity frequencies not canonical", i)
+			if v < 0 || (j > 0 && v <= keys[j-1]) || f <= 0 {
+				return 0, nil, corruptf(section, "doc %d: entity frequencies not canonical", i)
 			}
-			prev = v
+			keys = append(keys, v)
 			d.EntityFreq[v] = f
 		}
 		d.Candidates = r.nodeList(section, true)
 		if r.err != nil {
-			return r.err
+			return 0, nil, r.err
 		}
-		seg.Docs = append(seg.Docs, d)
+		sorted = append(sorted[:0], d.Entities...)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, keys) {
+			return 0, nil, corruptf(section, "doc %d: entities disagree with entity frequencies", i)
+		}
+		docs = append(docs, d)
 	}
 	if r.err != nil {
-		return r.err
+		return 0, nil, r.err
 	}
 	if r.remaining() != 0 {
-		return corruptf(section, "trailing bytes")
+		return 0, nil, corruptf(section, "trailing bytes")
 	}
-	// The segment time bounds are derived data (BuildSegment computes
-	// them from Docs), so they are recomputed here rather than trusted
-	// from the wire.
-	for i := range seg.Docs {
-		if t := seg.Docs[i].PublishedAt; i == 0 {
-			seg.MinTime, seg.MaxTime = t, t
-		} else if t < seg.MinTime {
-			seg.MinTime = t
-		} else if t > seg.MaxTime {
-			seg.MaxTime = t
-		}
-	}
-	return nil
+	return base, docs, nil
 }
 
 // ---- ARTS: display articles ---------------------------------------
@@ -318,15 +337,15 @@ func encodeArticles(w *writer, seg *snapshot.Segment) {
 	}
 }
 
-func decodeArticles(data []byte, seg *snapshot.Segment) error {
+func decodeArticles(data []byte, base int32, docs int) ([]corpus.Document, error) {
 	const section = "ARTS"
 	r := &reader{buf: data}
 	n := int(r.u32())
 	// 30 = the minimum encoded size of one article.
-	if r.err != nil || n != len(seg.Docs) || uint64(n)*30 > uint64(r.remaining()) {
-		return corruptf(section, "article count disagrees with DOCS")
+	if r.err != nil || n != docs || uint64(n)*30 > uint64(r.remaining()) {
+		return nil, corruptf(section, "article count disagrees with DOCS")
 	}
-	seg.Articles = make([]corpus.Document, 0, n)
+	articles := make([]corpus.Document, 0, n)
 	for i := 0; i < n; i++ {
 		var a corpus.Document
 		a.ID = corpus.DocID(r.u32())
@@ -334,8 +353,8 @@ func decodeArticles(data []byte, seg *snapshot.Segment) error {
 		a.PublishedAt = int64(r.u64())
 		a.Title = r.str()
 		a.Body = r.str()
-		if r.err == nil && int32(a.ID) != seg.Base+int32(i) {
-			return corruptf(section, "article %d: ID %d outside segment range", i, a.ID)
+		if r.err == nil && int32(a.ID) != base+int32(i) {
+			return nil, corruptf(section, "article %d: ID %d outside segment range", i, a.ID)
 		}
 		nt := r.count(section, 12)
 		if nt > 0 {
@@ -349,7 +368,7 @@ func decodeArticles(data []byte, seg *snapshot.Segment) error {
 				break
 			}
 			if c < 0 || c <= prev {
-				return corruptf(section, "article %d: topics not canonical", i)
+				return nil, corruptf(section, "article %d: topics not canonical", i)
 			}
 			prev = c
 			a.Topics[c] = grade
@@ -361,235 +380,21 @@ func decodeArticles(data []byte, seg *snapshot.Segment) error {
 			a.Distractor = true
 		default:
 			if r.err == nil {
-				return corruptf(section, "article %d: bad distractor flag", i)
+				return nil, corruptf(section, "article %d: bad distractor flag", i)
 			}
 		}
 		if r.err != nil {
-			return r.err
+			return nil, r.err
 		}
-		seg.Articles = append(seg.Articles, a)
+		articles = append(articles, a)
 	}
 	if r.err != nil {
-		return r.err
+		return nil, r.err
 	}
 	if r.remaining() != 0 {
-		return corruptf(section, "trailing bytes")
+		return nil, corruptf(section, "trailing bytes")
 	}
-	return nil
-}
-
-// ---- TEXT: the frozen per-segment text index ----------------------
-
-func encodeText(w *writer, seg *snapshot.Segment) {
-	terms := seg.Text.Terms()
-	w.u32(uint32(seg.Text.NumDocs()))
-	w.u32(uint32(len(terms)))
-	for _, term := range terms {
-		w.str(term)
-		ps := seg.Text.Postings(term)
-		w.u32(uint32(len(ps)))
-		for _, p := range ps {
-			w.u32(uint32(p.Doc))
-			w.u32(uint32(p.TF))
-		}
-	}
-}
-
-func decodeText(data []byte, seg *snapshot.Segment) error {
-	const section = "TEXT"
-	r := &reader{buf: data}
-	if nd := int(r.u32()); r.err != nil || nd != len(seg.Docs) {
-		return corruptf(section, "document count disagrees with DOCS")
-	}
-	nt := r.count(section, 5)
-	terms := make([]string, 0, nt)
-	postings := make([][]textindex.Posting, 0, nt)
-	prevTerm := ""
-	for i := 0; i < nt; i++ {
-		term := r.str()
-		if r.err != nil {
-			return r.err
-		}
-		if i > 0 && term <= prevTerm {
-			return corruptf(section, "terms not sorted")
-		}
-		prevTerm = term
-		np := r.count(section, 8)
-		ps := make([]textindex.Posting, 0, np)
-		prevDoc := int32(-1)
-		for j := 0; j < np; j++ {
-			doc := int32(r.u32())
-			tf := int32(r.u32())
-			if r.err != nil {
-				return r.err
-			}
-			if doc <= prevDoc || int(doc) >= len(seg.Docs) || tf <= 0 {
-				return corruptf(section, "term %q: postings not canonical", term)
-			}
-			prevDoc = doc
-			ps = append(ps, textindex.Posting{Doc: doc, TF: tf})
-		}
-		terms = append(terms, term)
-		postings = append(postings, ps)
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.remaining() != 0 {
-		return corruptf(section, "trailing bytes")
-	}
-	seg.Text = textindex.Restore(len(seg.Docs), terms, postings)
-	return nil
-}
-
-// ---- POST: entity → global document postings ----------------------
-
-func encodePostings(w *writer, seg *snapshot.Segment) {
-	ents := make([]kg.NodeID, 0, len(seg.EntDocs))
-	for v := range seg.EntDocs {
-		ents = append(ents, v)
-	}
-	sort.Slice(ents, func(a, b int) bool { return ents[a] < ents[b] })
-	w.u32(uint32(len(ents)))
-	for _, v := range ents {
-		docs := seg.EntDocs[v]
-		w.u32(uint32(v))
-		w.u32(uint32(len(docs)))
-		for _, d := range docs {
-			w.u32(uint32(d))
-		}
-	}
-}
-
-func decodePostings(data []byte, seg *snapshot.Segment) error {
-	const section = "POST"
-	r := &reader{buf: data}
-	ne := r.count(section, 8)
-	seg.EntDocs = make(map[kg.NodeID][]int32, ne)
-	prevEnt := kg.NodeID(-1)
-	lo, hi := seg.Base, seg.Base+int32(len(seg.Docs))
-	for i := 0; i < ne; i++ {
-		v := kg.NodeID(r.u32())
-		if r.err != nil {
-			return r.err
-		}
-		if v < 0 || v <= prevEnt {
-			return corruptf(section, "entities not sorted")
-		}
-		prevEnt = v
-		nd := r.count(section, 4)
-		if r.err == nil && nd == 0 {
-			return corruptf(section, "entity %d: empty posting list", v)
-		}
-		docs := make([]int32, 0, nd)
-		prevDoc := int32(-1)
-		for j := 0; j < nd; j++ {
-			d := int32(r.u32())
-			if r.err != nil {
-				return r.err
-			}
-			if d <= prevDoc || d < lo || d >= hi {
-				return corruptf(section, "entity %d: postings not canonical", v)
-			}
-			prevDoc = d
-			docs = append(docs, d)
-		}
-		seg.EntDocs[v] = docs
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.remaining() != 0 {
-		return corruptf(section, "trailing bytes")
-	}
-	return nil
-}
-
-// ---- BMAX: per-entity per-block maximum term frequencies ----------
-//
-// The table is fully derivable from the DOCS section, so the decoder
-// validates it by recomputation rather than trusting the bytes: a
-// tampered ceiling could otherwise silently change pruning decisions
-// (an understated maximum would drop correct results). Persisting it
-// anyway keeps warm opens from re-deriving the planner's inputs and,
-// more importantly, pins the canonical form on disk.
-
-func encodeBlockMax(w *writer, seg *snapshot.Segment) {
-	ents := make([]kg.NodeID, 0, len(seg.MaxTF))
-	for v := range seg.MaxTF {
-		ents = append(ents, v)
-	}
-	sort.Slice(ents, func(a, b int) bool { return ents[a] < ents[b] })
-	w.u32(uint32(len(ents)))
-	for _, v := range ents {
-		table := seg.MaxTF[v]
-		w.u32(uint32(v))
-		w.u32(uint32(len(table)))
-		for _, bt := range table {
-			w.u32(uint32(bt.Block))
-			w.u32(uint32(bt.TF))
-		}
-	}
-}
-
-func decodeBlockMax(data []byte, seg *snapshot.Segment) error {
-	const section = "BMAX"
-	r := &reader{buf: data}
-	ne := r.count(section, 8)
-	got := make(map[kg.NodeID][]snapshot.BlockTF, ne)
-	prevEnt := kg.NodeID(-1)
-	for i := 0; i < ne; i++ {
-		v := kg.NodeID(r.u32())
-		if r.err != nil {
-			return r.err
-		}
-		if v < 0 || v <= prevEnt {
-			return corruptf(section, "entities not sorted")
-		}
-		prevEnt = v
-		nb := r.count(section, 8)
-		if r.err == nil && nb == 0 {
-			return corruptf(section, "entity %d: empty block table", v)
-		}
-		table := make([]snapshot.BlockTF, 0, nb)
-		prevBlock := int32(-1)
-		for j := 0; j < nb; j++ {
-			block := int32(r.u32())
-			tf := int32(r.u32())
-			if r.err != nil {
-				return r.err
-			}
-			if block <= prevBlock || tf <= 0 {
-				return corruptf(section, "entity %d: block table not canonical", v)
-			}
-			prevBlock = block
-			table = append(table, snapshot.BlockTF{Block: block, TF: tf})
-		}
-		got[v] = table
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.remaining() != 0 {
-		return corruptf(section, "trailing bytes")
-	}
-	want := snapshot.ComputeMaxTF(seg.Base, seg.Docs)
-	if len(got) != len(want) {
-		return corruptf(section, "block maxima disagree with DOCS (entity count %d, derived %d)", len(got), len(want))
-	}
-	for v, table := range got {
-		ref, ok := want[v]
-		if !ok || len(ref) != len(table) {
-			return corruptf(section, "entity %d: block maxima disagree with DOCS", v)
-		}
-		for j := range table {
-			if table[j] != ref[j] {
-				return corruptf(section, "entity %d: block maxima disagree with DOCS", v)
-			}
-		}
-	}
-	seg.MaxTF = got
-	return nil
+	return articles, nil
 }
 
 // ---- conn-memo files ----------------------------------------------
@@ -609,7 +414,7 @@ func EncodeConn(keys []uint64, values []float64) []byte {
 	}
 	var out writer
 	out.bytes([]byte(connMagic))
-	out.u16(formatVersion)
+	out.u16(connVersion)
 	out.u64(uint64(len(payload.buf)))
 	out.bytes(payload.buf)
 	out.u32(crc32.ChecksumIEEE(payload.buf))
@@ -623,8 +428,8 @@ func DecodeConn(data []byte, fn func(key uint64, value float64)) error {
 	if string(r.take(4)) != connMagic {
 		return fmt.Errorf("%w: bad conn-memo magic", ErrCorrupt)
 	}
-	if v := r.u16(); r.err == nil && v != formatVersion {
-		return fmt.Errorf("%w: conn-memo format version %d (this build reads %d)", ErrVersionMismatch, v, formatVersion)
+	if v := r.u16(); r.err == nil && v != connVersion {
+		return fmt.Errorf("%w: conn-memo format version %d (this build reads %d)", ErrVersionMismatch, v, connVersion)
 	}
 	n := r.u64()
 	if r.err != nil || n > uint64(r.remaining()) {

@@ -2,6 +2,7 @@ package segio
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -70,8 +71,7 @@ func buildTestSegment(seed uint64, base int32, n int) *snapshot.Segment {
 }
 
 // segmentsEquivalent compares two segments for observable equality:
-// raw records, articles, entity postings, and the text index's full
-// read surface.
+// raw records, articles, and every table derived from the records.
 func segmentsEquivalent(t *testing.T, a, b *snapshot.Segment) {
 	t.Helper()
 	if a.Base != b.Base || a.Len() != b.Len() {
@@ -86,31 +86,11 @@ func segmentsEquivalent(t *testing.T, a, b *snapshot.Segment) {
 	if !reflect.DeepEqual(a.EntDocs, b.EntDocs) {
 		t.Fatal("entity postings differ")
 	}
-	if a.Text.NumDocs() != b.Text.NumDocs() || a.Text.TotalLen() != b.Text.TotalLen() ||
-		a.Text.AvgDocLen() != b.Text.AvgDocLen() {
-		t.Fatal("text index dimensions differ")
+	if !reflect.DeepEqual(a.MaxTF, b.MaxTF) {
+		t.Fatal("block maxima differ")
 	}
-	terms := a.Text.Terms()
-	if !reflect.DeepEqual(terms, b.Text.Terms()) {
-		t.Fatal("text index terms differ")
-	}
-	for _, term := range terms {
-		if !reflect.DeepEqual(a.Text.Postings(term), b.Text.Postings(term)) {
-			t.Fatalf("postings for %q differ", term)
-		}
-		if a.Text.IDF(term) != b.Text.IDF(term) {
-			t.Fatalf("IDF for %q differs", term)
-		}
-		for d := int32(0); d < int32(a.Len()); d++ {
-			if a.Text.TFIDF(term, d) != b.Text.TFIDF(term, d) {
-				t.Fatalf("TFIDF(%q, %d) differs", term, d)
-			}
-		}
-	}
-	for d := int32(0); d < int32(a.Len()); d++ {
-		if a.Text.DocLen(d) != b.Text.DocLen(d) {
-			t.Fatalf("DocLen(%d) differs", d)
-		}
+	if a.MinTime != b.MinTime || a.MaxTime != b.MaxTime {
+		t.Fatal("time bounds differ")
 	}
 }
 
@@ -507,5 +487,31 @@ func TestCrossVersionOpenMatrix(t *testing.T) {
 	conn[4], conn[5] = 2, 0
 	if err := DecodeConn(conn, func(uint64, float64) {}); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("conn v2: err = %v, want ErrVersionMismatch", err)
+	}
+}
+
+// TestManifestShardRemoteDF: remote document frequencies are keyed by
+// node, and encoding/json renders integer keys as the decimal strings
+// (sorted as strings) that string-keyed stores carry — so a shard
+// manifest written before the change parses, ignoring its
+// remote_total_len, and re-renders remote_df byte for byte.
+func TestManifestShardRemoteDF(t *testing.T) {
+	const remoteDF = `"remote_df":{"12":3,"4096":1,"7":2}`
+	raw := `{"magic":"ncexplorer-snapshot","format_version":1,"generation":3,"num_docs":10,` +
+		`"segments":[{"file":"a.ncseg","base":0,"docs":10,"crc":1}],` +
+		`"shard":{"index":0,"count":2,"remote_docs":9,"remote_total_len":77,` + remoteDF + `,"remote_batches":2}}`
+	m, err := ParseManifest([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[kg.NodeID]int{7: 2, 12: 3, 4096: 1}; !reflect.DeepEqual(m.Shard.RemoteDF, want) {
+		t.Fatalf("remote_df = %v, want %v", m.Shard.RemoteDF, want)
+	}
+	out, err := json.Marshal(m.Shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), remoteDF) {
+		t.Fatalf("re-rendered shard section %s lacks %s", out, remoteDF)
 	}
 }

@@ -3,9 +3,13 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"ncexplorer"
+	"ncexplorer/internal/server"
 )
 
 // FuzzV2Query posts arbitrary bytes to the /v2 JSON query endpoints of
@@ -142,4 +146,78 @@ func FuzzV2WatchlistBody(f *testing.F) {
 			t.Fatalf("DELETE %s: status %d, body %q", path, del.Code, del.Body.String())
 		}
 	})
+}
+
+// FuzzRemoteStatsBody posts arbitrary bytes to POST
+// /internal/remote-stats on a private tiny-world shard (shard 0 of 2).
+// Whatever the body, the handler never panics, and every answer other
+// than a 2xx is a client error carrying the /v2 error envelope with a
+// code: statistics that fail validation (a negative document count, an
+// entity outside the graph, a document frequency outside [1, docs])
+// are invalid_argument, never a crash deeper in the engine. Accepted
+// statistics re-score the private shard, which only this target reads.
+func FuzzRemoteStatsBody(f *testing.F) {
+	x, h := shardServer(f)
+	cur := x.Engine().RemoteStatsSnapshot()
+	grown := cur
+	grown.Docs++
+	grown.Batches++
+	addJSONSeeds(f, `{"df":`,
+		cur,
+		grown,
+		map[string]any{"docs": cur.Docs, "batches": 1, "df": map[string]int{"999999999": -100000}},
+		map[string]any{"docs": -1, "batches": 1},
+		map[string]any{"docs": 3, "batches": 1, "df": map[string]int{"0": 4}},
+		map[string]any{"docs": 3, "batches": 1, "df": map[string]any{"x": 1, "-2": 1}},
+		map[string]any{"docs": 3, "df": map[string]int{"99999999999": 1}},
+	)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/internal/remote-stats", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		fuzzEnvelope(t, http.MethodPost, "/internal/remote-stats", body, rec)
+	})
+}
+
+// shardServer builds a private tiny-world shard (shard 0 of 2) behind a
+// cluster-enabled server.
+func shardServer(t testing.TB) (*ncexplorer.Explorer, http.Handler) {
+	t.Helper()
+	x, err := ncexplorer.New(ncexplorer.Config{Scale: "tiny", Shard: 0, ShardCount: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, server.New(x, server.Options{EnableCluster: true}).Handler()
+}
+
+// TestRemoteStatsValidation: POST /internal/remote-stats refuses
+// statistics that fail validation with invalid_argument and leaves the
+// generation alone, and applies valid ones.
+func TestRemoteStatsValidation(t *testing.T) {
+	x, h := shardServer(t)
+	gen := x.Generation()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/internal/remote-stats", bytes.NewReader([]byte(body))))
+		return rec
+	}
+	docs := x.Engine().RemoteStatsSnapshot().Docs
+	for _, body := range []string{
+		fmt.Sprintf(`{"docs":%d,"batches":1,"df":{"999999999":1}}`, docs),
+		fmt.Sprintf(`{"docs":%d,"batches":1,"df":{"0":-100000}}`, docs),
+		`{"docs":-1,"batches":1}`,
+		`{"docs":2,"batches":1,"df":{"0":3}}`,
+	} {
+		rec := post(body)
+		var e v2Error
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error.Code != "invalid_argument" {
+			t.Fatalf("%s: status %d, body %s; want 400 invalid_argument", body, rec.Code, rec.Body)
+		}
+	}
+	if x.Generation() != gen {
+		t.Fatalf("refused statistics moved the generation %d -> %d", gen, x.Generation())
+	}
+	if rec := post(fmt.Sprintf(`{"docs":%d,"batches":1}`, docs)); rec.Code != http.StatusOK || x.Generation() != gen+1 {
+		t.Fatalf("valid statistics: status %d, generation %d; want 200 at %d", rec.Code, x.Generation(), gen+1)
+	}
 }

@@ -9,13 +9,15 @@
 //   - a Segment is the immutable product of indexing one batch of
 //     documents: per-document records (source, linked entities, raw
 //     entity term frequencies, candidate concepts), the display
-//     articles, a frozen per-segment text index, and entity→document
-//     postings. Once built, a segment is never written again, so any
-//     number of query goroutines read it without synchronisation;
-//   - a Snapshot is an ordered list of segments plus a merged text
-//     view reporting corpus-GLOBAL statistics (textindex.Merged), so
-//     term weights over a grown corpus are bit-identical to a
-//     from-scratch rebuild. Snapshots are stamped with a Generation
+//     articles, and two tables derived from the records: the
+//     entity→document postings and the block-max term frequencies.
+//     Once built, a segment is never written again, so any number of
+//     query goroutines read it without synchronisation;
+//   - a Snapshot is an ordered list of segments plus the statistics of
+//     documents held on other shards, reporting corpus-GLOBAL entity
+//     document frequencies (EntityDF, CorpusDocs), so term weights over
+//     a grown corpus are bit-identical to a from-scratch rebuild.
+//     Snapshots are stamped with a Generation
 //     that increases with every content change; the engine publishes
 //     the current snapshot through an atomic pointer and queries pin
 //     one snapshot for their whole execution.
@@ -34,11 +36,9 @@ package snapshot
 
 import (
 	"sort"
-	"strconv"
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
-	"ncexplorer/internal/textindex"
 )
 
 // DocRecord is the immutable, generation-independent indexing product
@@ -49,8 +49,7 @@ type DocRecord struct {
 	// Entities are the distinct linked entities in first-mention order.
 	Entities []kg.NodeID
 	// EntityFreq maps each linked entity to its mention count — the raw
-	// term frequencies behind the segment text index, retained so merges
-	// can rebuild a combined index without re-running the NLP pipeline.
+	// term frequency behind tw(v, d). Its keys are exactly the Entities.
 	EntityFreq map[kg.NodeID]int
 	// Candidates are the document's candidate subtopic concepts (the
 	// direct Ψ⁻¹ concepts of its entities plus the configured number of
@@ -98,10 +97,9 @@ type Segment struct {
 	// Articles carries the display payload (title, body, source) for
 	// each document, aligned with Docs. Article IDs are global.
 	Articles []corpus.Document
-	// Text is the segment's frozen entity-term index (local doc IDs).
-	Text *textindex.Index
 	// EntDocs maps an entity to the GLOBAL IDs of the segment documents
-	// mentioning it, ascending.
+	// mentioning it, ascending. Derived from Docs; its list lengths are
+	// the segment's entity document frequencies.
 	EntDocs map[kg.NodeID][]int32
 	// MaxTF maps an entity to its per-block maximum raw term frequency
 	// (blocks ascending; only blocks where the entity occurs appear).
@@ -125,8 +123,8 @@ type Segment struct {
 func (s *Segment) Len() int { return len(s.Docs) }
 
 // Snapshot is a consistent point-in-time view of the whole indexed
-// corpus: an ordered segment list plus the merged text-statistics
-// view. Immutable after construction.
+// corpus: an ordered segment list plus the remote documents' entity
+// statistics. Immutable after construction.
 type Snapshot struct {
 	// Generation increases with every content change (initial index = 1,
 	// each ingested batch +1). Segment merges keep the generation: they
@@ -134,11 +132,11 @@ type Snapshot struct {
 	Generation uint64
 	// Segments are ordered by Base; ranges are contiguous from 0.
 	Segments []*Segment
-	// Text reports corpus-global term statistics over all segments.
-	Text *textindex.Merged
 
-	numDocs  int
-	docBound int
+	numDocs    int
+	docBound   int
+	remoteDocs int
+	remoteDF   map[kg.NodeID]int
 }
 
 // New assembles a snapshot over segments (which must be contiguous and
@@ -151,43 +149,56 @@ func New(generation uint64, segments []*Segment) *Snapshot {
 		}
 		n += seg.Len()
 	}
-	return NewSharded(generation, segments, nil)
+	return NewSharded(generation, segments, 0, nil)
 }
 
 // NewSharded assembles a snapshot over one shard's segments of a
 // corpus whose remaining documents live on other shards. Segments keep
 // their GLOBAL document IDs, so the ID space seen here has gaps: bases
 // must be ascending and ranges non-overlapping, but need not start at
-// 0 or tile the space. remote carries the term statistics of the
-// documents held elsewhere (nil means none), making every IDF/TF-IDF
-// read corpus-global — bit-identical to a monolithic snapshot over the
-// union. Lookups by ID (Doc, Article, segmentOf) remain valid only for
-// documents this shard owns; dense iteration must walk Segments rather
-// than the ID range.
-func NewSharded(generation uint64, segments []*Segment, remote *textindex.RemoteStats) *Snapshot {
-	parts := make([]*textindex.Index, len(segments))
-	bases := make([]int32, len(segments))
+// 0 or tile the space. remoteDocs and remoteDF (nil means none) are the
+// document count and per-entity document frequencies of the documents
+// held elsewhere, making every IDF read corpus-global — bit-identical to
+// a monolithic snapshot over the union: DF and N are plain sums over
+// disjoint document sets. Lookups by ID (Doc, Article, segmentOf)
+// remain valid only for documents this shard owns; dense iteration must
+// walk Segments rather than the ID range.
+func NewSharded(generation uint64, segments []*Segment, remoteDocs int, remoteDF map[kg.NodeID]int) *Snapshot {
 	n, bound := 0, 0
-	for i, seg := range segments {
+	for _, seg := range segments {
 		if int(seg.Base) < bound {
 			panic("snapshot: segments overlap or out of order")
 		}
-		parts[i] = seg.Text
-		bases[i] = seg.Base
 		n += seg.Len()
 		bound = int(seg.Base) + seg.Len()
 	}
 	return &Snapshot{
 		Generation: generation,
 		Segments:   segments,
-		Text:       textindex.NewMergedRemote(parts, bases, remote),
 		numDocs:    n,
 		docBound:   bound,
+		remoteDocs: remoteDocs,
+		remoteDF:   remoteDF,
 	}
 }
 
 // NumDocs returns the total document count held locally.
 func (s *Snapshot) NumDocs() int { return s.numDocs }
+
+// CorpusDocs returns the corpus-global document count N: the local
+// documents plus those held on other shards.
+func (s *Snapshot) CorpusDocs() int { return s.numDocs + s.remoteDocs }
+
+// EntityDF returns the corpus-global document frequency of entity v:
+// its posting-list lengths over the local segments plus its remote
+// document frequency.
+func (s *Snapshot) EntityDF(v kg.NodeID) int {
+	df := s.remoteDF[v]
+	for _, seg := range s.Segments {
+		df += len(seg.EntDocs[v])
+	}
+	return df
+}
 
 // DocBound returns one past the highest global document ID held
 // locally. Arrays indexed by global ID must be sized by DocBound, not
@@ -250,26 +261,41 @@ func (s *Snapshot) EntityDocs(v kg.NodeID, fn func(docs []int32)) {
 }
 
 // BuildSegment assembles an immutable segment from per-document raw
-// indexing products. docs and articles must be aligned; article IDs
-// are rewritten to their global values.
+// indexing products, deriving the postings, block-max tables and time
+// bounds from the records. docs and articles must be aligned; article
+// IDs are rewritten to their global values. The segment decoder builds
+// through here too, so a decoded segment derives exactly what an
+// indexed one does.
 func BuildSegment(base int32, docs []DocRecord, articles []corpus.Document) *Segment {
+	// Count first, so every posting list is an exact-capacity window of
+	// one backing array: the lists live as long as the segment, and
+	// append growth would leave up to half of each unused.
+	counts := make(map[kg.NodeID]int)
+	total := 0
+	for i := range docs {
+		for _, v := range docs[i].Entities {
+			counts[v]++
+		}
+		total += len(docs[i].Entities)
+	}
+	backing := make([]int32, total)
+	entDocs := make(map[kg.NodeID][]int32, len(counts))
+	off := 0
+	for v, n := range counts {
+		entDocs[v] = backing[off : off : off+n]
+		off += n
+	}
 	seg := &Segment{
 		Base:     base,
 		Docs:     docs,
 		Articles: articles,
-		Text:     textindex.New(),
-		EntDocs:  make(map[kg.NodeID][]int32),
+		EntDocs:  entDocs,
 	}
 	for i := range docs {
 		global := base + int32(i)
 		seg.Articles[i].ID = corpus.DocID(global)
-		tf := make(map[string]int, len(docs[i].EntityFreq))
-		for v, f := range docs[i].EntityFreq {
-			tf[EntTerm(v)] = f
-		}
-		seg.Text.Add(int32(i), tf)
 		for _, v := range docs[i].Entities {
-			seg.EntDocs[v] = append(seg.EntDocs[v], global)
+			entDocs[v] = append(entDocs[v], global)
 		}
 		if t := docs[i].PublishedAt; i == 0 {
 			seg.MinTime, seg.MaxTime = t, t
@@ -279,14 +305,12 @@ func BuildSegment(base int32, docs []DocRecord, articles []corpus.Document) *Seg
 			seg.MaxTime = t
 		}
 	}
-	seg.Text.Freeze()
 	seg.MaxTF = ComputeMaxTF(base, docs)
 	return seg
 }
 
 // ComputeMaxTF derives the per-entity, per-block maximum raw term
-// frequencies of a segment from its document records. Exported so the
-// persistence codec can validate a decoded table by recomputation.
+// frequencies of a segment from its document records.
 func ComputeMaxTF(base int32, docs []DocRecord) map[kg.NodeID][]BlockTF {
 	out := make(map[kg.NodeID][]BlockTF)
 	for i := range docs {
@@ -308,6 +332,18 @@ func ComputeMaxTF(base int32, docs []DocRecord) map[kg.NodeID][]BlockTF {
 				out[v] = append(bt, BlockTF{Block: block, TF: tf})
 			}
 		}
+	}
+	// Repack into one exact-size array: the tables live as long as the
+	// segment, and append growth would leave up to half of each unused.
+	total := 0
+	for _, bt := range out {
+		total += len(bt)
+	}
+	packed := make([]BlockTF, 0, total)
+	for v, bt := range out {
+		start := len(packed)
+		packed = append(packed, bt...)
+		out[v] = packed[start:len(packed):len(packed)]
 	}
 	return out
 }
@@ -334,8 +370,8 @@ func (s *Snapshot) NumBlocks() int {
 }
 
 // Merge concatenates adjacent segments into one. Raw per-document data
-// is carried over untouched and the text index is rebuilt from the
-// retained term frequencies, so the merged segment indexes exactly the
+// is carried over untouched and the derived tables are rebuilt from
+// it, so the merged segment indexes exactly the
 // same content: every corpus-global statistic — and therefore every
 // query answer — is unchanged. Merging is a storage reorganisation,
 // not a content change, which is why it does not bump the generation.
@@ -357,8 +393,8 @@ func Merge(segments []*Segment) *Segment {
 // committed base. Only the base-dependent products change: article IDs,
 // the global entity→document postings (shifted in place), and the
 // block-max tables (recomputed — block boundaries are global-ID
-// windows, so a shift can re-bucket documents). The text index and the
-// document records are local-ID data and are untouched. The segment
+// windows, so a shift can re-bucket documents). The document records
+// are local-ID data and are untouched. The segment
 // must not have been published yet: Rebase mutates it in place and
 // returns it.
 func Rebase(seg *Segment, base int32) *Segment {
@@ -378,10 +414,6 @@ func Rebase(seg *Segment, base int32) *Segment {
 	seg.MaxTF = ComputeMaxTF(base, seg.Docs)
 	return seg
 }
-
-// EntTerm renders an entity ID as a text-index term; the engine uses
-// the same mapping when reading term weights back.
-func EntTerm(v kg.NodeID) string { return strconv.Itoa(int(v)) }
 
 // SortedCandidates sorts and dedupes a candidate concept list in
 // place, returning it (helper for segment builders).

@@ -58,8 +58,10 @@ func TestSegmentGlobalIDs(t *testing.T) {
 
 // TestSnapshotPartitionEquivalence checks that splitting the same
 // document set across segments changes nothing observable: doc
-// lookups, entity postings (streamed in global order), and the merged
-// text statistics all match the single-segment snapshot.
+// lookups, entity postings (streamed in global order), and the
+// corpus-global entity statistics all match the single-segment
+// snapshot — also when some segments are held remotely and only their
+// statistics are folded in.
 func TestSnapshotPartitionEquivalence(t *testing.T) {
 	docs, arts := buildWorld(t)
 	one := New(1, []*Segment{BuildSegment(0, docs, arts)})
@@ -88,22 +90,36 @@ func TestSnapshotPartitionEquivalence(t *testing.T) {
 			t.Fatalf("entity %d postings differ: %v vs %v", v, a, b)
 		}
 	}
-	for v := kg.NodeID(0); v < 16; v++ {
-		term := EntTerm(v)
-		if one.Text.DF(term) != split.Text.DF(term) {
-			t.Fatalf("DF(%s) differs", term)
+	// The middle segment lives on another shard: its document count and
+	// posting lengths travel as remote statistics.
+	remoteDF := map[kg.NodeID]int{}
+	for v, l := range split.Segments[1].EntDocs {
+		remoteDF[v] = len(l)
+	}
+	sharded := NewSharded(1, []*Segment{split.Segments[0], split.Segments[2]}, split.Segments[1].Len(), remoteDF)
+	for _, s := range []*Snapshot{one, split, sharded} {
+		if s.CorpusDocs() != len(docs) {
+			t.Fatalf("CorpusDocs = %d, want %d", s.CorpusDocs(), len(docs))
 		}
-		for d := int32(0); d < int32(one.NumDocs()); d++ {
-			if one.Text.TFIDF(term, d) != split.Text.TFIDF(term, d) {
-				t.Fatalf("TFIDF(%s, %d) differs across partitions", term, d)
+	}
+	for v := kg.NodeID(0); v < 16; v++ {
+		want := 0
+		for i := range docs {
+			if _, ok := docs[i].EntityFreq[v]; ok {
+				want++
+			}
+		}
+		for _, s := range []*Snapshot{one, split, sharded} {
+			if got := s.EntityDF(v); got != want {
+				t.Fatalf("EntityDF(%d) = %d, want %d", v, got, want)
 			}
 		}
 	}
 }
 
 // TestMergePreservesEverything: merging adjacent segments must leave
-// every observable value — including the rebuilt text index — exactly
-// as before.
+// every observable value — including the rebuilt derived tables —
+// exactly as before.
 func TestMergePreservesEverything(t *testing.T) {
 	docs, arts := buildWorld(t)
 	segs := []*Segment{
@@ -123,11 +139,8 @@ func TestMergePreservesEverything(t *testing.T) {
 		}
 	}
 	for v := kg.NodeID(0); v < 16; v++ {
-		term := EntTerm(v)
-		for d := int32(0); d < int32(before.NumDocs()); d++ {
-			if before.Text.TFIDF(term, d) != after.Text.TFIDF(term, d) {
-				t.Fatalf("TFIDF(%s, %d) changed across merge", term, d)
-			}
+		if before.EntityDF(v) != after.EntityDF(v) {
+			t.Fatalf("EntityDF(%d) changed across merge", v)
 		}
 		var a, b []int32
 		before.EntityDocs(v, func(l []int32) { a = append(a, l...) })
@@ -244,7 +257,7 @@ func TestShardedSnapshotGaps(t *testing.T) {
 	s := NewSharded(2, []*Segment{
 		BuildSegment(4, docs[:3], arts[:3]),
 		BuildSegment(20, docs[3:], arts[3:]),
-	}, nil)
+	}, 0, nil)
 	if s.NumDocs() != len(docs) || s.DocBound() != 20+len(docs)-3 {
 		t.Fatalf("NumDocs/DocBound = %d/%d, want %d/%d", s.NumDocs(), s.DocBound(), len(docs), 20+len(docs)-3)
 	}
@@ -257,7 +270,7 @@ func TestShardedSnapshotGaps(t *testing.T) {
 			t.Fatalf("Doc(%d) is not the record it was built from", d)
 		}
 	}
-	if empty := NewSharded(1, nil, nil); empty.HasDoc(0) || empty.DocBound() != 0 {
+	if empty := NewSharded(1, nil, 0, nil); empty.HasDoc(0) || empty.DocBound() != 0 {
 		t.Fatal("an empty snapshot holds documents")
 	}
 	// The contiguous case: DocBound equals NumDocs.
@@ -269,7 +282,7 @@ func TestShardedSnapshotGaps(t *testing.T) {
 			t.Fatal("expected panic on overlapping segments")
 		}
 	}()
-	NewSharded(1, []*Segment{BuildSegment(4, docs[:3], arts[:3]), BuildSegment(5, docs[3:], arts[3:])}, nil)
+	NewSharded(1, []*Segment{BuildSegment(4, docs[:3], arts[:3]), BuildSegment(5, docs[3:], arts[3:])}, 0, nil)
 }
 
 // local maps TestShardedSnapshotGaps' global IDs back to buildWorld

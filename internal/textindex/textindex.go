@@ -1,11 +1,9 @@
 // Package textindex implements an inverted index with BM25 ranking and
-// TF-IDF term weights. It plays two roles from the paper:
-//
-//   - it is the Lucene baseline ("a typical bag-of-words keyword match
-//     model … BM25 for the term weighting scheme"), and
-//   - it supplies the term weight tw(v, d) used by the ontology
-//     relevance score (Eq. 3), where an entity's textual importance in
-//     a document decides which matched entity is the pivot.
+// TF-IDF term weights: the paper's Lucene baseline ("a typical
+// bag-of-words keyword match model … BM25 for the term weighting
+// scheme") and the NewsLink baseline's entity index. (The engine's
+// term weight tw(v, d) uses the same IDF and saturation, computed
+// directly over its segments' entity postings.)
 //
 // Documents are added once, identified by dense int32 IDs; the index is
 // then read-only and safe for concurrent searches.
@@ -139,7 +137,7 @@ func (ix *Index) TF(term string, doc int32) int {
 
 // TFIDF returns a normalised TF-IDF weight in [0, 1]: a saturated term
 // frequency tf/(tf+1) damped by IDF relative to the maximum possible
-// IDF. This is the tw(v, d) used by the ontology relevance score.
+// IDF — the shape of the tw(v, d) the ontology relevance score uses.
 // Saturation (the BM25 family's tf treatment) rewards *repeated*
 // mentions — an entity a story keeps returning to — without rewarding
 // document brevity: raw tf/len would let a one-line market wrap outrank
@@ -205,179 +203,4 @@ func (ix *Index) SearchBM25(query map[string]int, k int) []Hit {
 func (ix *Index) Postings(term string) []Posting {
 	ix.freeze()
 	return ix.postings[term]
-}
-
-// Terms returns every indexed term in sorted order — the deterministic
-// iteration order serializers need (map iteration would differ run to
-// run).
-func (ix *Index) Terms() []string {
-	terms := make([]string, 0, len(ix.postings))
-	for term := range ix.postings {
-		terms = append(terms, term)
-	}
-	sort.Strings(terms)
-	return terms
-}
-
-// Restore reconstructs a frozen index directly from its serialized
-// parts: n documents (dense local IDs 0..n−1) and per-term posting
-// lists already sorted by document ID. Document lengths are derived by
-// summing term frequencies, exactly what Add would have accumulated,
-// so a restored index answers every read identically to the index that
-// was serialized. The posting slices are retained, not copied.
-func Restore(n int, terms []string, postings [][]Posting) *Index {
-	ix := &Index{
-		postings: make(map[string][]Posting, len(terms)),
-		docLen:   make(map[int32]int, n),
-		n:        n,
-		frozen:   true,
-	}
-	for i, term := range terms {
-		ix.postings[term] = postings[i]
-		for _, p := range postings[i] {
-			ix.docLen[p.Doc] += int(p.TF)
-			ix.totalLen += int64(p.TF)
-		}
-	}
-	return ix
-}
-
-// TotalLen returns the summed token length of all documents.
-func (ix *Index) TotalLen() int64 { return ix.totalLen }
-
-// Merged is a read-only union of frozen per-segment indexes that
-// reports *corpus-global* statistics: document frequencies, IDF, and
-// TF-IDF are computed from the summed counts of every part, so a
-// Merged over segments {A, B} returns bit-identical values to a single
-// Index built over A ∪ B. This is what keeps an incrementally grown
-// (segmented) index equivalent to a from-scratch rebuild — per-segment
-// statistics alone would skew IDF toward whichever segment a document
-// happened to land in.
-//
-// Each part owns a contiguous global document-ID range starting at its
-// base; lookups map a global ID to (part, local ID) by binary search.
-// Parts must be frozen before construction and never modified after;
-// a Merged is then immutable and safe for concurrent use.
-type Merged struct {
-	parts    []*Index
-	bases    []int32
-	n        int
-	totalLen int64
-	remoteDF map[string]int
-}
-
-// RemoteStats carries the term statistics of documents a shard does
-// not hold locally: their count, summed token length, and per-term
-// document frequencies. Folding these into a Merged makes a shard's
-// IDF/TF-IDF arithmetic bit-identical to a monolithic index over the
-// full corpus — DF and N are plain sums over disjoint document sets,
-// so local + remote counts reproduce the global counts exactly.
-type RemoteStats struct {
-	// Docs is the number of remote documents.
-	Docs int
-	// TotalLen is the summed token length of the remote documents.
-	TotalLen int64
-	// DF maps each term to its document frequency among the remote
-	// documents.
-	DF map[string]int
-}
-
-// NewMerged builds a merged view over frozen parts, where parts[i]'s
-// local document 0 has global ID bases[i]. Parts must be sorted by
-// base with no overlaps (the segment layout guarantees this).
-func NewMerged(parts []*Index, bases []int32) *Merged {
-	return NewMergedRemote(parts, bases, nil)
-}
-
-// NewMergedRemote builds a merged view over frozen parts plus the term
-// statistics of remote documents (nil remote means none). Remote
-// documents contribute to NumDocs, DF, IDF, and TotalLen but have no
-// postings here: TF and the saturated half of TFIDF are resolved from
-// local parts only, which is exactly the split a sharded corpus needs —
-// per-document weights come from the shard owning the document, while
-// the IDF damping uses global counts.
-func NewMergedRemote(parts []*Index, bases []int32, remote *RemoteStats) *Merged {
-	if len(parts) != len(bases) {
-		panic("textindex: parts/bases length mismatch")
-	}
-	m := &Merged{parts: parts, bases: bases}
-	for _, p := range parts {
-		p.freeze()
-		m.n += p.n
-		m.totalLen += p.totalLen
-	}
-	if remote != nil {
-		m.n += remote.Docs
-		m.totalLen += remote.TotalLen
-		m.remoteDF = remote.DF
-	}
-	return m
-}
-
-// locate maps a global document ID to its owning part and local ID.
-func (m *Merged) locate(doc int32) (*Index, int32) {
-	// First part whose base is > doc, minus one.
-	lo, hi := 0, len(m.bases)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if m.bases[mid] <= doc {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return nil, 0
-	}
-	return m.parts[lo-1], doc - m.bases[lo-1]
-}
-
-// NumDocs returns the total number of documents across parts.
-func (m *Merged) NumDocs() int { return m.n }
-
-// DF returns the corpus-global document frequency of a term,
-// including remote documents when the view carries remote statistics.
-func (m *Merged) DF(term string) int {
-	df := m.remoteDF[term]
-	for _, p := range m.parts {
-		df += p.DF(term)
-	}
-	return df
-}
-
-// TotalLen returns the summed token length across parts (plus remote
-// documents when present).
-func (m *Merged) TotalLen() int64 { return m.totalLen }
-
-// IDF returns the BM25 inverse document frequency of a term over the
-// merged corpus — the same formula as Index.IDF with summed counts.
-func (m *Merged) IDF(term string) float64 {
-	df := float64(m.DF(term))
-	return math.Log(1 + (float64(m.n)-df+0.5)/(df+0.5))
-}
-
-// TF returns the term frequency of term in the given global document.
-func (m *Merged) TF(term string, doc int32) int {
-	p, local := m.locate(doc)
-	if p == nil {
-		return 0
-	}
-	return p.TF(term, local)
-}
-
-// TFIDF is Index.TFIDF over the merged corpus: saturated term
-// frequency from the owning part, IDF from the global counts. The
-// arithmetic mirrors Index.TFIDF exactly so single-part merges are
-// bit-identical to querying the part directly.
-func (m *Merged) TFIDF(term string, doc int32) float64 {
-	tf := m.TF(term, doc)
-	if tf == 0 {
-		return 0
-	}
-	idfMax := math.Log(1 + (float64(m.n)+0.5)/0.5)
-	if idfMax == 0 {
-		return 0
-	}
-	sat := float64(tf) / (float64(tf) + 1)
-	return sat * (m.IDF(term) / idfMax)
 }

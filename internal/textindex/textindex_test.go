@@ -217,67 +217,6 @@ func TestBM25Invariants(t *testing.T) {
 	}
 }
 
-// TestMergedMatchesMonolithic is the segmented-index equivalence
-// contract: a Merged view over any partition of a document set must
-// report bit-identical statistics (DF, IDF, TF, TFIDF) to one Index
-// holding all documents — global doc IDs included.
-func TestMergedMatchesMonolithic(t *testing.T) {
-	r := xrand.New(99)
-	vocab := make([]string, 40)
-	for i := range vocab {
-		vocab[i] = fmt.Sprintf("w%d", i)
-	}
-	const nDocs = 120
-	tfs := make([]map[string]int, nDocs)
-	mono := New()
-	for d := 0; d < nDocs; d++ {
-		tf := map[string]int{}
-		for j := 0; j < 1+r.Intn(25); j++ {
-			tf[vocab[r.Intn(len(vocab))]]++
-		}
-		tfs[d] = tf
-		mono.Add(int32(d), tf)
-	}
-	mono.Freeze()
-
-	for _, cuts := range [][]int{{nDocs}, {70, 50}, {40, 1, 60, 19}} {
-		var parts []*Index
-		var bases []int32
-		base := 0
-		for _, n := range cuts {
-			part := New()
-			for i := 0; i < n; i++ {
-				part.Add(int32(i), tfs[base+i])
-			}
-			part.Freeze()
-			parts = append(parts, part)
-			bases = append(bases, int32(base))
-			base += n
-		}
-		m := NewMerged(parts, bases)
-		if m.NumDocs() != mono.NumDocs() {
-			t.Fatalf("cuts %v: NumDocs = %d, want %d", cuts, m.NumDocs(), mono.NumDocs())
-		}
-		for _, w := range vocab {
-			if m.DF(w) != mono.DF(w) {
-				t.Fatalf("cuts %v: DF(%s) = %d, want %d", cuts, w, m.DF(w), mono.DF(w))
-			}
-			if m.IDF(w) != mono.IDF(w) {
-				t.Fatalf("cuts %v: IDF(%s) = %v, want %v", cuts, w, m.IDF(w), mono.IDF(w))
-			}
-			for d := int32(0); d < nDocs; d++ {
-				if m.TF(w, d) != mono.TF(w, d) {
-					t.Fatalf("cuts %v: TF(%s, %d) = %d, want %d", cuts, w, d, m.TF(w, d), mono.TF(w, d))
-				}
-				if got, want := m.TFIDF(w, d), mono.TFIDF(w, d); got != want {
-					t.Fatalf("cuts %v: TFIDF(%s, %d) = %v, want %v (must be bit-identical)",
-						cuts, w, d, got, want)
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkSearchBM25(b *testing.B) {
 	r := xrand.New(1)
 	ix := New()

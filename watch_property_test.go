@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -229,6 +230,59 @@ func checkWatchMatchesStatelessReference(t *testing.T, cfg Config) {
 					wl.Name, i, got, ref)
 			}
 		}
+	}
+}
+
+// TestWatchMinScoreInclusive: a watchlist's floor keeps a match
+// scoring exactly MinScore. Two identical worlds take the same batch;
+// the second watches with its floor set to a score the first one's
+// alerts report, so the equality is reached exactly.
+func TestWatchMinScoreInclusive(t *testing.T) {
+	run := func(floor float64) []float64 {
+		x, err := New(Config{Scale: "tiny", Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The most popular concept is the root, which scores 0 everywhere
+		// (no specificity); the runner-up scores.
+		wl, err := x.RegisterWatchlist(WatchlistSpec{Name: "floor", Concepts: popularConcepts(t, x, 2)[1:], MinScore: floor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts, err := x.SampleArticles(1300, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Ingest(context.Background(), arts); err != nil {
+			t.Fatal(err)
+		}
+		x.Quiesce()
+		alerts, _, err := x.WatchReplay(wl.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores := make([]float64, len(alerts))
+		for i, a := range alerts {
+			scores[i] = a.Article.Score
+		}
+		return scores
+	}
+	all := run(0)
+	if len(all) < 2 {
+		t.Fatalf("the batch fired %d alerts; need two to place a floor", len(all))
+	}
+	floor := all[len(all)/2]
+	if floor <= 0 {
+		t.Fatalf("floor %g does not filter", floor)
+	}
+	var want []float64
+	for _, s := range all {
+		if s >= floor {
+			want = append(want, s)
+		}
+	}
+	if got := run(floor); !reflect.DeepEqual(got, want) {
+		t.Fatalf("floor %g: alert scores %v, want %v", floor, got, want)
 	}
 }
 
