@@ -21,12 +21,10 @@ import (
 	"testing"
 
 	"ncexplorer"
-	"ncexplorer/internal/baselines"
 	"ncexplorer/internal/core"
 	"ncexplorer/internal/harness"
 	"ncexplorer/internal/relevance"
 	"ncexplorer/internal/server"
-	"ncexplorer/internal/vecstore"
 )
 
 func defaultWorld(b *testing.B) *harness.World {
@@ -285,35 +283,5 @@ func BenchmarkServerRollUp(b *testing.B) {
 		s.Handler().ServeHTTP(httptest.NewRecorder(), req) // warm the cache
 		b.ResetTimer()
 		run(b, s)
-	})
-}
-
-// BenchmarkAblationIVFVsExact compares the vector store's exact scan
-// against the IVF index at equal k, the trade Qdrant-class engines make
-// (Fig. 5 discussion).
-func BenchmarkAblationIVFVsExact(b *testing.B) {
-	w := defaultWorld(b)
-	bert := baselines.NewBERT()
-	if err := bert.Index(w.Corpus); err != nil {
-		b.Fatal(err)
-	}
-	emb := bert.Embedder()
-	store := vecstore.New(emb.Dim())
-	for i := range w.Corpus.Docs {
-		if err := store.Add(int32(i), emb.EmbedText(w.Corpus.Docs[i].Text())); err != nil {
-			b.Fatal(err)
-		}
-	}
-	ivf := vecstore.BuildIVF(store, 32, 5, 1)
-	q := emb.EmbedText("fraud investigation at the exchange")
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			store.Search(q, 10)
-		}
-	})
-	b.Run("ivf", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ivf.Search(q, 10, 4)
-		}
 	})
 }

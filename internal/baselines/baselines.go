@@ -3,7 +3,7 @@
 // harness treats every method — including NCExplorer via an adapter —
 // uniformly:
 //
-//   - Lucene: bag-of-words keyword match with BM25 (internal/textindex);
+//   - Lucene: bag-of-words keyword match with BM25 (bm25.go);
 //   - BERT: dense retrieval over deterministic text embeddings
 //     (internal/embed) through the vector store (internal/vecstore);
 //   - NewsLink: the structure-based state of the art — documents and
@@ -22,7 +22,6 @@ import (
 	"ncexplorer/internal/embed"
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/nlp"
-	"ncexplorer/internal/textindex"
 	"ncexplorer/internal/vecstore"
 )
 
@@ -55,11 +54,11 @@ type Searcher interface {
 
 // Lucene is the BM25 bag-of-words baseline.
 type Lucene struct {
-	ix *textindex.Index
+	ix *bm25Index
 }
 
 // NewLucene returns an unindexed Lucene baseline.
-func NewLucene() *Lucene { return &Lucene{ix: textindex.New()} }
+func NewLucene() *Lucene { return &Lucene{ix: newBM25()} }
 
 // Name implements Searcher.
 func (l *Lucene) Name() string { return "Lucene" }
@@ -67,14 +66,14 @@ func (l *Lucene) Name() string { return "Lucene" }
 // Index implements Searcher.
 func (l *Lucene) Index(c *corpus.Corpus) error {
 	for i := range c.Docs {
-		l.ix.Add(int32(c.Docs[i].ID), nlp.Terms(c.Docs[i].Text()))
+		l.ix.add(int32(c.Docs[i].ID), nlp.Terms(c.Docs[i].Text()))
 	}
 	return nil
 }
 
 // Search implements Searcher.
 func (l *Lucene) Search(q Query, k int) []Result {
-	return toResults(l.ix.SearchBM25(nlp.Terms(q.Text), k))
+	return toResults(l.ix.search(nlp.Terms(q.Text), k))
 }
 
 // Score returns the raw BM25 score of one document for a query text
@@ -82,19 +81,19 @@ func (l *Lucene) Search(q Query, k int) []Result {
 // signal.
 func (l *Lucene) Score(text string, doc corpus.DocID) float64 {
 	terms := nlp.Terms(text)
-	hits := l.ix.SearchBM25(terms, l.ix.NumDocs())
+	hits := l.ix.search(terms, l.ix.numDocs())
 	for _, h := range hits {
-		if corpus.DocID(h.Doc) == doc {
-			return h.Score
+		if corpus.DocID(h.doc) == doc {
+			return h.score
 		}
 	}
 	return 0
 }
 
-func toResults(hits []textindex.Hit) []Result {
+func toResults(hits []bm25Hit) []Result {
 	out := make([]Result, len(hits))
 	for i, h := range hits {
-		out[i] = Result{Doc: corpus.DocID(h.Doc), Score: h.Score}
+		out[i] = Result{Doc: corpus.DocID(h.doc), Score: h.score}
 	}
 	return out
 }
@@ -157,7 +156,7 @@ func (b *BERT) Embedder() *embed.Embedder { return b.emb }
 type NewsLink struct {
 	g      *kg.Graph
 	linker *nlp.Linker
-	ix     *textindex.Index
+	ix     *bm25Index
 
 	// expansion caps keep subgraphs compact, as in the original system.
 	maxSeeds     int
@@ -167,7 +166,7 @@ type NewsLink struct {
 // NewNewsLink returns an unindexed NewsLink baseline over the graph.
 func NewNewsLink(g *kg.Graph, linker *nlp.Linker) *NewsLink {
 	return &NewsLink{
-		g: g, linker: linker, ix: textindex.New(),
+		g: g, linker: linker, ix: newBM25(),
 		maxSeeds: 8, maxExpansion: 48,
 	}
 }
@@ -191,7 +190,7 @@ func (n *NewsLink) Index(c *corpus.Corpus) error {
 				tf[nodeTerm(v)] += f - 1
 			}
 		}
-		n.ix.Add(int32(c.Docs[i].ID), tf)
+		n.ix.add(int32(c.Docs[i].ID), tf)
 	}
 	return nil
 }
@@ -293,7 +292,7 @@ func (n *NewsLink) Search(q Query, k int) []Result {
 	for _, v := range nodes {
 		tf[nodeTerm(v)]++
 	}
-	return toResults(n.ix.SearchBM25(tf, k))
+	return toResults(n.ix.search(tf, k))
 }
 
 // ── NewsLink-BERT ───────────────────────────────────────────────────

@@ -1,8 +1,7 @@
-package textindex
+package baselines
 
 import (
 	"fmt"
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -10,29 +9,29 @@ import (
 	"ncexplorer/internal/xrand"
 )
 
-func buildIndex(t testing.TB, docs []string) *Index {
+func buildBM25(t testing.TB, docs []string) *bm25Index {
 	t.Helper()
-	ix := New()
+	ix := newBM25()
 	for i, d := range docs {
-		ix.Add(int32(i), nlp.Terms(d))
+		ix.add(int32(i), nlp.Terms(d))
 	}
 	return ix
 }
 
 func TestBasicRetrieval(t *testing.T) {
-	ix := buildIndex(t, []string{
+	ix := buildBM25(t, []string{
 		"the regulator fined the exchange for fraud",
 		"the election turnout surprised pollsters",
 		"fraud charges against the exchange widened",
 	})
-	hits := ix.SearchBM25(nlp.Terms("exchange fraud"), 10)
+	hits := ix.search(nlp.Terms("exchange fraud"), 10)
 	if len(hits) != 2 {
 		t.Fatalf("hits = %+v", hits)
 	}
-	if hits[0].Doc == 1 || hits[1].Doc == 1 {
+	if hits[0].doc == 1 || hits[1].doc == 1 {
 		t.Fatalf("irrelevant doc retrieved: %+v", hits)
 	}
-	if hits[0].Score < hits[1].Score {
+	if hits[0].score < hits[1].score {
 		t.Fatal("results not sorted by score")
 	}
 }
@@ -46,13 +45,13 @@ func TestIDFAndRareTermsWin(t *testing.T) {
 		"market overview and market notes",
 		"market conditions remain calm",
 	}
-	ix := buildIndex(t, docs)
-	if ix.IDF("tariff") <= ix.IDF("market") {
+	ix := buildBM25(t, docs)
+	if ix.idf("tariff") <= ix.idf("market") {
 		t.Fatalf("IDF(tariff)=%v should exceed IDF(market)=%v",
-			ix.IDF("tariff"), ix.IDF("market"))
+			ix.idf("tariff"), ix.idf("market"))
 	}
-	hits := ix.SearchBM25(nlp.Terms("tariff market"), 4)
-	if hits[0].Doc != 0 {
+	hits := ix.search(nlp.Terms("tariff market"), 4)
+	if hits[0].doc != 0 {
 		t.Fatalf("doc 0 should rank first: %+v", hits)
 	}
 }
@@ -61,32 +60,10 @@ func TestDocLengthNormalization(t *testing.T) {
 	// Same tf, shorter doc ⇒ higher BM25.
 	long := "merger merger talk talk talk deal deal outlook outlook review review statement statement"
 	short := "merger deal"
-	ix := buildIndex(t, []string{long, short})
-	hits := ix.SearchBM25(nlp.Terms("merger"), 2)
-	if hits[0].Doc != 1 {
+	ix := buildBM25(t, []string{long, short})
+	hits := ix.search(nlp.Terms("merger"), 2)
+	if hits[0].doc != 1 {
 		t.Fatalf("short doc should win: %+v", hits)
-	}
-}
-
-func TestTFIDFBounds(t *testing.T) {
-	ix := buildIndex(t, []string{
-		"ftx ftx ftx collapse",
-		"ftx mentioned once among many other interesting words today",
-		"nothing relevant here at all",
-	})
-	w0 := ix.TFIDF("ftx", 0)
-	w1 := ix.TFIDF("ftx", 1)
-	w2 := ix.TFIDF("ftx", 2)
-	if w0 <= w1 {
-		t.Errorf("dominant term should weigh more: %v vs %v", w0, w1)
-	}
-	if w2 != 0 {
-		t.Errorf("absent term weight = %v, want 0", w2)
-	}
-	for _, w := range []float64{w0, w1} {
-		if w <= 0 || w > 1 {
-			t.Errorf("weight out of (0,1]: %v", w)
-		}
 	}
 }
 
@@ -95,71 +72,54 @@ func TestTopKLimit(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		docs = append(docs, "common filler text number "+fmt.Sprint(i))
 	}
-	ix := buildIndex(t, docs)
-	hits := ix.SearchBM25(nlp.Terms("common filler"), 5)
+	ix := buildBM25(t, docs)
+	hits := ix.search(nlp.Terms("common filler"), 5)
 	if len(hits) != 5 {
 		t.Fatalf("len = %d, want 5", len(hits))
 	}
 }
 
 func TestEmptyQueryAndIndex(t *testing.T) {
-	ix := New()
-	if hits := ix.SearchBM25(nlp.Terms("anything"), 5); hits != nil {
+	ix := newBM25()
+	if hits := ix.search(nlp.Terms("anything"), 5); hits != nil {
 		t.Fatalf("empty index returned %+v", hits)
 	}
-	ix = buildIndex(t, []string{"some document"})
-	if hits := ix.SearchBM25(map[string]int{}, 5); len(hits) != 0 {
+	ix = buildBM25(t, []string{"some document"})
+	if hits := ix.search(map[string]int{}, 5); len(hits) != 0 {
 		t.Fatalf("empty query returned %+v", hits)
 	}
-	if hits := ix.SearchBM25(nlp.Terms("unknownword"), 5); len(hits) != 0 {
+	if hits := ix.search(nlp.Terms("unknownword"), 5); len(hits) != 0 {
 		t.Fatalf("unknown term returned %+v", hits)
 	}
 }
 
 func TestDuplicateAddPanics(t *testing.T) {
-	ix := New()
-	ix.Add(1, map[string]int{"a": 1})
+	ix := newBM25()
+	ix.add(1, map[string]int{"a": 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate doc")
 		}
 	}()
-	ix.Add(1, map[string]int{"b": 1})
+	ix.add(1, map[string]int{"b": 1})
 }
 
 func TestStatsAccessors(t *testing.T) {
-	ix := buildIndex(t, []string{"alpha beta beta", "alpha gamma"})
-	if ix.NumDocs() != 2 {
-		t.Errorf("NumDocs = %d", ix.NumDocs())
+	ix := buildBM25(t, []string{"alpha beta beta", "alpha gamma"})
+	if ix.numDocs() != 2 {
+		t.Errorf("numDocs = %d", ix.numDocs())
 	}
-	if ix.DF("alpha") != 2 || ix.DF("beta") != 1 {
-		t.Errorf("DF wrong: %d/%d", ix.DF("alpha"), ix.DF("beta"))
+	if len(ix.postings["alpha"]) != 2 || len(ix.postings["beta"]) != 1 {
+		t.Errorf("DF wrong: %d/%d", len(ix.postings["alpha"]), len(ix.postings["beta"]))
 	}
-	if ix.DocLen(0) != 3 || ix.DocLen(1) != 2 {
-		t.Errorf("DocLen wrong: %d/%d", ix.DocLen(0), ix.DocLen(1))
+	if ix.docLen[0] != 3 || ix.docLen[1] != 2 {
+		t.Errorf("docLen wrong: %d/%d", ix.docLen[0], ix.docLen[1])
 	}
-	if math.Abs(ix.AvgDocLen()-2.5) > 1e-9 {
-		t.Errorf("AvgDocLen = %v", ix.AvgDocLen())
+	if ix.totalLen != 5 {
+		t.Errorf("totalLen = %d", ix.totalLen)
 	}
-	if ix.TF("beta", 0) != 2 {
-		t.Errorf("TF = %d", ix.TF("beta", 0))
-	}
-}
-
-func TestTFAfterFreezeUsesBinarySearch(t *testing.T) {
-	ix := buildIndex(t, []string{"x common", "y common", "z common"})
-	ix.SearchBM25(nlp.Terms("common"), 1) // triggers freeze
-	if ix.TF("common", 1) != 1 {
-		t.Errorf("frozen TF lookup failed")
-	}
-	if ix.TF("common", 99) != 0 {
-		t.Errorf("frozen TF for absent doc should be 0")
-	}
-	ps := ix.Postings("common")
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1].Doc >= ps[i].Doc {
-			t.Fatal("postings not sorted after freeze")
-		}
+	if tf := ix.postings["beta"][0].tf; tf != 2 {
+		t.Errorf("TF = %d", tf)
 	}
 }
 
@@ -174,11 +134,11 @@ func TestSearchDeterminism(t *testing.T) {
 		}
 		docs = append(docs, s)
 	}
-	ix := buildIndex(t, docs)
+	ix := buildBM25(t, docs)
 	q := nlp.Terms("trade fraud")
-	first := ix.SearchBM25(q, 10)
+	first := ix.search(q, 10)
 	for run := 0; run < 5; run++ {
-		again := ix.SearchBM25(q, 10)
+		again := ix.search(q, 10)
 		for i := range first {
 			if first[i] != again[i] {
 				t.Fatalf("non-deterministic results at run %d", run)
@@ -192,21 +152,21 @@ func TestBM25Invariants(t *testing.T) {
 	words := []string{"a1", "b2", "c3", "d4", "e5", "f6"}
 	err := quick.Check(func(seed uint64) bool {
 		r := xrand.New(seed)
-		ix := New()
+		ix := newBM25()
 		for d := 0; d < 20; d++ {
 			tf := map[string]int{}
 			for j := 0; j < 5; j++ {
 				tf[words[r.Intn(len(words))]]++
 			}
-			ix.Add(int32(d), tf)
+			ix.add(int32(d), tf)
 		}
 		q := map[string]int{words[r.Intn(len(words))]: 1, words[r.Intn(len(words))]: 1}
-		hits := ix.SearchBM25(q, 10)
+		hits := ix.search(q, 10)
 		for i, h := range hits {
-			if h.Score < 0 {
+			if h.score < 0 {
 				return false
 			}
-			if i > 0 && hits[i-1].Score < h.Score {
+			if i > 0 && hits[i-1].score < h.score {
 				return false
 			}
 		}
@@ -219,7 +179,7 @@ func TestBM25Invariants(t *testing.T) {
 
 func BenchmarkSearchBM25(b *testing.B) {
 	r := xrand.New(1)
-	ix := New()
+	ix := newBM25()
 	vocab := make([]string, 500)
 	for i := range vocab {
 		vocab[i] = fmt.Sprintf("w%d", i)
@@ -229,11 +189,11 @@ func BenchmarkSearchBM25(b *testing.B) {
 		for j := 0; j < 80; j++ {
 			tf[vocab[r.Intn(len(vocab))]]++
 		}
-		ix.Add(int32(d), tf)
+		ix.add(int32(d), tf)
 	}
 	q := map[string]int{"w1": 1, "w2": 1, "w3": 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.SearchBM25(q, 10)
+		ix.search(q, 10)
 	}
 }

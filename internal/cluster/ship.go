@@ -146,7 +146,7 @@ func sameSnapshot(a, b *segio.Manifest) bool {
 }
 
 // fetchNamed fetches a conn companion or watch file, whose name pins
-// its content (segio.CheckContentName — the rule OpenSnapshot applies
+// its content (segio.CheckContentName — the rule ReadStore applies
 // too).
 func (f *Fetcher) fetchNamed(ctx context.Context, name string) error {
 	return f.fetchFile(ctx, name, func(data []byte) error { return segio.CheckContentName(name, data) })

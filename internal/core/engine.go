@@ -201,7 +201,7 @@ type Engine struct {
 	// load it exactly once and thread it through, so a query runs
 	// against one consistent snapshot even while Ingest swaps in a new
 	// one. Writers (IndexCorpus, Ingest, merge, SetRemoteStats,
-	// OpenSnapshot) serialise on ingestMu and publish with a single
+	// OpenStore) serialise on ingestMu and publish with a single
 	// Store.
 	st atomic.Pointer[genState]
 
@@ -269,7 +269,7 @@ type Engine struct {
 	// remote batch count, so every shard numbers generations exactly
 	// like a monolithic engine over the union. shardIndex/shardCount
 	// describe the cluster layout; they are written once at boot
-	// (IndexCorpusSharded / OpenSnapshot), before serving starts.
+	// (IndexCorpusSharded / OpenStore), before serving starts.
 	remote                 atomic.Pointer[ShardStats]
 	localGen               atomic.Uint64
 	shardIndex, shardCount int
@@ -952,11 +952,6 @@ func (e *Engine) ResetQueryCaches() {
 // NumDocs returns the number of indexed documents at the current
 // generation.
 func (e *Engine) NumDocs() int { return e.state().snap.NumDocs() }
-
-// DocSource returns the source of an indexed document.
-func (e *Engine) DocSource(doc corpus.DocID) corpus.Source {
-	return e.state().snap.Doc(int32(doc)).Source
-}
 
 // Doc returns the display document (title, body, source) of an
 // indexed or ingested article. The returned value is immutable.

@@ -106,8 +106,8 @@ func TestRollUpPageFilters(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range page.Results {
-			if e.DocSource(r.Doc) != src {
-				t.Fatalf("source filter %v leaked doc from %v", src, e.DocSource(r.Doc))
+			if e.Doc(r.Doc).Source != src {
+				t.Fatalf("source filter %v leaked doc from %v", src, e.Doc(r.Doc).Source)
 			}
 		}
 		bySource += page.Total

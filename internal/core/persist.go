@@ -19,14 +19,14 @@ import (
 
 // Durable snapshot persistence. SaveSnapshot serializes the current
 // snapshot's segments (plus their connectivity factors and a manifest)
-// to a directory; OpenSnapshot loads them back into a freshly
-// constructed engine. The load path skips the NLP/linking pipeline
-// entirely — it decodes the immutable per-document indexing products
-// and goes straight to the swap-time rescore every ingest already
-// performs, with the persisted connectivity factors handed to the plan
-// build so no random walk re-runs. It comes in two steps: ReadStore
-// decodes the files without a graph, so a caller may run it while the
-// graph and engine are still being built, and OpenStore does
+// to a directory; ReadStore decodes them and OpenStore installs them in
+// a freshly constructed engine. The load path skips the NLP/linking
+// pipeline entirely — it decodes the immutable per-document indexing
+// products and goes straight to the swap-time rescore every ingest
+// already performs, with the persisted connectivity factors handed to
+// the plan build so no random walk re-runs. It comes in two steps:
+// ReadStore decodes the files without a graph, so a caller may run it
+// while the graph and engine are still being built, and OpenStore does
 // everything that needs the graph. Because the rescore is the same
 // code path a from-scratch build ends with, and every sampled value is
 // content-addressed by (concept, document) under the engine seed, a
@@ -82,8 +82,7 @@ type PersistCounters struct {
 // World regenerates the graph and constructs the engine, Files is
 // ReadStore, Build is OpenStore's install, and Wall is the open end to
 // end. The facade's Open runs World and Files at once, so Wall may be
-// less than their sum; OpenSnapshot's caller builds the engine
-// beforehand, so World is 0 there. All zero before the first open.
+// less than their sum. All zero before the first open.
 type OpenClocks struct {
 	WorldMS float64 `json:"world_ms"`
 	FilesMS float64 `json:"files_ms"`
@@ -550,22 +549,16 @@ func (e *Engine) Checkpoint() {
 	}
 }
 
-// OpenSnapshot loads a persisted snapshot (nil m: dir's manifest) into
-// a freshly constructed engine — NewEngine with the saver's graph and
-// options — by ReadStore, then OpenStore, on the calling goroutine.
-func (e *Engine) OpenSnapshot(dir string, m *segio.Manifest) error {
-	began := time.Now()
-	return e.OpenStore(ReadStore(dir, m), 0, began)
-}
-
 // Store is a snapshot directory decoded without a graph: segments in
 // manifest order, one key-sorted conn run per segment, the watch file.
 // Reading stops at the first bad file; its error waits for OpenStore
 // beside the segments decoded before it.
 type Store struct {
-	m     *segio.Manifest
-	segs  []*snapshot.Segment
-	known [][]connPair
+	m    *segio.Manifest
+	segs []*snapshot.Segment
+	// legacy marks the segments decoded from a legacy-format file.
+	legacy []bool
+	known  [][]connPair
 	// Watch holds the manifest's standing-query state file (decode with
 	// the watch package's codec); nil when the manifest names none.
 	Watch []byte
@@ -600,12 +593,13 @@ func (s *Store) read(dir string) error {
 	refs := s.m.Segments
 	s.segs = make([]*snapshot.Segment, 0, len(refs))
 	for _, ref := range refs {
-		seg, n, err := segio.ReadSegmentFile(dir, ref)
+		seg, n, legacy, err := segio.ReadSegmentFileVersion(dir, ref)
 		if err != nil {
 			return err
 		}
 		s.bytes += int64(n)
 		s.segs = append(s.segs, seg)
+		s.legacy = append(s.legacy, legacy)
 	}
 	s.known = make([][]connPair, len(refs))
 	for i, ref := range refs {
@@ -680,20 +674,30 @@ func (e *Engine) OpenStore(s *Store, world time.Duration, began time.Time) error
 		if err := remote.validate(e.g.NumNodes()); err != nil {
 			return fmt.Errorf("%w: manifest shard section: %v", segio.ErrCorrupt, err)
 		}
+		// The seed build is a local generation, so the remote batches
+		// never reach the generation.
+		if m.Generation <= remote.Batches {
+			return fmt.Errorf("%w: manifest generation %d within its %d remote batches", segio.ErrCorrupt, m.Generation, remote.Batches)
+		}
 	}
 	if s.err != nil {
 		return s.err
 	}
 	// Remember the loaded segments' file identities so a later save
-	// into the same directory rewrites nothing. (writeMu: these are
-	// writer-side fields; no writer can be running before the first
-	// index, but the lock keeps the invariant uniform.)
+	// into the same directory rewrites nothing. A segment read from a
+	// legacy-format file is left out: the next save or checkpoint
+	// re-encodes it in the current format, and a save's sweep collects
+	// the old file. (writeMu: these are writer-side fields; no writer
+	// can be running before the first index, but the lock keeps the
+	// invariant uniform.)
 	e.gc.writeMu.Lock()
 	if e.persist.segFiles == nil {
 		e.persist.segFiles = make(map[*snapshot.Segment]segio.SegmentRef)
 	}
 	for i, seg := range s.segs {
-		e.persist.segFiles[seg] = m.Segments[i]
+		if !s.legacy[i] {
+			e.persist.segFiles[seg] = m.Segments[i]
+		}
 	}
 	e.gc.writeMu.Unlock()
 

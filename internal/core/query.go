@@ -435,86 +435,6 @@ func (e *Engine) RollUpPageInto(ctx context.Context, q Query, opts RollUpOptions
 	return nil
 }
 
-// rollUpPageExhaustive is the pre-planner roll-up: score every matched
-// document in ascending ID order, concept by concept, into a
-// sequential collector. Kept as the equivalence oracle for the pruned
-// scan — property tests require RollUpPage to reproduce its pages
-// byte-for-byte at every generation, offset, and filter combination.
-// Not used by the serving path.
-func (e *Engine) rollUpPageExhaustive(ctx context.Context, q Query, opts RollUpOptions) (RollUpPage, error) {
-	st := e.state()
-	out := RollUpPage{Generation: st.snap.Generation}
-	if opts.K <= 0 || len(q) == 0 || opts.Offset < 0 {
-		return out, nil
-	}
-	docs, err := st.matchedDocsCtx(ctx, q)
-	if err != nil {
-		return out, err
-	}
-	if len(docs) == 0 {
-		return out, nil
-	}
-	var allowed map[corpus.Source]bool
-	if len(opts.Sources) > 0 {
-		allowed = make(map[corpus.Source]bool, len(opts.Sources))
-		for _, s := range opts.Sources {
-			allowed[s] = true
-		}
-	}
-	periods := newPeriodAcc(opts.GroupBy)
-	total := 0
-	limit := opts.K + opts.Offset
-	if limit < 0 || limit > len(docs) {
-		limit = len(docs)
-	}
-	coll := topk.New[int32](limit)
-	for i, d := range docs {
-		if i%ctxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return RollUpPage{Generation: st.snap.Generation}, err
-			}
-		}
-		if allowed != nil && !allowed[st.snap.Doc(d).Source] {
-			continue
-		}
-		var ts int64
-		if opts.Time != nil || periods != nil {
-			ts = st.snap.Doc(d).PublishedAt
-			if opts.Time != nil && !opts.Time.contains(ts) {
-				continue
-			}
-		}
-		rel := 0.0
-		for _, c := range q {
-			rel += st.contribution(c, d).CDR
-		}
-		if opts.MinScore > 0 && rel < opts.MinScore {
-			continue
-		}
-		total++
-		if periods != nil {
-			periods.add(ts)
-		}
-		coll.Push(d, rel)
-	}
-	items := coll.Sorted()
-	out.Total = total
-	out.Periods = periods.buckets()
-	if opts.Offset >= len(items) {
-		return out, nil
-	}
-	items = items[opts.Offset:]
-	out.Results = make([]DocResult, len(items))
-	for i, it := range items {
-		res := DocResult{Doc: corpus.DocID(it.Value), Score: it.Score}
-		for _, c := range q {
-			res.Contributors = append(res.Contributors, st.contribution(c, it.Value))
-		}
-		out.Results[i] = res
-	}
-	return out, nil
-}
-
 // DrillDownOptions parameterises a paged drill-down. The negated
 // component toggles keep the zero value equal to the paper's full
 // scoring (C·S·D).

@@ -59,13 +59,17 @@ func (s *ShardStats) addSegment(seg *snapshot.Segment) {
 }
 
 // validate checks remote statistics against the graph they will index
-// into: a non-negative document count, and a document frequency in
-// [1, Docs] for entity keys that are nodes of the graph. It is the one
-// check every way in (the HTTP exchange, a shard manifest) goes
-// through.
+// into: a non-negative document count, no more batches than documents
+// (every counted batch adds at least one; an empty batch counts none),
+// and a document frequency in [1, Docs] for entity keys that are nodes
+// of the graph. It is the one check every way in (the HTTP exchange, a
+// shard manifest) goes through.
 func (s *ShardStats) validate(numNodes int) error {
 	if s.Docs < 0 {
 		return fmt.Errorf("remote statistics: negative document count %d", s.Docs)
+	}
+	if s.Batches > uint64(s.Docs) {
+		return fmt.Errorf("remote statistics: %d batches for %d documents", s.Batches, s.Docs)
 	}
 	for v, df := range s.DF {
 		if v < 0 || int(v) >= numNodes {

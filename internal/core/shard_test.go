@@ -260,6 +260,7 @@ func invalidRemoteStats(cur ShardStats, numNodes int) map[string]ShardStats {
 		"negative df":           with(func(rs *ShardStats) { rs.DF[some] = -100000 }),
 		"zero df":               with(func(rs *ShardStats) { rs.DF[some] = 0 }),
 		"df above docs":         with(func(rs *ShardStats) { rs.DF[some] = rs.Docs + 1 }),
+		"batches above docs":    with(func(rs *ShardStats) { rs.Batches = uint64(rs.Docs) + 1 }),
 	}
 }
 
@@ -287,8 +288,9 @@ func TestSetRemoteStatsRejectsInvalid(t *testing.T) {
 }
 
 // TestOpenRejectsInvalidShardStats: a shard manifest whose remote
-// statistics fail the same validation is typed corruption at open, and
-// the refused engine can still open the intact store.
+// statistics fail the same validation, or whose generation does not
+// exceed its remote batches, is typed corruption at open, and the
+// refused engine can still open the intact store.
 func TestOpenRejectsInvalidShardStats(t *testing.T) {
 	g, _, c, _ := world(t)
 	opts := Options{Seed: 11, Samples: 20}
@@ -302,9 +304,21 @@ func TestOpenRejectsInvalidShardStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cases := make(map[string]segio.Manifest)
 	for name, rs := range invalidRemoteStats(sh.RemoteStatsSnapshot(), g.NumNodes()) {
 		m := *intact
-		m.Shard = &segio.ShardMeta{Index: 0, Count: 2, RemoteDocs: rs.Docs, RemoteDF: rs.DF, RemoteBatches: intact.Shard.RemoteBatches}
+		m.Generation += rs.Batches // the local generation stays valid
+		m.Shard = &segio.ShardMeta{Index: 0, Count: 2, RemoteDocs: rs.Docs, RemoteDF: rs.DF, RemoteBatches: rs.Batches}
+		cases[name] = m
+	}
+	// Valid statistics, but a generation the remote batches cover: no
+	// local generation would be left.
+	m := *intact
+	shard := *intact.Shard
+	shard.RemoteBatches = m.Generation
+	m.Shard = &shard
+	cases["generation within remote batches"] = m
+	for name, m := range cases {
 		if err := segio.WriteManifest(dir, &m); err != nil {
 			t.Fatal(err)
 		}

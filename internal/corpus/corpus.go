@@ -95,16 +95,6 @@ func (d *Document) Text() string { return d.Title + ". " + d.Body }
 // concept (0 if unlabelled).
 func (d *Document) Gold(c kg.NodeID) float64 { return d.Topics[c] }
 
-// MentionsGold reports whether v is among the document's gold entities.
-func (d *Document) MentionsGold(v kg.NodeID) bool {
-	for _, e := range d.GoldEntities {
-		if e == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Corpus is an immutable collection of documents.
 type Corpus struct {
 	Docs []Document

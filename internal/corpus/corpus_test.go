@@ -248,19 +248,15 @@ func TestSourceStats(t *testing.T) {
 
 func TestDocHelpers(t *testing.T) {
 	d := Document{
-		Title:        "T",
-		Body:         "B",
-		Topics:       map[kg.NodeID]float64{3: 4.5},
-		GoldEntities: []kg.NodeID{7},
+		Title:  "T",
+		Body:   "B",
+		Topics: map[kg.NodeID]float64{3: 4.5},
 	}
 	if d.Text() != "T. B" {
 		t.Errorf("Text() = %q", d.Text())
 	}
 	if d.Gold(3) != 4.5 || d.Gold(4) != 0 {
 		t.Error("Gold lookup wrong")
-	}
-	if !d.MentionsGold(7) || d.MentionsGold(8) {
-		t.Error("MentionsGold wrong")
 	}
 }
 

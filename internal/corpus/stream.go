@@ -1,8 +1,6 @@
 package corpus
 
 import (
-	"time"
-
 	"ncexplorer/internal/kg"
 	"ncexplorer/internal/kggen"
 )
@@ -11,8 +9,7 @@ import (
 // behind Generate/GenerateBatch exposed one document at a time. It
 // produces documents in constant memory — nothing about an emitted
 // document is retained, so a 100k-document ingest run holds only the
-// batch in flight, never the corpus — and it can be throttled to a
-// target rate for load tests that model a live feed.
+// batch in flight, never the corpus.
 //
 // Determinism contract: a Stream over (world, cfg, seed) emits exactly
 // the sequence GenerateBatch(world, cfg, seed, n) returns, for every
@@ -25,14 +22,6 @@ import (
 type Stream struct {
 	gen *generator
 	n   int // documents emitted
-
-	// Rate control: emissions are paced to one per interval, measured
-	// from the previous emission (a feed, not a token bucket — no
-	// bursts after a quiet spell). Zero interval means unthrottled.
-	interval time.Duration
-	next     time.Time
-	now      func() time.Time    // test seam
-	sleep    func(time.Duration) // test seam
 }
 
 // NewStream opens a deterministic article stream over the world. The
@@ -53,32 +42,11 @@ func NewStream(g *kg.Graph, meta *kggen.Meta, cfg Config, seed uint64) (*Stream,
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{gen: gen, now: time.Now, sleep: time.Sleep}, nil
+	return &Stream{gen: gen}, nil
 }
 
-// SetRate throttles the stream to docsPerSec documents per second
-// (applied from the next emission); zero or negative removes the
-// throttle. Pacing never changes WHAT is emitted, only when.
-func (s *Stream) SetRate(docsPerSec float64) {
-	if docsPerSec <= 0 {
-		s.interval = 0
-		return
-	}
-	s.interval = time.Duration(float64(time.Second) / docsPerSec)
-	s.next = s.now().Add(s.interval)
-}
-
-// Next emits the stream's next document, sleeping first if a rate is
-// set and the feed is ahead of schedule.
+// Next emits the stream's next document.
 func (s *Stream) Next() Document {
-	if s.interval > 0 {
-		if wait := s.next.Sub(s.now()); wait > 0 {
-			s.sleep(wait)
-		}
-		// Schedule from the planned slot, not from wake-up time, so
-		// oversleep on one document does not shrink the long-run rate.
-		s.next = s.next.Add(s.interval)
-	}
 	doc := s.gen.article(Sources[s.n%len(Sources)])
 	doc.ID = DocID(s.n)
 	s.n++
@@ -94,6 +62,3 @@ func (s *Stream) NextBatch(n int) []Document {
 	}
 	return docs
 }
-
-// Emitted returns how many documents the stream has produced.
-func (s *Stream) Emitted() int { return s.n }

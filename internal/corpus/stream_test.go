@@ -3,7 +3,6 @@ package corpus
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"ncexplorer/internal/kggen"
 )
@@ -35,8 +34,8 @@ func TestStreamMatchesGenerateBatch(t *testing.T) {
 	got = append(got, s.NextBatch(7)...)
 	got = append(got, s.Next(), s.Next())
 	got = append(got, s.NextBatch(n-len(got))...)
-	if s.Emitted() != n {
-		t.Fatalf("Emitted() = %d, want %d", s.Emitted(), n)
+	if s.n != n {
+		t.Fatalf("emitted %d, want %d", s.n, n)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("stream output diverges from GenerateBatch prefix")
@@ -65,56 +64,5 @@ func TestStreamConstantMemory(t *testing.T) {
 		if a[i].ID != DocID(i) || b[i].ID != DocID(8+i) {
 			t.Fatalf("sequence IDs wrong: a[%d]=%d b[%d]=%d", i, a[i].ID, i, b[i].ID)
 		}
-	}
-}
-
-// TestStreamRateControl: with a fake clock, the throttle sleeps the
-// schedule gap, paces from the planned slot (oversleep does not
-// shrink the long-run rate), and never alters what is emitted.
-func TestStreamRateControl(t *testing.T) {
-	paced := testStream(t, 77)
-	free := testStream(t, 77)
-
-	now := time.Unix(1000, 0)
-	var slept []time.Duration
-	paced.now = func() time.Time { return now }
-	paced.sleep = func(d time.Duration) {
-		slept = append(slept, d)
-		now = now.Add(d)
-	}
-
-	paced.SetRate(10) // one doc per 100ms
-	var got []Document
-	for i := 0; i < 3; i++ {
-		got = append(got, paced.Next())
-	}
-	if len(slept) != 3 {
-		t.Fatalf("sleeps = %v, want one per emission", slept)
-	}
-	for _, d := range slept {
-		if d != 100*time.Millisecond {
-			t.Fatalf("sleeps = %v, want 100ms each", slept)
-		}
-	}
-
-	// An emission arriving late (clock jumps past the slot) proceeds
-	// without sleeping, and the next slot is scheduled from the plan.
-	now = now.Add(250 * time.Millisecond)
-	slept = nil
-	got = append(got, paced.Next())
-	if len(slept) != 0 {
-		t.Fatalf("late emission slept %v", slept)
-	}
-
-	// Throttle off: no pacing, stream position unaffected.
-	paced.SetRate(0)
-	slept = nil
-	got = append(got, paced.NextBatch(2)...)
-	if len(slept) != 0 {
-		t.Fatalf("unthrottled emission slept %v", slept)
-	}
-
-	if want := free.NextBatch(len(got)); !reflect.DeepEqual(got, want) {
-		t.Fatal("rate control changed the emitted documents")
 	}
 }

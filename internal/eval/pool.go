@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math"
-	"sync/atomic"
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/xrand"
@@ -57,9 +56,8 @@ type EvaluatorPool struct {
 	// RatersPerDoc is how many evaluators rate each pair (default 3).
 	RatersPerDoc int
 
-	seed    uint64
-	biases  []float64
-	ratings atomic.Int64
+	seed   uint64
+	biases []float64
 }
 
 // NewPool creates a pool of n evaluators with deterministic biases.
@@ -83,10 +81,6 @@ func NewPool(n int, seed uint64) *EvaluatorPool {
 	}
 	return p
 }
-
-// Ratings returns the number of individual ratings issued so far (the
-// paper reports 3,900 across its study).
-func (p *EvaluatorPool) Ratings() int64 { return p.ratings.Load() }
 
 // Rate returns the averaged rating for a (query, document) pair.
 //
@@ -125,7 +119,6 @@ func (p *EvaluatorPool) Rate(queryKey uint64, doc corpus.DocID, semantic, surfac
 			rating = 5
 		}
 		sum += rating
-		p.ratings.Add(1)
 	}
 	return sum / float64(k)
 }

@@ -94,20 +94,8 @@ type Graph struct {
 // NumNodes returns the total node count |V_C| + |V_I|.
 func (g *Graph) NumNodes() int { return len(g.names) }
 
-// NumInstances returns |V_I|.
-func (g *Graph) NumInstances() int { return g.numInstances }
-
-// NumConcepts returns |V_C|.
-func (g *Graph) NumConcepts() int { return g.numConcepts }
-
 // NumInstanceEdges returns the number of undirected instance edges.
 func (g *Graph) NumInstanceEdges() int64 { return g.instEdges }
-
-// NumBroaderEdges returns the number of broader (child→parent) edges.
-func (g *Graph) NumBroaderEdges() int64 { return g.broaderEdges }
-
-// NumTypeAssertions returns |Ψ| (instance, concept) pairs.
-func (g *Graph) NumTypeAssertions() int64 { return g.typeEdges }
 
 // Name returns the canonical name of a node.
 func (g *Graph) Name(v NodeID) string { return g.names[v] }

@@ -57,17 +57,18 @@ func names(g *Graph, ids []NodeID) []string {
 
 func TestCounts(t *testing.T) {
 	g := buildSample(t)
-	if g.NumConcepts() != 4 || g.NumInstances() != 4 || g.NumNodes() != 8 {
-		t.Fatalf("counts: %d concepts, %d instances", g.NumConcepts(), g.NumInstances())
+	s := g.Stats()
+	if s.Concepts != 4 || s.Instances != 4 || g.NumNodes() != 8 {
+		t.Fatalf("counts: %d concepts, %d instances", s.Concepts, s.Instances)
 	}
 	if g.NumInstanceEdges() != 2 {
 		t.Fatalf("instance edges = %d, want 2", g.NumInstanceEdges())
 	}
-	if g.NumBroaderEdges() != 3 {
-		t.Fatalf("broader edges = %d, want 3", g.NumBroaderEdges())
+	if s.BroaderEdges != 3 {
+		t.Fatalf("broader edges = %d, want 3", s.BroaderEdges)
 	}
-	if g.NumTypeAssertions() != 4 {
-		t.Fatalf("type assertions = %d, want 4", g.NumTypeAssertions())
+	if s.TypeAssertions != 4 {
+		t.Fatalf("type assertions = %d, want 4", s.TypeAssertions)
 	}
 }
 
@@ -294,10 +295,7 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumNodes() != g.NumNodes() ||
-		g2.NumInstanceEdges() != g.NumInstanceEdges() ||
-		g2.NumBroaderEdges() != g.NumBroaderEdges() ||
-		g2.NumTypeAssertions() != g.NumTypeAssertions() {
+	if g2.Stats() != g.Stats() {
 		t.Fatalf("round trip mismatch: %+v vs %+v", g2.Stats(), g.Stats())
 	}
 	ftx := g2.MustLookup("FTX")

@@ -85,15 +85,6 @@ type Meta struct {
 	Topics        []Topic
 }
 
-// DomainOf returns the news domain ("business" or "politics") assigned
-// to a concept, defaulting to "business" for unknown IDs.
-func (m *Meta) DomainOf(c kg.NodeID) string {
-	if d, ok := m.Domains[c]; ok {
-		return d
-	}
-	return "business"
-}
-
 // Generate builds the graph and its metadata.
 func Generate(cfg Config) (*kg.Graph, *Meta, error) {
 	if cfg.MaxTypesPerInstance <= 0 {

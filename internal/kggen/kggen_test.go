@@ -10,11 +10,12 @@ import (
 
 func TestGenerateTiny(t *testing.T) {
 	g, meta := MustGenerate(Tiny())
-	if g.NumConcepts() < len(curatedConcepts) {
-		t.Fatalf("concepts = %d, want ≥ %d curated", g.NumConcepts(), len(curatedConcepts))
+	s := g.Stats()
+	if s.Concepts < len(curatedConcepts) {
+		t.Fatalf("concepts = %d, want ≥ %d curated", s.Concepts, len(curatedConcepts))
 	}
-	if g.NumInstances() < len(curatedInstances)+300 {
-		t.Fatalf("instances = %d, too few", g.NumInstances())
+	if s.Instances < len(curatedInstances)+300 {
+		t.Fatalf("instances = %d, too few", s.Instances)
 	}
 	if len(meta.Topics) != 6 {
 		t.Fatalf("topics = %d, want 6", len(meta.Topics))
@@ -153,9 +154,6 @@ func TestDomainsCoverAllConcepts(t *testing.T) {
 	})
 	if missing > 0 {
 		t.Errorf("%d concepts lack a domain label", missing)
-	}
-	if meta.DomainOf(kg.NodeID(1<<30)) != "business" {
-		t.Error("DomainOf should default to business")
 	}
 }
 

@@ -126,52 +126,3 @@ func (c *Counter) WeightedCount(u, v kg.NodeID, tau int, beta float64) float64 {
 	}
 	return sum
 }
-
-// Enumerate calls fn with every simple path (as a node sequence
-// u … v, including endpoints) of length ≤ tau. The slice passed to fn
-// is reused; copy it to retain. Enumeration stops early if fn returns
-// false. Intended for tests and small graphs.
-func (c *Counter) Enumerate(u, v kg.NodeID, tau int, fn func(path []kg.NodeID) bool) {
-	if tau < 1 || u == v {
-		return
-	}
-	c.distancesTo(v, tau)
-	if c.dist[u] == unreachable || int(c.dist[u]) > tau {
-		return
-	}
-	path := make([]kg.NodeID, 1, tau+1)
-	path[0] = u
-	c.visited[u] = true
-	c.enumDFS(u, v, tau, &path, fn)
-	c.visited[u] = false
-}
-
-func (c *Counter) enumDFS(cur, target kg.NodeID, tau int, path *[]kg.NodeID, fn func([]kg.NodeID) bool) bool {
-	depth := len(*path) - 1
-	for _, y := range c.g.InstanceNeighbors(cur) {
-		if y == target {
-			*path = append(*path, y)
-			ok := fn(*path)
-			*path = (*path)[:len(*path)-1]
-			if !ok {
-				return false
-			}
-			continue
-		}
-		if c.visited[y] || depth+1 >= tau {
-			continue
-		}
-		if c.dist[y] == unreachable || int(c.dist[y]) > tau-depth-1 {
-			continue
-		}
-		c.visited[y] = true
-		*path = append(*path, y)
-		ok := c.enumDFS(y, target, tau, path, fn)
-		*path = (*path)[:len(*path)-1]
-		c.visited[y] = false
-		if !ok {
-			return false
-		}
-	}
-	return true
-}

@@ -115,52 +115,6 @@ func TestWeightedCount(t *testing.T) {
 	}
 }
 
-func TestEnumerateMatchesCount(t *testing.T) {
-	g, ids := diamond(t)
-	c := NewCounter(g)
-	for _, pair := range [][2]string{{"a", "d"}, {"e", "d"}, {"b", "c"}} {
-		u, v := ids[pair[0]], ids[pair[1]]
-		counts := c.Count(u, v, 3)
-		var total int64
-		for _, n := range counts {
-			total += n
-		}
-		seen := map[string]bool{}
-		n := 0
-		c.Enumerate(u, v, 3, func(path []kg.NodeID) bool {
-			n++
-			key := ""
-			for _, p := range path {
-				key += g.Name(p) + "/"
-			}
-			if seen[key] {
-				t.Errorf("duplicate path %s", key)
-			}
-			seen[key] = true
-			if path[0] != u || path[len(path)-1] != v {
-				t.Errorf("path endpoints wrong: %s", key)
-			}
-			return true
-		})
-		if int64(n) != total {
-			t.Errorf("%s→%s enumerated %d, counted %d", pair[0], pair[1], n, total)
-		}
-	}
-}
-
-func TestEnumerateEarlyStop(t *testing.T) {
-	g, ids := diamond(t)
-	c := NewCounter(g)
-	n := 0
-	c.Enumerate(ids["a"], ids["d"], 3, func([]kg.NodeID) bool {
-		n++
-		return false
-	})
-	if n != 1 {
-		t.Errorf("early stop visited %d paths", n)
-	}
-}
-
 // Property: counts from the pruned DFS match a brute-force enumeration
 // without pruning, on random graphs.
 func TestCountMatchesBruteForce(t *testing.T) {

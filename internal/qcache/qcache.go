@@ -213,17 +213,6 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Purge drops every resident entry. Counters are retained; in-flight
-// fills are unaffected.
-func (c *Cache) Purge() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.ll.Init()
-		s.items = make(map[string]*list.Element)
-		s.mu.Unlock()
-	}
-}
-
 // Stats sums effectiveness counters across shards.
 func (c *Cache) Stats() Stats {
 	var out Stats

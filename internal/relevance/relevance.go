@@ -368,16 +368,3 @@ func (s *Scorer) CDR(c kg.NodeID, doc int32, rnd *xrand.Rand) (float64, kg.NodeI
 	}
 	return cdro * s.ContextRel(c, doc, rnd), pivot
 }
-
-// Rel computes rel(Q, d) = Σ_{c∈Q} cdr(c, d) (Eq. 1) for a document
-// known to match every concept in Q; concepts that do not match
-// contribute 0, so callers enforcing full-match semantics should check
-// Matches first.
-func (s *Scorer) Rel(q []kg.NodeID, doc int32, rnd *xrand.Rand) float64 {
-	total := 0.0
-	for _, c := range q {
-		cdr, _ := s.CDR(c, doc, rnd)
-		total += cdr
-	}
-	return total
-}

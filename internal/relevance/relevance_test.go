@@ -221,11 +221,6 @@ func TestCDRAndRel(t *testing.T) {
 	if cdr, _ := s.CDR(ids["Narrow"], 1, nil); cdr != 0 {
 		t.Errorf("unmatched cdr = %v", cdr)
 	}
-	rel := s.Rel([]kg.NodeID{ids["Narrow"], ids["Other"]}, 0, nil)
-	cdrOther, _ := s.CDR(ids["Other"], 0, nil)
-	if math.Abs(rel-(want+cdrOther)) > 1e-12 {
-		t.Errorf("rel = %v, want %v", rel, want+cdrOther)
-	}
 }
 
 func TestMaxContextTruncation(t *testing.T) {

@@ -103,14 +103,6 @@ func (e *refEstimator) Walk(r *xrand.Rand, u, v kg.NodeID) float64 {
 	return 0
 }
 
-func (e *refEstimator) EstimatePair(r *xrand.Rand, u, v kg.NodeID, n int) float64 {
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += e.Walk(r, u, v)
-	}
-	return sum / float64(n)
-}
-
 func (e *refEstimator) EstimateConcept(r *xrand.Rand, ext []kg.NodeID, v kg.NodeID, n int) float64 {
 	pool := ext
 	if dist := e.distTo(v); dist != nil {
@@ -133,7 +125,7 @@ func (e *refEstimator) EstimateConcept(r *xrand.Rand, ext []kg.NodeID, v kg.Node
 }
 
 // replay drives est and a fresh reference (guided iff est is) through
-// the same seeded mix of Walk / EstimatePair / EstimateConcept calls
+// the same seeded mix of one-source and many-source EstimateConcept calls
 // and reports the first divergence. Targets cycle A, B, A, C, B, …: the
 // estimator keeps the last target painted, so a mark that un-painting A
 // left behind would make some node look eligible (or some source look
@@ -157,11 +149,11 @@ func replay(est *Estimator, g *kg.Graph, tau int, beta float64, ids []kg.NodeID,
 		}
 		switch plan.Intn(4) {
 		case 0:
-			u := ids[plan.Intn(len(ids))]
-			got, want = est.Walk(r1, u, v), ref.Walk(r2, u, v)
+			ext := []kg.NodeID{ids[plan.Intn(len(ids))]}
+			got, want = est.EstimateConcept(r1, ext, v, 1), ref.EstimateConcept(r2, ext, v, 1)
 		case 1:
-			u := ids[plan.Intn(len(ids))]
-			got, want = est.EstimatePair(r1, u, v, 5), ref.EstimatePair(r2, u, v, 5)
+			ext := []kg.NodeID{ids[plan.Intn(len(ids))]}
+			got, want = est.EstimateConcept(r1, ext, v, 5), ref.EstimateConcept(r2, ext, v, 5)
 		case 2:
 			ext := make([]kg.NodeID, 1+plan.Intn(12))
 			for i := range ext {
@@ -188,7 +180,7 @@ func replay(est *Estimator, g *kg.Graph, tau int, beta float64, ids []kg.NodeID,
 }
 
 // TestGuidedMatchesDenseReference: for fixed seeds, the sample sequences
-// of guided Walk, EstimatePair and EstimateConcept equal the dense
+// of guided EstimateConcept calls equal the dense
 // reference bit for bit, with targets interleaved so stale paint would
 // show, across Release (which must hand back a clean scratch and leave
 // the estimator usable).

@@ -103,24 +103,6 @@ func (e *Estimator) Release() {
 	}
 }
 
-// Walk runs one walk from u toward v and returns the sample value for
-// the pair term Σ_l β^l |paths^⟨l⟩(u, v)| (i.e. without the |Ψ(c)|
-// factor). Returns 0 for dead ends and for u == v.
-func (e *Estimator) Walk(r *xrand.Rand, u, v kg.NodeID) float64 {
-	if u == v {
-		return 0
-	}
-	var dist []int16
-	if e.index != nil {
-		dist = e.distTo(v)
-		if dist[u] == reach.Unreachable {
-			return 0
-		}
-	}
-	e.eligible = e.firstHops(e.eligible[:0], dist, u, v)
-	return e.walk(r, dist, u, v, e.eligible)
-}
-
 // firstHops appends u's eligible first hops toward v to out. The
 // visited set of a first hop is {u} whatever the sample, so the list
 // depends on (u, v, τ) alone and EstimateConcept reuses it for every
@@ -131,8 +113,7 @@ func (e *Estimator) firstHops(out []kg.NodeID, dist []int16, u, v kg.NodeID) []k
 }
 
 // walk finishes a walk from u whose eligible first hops are first (u's
-// list from firstHops, possibly memoised). Later steps overwrite
-// e.eligible, so first may alias it.
+// list from firstHops, memoised per pool slot).
 func (e *Estimator) walk(r *xrand.Rand, dist []int16, u, v kg.NodeID, first []kg.NodeID) float64 {
 	e.visited = append(e.visited[:0], u)
 	eligible := first
@@ -210,19 +191,6 @@ func pow(b float64, n int) float64 {
 	return out
 }
 
-// EstimatePair estimates Σ_l β^l |paths^⟨l⟩(u, v)| as the mean of n
-// walks.
-func (e *Estimator) EstimatePair(r *xrand.Rand, u, v kg.NodeID, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += e.Walk(r, u, v)
-	}
-	return sum / float64(n)
-}
-
 // EstimateConcept estimates S(c, v) = Σ_{u∈ext} Σ_l β^l |paths^⟨l⟩(u,v)|
 // with n samples, each drawing u uniformly from the source pool and
 // scaling by the pool size (the |Ψ(c)| factor of Eq. 6).
@@ -265,7 +233,7 @@ func (e *Estimator) EstimateConcept(r *xrand.Rand, ext []kg.NodeID, v kg.NodeID,
 		slot := r.Intn(len(pool))
 		u := pool[slot]
 		if u == v {
-			continue // Walk's u == v rule: a zero sample, no draws
+			continue // a walk to itself is a zero sample, with no draws
 		}
 		sp := &e.spans[slot]
 		if sp.lo < 0 {

@@ -53,8 +53,8 @@ func TestUnbiasedness(t *testing.T) {
 			}
 			checked++
 			const samples = 60000
-			gu := guided.EstimatePair(r, u, v, samples)
-			un := unguided.EstimatePair(r, u, v, samples)
+			gu := guided.EstimateConcept(r, []kg.NodeID{u}, v, samples)
+			un := unguided.EstimateConcept(r, []kg.NodeID{u}, v, samples)
 			for name, got := range map[string]float64{"guided": gu, "unguided": un} {
 				relErr := math.Abs(got-exact) / exact
 				if relErr > 0.12 {
@@ -81,10 +81,10 @@ func TestZeroWhenUnreachable(t *testing.T) {
 	}
 	est := New(g, reach.New(g, 2), 2, 0.5)
 	r := xrand.New(1)
-	if got := est.EstimatePair(r, x, z, 500); got != 0 {
+	if got := est.EstimateConcept(r, []kg.NodeID{x}, z, 500); got != 0 {
 		t.Errorf("unreachable pair estimated %v", got)
 	}
-	if got := est.Walk(r, x, x); got != 0 {
+	if got := est.EstimateConcept(r, []kg.NodeID{x}, x, 1); got != 0 {
 		t.Errorf("self pair walked to %v", got)
 	}
 }
@@ -103,7 +103,7 @@ func TestSingleEdgeExact(t *testing.T) {
 	est := New(g, nil, 2, 0.5)
 	r := xrand.New(2)
 	for i := 0; i < 100; i++ {
-		if got := est.Walk(r, u, v); got != 0.5 {
+		if got := est.EstimateConcept(r, []kg.NodeID{u}, v, 1); got != 0.5 {
 			t.Fatalf("walk = %v, want 0.5", got)
 		}
 	}
@@ -140,7 +140,7 @@ func TestGuidanceReducesVariance(t *testing.T) {
 		const n = 20000
 		var sum, sumSq float64
 		for i := 0; i < n; i++ {
-			x := e.Walk(r, u, v)
+			x := e.EstimateConcept(r, []kg.NodeID{u}, v, 1)
 			sum += x
 			sumSq += x * x
 		}
@@ -214,7 +214,7 @@ func TestEligibleSourceSamplingUnbiasedAndFaster(t *testing.T) {
 	unguided := New(g, nil, tau, beta)
 	r := xrand.New(11)
 	// Guided: pool collapses to {u}; even 10 samples are exact here.
-	if got := guided.EstimatePair(r, u, v, 1); got == 0 {
+	if got := guided.EstimateConcept(r, []kg.NodeID{u}, v, 1); got == 0 {
 		t.Fatal("sanity: u reaches v")
 	}
 	got := guided.EstimateConcept(r, ext, v, 10)
@@ -249,49 +249,10 @@ func TestPanicsOnBadParams(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	g, ids := randomGraph(t, 5, 20, 50)
 	est := New(g, reach.New(g, 2), 2, 0.5)
-	a := est.EstimatePair(xrand.New(7), ids[0], ids[5], 200)
-	bv := est.EstimatePair(xrand.New(7), ids[0], ids[5], 200)
+	a := est.EstimateConcept(xrand.New(7), []kg.NodeID{ids[0]}, ids[5], 200)
+	bv := est.EstimateConcept(xrand.New(7), []kg.NodeID{ids[0]}, ids[5], 200)
 	if a != bv {
 		t.Fatalf("estimates differ: %v vs %v", a, bv)
-	}
-}
-
-// twoHopsFrom returns a node exactly two hops from u, so a τ = 2 walk
-// from u to it takes both hops instead of returning early.
-func twoHopsFrom(b *testing.B, ix *reach.Index, u kg.NodeID) kg.NodeID {
-	t := ix.Table(u)
-	for i, x := range t.Nodes {
-		if t.Dist[i] == 2 {
-			return x
-		}
-	}
-	b.Fatalf("node %d has nothing two hops away", u)
-	return 0
-}
-
-func BenchmarkWalkGuided(b *testing.B) {
-	g, ids := randomGraph(b, 1, 2000, 8000)
-	ix := reach.New(g, 2)
-	est := New(g, ix, 2, 0.5)
-	r := xrand.New(1)
-	u := ids[0]
-	v := twoHopsFrom(b, ix, u)
-	est.Walk(r, u, v) // warm the reach table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est.Walk(r, u, v)
-	}
-}
-
-func BenchmarkWalkUnguided(b *testing.B) {
-	g, ids := randomGraph(b, 1, 2000, 8000)
-	est := New(g, nil, 2, 0.5)
-	r := xrand.New(1)
-	u := ids[0]
-	v := twoHopsFrom(b, reach.New(g, 2), u)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est.Walk(r, u, v)
 	}
 }
 

@@ -152,8 +152,9 @@ func FuzzV2WatchlistBody(f *testing.F) {
 // /internal/remote-stats on a private tiny-world shard (shard 0 of 2).
 // Whatever the body, the handler never panics, and every answer other
 // than a 2xx is a client error carrying the /v2 error envelope with a
-// code: statistics that fail validation (a negative document count, an
-// entity outside the graph, a document frequency outside [1, docs])
+// code: statistics that fail validation (a negative document count,
+// more batches than documents, an entity outside the graph, a document
+// frequency outside [1, docs])
 // are invalid_argument, never a crash deeper in the engine. Accepted
 // statistics re-score the private shard, which only this target reads.
 func FuzzRemoteStatsBody(f *testing.F) {
@@ -170,6 +171,7 @@ func FuzzRemoteStatsBody(f *testing.F) {
 		map[string]any{"docs": 3, "batches": 1, "df": map[string]int{"0": 4}},
 		map[string]any{"docs": 3, "batches": 1, "df": map[string]any{"x": 1, "-2": 1}},
 		map[string]any{"docs": 3, "df": map[string]int{"99999999999": 1}},
+		map[string]any{"docs": cur.Docs, "batches": uint64(1<<64 - 1)},
 	)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req := httptest.NewRequest(http.MethodPost, "/internal/remote-stats", bytes.NewReader(body))
@@ -207,6 +209,7 @@ func TestRemoteStatsValidation(t *testing.T) {
 		fmt.Sprintf(`{"docs":%d,"batches":1,"df":{"0":-100000}}`, docs),
 		`{"docs":-1,"batches":1}`,
 		`{"docs":2,"batches":1,"df":{"0":3}}`,
+		fmt.Sprintf(`{"docs":%d,"batches":18446744073709551615}`, docs),
 	} {
 		rec := post(body)
 		var e v2Error

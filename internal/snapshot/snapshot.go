@@ -247,19 +247,6 @@ func (s *Snapshot) Article(doc int32) *corpus.Document {
 	return &seg.Articles[doc-seg.Base]
 }
 
-// EntityDocs calls fn with each segment's posting list for entity v,
-// in ascending global-ID order (segment lists are sorted and segments
-// are base-ordered, so the concatenation is globally sorted). No
-// allocation: callers stream the lists instead of materialising a
-// merged slice.
-func (s *Snapshot) EntityDocs(v kg.NodeID, fn func(docs []int32)) {
-	for _, seg := range s.Segments {
-		if docs := seg.EntDocs[v]; len(docs) > 0 {
-			fn(docs)
-		}
-	}
-}
-
 // BuildSegment assembles an immutable segment from per-document raw
 // indexing products, deriving the postings, block-max tables and time
 // bounds from the records. docs and articles must be aligned; article

@@ -83,10 +83,7 @@ func TestSnapshotPartitionEquivalence(t *testing.T) {
 		}
 	}
 	for v := kg.NodeID(0); v < 16; v++ {
-		var a, b []int32
-		one.EntityDocs(v, func(l []int32) { a = append(a, l...) })
-		split.EntityDocs(v, func(l []int32) { b = append(b, l...) })
-		if !reflect.DeepEqual(a, b) {
+		if a, b := entityDocs(one, v), entityDocs(split, v); !reflect.DeepEqual(a, b) {
 			t.Fatalf("entity %d postings differ: %v vs %v", v, a, b)
 		}
 	}
@@ -142,13 +139,20 @@ func TestMergePreservesEverything(t *testing.T) {
 		if before.EntityDF(v) != after.EntityDF(v) {
 			t.Fatalf("EntityDF(%d) changed across merge", v)
 		}
-		var a, b []int32
-		before.EntityDocs(v, func(l []int32) { a = append(a, l...) })
-		after.EntityDocs(v, func(l []int32) { b = append(b, l...) })
-		if !reflect.DeepEqual(a, b) {
+		if a, b := entityDocs(before, v), entityDocs(after, v); !reflect.DeepEqual(a, b) {
 			t.Fatalf("entity %d postings changed across merge", v)
 		}
 	}
+}
+
+// entityDocs concatenates every segment's posting list for v, in
+// global-ID order.
+func entityDocs(s *Snapshot, v kg.NodeID) []int32 {
+	var out []int32
+	for _, seg := range s.Segments {
+		out = append(out, seg.EntDocs[v]...)
+	}
+	return out
 }
 
 func TestNonContiguousSegmentsPanic(t *testing.T) {

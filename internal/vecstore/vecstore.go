@@ -2,15 +2,8 @@
 // for Qdrant in the paper's setup (the BERT and NewsLink-BERT baselines
 // retrieve documents by embedding similarity).
 //
-// Two retrieval paths are provided:
-//
-//   - Store.Search: exact cosine top-k by linear scan — the ground
-//     truth, and fast enough at corpus scale;
-//   - IVF: an inverted-file index (k-means coarse quantiser, nprobe
-//     cells searched) mirroring how production vector engines trade a
-//     little recall for speed. The paper's Fig. 5 discussion ("recent
-//     development on vector databases … Lucene compatible speed") is
-//     reproduced by benchmarking both paths.
+// Store.Search is exact cosine top-k by linear scan, fast enough at
+// corpus scale.
 package vecstore
 
 import (
@@ -18,7 +11,6 @@ import (
 
 	"ncexplorer/internal/embed"
 	"ncexplorer/internal/topk"
-	"ncexplorer/internal/xrand"
 )
 
 // Hit is one vector search result.
@@ -79,101 +71,4 @@ func toHits(coll *topk.Collector[int32]) []Hit {
 		out[i] = Hit{ID: it.Value, Score: it.Score}
 	}
 	return out
-}
-
-// IVF is an inverted-file approximate index over a Store snapshot.
-type IVF struct {
-	store     *Store
-	centroids [][]float32
-	lists     [][]int // indexes into store arrays
-}
-
-// BuildIVF clusters the store's vectors into nlist cells with k-means
-// (iters rounds, deterministic given seed) and assigns each vector to
-// its nearest centroid. The store must not grow afterwards.
-func BuildIVF(s *Store, nlist, iters int, seed uint64) *IVF {
-	if nlist <= 0 {
-		panic("vecstore: non-positive nlist")
-	}
-	if nlist > s.Len() {
-		nlist = s.Len()
-	}
-	r := xrand.New(seed)
-	// k-means++ style seeding is unnecessary here; random distinct
-	// starting points are fine for retrieval-quality clustering.
-	perm := r.Perm(s.Len())
-	centroids := make([][]float32, nlist)
-	for i := 0; i < nlist; i++ {
-		centroids[i] = append([]float32(nil), s.vecs[perm[i]]...)
-	}
-	assign := make([]int, s.Len())
-	for it := 0; it < iters; it++ {
-		for i, v := range s.vecs {
-			assign[i] = nearestCentroid(centroids, v)
-		}
-		sums := make([][]float64, nlist)
-		counts := make([]int, nlist)
-		for i := range sums {
-			sums[i] = make([]float64, s.dim)
-		}
-		for i, v := range s.vecs {
-			c := assign[i]
-			counts[c]++
-			for d, x := range v {
-				sums[c][d] += float64(x)
-			}
-		}
-		for c := range centroids {
-			if counts[c] == 0 {
-				// Re-seed an empty cell with a random vector to keep
-				// all cells useful.
-				centroids[c] = append([]float32(nil), s.vecs[r.Intn(s.Len())]...)
-				continue
-			}
-			for d := range centroids[c] {
-				centroids[c][d] = float32(sums[c][d] / float64(counts[c]))
-			}
-		}
-	}
-	ivf := &IVF{store: s, centroids: centroids, lists: make([][]int, nlist)}
-	for i, v := range s.vecs {
-		c := nearestCentroid(centroids, v)
-		ivf.lists[c] = append(ivf.lists[c], i)
-	}
-	return ivf
-}
-
-func nearestCentroid(centroids [][]float32, v []float32) int {
-	best, bestSim := 0, -2.0
-	for c, cent := range centroids {
-		if sim := embed.Cosine(cent, v); sim > bestSim {
-			best, bestSim = c, sim
-		}
-	}
-	return best
-}
-
-// NumCells returns the number of IVF cells.
-func (ivf *IVF) NumCells() int { return len(ivf.centroids) }
-
-// Search scans the nprobe cells whose centroids are closest to the
-// query and returns the top-k among their members.
-func (ivf *IVF) Search(q []float32, k, nprobe int) []Hit {
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > len(ivf.centroids) {
-		nprobe = len(ivf.centroids)
-	}
-	cells := topk.New[int](nprobe)
-	for c, cent := range ivf.centroids {
-		cells.Push(c, embed.Cosine(cent, q))
-	}
-	coll := topk.New[int32](k)
-	for _, cell := range cells.Values() {
-		for _, i := range ivf.lists[cell] {
-			coll.Push(ivf.store.ids[i], embed.Cosine(q, ivf.store.vecs[i]))
-		}
-	}
-	return toHits(coll)
 }

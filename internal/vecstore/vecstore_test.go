@@ -81,92 +81,6 @@ func TestAddDimensionValidation(t *testing.T) {
 	}
 }
 
-func TestIVFRecall(t *testing.T) {
-	s, _ := clusteredData(32, 8, 50, 3)
-	ivf := BuildIVF(s, 8, 5, 42)
-	if ivf.NumCells() != 8 {
-		t.Fatalf("cells = %d", ivf.NumCells())
-	}
-	r := xrand.New(9)
-	const k = 10
-	overlap, total := 0, 0
-	for trial := 0; trial < 20; trial++ {
-		q := append([]float32(nil), s.vecs[r.Intn(s.Len())]...)
-		exact := s.Search(q, k)
-		approx := ivf.Search(q, k, 3)
-		set := map[int32]struct{}{}
-		for _, h := range exact {
-			set[h.ID] = struct{}{}
-		}
-		for _, h := range approx {
-			if _, ok := set[h.ID]; ok {
-				overlap++
-			}
-		}
-		total += k
-	}
-	recall := float64(overlap) / float64(total)
-	if recall < 0.85 {
-		t.Fatalf("IVF recall@%d = %.2f, want ≥0.85 on clustered data", k, recall)
-	}
-}
-
-func TestIVFNprobeMonotone(t *testing.T) {
-	// More probes ⇒ recall can only improve (same or better).
-	s, _ := clusteredData(16, 6, 40, 4)
-	ivf := BuildIVF(s, 6, 4, 7)
-	q := append([]float32(nil), s.vecs[11]...)
-	exact := s.Search(q, 5)
-	set := map[int32]struct{}{}
-	for _, h := range exact {
-		set[h.ID] = struct{}{}
-	}
-	prev := -1
-	for nprobe := 1; nprobe <= 6; nprobe++ {
-		got := 0
-		for _, h := range ivf.Search(q, 5, nprobe) {
-			if _, ok := set[h.ID]; ok {
-				got++
-			}
-		}
-		if got < prev {
-			t.Fatalf("recall decreased from %d to %d at nprobe=%d", prev, got, nprobe)
-		}
-		prev = got
-	}
-	if prev != 5 {
-		t.Fatalf("full probe should reach exact results, got %d/5", prev)
-	}
-}
-
-func TestIVFDeterminism(t *testing.T) {
-	s, _ := clusteredData(16, 4, 30, 5)
-	a := BuildIVF(s, 4, 3, 11)
-	b := BuildIVF(s, 4, 3, 11)
-	q := append([]float32(nil), s.vecs[3]...)
-	ha, hb := a.Search(q, 5, 2), b.Search(q, 5, 2)
-	for i := range ha {
-		if ha[i] != hb[i] {
-			t.Fatal("IVF not deterministic")
-		}
-	}
-}
-
-func TestIVFSmallStore(t *testing.T) {
-	s := New(4)
-	for i := int32(0); i < 3; i++ {
-		_ = s.Add(i, []float32{float32(i), 1, 0, 0})
-	}
-	ivf := BuildIVF(s, 10, 2, 1) // nlist > len collapses to len
-	if ivf.NumCells() != 3 {
-		t.Fatalf("cells = %d", ivf.NumCells())
-	}
-	hits := ivf.Search([]float32{2, 1, 0, 0}, 2, 10)
-	if len(hits) != 2 {
-		t.Fatalf("hits = %+v", hits)
-	}
-}
-
 func TestEndToEndWithEmbedder(t *testing.T) {
 	e := embed.New(64)
 	s := New(64)
@@ -196,16 +110,6 @@ func BenchmarkExactSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Search(q, 10)
-	}
-}
-
-func BenchmarkIVFSearch(b *testing.B) {
-	s, _ := clusteredData(256, 10, 200, 1)
-	ivf := BuildIVF(s, 16, 5, 2)
-	q := append([]float32(nil), s.vecs[42]...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ivf.Search(q, 10, 4)
 	}
 }
 

@@ -60,9 +60,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("defs/seqs mismatch:\n%v %v\n%v %v", defs1, seqs1, defs2, seqs2)
 	}
 	for _, d := range defs1 {
-		a1, e1, _ := r.Replay(d.ID, 0)
-		a2, e2, _ := r2.Replay(d.ID, 0)
-		if e1 != e2 || !reflect.DeepEqual(a1, a2) {
+		if !reflect.DeepEqual(ring(r, d.ID), ring(r2, d.ID)) {
 			t.Fatalf("ring mismatch for %s", d.ID)
 		}
 		r.mu.Lock()

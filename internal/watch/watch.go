@@ -316,26 +316,6 @@ func (r *Registry) Publish(id string, gen uint64, arts []Article) {
 	}
 }
 
-// Replay returns a copy of the retained alerts with Seq > after, in
-// order, plus the earliest sequence still retained (0 when the ring is
-// empty). A client whose cursor predates the retention window can see
-// the gap: earliest > after+1.
-func (r *Registry) Replay(id string, after uint64) ([]Alert, uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	l, ok := r.lists[id]
-	if !ok {
-		return nil, 0, ErrUnknown
-	}
-	var earliest uint64
-	if len(l.ring) > 0 {
-		earliest = l.ring[0].Seq
-	}
-	i := sort.Search(len(l.ring), func(j int) bool { return l.ring[j].Seq > after })
-	out := append([]Alert(nil), l.ring[i:]...)
-	return out, earliest, nil
-}
-
 // Subscription is one live SSE subscription. Read alerts from C until
 // it closes (registry shutdown, watchlist removal, or the subscriber
 // lagging past its buffer); call Cancel exactly once when done.

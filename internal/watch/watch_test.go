@@ -88,6 +88,13 @@ func TestGetListRemove(t *testing.T) {
 	}
 }
 
+// ring copies the alerts a watchlist retains, in sequence order.
+func ring(r *Registry, id string) []Alert {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]Alert(nil), r.lists[id].ring...)
+}
+
 func TestPublishSequencesAndReplay(t *testing.T) {
 	r := NewRegistry(Options{AlertBuffer: 8})
 	d, _ := r.Register(Definition{})
@@ -95,12 +102,9 @@ func TestPublishSequencesAndReplay(t *testing.T) {
 	r.Publish(d.ID, 4, []Article{art(2, "t2")})
 	r.Publish("w0ghost", 4, []Article{art(9, "gone")}) // removed list: no-op
 
-	alerts, earliest, err := r.Replay(d.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if earliest != 1 || len(alerts) != 3 {
-		t.Fatalf("earliest=%d len=%d", earliest, len(alerts))
+	alerts := ring(r, d.ID)
+	if len(alerts) != 3 {
+		t.Fatalf("len=%d", len(alerts))
 	}
 	for i, a := range alerts {
 		if a.Seq != uint64(i+1) || a.Watchlist != d.ID {
@@ -110,12 +114,16 @@ func TestPublishSequencesAndReplay(t *testing.T) {
 	if alerts[2].Generation != 4 || alerts[2].Article.Title != "t2" {
 		t.Fatalf("last alert = %+v", alerts[2])
 	}
-	mid, _, _ := r.Replay(d.ID, 2)
-	if len(mid) != 1 || mid[0].Seq != 3 {
-		t.Fatalf("Replay(after=2) = %+v", mid)
+	sub, err := r.Subscribe(d.ID, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := r.Replay("w0ghost", 0); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("replay unknown: %v", err)
+	if mid := <-sub.C; mid.Seq != 3 || len(sub.C) != 0 {
+		t.Fatalf("catch-up after 2 = %+v, %d more", mid, len(sub.C))
+	}
+	sub.Cancel()
+	if _, err := r.Subscribe("w0ghost", 0); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("subscribe unknown: %v", err)
 	}
 	if c := r.Counters(); c.AlertsFired != 3 {
 		t.Fatalf("fired = %d", c.AlertsFired)
@@ -130,9 +138,8 @@ func TestRingEviction(t *testing.T) {
 		arts = append(arts, art(i, fmt.Sprintf("t%d", i)))
 	}
 	r.Publish(d.ID, 1, arts)
-	alerts, earliest, _ := r.Replay(d.ID, 0)
-	if earliest != 3 || len(alerts) != 3 || alerts[0].Seq != 3 {
-		t.Fatalf("after eviction: earliest=%d alerts=%+v", earliest, alerts)
+	if alerts := ring(r, d.ID); len(alerts) != 3 || alerts[0].Seq != 3 {
+		t.Fatalf("after eviction: alerts=%+v", alerts)
 	}
 	c := r.Counters()
 	if c.AlertsDropped != 2 {
@@ -274,8 +281,7 @@ func TestWebhookRetryAndFailure(t *testing.T) {
 	if _, seq, _ := r.Get(d.ID); seq != 1 {
 		t.Fatalf("latest seq = %d", seq)
 	}
-	alerts, _, _ := r.Replay(d.ID, 0)
-	if len(alerts) != 1 {
+	if alerts := ring(r, d.ID); len(alerts) != 1 {
 		t.Fatalf("alert vanished: %v", alerts)
 	}
 }

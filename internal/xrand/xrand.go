@@ -163,53 +163,6 @@ func (r *Rand) Exp(lambda float64) float64 {
 	return -math.Log(1-r.Float64()) / lambda
 }
 
-// Poisson returns a Poisson deviate with the given mean (Knuth's method;
-// fine for the small means used in data generation).
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 10000 { // safety valve for absurd means
-			return k
-		}
-	}
-}
-
-// WeightedChoice returns an index in [0, len(weights)) chosen with
-// probability proportional to weights[i]. Non-positive weights are
-// treated as zero. It panics if the total weight is not positive.
-func (r *Rand) WeightedChoice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		panic("xrand: WeightedChoice with non-positive total weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // Zipf samples from a Zipf distribution over [0, n) with exponent s > 1
 // is not required; s may be any value > 0. Implemented with a cached CDF
 // so it is O(log n) per sample after O(n) setup.

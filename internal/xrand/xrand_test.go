@@ -130,23 +130,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestWeightedChoice(t *testing.T) {
-	r := New(5)
-	w := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const trials = 40000
-	for i := 0; i < trials; i++ {
-		counts[r.WeightedChoice(w)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight bucket chosen %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Errorf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	r := New(6)
 	z := NewZipf(r, 1.1, 1000)
@@ -171,20 +154,6 @@ func TestZipfRange(t *testing.T) {
 		if v < 0 || v >= 50 {
 			t.Fatalf("zipf out of range: %d", v)
 		}
-	}
-}
-
-func TestPoisson(t *testing.T) {
-	r := New(8)
-	const mean = 3.0
-	sum := 0
-	const trials = 50000
-	for i := 0; i < trials; i++ {
-		sum += r.Poisson(mean)
-	}
-	got := float64(sum) / trials
-	if math.Abs(got-mean) > 0.1 {
-		t.Errorf("poisson mean = %v, want ~%v", got, mean)
 	}
 }
 

@@ -186,17 +186,6 @@ func (x *Explorer) WatchSubscribe(id string, after uint64) (*WatchSubscription, 
 	return sub, nil
 }
 
-// WatchReplay returns the retained alerts with Seq > after, plus the
-// earliest sequence still retained (0 when none): earliest > after+1
-// means the client's cursor predates the retention window.
-func (x *Explorer) WatchReplay(id string, after uint64) ([]Alert, uint64, error) {
-	alerts, earliest, err := x.watch.Replay(id, after)
-	if err != nil {
-		return nil, 0, newErrorf(CodeNotFound, "ncexplorer: unknown watchlist %q", id)
-	}
-	return alerts, earliest, nil
-}
-
 // StartWebhooks launches the webhook delivery worker. Call once after
 // construction (the server does, when watchlists are enabled); idle
 // without webhook-enabled watchlists. timeout bounds each POST
