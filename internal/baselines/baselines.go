@@ -73,7 +73,7 @@ func (l *Lucene) Index(c *corpus.Corpus) error {
 
 // Search implements Searcher.
 func (l *Lucene) Search(q Query, k int) []Result {
-	return toResults(l.ix.search(nlp.Terms(q.Text), k))
+	return l.ix.search(nlp.Terms(q.Text), k)
 }
 
 // Score returns the raw BM25 score of one document for a query text
@@ -83,19 +83,11 @@ func (l *Lucene) Score(text string, doc corpus.DocID) float64 {
 	terms := nlp.Terms(text)
 	hits := l.ix.search(terms, l.ix.numDocs())
 	for _, h := range hits {
-		if corpus.DocID(h.doc) == doc {
-			return h.score
+		if h.Doc == doc {
+			return h.Score
 		}
 	}
 	return 0
-}
-
-func toResults(hits []bm25Hit) []Result {
-	out := make([]Result, len(hits))
-	for i, h := range hits {
-		out[i] = Result{Doc: corpus.DocID(h.doc), Score: h.score}
-	}
-	return out
 }
 
 // ── BERT ────────────────────────────────────────────────────────────
@@ -292,7 +284,7 @@ func (n *NewsLink) Search(q Query, k int) []Result {
 	for _, v := range nodes {
 		tf[nodeTerm(v)]++
 	}
-	return toResults(n.ix.search(tf, k))
+	return n.ix.search(tf, k)
 }
 
 // ── NewsLink-BERT ───────────────────────────────────────────────────

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/topk"
 )
 
@@ -18,12 +19,6 @@ const (
 type posting struct {
 	doc int32
 	tf  int32
-}
-
-// bm25Hit is one BM25 search result.
-type bm25Hit struct {
-	doc   int32
-	score float64
 }
 
 // bm25Index is the in-memory inverted index behind the Lucene baseline
@@ -74,7 +69,7 @@ func (ix *bm25Index) idf(term string) float64 {
 // search returns the top-k documents for a bag-of-words query. Each
 // document's score sums its terms in sorted term order, so results do
 // not depend on map or posting order.
-func (ix *bm25Index) search(query map[string]int, k int) []bm25Hit {
+func (ix *bm25Index) search(query map[string]int, k int) []Result {
 	n := ix.numDocs()
 	if k <= 0 || n == 0 {
 		return nil
@@ -108,9 +103,9 @@ func (ix *bm25Index) search(query map[string]int, k int) []bm25Hit {
 		coll.Push(doc, scores[doc])
 	}
 	items := coll.Sorted()
-	out := make([]bm25Hit, len(items))
+	out := make([]Result, len(items))
 	for i, it := range items {
-		out[i] = bm25Hit{doc: it.Value, score: it.Score}
+		out[i] = Result{Doc: corpus.DocID(it.Value), Score: it.Score}
 	}
 	return out
 }

@@ -28,10 +28,10 @@ func TestBasicRetrieval(t *testing.T) {
 	if len(hits) != 2 {
 		t.Fatalf("hits = %+v", hits)
 	}
-	if hits[0].doc == 1 || hits[1].doc == 1 {
+	if hits[0].Doc == 1 || hits[1].Doc == 1 {
 		t.Fatalf("irrelevant doc retrieved: %+v", hits)
 	}
-	if hits[0].score < hits[1].score {
+	if hits[0].Score < hits[1].Score {
 		t.Fatal("results not sorted by score")
 	}
 }
@@ -51,7 +51,7 @@ func TestIDFAndRareTermsWin(t *testing.T) {
 			ix.idf("tariff"), ix.idf("market"))
 	}
 	hits := ix.search(nlp.Terms("tariff market"), 4)
-	if hits[0].doc != 0 {
+	if hits[0].Doc != 0 {
 		t.Fatalf("doc 0 should rank first: %+v", hits)
 	}
 }
@@ -62,7 +62,7 @@ func TestDocLengthNormalization(t *testing.T) {
 	short := "merger deal"
 	ix := buildBM25(t, []string{long, short})
 	hits := ix.search(nlp.Terms("merger"), 2)
-	if hits[0].doc != 1 {
+	if hits[0].Doc != 1 {
 		t.Fatalf("short doc should win: %+v", hits)
 	}
 }
@@ -163,10 +163,10 @@ func TestBM25Invariants(t *testing.T) {
 		q := map[string]int{words[r.Intn(len(words))]: 1, words[r.Intn(len(words))]: 1}
 		hits := ix.search(q, 10)
 		for i, h := range hits {
-			if h.score < 0 {
+			if h.Score < 0 {
 				return false
 			}
-			if i > 0 && hits[i-1].score < h.score {
+			if i > 0 && hits[i-1].Score < h.Score {
 				return false
 			}
 		}
