@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -365,5 +367,31 @@ func BenchmarkDrillDown(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.DrillDown(q, 10)
+	}
+}
+
+// BenchmarkDrillDownBroad times the drill-down the diversity union
+// costs most: the default world's broadest concept, K = 10, at offsets
+// 0 and 40 (the same shortlist, ranked from the same unions).
+func BenchmarkDrillDownBroad(b *testing.B) {
+	g, meta := kggen.MustGenerate(kggen.Default())
+	e := NewEngine(g, Options{Seed: 11, Samples: 20})
+	e.IndexCorpus(corpus.MustGenerate(g, meta, corpus.Default()))
+	q := Query{broadestConcepts(e, 1)[0]}
+	ctx := context.Background()
+	for _, offset := range []int{0, 40} {
+		b.Run(fmt.Sprintf("offset=%d", offset), func(b *testing.B) {
+			opts := DrillDownOptions{K: 10, Offset: offset}
+			if _, err := e.DrillDownPage(ctx, q, opts); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.DrillDownPage(ctx, q, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

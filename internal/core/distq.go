@@ -21,9 +21,9 @@ package core
 // distinct matched entities per shortlisted concept, a set union that
 // cannot be derived from per-shard cardinalities, so the router fetches
 // per-shard entity sets (DiversityPartials) for just the shortlist and
-// dedupes across shards. A shard builds those sets over the same
-// per-concept document chain DrillDownPage unions over
-// (chainCandidates: D(Q ∪ {c}), the documents where c is a kept
+// dedupes across shards. A shard builds those sets with the same
+// candidate and union passes DrillDownPage counts with (candidates,
+// unions: over D(Q ∪ {c}), the documents where c is a kept
 // candidate). From the replayed accumulators on, the merge is
 // DrillDownPage's own code — the same shortlist and the same ranking
 // (queryScratch.rank), fed the deduplicated union counts — so the
@@ -36,8 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"slices"
 	"sync"
 
 	"ncexplorer/internal/kg"
@@ -115,49 +113,50 @@ type DiversityPartial struct {
 
 // DiversityPartials computes this shard's diversity sets for query q
 // and the given shortlist concepts — phase two of a distributed
-// drill-down. Each set is directUnion over the same candidate chain
-// DrillDownPage builds (chainCandidates: the documents where the
-// concept is a kept candidate, inside tr when it is non-nil), so the
-// union across shards — deduplicated by the merger, since sets from
-// different shards may overlap — has exactly the cardinality the
-// monolithic engine's union has.
+// drill-down. It runs DrillDownPage's own candidate and union passes
+// (candidates, unions: the documents where the concept is a kept
+// candidate, inside tr when it is non-nil) and emits each concept's
+// union row in ascending entity order, so the union across shards —
+// deduplicated by the merger, since sets from different shards may
+// overlap — has exactly the cardinality the monolithic engine's union
+// has.
 func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.NodeID, tr *TimeRange) (DiversityPartial, error) {
 	st := e.state()
 	out := DiversityPartial{Generation: st.snap.Generation, Sets: make([][]kg.NodeID, len(concepts))}
 	if len(concepts) == 0 {
 		return out, nil
 	}
+	failed := DiversityPartial{Generation: st.snap.Generation}
 	docs, err := st.drillDownDocs(ctx, q, tr)
 	if err != nil {
-		return DiversityPartial{Generation: st.snap.Generation}, err
+		return failed, err
 	}
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	_, mark := sc.chainCandidates(st, q, docs, tr)
-	ds := e.divPool.Get().(*divScratch)
-	defer e.divPool.Put(ds)
-	// All sets share one column; ends[i] closes set i.
-	var all []kg.NodeID
-	ends := make([]int, len(concepts))
-	for i, c := range concepts {
-		if err := ctx.Err(); err != nil {
-			return DiversityPartial{Generation: st.snap.Generation}, err
-		}
-		start := len(all)
-		// A concept no local document has as a candidate has an empty
-		// set (and an ID outside the graph, from a confused caller, too).
-		if c >= 0 && int(c) < len(sc.stamp) && sc.stamp[c] == mark {
-			e.directUnion(st, sc, c, ds, &all)
-			slices.Sort(all[start:])
-		}
-		ends[i] = len(all)
+	if _, err := sc.candidates(ctx, st, q, docs, tr); err != nil {
+		return failed, err
 	}
-	start := 0
-	for i, end := range ends {
-		if end > start {
-			out.Sets[i] = all[start:end:end]
+	if err := sc.unions(ctx, e.g, concepts); err != nil {
+		return failed, err
+	}
+	// All sets share one column, sized up front from the union counts.
+	// A concept no local document has as a candidate has no union row
+	// and an empty set.
+	size := 0
+	for _, c := range concepts {
+		if j := sc.row(c); j >= 0 {
+			size += int(sc.union[j])
 		}
-		start = end
+	}
+	all := make([]kg.NodeID, 0, size)
+	for i, c := range concepts {
+		start := len(all)
+		if j := sc.row(c); j >= 0 {
+			all = sc.appendMembers(all, e.g.Extent(c), j)
+		}
+		if len(all) > start {
+			out.Sets[i] = all[start:len(all):len(all)]
+		}
 	}
 	return out, nil
 }
@@ -202,8 +201,7 @@ func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial
 
 	// Replay the accumulation: documents ascending, concepts in stored
 	// per-document order — the exact float addition sequence
-	// DrillDownPage executes over the monolithic snapshot. Rows carry no
-	// entity probe totals, so the pruning bound keeps |Ψ(c)| alone.
+	// DrillDownPage executes over the monolithic snapshot.
 	covMark, _ := sc.marks()
 	touched := sc.touched[:0]
 	cursors := sc.cursors[:0]
@@ -230,7 +228,7 @@ func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial
 			}
 			if sc.stamp[c] != covMark {
 				sc.stamp[c] = covMark
-				sc.cov[c], sc.cnt[c], sc.pr[c] = 0, 0, math.MaxInt32
+				sc.cov[c], sc.cnt[c] = 0, 0
 				touched = append(touched, c)
 			}
 			sc.cov[c] += row.CDRs[j]
@@ -263,22 +261,24 @@ func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial
 			}
 		}
 	}
-	// The ranking reuses sc's stamp as the cross-shard deduplicator; it
-	// reads the accumulators only for shortlisted concepts, whose values
-	// no stamp decides any more. Ranking at most max(128, K) entries is
-	// not worth cancelling, so it runs under a background context.
-	err = sc.rank(context.Background(), nil, g, opts, func(i int, ds *divScratch) int {
-		seen, _ := ds.marks()
-		union := 0
+	// Count each shortlisted concept's union across the shards' sets on
+	// sc's stamp. The stamp no longer decides the accumulators: rank
+	// reads them only for shortlisted concepts.
+	union := sc.union[:0]
+	for i := range short {
+		seen, _ := sc.marks()
+		n := int32(0)
 		for _, d := range divs {
 			for _, v := range d.Sets[i] {
-				if ds.stamp[v] != seen {
-					ds.stamp[v] = seen
-					union++
+				if sc.stamp[v] != seen {
+					sc.stamp[v] = seen
+					n++
 				}
 			}
 		}
-		return union
-	}, &page)
-	return page, err
+		union = append(union, n)
+	}
+	sc.union = union
+	sc.rank(g, opts, &page)
+	return page, nil
 }

@@ -232,10 +232,9 @@ func TestMergeGenerationSkew(t *testing.T) {
 // equivalence at the scale where the MaxConceptsPerDoc cap drops
 // candidates (the tiny world never does): two shards against one
 // monolithic engine, every topic's concept and group concept alone,
-// k ∈ {5, 10, 64}, with and without a time window. k = 64 is the
-// monolith's parallel seeding branch. Diversity over D(Q) instead of
-// D(Q ∪ {c}) on the shard side made 3 of the 48 k ∈ {5, 10} pages
-// differ (2 of the 24 without a window).
+// k ∈ {5, 10, 64}, with and without a time window. Diversity over
+// D(Q) instead of D(Q ∪ {c}) on the shard side made 3 of the 48
+// k ∈ {5, 10} pages differ (2 of the 24 without a window).
 func TestDistributedDrillDownDefaultScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale world")

@@ -65,9 +65,7 @@ type Options struct {
 	// AncestorLevels adds this many `broader` levels above each
 	// entity's direct concepts to the candidate set. 0 ⇒ 1.
 	AncestorLevels int
-	// Workers bounds indexing parallelism and the engine-wide budget
-	// of extra helper goroutines for intra-query fan-out (drill-down's
-	// diversity loop). 0 ⇒ GOMAXPROCS.
+	// Workers bounds indexing parallelism. 0 ⇒ GOMAXPROCS.
 	Workers int
 	// MaxSegments is the segment count above which ingested segments
 	// are merged in the background. 0 ⇒ 4.
@@ -190,12 +188,10 @@ type Engine struct {
 	// the walk branching bound behind the planner's cdrc ceilings.
 	maxInstDeg int
 
-	// scratch pools the per-query planner scratch (collectors, dense
-	// stamp arrays) and divScratch the per-worker drill-down diversity
-	// scratch; both are engine-wide because their sizes depend only on
-	// the immutable graph.
+	// scratch pools the per-query scratch (collectors, dense stamp
+	// arrays); it is engine-wide because its size depends only on the
+	// immutable graph.
 	scratch sync.Pool
-	divPool sync.Pool
 
 	// st is the current generation's query state. Query entry points
 	// load it exactly once and thread it through, so a query runs
@@ -208,13 +204,6 @@ type Engine struct {
 	// extents memoises concept extent closures (pure graph data),
 	// shared by every snapshot and every scorer.
 	extents *relevance.ExtentCache
-
-	// querySem admits extra helper goroutines for intra-query fan-out
-	// (queryParallelCtx). Capacity opts.Workers, engine-wide: C concurrent
-	// queries run on at most C caller goroutines + Workers helpers, not
-	// C × Workers, so request-level and intra-query parallelism compose
-	// without oversubscribing the scheduler.
-	querySem chan struct{}
 
 	// Single-writer side: ingestMu serialises all snapshot producers;
 	// mergeWG tracks the background merge goroutine; merging
@@ -301,6 +290,13 @@ type genState struct {
 	// drill-down hot loops never pay segment resolution per lookup.
 	ents [][]kg.NodeID
 
+	// pos holds each document's direct-extent positions (docPositions)
+	// in chunks of posChunkLen documents by global doc ID. Slots fill on
+	// a document's first drill-down; the lists are pure graph data over
+	// the document's entities, so every later generation shares the
+	// chunks (newStateShell).
+	pos []*posChunk
+
 	// plans are the generation's pruned-query plans, indexed by
 	// concept node ID: sorted matching documents (the former match
 	// memo, now precomputed), their cdr scores and explanation
@@ -360,7 +356,6 @@ func NewEngine(g *kg.Graph, opts Options) *Engine {
 		extents:    relevance.NewExtentCache(g, 0),
 	}
 	e.scratch.New = func() any { return newQueryScratch(g.NumNodes()) }
-	e.divPool.New = func() any { return &divScratch{stamp: make([]uint32, g.NumNodes())} }
 	e.candPool.New = func() any { return &candScratch{stamp: make([]uint32, g.NumNodes())} }
 	e.planPool.New = func() any { return &planScratch{} }
 	e.gc.cond = sync.NewCond(&e.gc.mu)
@@ -368,7 +363,6 @@ func NewEngine(g *kg.Graph, opts Options) *Engine {
 	if !opts.Exact {
 		e.reachIx = reach.New(g, opts.Tau)
 	}
-	e.querySem = make(chan struct{}, opts.Workers)
 	return e
 }
 
@@ -604,17 +598,25 @@ func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState
 }
 
 // newStateShell allocates a genState over snap without plans. prev,
-// when non-nil, donates its per-document entity table: the rows are
-// generation-independent (a document's entity list never changes once
-// ingested), so a rebuild over the same document range shares the
-// table outright and a growing range copies the prefix and resolves
-// only the new segments.
+// when non-nil, donates its per-document entity table and position
+// chunks: both are generation-independent (a document's entity list
+// never changes once ingested), so a rebuild over the same document
+// range shares the table outright and a growing range copies the
+// prefix and resolves only the new segments; the position chunks are
+// shared by pointer and only chunks past prev's get allocated.
 func (e *Engine) newStateShell(snap *snapshot.Snapshot, prev *genState) *genState {
 	st := &genState{e: e, snap: snap}
 	bound := snap.DocBound()
 	prevBound := 0
 	if prev != nil {
 		prevBound = len(prev.ents)
+	}
+	chunks := (bound + posChunkLen - 1) / posChunkLen
+	if prev != nil && prevBound <= bound {
+		st.pos = append(make([]*posChunk, 0, chunks), prev.pos...)
+	}
+	for len(st.pos) < chunks {
+		st.pos = append(st.pos, new(posChunk))
 	}
 	switch {
 	case prev != nil && prevBound == bound:
@@ -639,21 +641,18 @@ func (e *Engine) newStateShell(snap *snapshot.Snapshot, prev *genState) *genStat
 }
 
 // planRef locates one matching candidate of a document: the concept
-// and the document's row index in that concept's plan. Matching is
-// doc-local and plan doc arrays are append-only along reuse chains,
-// so a document's refs are computed once and reused every generation.
+// and the document's row index in that concept's plan at one
+// generation.
 type planRef struct {
 	c   kg.NodeID
 	idx int32
 }
 
-// noPlanRefs marks "computed, no matching candidates" in the cache
-// (distinguishable from a nil never-computed row).
-var noPlanRefs = []planRef{}
-
-// buildCandRefs resolves a document's candidate list against the
-// current plans once. A candidate matches the document exactly when
-// it appears in the concept's plan.
+// buildCandRefs resolves a document's candidate list against this
+// generation's plans; every derivation of the document's scores
+// (deriveDocScores) resolves afresh. A candidate matches the document
+// exactly when it appears in the concept's plan. A document with no
+// matching candidate has no refs (nil).
 func (st *genState) buildCandRefs(doc int32) []planRef {
 	rec := st.snap.Doc(doc)
 	var refs []planRef
@@ -661,9 +660,6 @@ func (st *genState) buildCandRefs(doc int32) []planRef {
 		if idx := st.plan(c).planIdx(doc); idx >= 0 {
 			refs = append(refs, planRef{c: c, idx: int32(idx)})
 		}
-	}
-	if refs == nil {
-		return noPlanRefs
 	}
 	return refs
 }
@@ -688,6 +684,55 @@ func (st *genState) docConcepts(d int32) []ConceptScore {
 	}
 	var selBuf []candSel
 	out := st.deriveDocScores(st.buildCandRefs(d), &selBuf)
+	slot.Store(&out)
+	return out
+}
+
+// posChunkLen is how many documents one position chunk covers.
+const posChunkLen = 1024
+
+// posChunk holds the lazily filled position lists of posChunkLen
+// consecutive global doc IDs (see docPositions).
+type posChunk [posChunkLen]atomic.Pointer[[]extentPos]
+
+// extentPos names an entity by its position in a concept's direct
+// extent: g.Extent(c)[pos]. Extents are sorted, so ascending positions
+// are ascending entity IDs.
+type extentPos struct {
+	c   kg.NodeID
+	pos int32
+}
+
+// docPositions returns document d's direct-extent positions: for every
+// entity v of d and every concept c ∈ ConceptsOf(v), v's position in
+// g.Extent(c), sorted by concept, then position. The list depends only
+// on the graph and d's entity list, so it is computed on d's first
+// drill-down and kept for every later generation; concurrent first
+// accesses compute identical lists and any winner of the slot store is
+// correct.
+func (st *genState) docPositions(d int32) []extentPos {
+	slot := &st.pos[d/posChunkLen][d%posChunkLen]
+	if p := slot.Load(); p != nil {
+		return *p
+	}
+	g, ents := st.e.g, st.ents[d]
+	n := 0
+	for _, v := range ents {
+		n += len(g.ConceptsOf(v))
+	}
+	out := make([]extentPos, 0, n)
+	for _, v := range ents {
+		for _, c := range g.ConceptsOf(v) {
+			i, _ := slices.BinarySearch(g.Extent(c), v)
+			out = append(out, extentPos{c: c, pos: int32(i)})
+		}
+	}
+	slices.SortFunc(out, func(a, b extentPos) int {
+		if a.c != b.c {
+			return int(a.c) - int(b.c)
+		}
+		return int(a.pos) - int(b.pos)
+	})
 	slot.Store(&out)
 	return out
 }
@@ -808,54 +853,6 @@ func cdrKey(c kg.NodeID, doc int32) uint64 {
 // parallel runs fn(i) for i in [0, n) on opts.Workers goroutines.
 func (e *Engine) parallel(n int, fn func(i int)) {
 	e.parallelWorker(n, func(_, i int) { fn(i) })
-}
-
-// queryParallelCtx runs fn(i) for i in [0, n) at query time. The
-// calling goroutine always works; helper goroutines join only when (a)
-// the loop is big enough to amortise a spawn and (b) the engine-wide
-// querySem has capacity — under saturation (many concurrent queries)
-// it degrades gracefully to an inline serial loop instead of piling
-// C × Workers goroutines onto the scheduler. Every worker (caller and
-// helpers alike) checks ctx before claiming the next index and stops
-// claiming once it is cancelled, so a cancelled query releases its
-// helper budget promptly instead of draining the loop. Indices already
-// claimed run to completion; the ctx error, if any, is returned after
-// all workers stop.
-func (e *Engine) queryParallelCtx(ctx context.Context, n int, fn func(i int)) error {
-	var next atomic.Int64
-	work := func() {
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	const minPerWorker = 32
-	helpers := e.opts.Workers - 1
-	if m := n/minPerWorker - 1; m < helpers {
-		helpers = m
-	}
-	var wg sync.WaitGroup
-	for h := 0; h < helpers; h++ {
-		select {
-		case e.querySem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer func() {
-					<-e.querySem
-					wg.Done()
-				}()
-				work()
-			}()
-		default:
-			// Engine already running its full helper budget.
-		}
-	}
-	work()
-	wg.Wait()
-	return ctx.Err()
 }
 
 func (e *Engine) parallelWorker(n int, fn func(worker, i int)) {

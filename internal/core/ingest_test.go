@@ -213,8 +213,9 @@ func TestPipelinedIngestEquivalence(t *testing.T) {
 
 	// Racing readers: queries against whichever snapshot is current.
 	// Their answers are not compared (each pins its own generation);
-	// they exist to race the swap, the lazy per-doc score fill, and the
-	// lazy ceiling materialisation under -race.
+	// they exist to race the swap, the lazy per-doc score fill, the lazy
+	// per-doc position fill (whose chunks every generation shares), and
+	// the lazy ceiling materialisation under -race.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 2; r++ {

@@ -321,10 +321,10 @@ func TestWarmRollUpPageIntoNoAlloc(t *testing.T) {
 }
 
 // TestDrillDownPruningMatchesFullScore: with K below the shortlist
-// window the diversity loop prunes tail entries by their upper bound;
-// with K equal to the window (same shortlist, same candidate set) every
-// entry is fully scored. The pruned page must be exactly the prefix of
-// the fully scored ranking, for every ablation toggle.
+// window the collector keeps only the top K; with K equal to the window
+// (same shortlist, same candidate set) it keeps every scored entry. The
+// smaller page must be exactly the prefix of the full ranking, for
+// every ablation toggle.
 func TestDrillDownPruningMatchesFullScore(t *testing.T) {
 	_, meta, _, e := world(t)
 	ctx := context.Background()

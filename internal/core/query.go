@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -35,19 +36,28 @@ type queryScratch struct {
 	cursors []int
 
 	// Drill-down dense per-concept accumulators, indexed by node ID and
-	// validity-stamped (the embedded stamp) so they never need clearing
-	// between queries.
-	divScratch
-	cov     []float64
-	cnt     []int32
-	pr      []int32
-	head    []int32
-	touched []kg.NodeID
+	// validity-stamped (stamp, gen; see marks) so they never need
+	// clearing between queries: a stamp equal to touchMark validates
+	// cov and cnt, one equal to rowMark slot as well — c's row in the
+	// union columns below.
+	stamp              []uint32
+	gen                uint32
+	touchMark, rowMark uint32
+	cov                []float64
+	cnt                []int32
+	slot               []int32
+	touched            []kg.NodeID
 
-	// mdDoc/mdNext form the shared matched-document pair log: head[c]
-	// chains concept c's entries (most recent first) through mdNext.
-	mdDoc  []int32
-	mdNext []int32
+	// hits is the candidate pass's log of direct-extent members: one
+	// entry per kept candidate c of a matched document d and entity of d
+	// in Ψ(c), naming c and the entity's position in g.Extent(c).
+	hits []extentPos
+
+	// One bitset over direct-extent positions per union row j, in words
+	// bits[bitOff[j]:bitOff[j+1]]; union[j] counts its set bits.
+	bits   []uint64
+	bitOff []int32
+	union  []int32
 
 	cand      []candScore
 	shortVals []kg.NodeID
@@ -128,34 +138,23 @@ func selectTopCand(s []candScore, k int) {
 
 func newQueryScratch(numNodes int) *queryScratch {
 	return &queryScratch{
-		divScratch: divScratch{stamp: make([]uint32, numNodes)},
-		cov:        make([]float64, numNodes),
-		cnt:        make([]int32, numNodes),
-		pr:         make([]int32, numNodes),
-		head:       make([]int32, numNodes),
+		stamp: make([]uint32, numNodes),
+		cov:   make([]float64, numNodes),
+		cnt:   make([]int32, numNodes),
+		slot:  make([]int32, numNodes),
 	}
-}
-
-// divScratch is the pooled per-worker diversity workspace: one dense
-// stamp array used both as the direct-extent membership set and as the
-// union deduplicator.
-type divScratch struct {
-	stamp []uint32
-	gen   uint32
 }
 
 // marks reserves two fresh stamp values (wrap-safe): stale entries are
 // always strictly below both, so the array acts as cleared without a
 // clearing pass.
-func (ds *divScratch) marks() (uint32, uint32) {
-	if ds.gen >= math.MaxUint32-2 {
-		for i := range ds.stamp {
-			ds.stamp[i] = 0
-		}
-		ds.gen = 0
+func (sc *queryScratch) marks() (uint32, uint32) {
+	if sc.gen >= math.MaxUint32-2 {
+		clear(sc.stamp)
+		sc.gen = 0
 	}
-	ds.gen += 2
-	return ds.gen - 1, ds.gen
+	sc.gen += 2
+	return sc.gen - 1, sc.gen
 }
 
 func (e *Engine) getScratch() *queryScratch   { return e.scratch.Get().(*queryScratch) }
@@ -206,17 +205,6 @@ func (st *genState) matchedDocsCtx(ctx context.Context, q Query) ([]int32, error
 		}
 	}
 	return out, nil
-}
-
-// containsConcept reports whether c is in the (typically tiny) direct
-// concept list of an entity.
-func containsConcept(s []kg.NodeID, c kg.NodeID) bool {
-	for _, x := range s {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 // queryHas reports whether c is one of the (few) query concepts.
@@ -540,35 +528,41 @@ func (sc *queryScratch) shortlist(touched []kg.NodeID, spec []float64, opts Dril
 	return short
 }
 
-// chainCandidates is the drill-down candidate pass over the matched
+// candidates is the drill-down candidate pass over the matched
 // documents docs (only those published inside tr, when tr is non-nil).
 // The candidates of a document are its kept candidate concepts,
 // docConcepts(d), minus the query's own concepts; for each, the pass
-// accumulates coverage, the match count and the entity probe total
-// (diversity's strategy pivot and the pruning bound), and chains the
-// document into the concept's matched-document list through a shared
-// pair log (head/next intrusive lists), so no second
-// documents×candidates walk is ever needed.
+// accumulates coverage and the match count, and logs into sc.hits the
+// document's entities in the concept's direct extent Ψ(c). Those come
+// from the document's position list (docPositions) by a merge walk:
+// both lists are concept-ascending.
 //
-// The chain of concept c is the document set D(Q ∪ {c}) of Definition
-// 2: coverage sums over it, MatchedDocs counts it, and the diversity
-// union ranges over it (directUnion). DrillDownPage and the shard side
-// of a distributed drill-down (DiversityPartials) both build it here,
-// so the two can never union over different sets.
+// The documents where c is a kept candidate are the set D(Q ∪ {c}) of
+// Definition 2: coverage sums over it, MatchedDocs counts it, and the
+// diversity union ranges over it (unions). DrillDownPage and the shard
+// side of a distributed drill-down (DiversityPartials) both build it
+// here, so the two can never union over different sets.
 //
-// It returns the touched concepts in first-touch order and the stamp
-// that marks them valid in sc. Accumulation order — documents
-// ascending, then candidates in stored order — is the float addition
-// sequence every coverage value is defined by.
-func (sc *queryScratch) chainCandidates(st *genState, q Query, docs []int32, tr *TimeRange) ([]kg.NodeID, uint32) {
-	covMark, _ := sc.marks()
-	touched := sc.touched[:0]
-	mdDoc, mdNext := sc.mdDoc[:0], sc.mdNext[:0]
-	for _, d := range docs {
+// It returns the touched concepts in first-touch order; sc.touchMark
+// marks them valid in sc. Accumulation order — documents ascending,
+// then candidates in stored order — is the float addition sequence
+// every coverage value is defined by. ctx is observed every ctxStride
+// documents.
+func (sc *queryScratch) candidates(ctx context.Context, st *genState, q Query, docs []int32, tr *TimeRange) ([]kg.NodeID, error) {
+	sc.touchMark, sc.rowMark = sc.marks()
+	covMark := sc.touchMark
+	touched, hits := sc.touched[:0], sc.hits[:0]
+	for i, d := range docs {
+		if i%ctxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				sc.touched, sc.hits = touched, hits
+				return nil, err
+			}
+		}
 		if tr != nil && !tr.contains(st.snap.Doc(d).PublishedAt) {
 			continue
 		}
-		ne := int32(len(st.ents[d]))
+		pos, k := st.docPositions(d), 0
 		for _, cs := range st.docConcepts(d) {
 			c := cs.Concept
 			if queryHas(q, c) {
@@ -578,26 +572,25 @@ func (sc *queryScratch) chainCandidates(st *genState, q Query, docs []int32, tr 
 				sc.stamp[c] = covMark
 				sc.cov[c] = 0
 				sc.cnt[c] = 0
-				sc.pr[c] = 0
-				sc.head[c] = -1
 				touched = append(touched, c)
 			}
 			sc.cov[c] += cs.CDR
 			sc.cnt[c]++
-			sc.pr[c] += ne
-			mdDoc = append(mdDoc, d)
-			mdNext = append(mdNext, sc.head[c])
-			sc.head[c] = int32(len(mdDoc) - 1)
+			for k < len(pos) && pos[k].c < c {
+				k++
+			}
+			for ; k < len(pos) && pos[k].c == c; k++ {
+				hits = append(hits, pos[k])
+			}
 		}
 	}
-	sc.touched, sc.mdDoc, sc.mdNext = touched, mdDoc, mdNext
-	return touched, covMark
+	sc.touched, sc.hits = touched, hits
+	return touched, nil
 }
 
-// directUnion counts the distinct entities of concept c's chained
-// documents (see chainCandidates; c must have been touched by the last
-// pass over sc) that lie in c's *direct* extent Ψ(c), appending each to
-// *set as well when set is non-nil:
+// unions counts the diversity union of every concept c in concepts
+// that the last candidate pass touched: the distinct entities of the
+// documents D(Q ∪ {c}) that lie in c's *direct* extent Ψ(c),
 //
 //	diversity(c, Q) = |∪_{d ∈ D(Q ∪ {c})} ME(c, d)| / |D(Q ∪ {c})|
 //
@@ -607,66 +600,78 @@ func (sc *queryScratch) chainCandidates(st *genState, q Query, docs []int32, tr 
 // is pushed down — the fairness bias the paper designed this factor to
 // prevent.
 //
-// Membership "v ∈ Ψ(c)": Ψ is stored both ways in the graph, so v ∈
-// Extent(c) ⟺ c ∈ ConceptsOf(v). When the probe count is large enough
-// to amortise it, premark the direct extent in the pooled dense stamp
-// and count the union with O(1) probes; for sparsely-matched concepts
-// with big extents the scan side is cheaper (|ConceptsOf(v)| is
-// typically a handful). Both sides compute the identical union; the
-// stamp array doubles as the across-document deduplicator either way.
-// The chain yields documents in reverse order; the union's cardinality
-// does not depend on it.
-func (e *Engine) directUnion(st *genState, sc *queryScratch, c kg.NodeID, ds *divScratch, set *[]kg.NodeID) int {
-	ext := e.g.Extent(c)
-	seen, counted := ds.marks()
-	union := 0
-	if int(sc.pr[c]) >= len(ext) {
-		for _, v := range ext {
-			ds.stamp[v] = seen
+// Each counted concept gets a union row (row): a bitset over the
+// positions of g.Extent(c), ⌈|Ψ(c)|/64⌉ words. One sequential pass over
+// sc.hits sets the bits, and each newly set bit adds one member to
+// union[row]. Rows are numbered in the order of concepts, so when every
+// concept is touched and distinct — a shortlist — concept i owns row i.
+// ctx is observed every ctxStride log entries.
+func (sc *queryScratch) unions(ctx context.Context, g *kg.Graph, concepts []kg.NodeID) error {
+	bitOff, union := append(sc.bitOff[:0], 0), sc.union[:0]
+	for _, c := range concepts {
+		if c < 0 || int(c) >= len(sc.stamp) || sc.stamp[c] != sc.touchMark {
+			continue
 		}
-		for j := sc.head[c]; j >= 0; j = sc.mdNext[j] {
-			for _, v := range st.ents[sc.mdDoc[j]] {
-				if ds.stamp[v] == seen {
-					ds.stamp[v] = counted
-					union++
-					if set != nil {
-						*set = append(*set, v)
-					}
-				}
-			}
-		}
-		return union
+		sc.stamp[c] = sc.rowMark
+		sc.slot[c] = int32(len(union))
+		union = append(union, 0)
+		bitOff = append(bitOff, bitOff[len(bitOff)-1]+int32((g.ExtentSize(c)+63)/64))
 	}
-	for j := sc.head[c]; j >= 0; j = sc.mdNext[j] {
-		for _, v := range st.ents[sc.mdDoc[j]] {
-			if ds.stamp[v] == seen || ds.stamp[v] == counted {
-				continue
+	n := int(bitOff[len(bitOff)-1])
+	words := slices.Grow(sc.bits[:0], n)[:n]
+	clear(words)
+	sc.bits, sc.bitOff, sc.union = words, bitOff, union
+	for i, h := range sc.hits {
+		if i%ctxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			if containsConcept(e.g.ConceptsOf(v), c) {
-				ds.stamp[v] = counted
-				union++
-				if set != nil {
-					*set = append(*set, v)
-				}
-			} else {
-				ds.stamp[v] = seen
-			}
+		}
+		if sc.stamp[h.c] != sc.rowMark {
+			continue
+		}
+		j := sc.slot[h.c]
+		w := &words[bitOff[j]+h.pos>>6]
+		if bit := uint64(1) << (h.pos & 63); *w&bit == 0 {
+			*w |= bit
+			union[j]++
 		}
 	}
-	return union
+	return nil
+}
+
+// row returns concept c's union row from the last union pass, or -1
+// when c has none: no local document has it as a candidate (or, from a
+// confused caller, c is outside the graph).
+func (sc *queryScratch) row(c kg.NodeID) int {
+	if c < 0 || int(c) >= len(sc.stamp) || sc.stamp[c] != sc.rowMark {
+		return -1
+	}
+	return int(sc.slot[c])
+}
+
+// appendMembers appends union row j's members — the entries of ext =
+// g.Extent(c) at its set positions — to out. Extents are sorted, so the
+// members come out ascending.
+func (sc *queryScratch) appendMembers(out, ext []kg.NodeID, j int) []kg.NodeID {
+	for wi, w := range sc.bits[sc.bitOff[j]:sc.bitOff[j+1]] {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, ext[wi*64+bits.TrailingZeros64(w)])
+		}
+	}
+	return out
 }
 
 // DrillDownPage is DrillDown with pagination, a score floor, the
-// ablation toggles, and cancellation: the parallel diversity loop
-// stops claiming shortlist entries once ctx is cancelled, and the ctx
-// error is returned. With Offset 0 and the zero options the page
-// contents are identical to DrillDown(q, opts.K).
+// ablation toggles, and cancellation: the candidate and union passes
+// observe ctx and return its error. With Offset 0 and the zero options
+// the page contents are identical to DrillDown(q, opts.K).
 //
-// The candidate accumulation (chainCandidates) runs on the pooled dense
-// scratch (stamp-validated per-node arrays) instead of maps; iteration
-// and accumulation order — documents ascending, then candidates by
-// node ID — is identical to the former map implementation, so scores
-// and tie-breaking are unchanged.
+// The candidate accumulation runs on the pooled dense scratch
+// (stamp-validated per-node arrays) instead of maps; iteration and
+// accumulation order — documents ascending, then candidates by node ID
+// — is identical to the former map implementation, so scores and
+// tie-breaking are unchanged.
 func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptions) (DrillDownPage, error) {
 	st := e.state()
 	page := DrillDownPage{Generation: st.snap.Generation}
@@ -679,151 +684,66 @@ func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptio
 	}
 	sc := e.getScratch()
 	defer e.putScratch(sc)
-	touched, _ := sc.chainCandidates(st, q, docs, opts.Time)
-	if len(touched) == 0 {
-		return page, nil
+	touched, err := sc.candidates(ctx, st, q, docs, opts.Time)
+	if err != nil || len(touched) == 0 {
+		return page, err
 	}
-	sc.shortlist(touched, e.g.SpecTable(), opts)
-	err = sc.rank(ctx, e, e.g, opts, func(i int, ds *divScratch) int {
-		return e.directUnion(st, sc, sc.shortVals[i], ds, nil)
-	}, &page)
-	return page, err
+	if err := sc.unions(ctx, e.g, sc.shortlist(touched, e.g.SpecTable(), opts)); err != nil {
+		return page, err
+	}
+	sc.rank(e.g, opts, &page)
+	return page, nil
 }
 
 // rank is Definition 2's ranking over the shortlist sc.shortVals, whose
-// coverage, match counts and entity probe totals sc holds (pr is only
-// the pruning bound's second cap: math.MaxInt32 leaves |Ψ(c)| alone).
-// It scores every entry coverage × specificity × diversity, prunes the
-// tail by an upper bound, and pages the scored window into page.Results
-// and page.Total by the MinScore/Total rule and the offset slice.
+// coverage and match counts sc holds and whose diversity union counts
+// sit in sc.union (entry i's at union[i]). It scores every entry
+// coverage × specificity × diversity, then pages the scored window into
+// page.Results and page.Total by the MinScore/Total rule and the offset
+// slice.
 //
-// DrillDownPage and MergeDrillDown both rank here, and differ in one
-// input only: union(i, ds) counts the diversity union of shortlist
-// entry i on the worker stamp ds — a node walks its candidate chain
-// (directUnion), the router dedupes the shards' sets. A non-nil e lends
-// its query workers and diversity pool to seeding windows of 64 or
-// more; a nil e scores serially on sc's own stamp. On a ctx error page
-// is left untouched.
-func (sc *queryScratch) rank(ctx context.Context, e *Engine, g *kg.Graph, opts DrillDownOptions,
-	union func(i int, ds *divScratch) int, page *DrillDownPage) error {
+// DrillDownPage and MergeDrillDown both rank here, and differ in how
+// the union counts were made: a node's union pass over its candidate
+// log (unions), the router's dedupe of the shards' sets.
+func (sc *queryScratch) rank(g *kg.Graph, opts DrillDownOptions, page *DrillDownPage) {
 	short, spec := sc.shortVals, g.SpecTable()
-	useSpecificity, useDiversity := !opts.NoSpecificity, !opts.NoDiversity
-	// Each entry's score is independent (it reads only immutable data and
-	// the accumulators) and lands in its own slot, so the Push order —
-	// and with it tie-breaking — does not depend on who scored it. The
-	// closure reads the shortlist and slots through sc, keeping the one
-	// allocation it costs small.
 	for len(sc.subs) < len(short) {
 		sc.subs = append(sc.subs, Subtopic{})
 	}
 	subs := sc.subs[:len(short)]
-	score := func(i int, ds *divScratch) {
-		c := sc.shortVals[i]
-		sub := Subtopic{Concept: c, Coverage: sc.cov[c], Specificity: spec[c], MatchedDocs: int(sc.cnt[c])}
-		if n := sub.MatchedDocs; n > 0 {
-			sub.Diversity = float64(union(i, ds)) / float64(n)
-		}
-		sub.Score = sub.Coverage
-		if useSpecificity {
-			sub.Score *= sub.Specificity
-		}
-		if useDiversity {
-			sub.Score *= sub.Diversity
-		}
-		sc.subs[i] = sub
-	}
-	ds := &sc.divScratch
-	if e != nil {
-		ds = e.divPool.Get().(*divScratch)
-		defer e.divPool.Put(ds)
-	}
-	// scoreHead scores entries [0, n).
-	scoreHead := func(n int) error {
-		if e != nil && n >= 64 {
-			return e.queryParallelCtx(ctx, n, func(i int) {
-				ds := e.divPool.Get().(*divScratch)
-				score(i, ds)
-				e.divPool.Put(ds)
-			})
-		}
-		for i := 0; i < n; i++ {
-			if i%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			score(i, ds)
-		}
-		return nil
-	}
-
 	limit := opts.K + opts.Offset
 	if limit < 0 || limit > len(subs) {
 		limit = len(subs)
 	}
 	// The collector ranks shortlist indexes, not Subtopic values: heap
-	// swaps then move 16 bytes instead of a full Subtopic, and the push
-	// order — hence tie-breaking — is exactly the same.
+	// swaps then move 16 bytes instead of a full Subtopic. Pushes follow
+	// the shortlist order, which breaks score ties.
 	if sc.subColl == nil {
 		sc.subColl = topk.New[int32](limit)
 	} else {
 		sc.subColl.Reset(limit)
 	}
 	coll := sc.subColl
-	total := len(subs)
-	if opts.MinScore > 0 {
-		// The floor's Total counts every shortlist entry at or above it,
-		// so all scores are needed.
-		if err := scoreHead(len(subs)); err != nil {
-			return err
+	total := 0
+	for i, c := range short {
+		sub := Subtopic{Concept: c, Coverage: sc.cov[c], Specificity: spec[c], MatchedDocs: int(sc.cnt[c])}
+		if n := sub.MatchedDocs; n > 0 {
+			sub.Diversity = float64(sc.union[i]) / float64(n)
 		}
-		total = 0
-		for i, sub := range subs {
-			if sub.Score < opts.MinScore {
-				continue
-			}
-			total++
-			coll.Push(int32(i), sub.Score)
+		sub.Score = sub.Coverage
+		if !opts.NoSpecificity {
+			sub.Score *= sub.Specificity
 		}
-	} else {
-		// Upper-bound pruning over the shortlist tail: the first `limit`
-		// entries always seed the collector. Every later entry first gets
-		// a cheap bound — coverage (× specificity) × min(|Ψ(c)|, entity
-		// probes)/|D| — that dominates its real score (the diversity
-		// union is capped by both the direct extent and the probe count,
-		// and fp multiplication is monotone). A full collector rejects
-		// later pushes at scores equal to its threshold (ties favour
-		// earlier pushes), so entries with bound ≤ threshold are skipped
-		// without computing their diversity union: the retained set and
-		// order are provably unchanged.
-		if err := scoreHead(limit); err != nil {
-			return err
+		if !opts.NoDiversity {
+			sub.Score *= sub.Diversity
 		}
-		for i := 0; i < limit; i++ {
-			coll.Push(int32(i), subs[i].Score)
+		subs[i] = sub
+		// A floor's Total counts only the entries at or above it.
+		if opts.MinScore > 0 && sub.Score < opts.MinScore {
+			continue
 		}
-		for i := limit; i < len(short); i++ {
-			if (i-limit)%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if th, full := coll.Threshold(); full {
-				c := short[i]
-				ub := sc.cov[c]
-				if useSpecificity {
-					ub *= spec[c]
-				}
-				if useDiversity {
-					ub *= float64(min(len(g.Extent(c)), int(sc.pr[c]))) / float64(sc.cnt[c])
-				}
-				if ub <= th {
-					continue
-				}
-			}
-			score(i, ds)
-			coll.Push(int32(i), subs[i].Score)
-		}
+		total++
+		coll.Push(int32(i), sub.Score)
 	}
 	sc.subItems = coll.AppendSorted(sc.subItems[:0])
 	page.Total = total
@@ -834,7 +754,6 @@ func (sc *queryScratch) rank(ctx context.Context, e *Engine, g *kg.Graph, opts D
 			page.Results[i] = subs[it.Value]
 		}
 	}
-	return nil
 }
 
 // BroaderOptions lists the roll-up targets of a concept: its `broader`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
@@ -121,8 +122,13 @@ func (e *Engine) RemoteStatsSnapshot() ShardStats {
 // stored connectivity factor — only the IDF-dependent arrays replay.
 // The swap bumps the cache epoch (scores changed) and checkpoints, so
 // a replica shipping this shard's store observes the generation
-// advance even when no local segment changed. Unchanged stats are a
-// no-op; invalid ones (see ShardStats.validate) are refused.
+// advance even when no local segment changed. Invalid stats (see
+// ShardStats.validate) are refused. So are stats at the current batch
+// count that differ from the current ones: peers' counts only grow, so
+// a real summary at an unchanged batch count is the same summary, and
+// any other body names no state (a sum of torn peer snapshots, or a
+// forgery) — rescoring on it would change answers while the generation
+// stays put. The same stats again are a no-op.
 func (e *Engine) SetRemoteStats(rs ShardStats) error {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -137,8 +143,11 @@ func (e *Engine) SetRemoteStats(rs ShardStats) error {
 	if err := rs.validate(e.g.NumNodes()); err != nil {
 		return err
 	}
-	if old.Docs == rs.Docs && old.Batches == rs.Batches {
-		return nil
+	if old.Batches == rs.Batches {
+		if old.Docs == rs.Docs && maps.Equal(old.DF, rs.DF) {
+			return nil
+		}
+		return fmt.Errorf("remote statistics: %d batches already folded in with other counts", rs.Batches)
 	}
 	e.remote.Store(&rs)
 	st, _ := e.buildState(e.localGen.Load()+rs.Batches, cur.snap.Segments, cur, nil)

@@ -265,16 +265,38 @@ func invalidRemoteStats(cur ShardStats, numNodes int) map[string]ShardStats {
 }
 
 // TestSetRemoteStatsRejectsInvalid: statistics that would index past
-// the graph or skew IDF (a DF outside [1, docs]) are refused, and the
-// refused call changes nothing — no swap, no generation, same answers.
+// the graph or skew IDF (a DF outside [1, docs]) are refused, and so
+// are statistics at the current batch count that differ from the
+// current ones (they name no peer state). The refused call changes
+// nothing — no swap, no generation, same answers.
 func TestSetRemoteStatsRejectsInvalid(t *testing.T) {
 	g, meta, c, _ := world(t)
 	sh := NewEngine(g, Options{Seed: 11, Samples: 20})
 	sh.IndexCorpusSharded(c, 0, 2)
 	q := Query{meta.Topics[0].Concept}
 	want := sh.RollUp(q, 8)
+	wantDrill, err := sh.DrillDownPage(context.Background(), q, DrillDownOptions{K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	epoch, gen := sh.CacheEpoch(), sh.Generation()
-	for name, rs := range invalidRemoteStats(sh.RemoteStatsSnapshot(), g.NumNodes()) {
+	cases := invalidRemoteStats(sh.RemoteStatsSnapshot(), g.NumNodes())
+	// Same batch count, other statistics: built without invalidRemoteStats'
+	// helper, which bumps the batch count.
+	sameDocs := sh.RemoteStatsSnapshot()
+	sameDocs.Docs++
+	cases["same batches, other docs"] = sameDocs
+	sameDF := sh.RemoteStatsSnapshot()
+	sameDF.DF = make(map[kg.NodeID]int, len(sameDF.DF))
+	for v, df := range sh.RemoteStatsSnapshot().DF {
+		sameDF.DF[v] = df
+	}
+	for v := range sameDF.DF {
+		delete(sameDF.DF, v)
+		break
+	}
+	cases["same batches, other df"] = sameDF
+	for name, rs := range cases {
 		if err := sh.SetRemoteStats(rs); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -284,6 +306,13 @@ func TestSetRemoteStatsRejectsInvalid(t *testing.T) {
 	}
 	if got := sh.RollUp(q, 8); !reflect.DeepEqual(got, want) {
 		t.Fatalf("roll-up moved after refused remote stats:\n got %v\nwant %v", got, want)
+	}
+	gotDrill, err := sh.DrillDownPage(context.Background(), q, DrillDownOptions{K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotDrill, wantDrill) {
+		t.Fatalf("drill-down moved after refused remote stats:\n got %+v\nwant %+v", gotDrill, wantDrill)
 	}
 }
 

@@ -172,6 +172,7 @@ func FuzzRemoteStatsBody(f *testing.F) {
 		map[string]any{"docs": 3, "batches": 1, "df": map[string]any{"x": 1, "-2": 1}},
 		map[string]any{"docs": 3, "df": map[string]int{"99999999999": 1}},
 		map[string]any{"docs": cur.Docs, "batches": uint64(1<<64 - 1)},
+		map[string]any{"docs": 163, "batches": 0, "df": map[string]int{}},
 	)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req := httptest.NewRequest(http.MethodPost, "/internal/remote-stats", bytes.NewReader(body))
@@ -193,8 +194,9 @@ func shardServer(t testing.TB) (*ncexplorer.Explorer, http.Handler) {
 }
 
 // TestRemoteStatsValidation: POST /internal/remote-stats refuses
-// statistics that fail validation with invalid_argument and leaves the
-// generation alone, and applies valid ones.
+// statistics that fail validation, or that differ from the current ones
+// at the current batch count, with invalid_argument and leaves the
+// generation and the answers alone, and applies valid ones.
 func TestRemoteStatsValidation(t *testing.T) {
 	x, h := shardServer(t)
 	gen := x.Generation()
@@ -203,6 +205,16 @@ func TestRemoteStatsValidation(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/internal/remote-stats", bytes.NewReader([]byte(body))))
 		return rec
 	}
+	drill := func() string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/query/drilldown",
+			bytes.NewReader([]byte(`{"concepts":["Financial crime"],"k":10}`))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("drill-down: status %d, body %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	wantDrill := drill()
 	docs := x.Engine().RemoteStatsSnapshot().Docs
 	for _, body := range []string{
 		fmt.Sprintf(`{"docs":%d,"batches":1,"df":{"999999999":1}}`, docs),
@@ -210,6 +222,7 @@ func TestRemoteStatsValidation(t *testing.T) {
 		`{"docs":-1,"batches":1}`,
 		`{"docs":2,"batches":1,"df":{"0":3}}`,
 		fmt.Sprintf(`{"docs":%d,"batches":18446744073709551615}`, docs),
+		`{"docs":163,"batches":0,"df":{}}`,
 	} {
 		rec := post(body)
 		var e v2Error
@@ -219,6 +232,9 @@ func TestRemoteStatsValidation(t *testing.T) {
 	}
 	if x.Generation() != gen {
 		t.Fatalf("refused statistics moved the generation %d -> %d", gen, x.Generation())
+	}
+	if got := drill(); got != wantDrill {
+		t.Fatalf("refused statistics moved the drill-down:\n got %s\nwant %s", got, wantDrill)
 	}
 	if rec := post(fmt.Sprintf(`{"docs":%d,"batches":1}`, docs)); rec.Code != http.StatusOK || x.Generation() != gen+1 {
 		t.Fatalf("valid statistics: status %d, generation %d; want 200 at %d", rec.Code, x.Generation(), gen+1)
