@@ -40,7 +40,7 @@ func main() {
 
 	// News arrives. SampleArticles stands in for a feed consumer: it
 	// synthesises fresh articles from the same world the corpus came
-	// from (in production this is POST /v2/ingest or ncserver -watch).
+	// from (in production this is POST /v2/ingest).
 	incoming, err := x.SampleArticles(2024, 30)
 	if err != nil {
 		log.Fatal(err)

@@ -273,6 +273,10 @@ type Engine struct {
 type genState struct {
 	e    *Engine
 	snap *snapshot.Snapshot
+	// remote is the shards' statistics snap was scored under (nil for a
+	// monolithic engine): the writer persists these, never the engine's
+	// newer ones.
+	remote *ShardStats
 
 	// concepts holds each document's kept candidate scores at this
 	// generation (the cdr postings driving drill-down coverage),
@@ -531,17 +535,6 @@ func (e *Engine) candidateConcepts(ents []kg.NodeID, cs *candScratch) []kg.NodeI
 	return snapshot.SortedCandidates(append([]kg.NodeID(nil), buf...))
 }
 
-// buildSnapshot assembles the snapshot for the engine's sharding mode:
-// strictly contiguous for a monolithic engine, gap-tolerant with the
-// remote entity statistics folded in for a shard.
-func (e *Engine) buildSnapshot(gen uint64, segs []*snapshot.Segment) *snapshot.Snapshot {
-	rs := e.remote.Load()
-	if rs == nil {
-		return snapshot.New(gen, segs)
-	}
-	return snapshot.NewSharded(gen, segs, rs.Docs, rs.DF)
-}
-
 // localDocs lists the snapshot's local global document IDs, ascending.
 // For a monolithic snapshot this is just 0..NumDocs−1; a shard's ID
 // space has gaps, so dense loops over documents iterate this list.
@@ -569,7 +562,7 @@ func localDocs(snap *snapshot.Snapshot) []int32 {
 // and a missing or nil run means walk. Returns the state and the
 // summed per-document scoring nanoseconds.
 func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState, known [][]connPair) (*genState, int64) {
-	st := e.newStateShell(e.buildSnapshot(gen, segs), prev)
+	st := e.newStateShell(gen, segs, prev)
 	st.concepts = make([]atomic.Pointer[[]ConceptScore], st.snap.DocBound())
 
 	workerScorers := make([]*relevance.Scorer, e.opts.Workers)
@@ -597,15 +590,28 @@ func (e *Engine) buildState(gen uint64, segs []*snapshot.Segment, prev *genState
 	return st, total
 }
 
-// newStateShell allocates a genState over snap without plans. prev,
-// when non-nil, donates its per-document entity table and position
-// chunks: both are generation-independent (a document's entity list
-// never changes once ingested), so a rebuild over the same document
-// range shares the table outright and a growing range copies the
-// prefix and resolves only the new segments; the position chunks are
-// shared by pointer and only chunks past prev's get allocated.
-func (e *Engine) newStateShell(snap *snapshot.Snapshot, prev *genState) *genState {
-	st := &genState{e: e, snap: snap}
+// newStateShell allocates a genState without plans over the snapshot
+// of segs at generation gen, assembled for the engine's sharding mode:
+// strictly contiguous for a monolithic engine, gap-tolerant with the
+// remote entity statistics folded in for a shard. The state records
+// those statistics, so a checkpoint of it persists the statistics it
+// was scored under. ingestMu held.
+//
+// prev, when non-nil, donates its per-document entity table and
+// position chunks: both are generation-independent (a document's
+// entity list never changes once ingested), so a rebuild over the same
+// document range shares the table outright and a growing range copies
+// the prefix and resolves only the new segments; the position chunks
+// are shared by pointer and only chunks past prev's get allocated.
+func (e *Engine) newStateShell(gen uint64, segs []*snapshot.Segment, prev *genState) *genState {
+	rs := e.remote.Load()
+	var snap *snapshot.Snapshot
+	if rs == nil {
+		snap = snapshot.New(gen, segs)
+	} else {
+		snap = snapshot.NewSharded(gen, segs, rs.Docs, rs.DF)
+	}
+	st := &genState{e: e, snap: snap, remote: rs}
 	bound := snap.DocBound()
 	prevBound := 0
 	if prev != nil {

@@ -14,11 +14,14 @@ import (
 // committing until the previous one was on disk. The writer moves that
 // work off the commit path:
 //
-//   - commits (ingest, merge, remote-stat refresh) capture a persistJob
-//     under ingestMu — the committed state plus everything the writer
-//     may not read later (directory, world meta, the rendered
+//   - commits (ingest, merge, remote-stat refresh, Checkpoint) capture a
+//     persistJob under ingestMu — the committed state, which carries the
+//     remote statistics it was scored under, plus everything else the
+//     writer may not read later (directory, world meta, the rendered
 //     standing-query state, so a batch persists atomically with the
-//     alerts it fired) — and enqueue it;
+//     alerts it fired) — and enqueue it. Callers whose contract is
+//     "durable when I return" release ingestMu, then wait on the job's
+//     sequence;
 //   - a single writer goroutine drains the queue. The queue holds at
 //     most ONE job: a newer commit replaces a not-yet-started older
 //     one, because the newer state strictly contains it — consecutive
@@ -83,8 +86,8 @@ type groupCommit struct {
 	lineage map[*snapshot.Segment][]*snapshot.Segment
 
 	// writeMu serialises every disk write (checkpoints, saves, opens)
-	// and guards the writer-side persist fields (segFiles, segDelta,
-	// verified, lastWatchFile) and the written watermark below.
+	// and guards the writer-side persist fields (segRefs, verified,
+	// lastWatchFile) and the written watermark below.
 	writeMu sync.Mutex
 	written uint64 // highest sequence actually written (under writeMu)
 }
@@ -193,15 +196,6 @@ func (e *Engine) enqueueCheckpointLocked(st *genState) uint64 {
 	}
 	gc.mu.Unlock()
 	return seq
-}
-
-// checkpointSyncLocked persists the committed state before returning —
-// the path for callers whose contract is "durable when I return"
-// (standing-query registration, remote-stat refresh). ingestMu held.
-func (e *Engine) checkpointSyncLocked(st *genState) {
-	if job, _ := e.persistJobLocked(st); job != nil {
-		e.writeCheckpoint(job)
-	}
 }
 
 // persistWindow is the group-commit batching window: before each

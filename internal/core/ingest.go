@@ -397,7 +397,7 @@ func (e *Engine) mergeSegments() {
 	if !mergedAny {
 		return
 	}
-	st := e.newStateShell(e.buildSnapshot(cur.snap.Generation, segs), cur)
+	st := e.newStateShell(cur.snap.Generation, segs, cur)
 	st.concepts = cur.concepts
 	// Plans stay valid verbatim: merges keep document IDs, corpus-global
 	// statistics, and (global-ID-aligned) block identities unchanged.

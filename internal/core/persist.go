@@ -106,9 +106,9 @@ var (
 
 // persistState is the engine's persistence bookkeeping. The
 // commit-side fields (checkpoint dir, world meta, watch encoder) are
-// guarded by ingestMu; the writer-side fields (segFiles, segDelta,
-// verified, lastWatchFile) are guarded by gc.writeMu, because the
-// group-commit writer touches them off the commit path.
+// guarded by ingestMu; the writer-side fields (segRefs, verified,
+// lastWatchFile) are guarded by gc.writeMu, because the group-commit
+// writer touches them off the commit path.
 type persistState struct {
 	saves, opens, checkpoints       atomic.Int64
 	segmentsWritten, segmentsReused atomic.Int64
@@ -117,18 +117,16 @@ type persistState struct {
 	lastOpen                        atomic.Pointer[OpenClocks]
 	checkpointDir                   string
 	world                           map[string]string
-	// segFiles caches the content-addressed file name of segments
-	// already encoded, so a checkpoint after an ingest re-encodes only
-	// the new segment. Pruned to the live snapshot on every save.
-	segFiles map[*snapshot.Segment]segio.SegmentRef
-	// segDelta caches, for a merged segment that has never been encoded
-	// into its own file, the refs of the durable files — its merge
-	// parents', resolved through gc.lineage — that jointly cover its
-	// documents. Checkpoints substitute these refs for the merged
-	// segment instead of re-encoding O(corpus) bytes after every merge;
-	// only SaveSnapshot compacts. Pruned to the live snapshot alongside
-	// segFiles.
-	segDelta map[*snapshot.Segment][]segio.SegmentRef
+	// segRefs caches, per segment already persisted, the refs of the
+	// durable files that cover its documents. One ref is the segment's
+	// own content-addressed file, so a checkpoint after an ingest
+	// re-encodes only the new segment. More than one cover a merged
+	// segment that has never been encoded into its own file: its merge
+	// parents' files, resolved through gc.lineage. Checkpoints
+	// substitute these for the merged segment instead of re-encoding
+	// O(corpus) bytes after every merge; only SaveSnapshot compacts.
+	// Pruned to the live snapshot on every write.
+	segRefs map[*snapshot.Segment][]segio.SegmentRef
 	// verified caches dir-qualified file names this process has already
 	// confirmed (or written) on disk, so per-checkpoint existence checks
 	// cost one stat per file per process instead of one per file per
@@ -171,12 +169,13 @@ func (e *Engine) PersistCounters() PersistCounters {
 // per-commit checkpointing: after every ingested batch and every
 // background merge, the engine writes the affected segment files and
 // atomically updates dir's manifest, so a crash loses at most the
-// batches whose checkpoints had not drained — a -watch deployment
-// restarts from its last durable segment instead of re-ingesting
-// everything. The write itself runs in the group-commit writer (see
-// groupcommit.go): Ingest returns a persist sequence and callers that
-// need "durable before I respond" wait on it with WaitPersisted.
-// world is carried into every manifest written (see SaveSnapshot).
+// batches whose checkpoints had not drained — a server fed through
+// POST /v2/ingest restarts from its last durable segment instead of
+// re-ingesting everything. The write itself runs in the group-commit
+// writer (see groupcommit.go): Ingest returns a persist sequence and
+// callers that need "durable before I respond" wait on it with
+// WaitPersisted. world is carried into every manifest written (see
+// SaveSnapshot).
 func (e *Engine) SetCheckpointDir(dir string, world map[string]string) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
@@ -228,20 +227,18 @@ func (e *Engine) SaveSnapshot(dir string, world map[string]string) error {
 // writeStore writes segments and their conn companions and swaps the
 // manifest. compact (saves) encodes every live segment whole and sweeps
 // the directory after the swap; checkpoints instead cover merged
-// segments with delta refs and skip the sweep. world and watch are the
-// manifest inputs captured at commit time — the writer must not read
-// them from the engine, whose commit-side fields may have moved on.
-// gc.writeMu must be held.
+// segments with delta refs and skip the sweep. The manifest is built
+// from its job alone: st (with the remote statistics it was scored
+// under), and world and watch, captured at commit time — the writer
+// must not read them from the engine, whose commit-side fields may
+// have moved on. gc.writeMu must be held.
 func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[string]string, watch []byte, hasWatch bool) error {
 	if err := ensureDir(dir); err != nil {
 		return err
 	}
 	segs := st.snap.Segments
-	if e.persist.segFiles == nil {
-		e.persist.segFiles = make(map[*snapshot.Segment]segio.SegmentRef)
-	}
-	if e.persist.segDelta == nil {
-		e.persist.segDelta = make(map[*snapshot.Segment][]segio.SegmentRef)
+	if e.persist.segRefs == nil {
+		e.persist.segRefs = make(map[*snapshot.Segment][]segio.SegmentRef)
 	}
 	refs := make([]segio.SegmentRef, 0, len(segs))
 	wrote := false // any deferred-sync file placed; one SyncDir before the manifest
@@ -252,9 +249,11 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 	}
 	var pend []pendingFile
 	for _, seg := range segs {
-		ref, ok := e.persist.segFiles[seg]
+		var ref segio.SegmentRef
 		var data []byte
-		if !ok {
+		if cover := e.persist.segRefs[seg]; len(cover) == 1 {
+			ref = cover[0]
+		} else {
 			// Delta checkpoint: a merged segment whose folded inputs are
 			// already durable is covered by referencing their files — the
 			// manifest's layout lags the in-memory segmentation, but the
@@ -263,7 +262,7 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 			// live layout instead.
 			if !compact {
 				if drefs, dok := e.resolveDeltaRefs(seg, dir); dok {
-					e.persist.segDelta[seg] = drefs
+					e.persist.segRefs[seg] = drefs
 					e.gc.purgeLineage(seg)
 					e.persist.segmentsReused.Add(int64(len(drefs)))
 					refs = append(refs, drefs...)
@@ -279,7 +278,6 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 				MaxTime: seg.MaxTime,
 			}
 			ref.File = segio.SegmentFileName(ref.Base, ref.Docs, ref.CRC)
-			delete(e.persist.segDelta, seg)
 			e.gc.purgeLineage(seg)
 		}
 		onDisk := e.knownFile(dir, ref.File)
@@ -288,12 +286,9 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 		} else {
 			if data == nil {
 				// Known segment but absent file (first save into a new
-				// dir, or external deletion): re-encode. A segment opened
-				// from an older-format file re-encodes in the current
-				// format, so its CRC and name are re-derived.
+				// dir, or external deletion): re-encode. The encoding is
+				// canonical, so the bytes match the cached name and CRC.
 				data = segio.EncodeSegment(seg)
-				ref.CRC = crc32.ChecksumIEEE(data)
-				ref.File = segio.SegmentFileName(ref.Base, ref.Docs, ref.CRC)
 			}
 			pend = append(pend, pendingFile{name: ref.File, data: data, segment: true})
 		}
@@ -313,7 +308,7 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 				}
 			}
 		}
-		e.persist.segFiles[seg] = ref
+		e.persist.segRefs[seg] = []segio.SegmentRef{ref}
 		refs = append(refs, ref)
 	}
 	// Place the new segment and companion files concurrently: each write
@@ -349,30 +344,11 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 		}
 		wrote = true
 	}
-	// Prune the name caches to live segments so merge churn cannot grow
-	// them without bound.
-	for seg := range e.persist.segFiles {
-		live := false
-		for _, s := range segs {
-			if s == seg {
-				live = true
-				break
-			}
-		}
-		if !live {
-			delete(e.persist.segFiles, seg)
-		}
-	}
-	for seg := range e.persist.segDelta {
-		live := false
-		for _, s := range segs {
-			if s == seg {
-				live = true
-				break
-			}
-		}
-		if !live {
-			delete(e.persist.segDelta, seg)
+	// Prune the cache to live segments so merge churn cannot grow it
+	// without bound.
+	for seg := range e.persist.segRefs {
+		if !slices.Contains(segs, seg) {
+			delete(e.persist.segRefs, seg)
 		}
 	}
 
@@ -387,8 +363,11 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 	// A shard persists its cluster position and the remote entity
 	// statistics its global scores were computed under, so a warm reopen
 	// (or a replica opening shipped segments) reproduces bit-identical
-	// answers without talking to any peer first.
-	if rs := e.remote.Load(); rs != nil {
+	// answers without talking to any peer first. They come from the
+	// state, not the engine: a later SetRemoteStats may already have
+	// replaced the engine's, and pairing them with this state's
+	// generation would misstate its local generation.
+	if rs := st.remote; rs != nil {
 		m.Shard = &segio.ShardMeta{
 			Index:         e.shardIndex,
 			Count:         e.shardCount,
@@ -450,23 +429,17 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 }
 
 // resolveDeltaRefs returns on-disk refs that already cover seg's
-// documents without encoding it: the segment's own file, a previously
-// resolved delta, or — through merge lineage, recursively — the
-// durable files of the segments a background merge folded into it.
-// Parents appear in base order, so the flattened refs preserve the
+// documents without encoding it: its cached refs (its own file or a
+// previously resolved delta), or — through merge lineage, recursively
+// — the durable files of the segments a background merge folded into
+// it. Parents appear in base order, so the flattened refs preserve the
 // global document order the manifest promises. ok is false when
 // nothing covers seg or any covering file is missing from dir (a
 // parent's checkpoint was coalesced away, the directory changed,
 // external deletion): the caller then encodes seg in full.
 // gc.writeMu held.
 func (e *Engine) resolveDeltaRefs(seg *snapshot.Segment, dir string) ([]segio.SegmentRef, bool) {
-	if ref, ok := e.persist.segFiles[seg]; ok {
-		if !e.refOnDisk(dir, ref) {
-			return nil, false
-		}
-		return []segio.SegmentRef{ref}, true
-	}
-	if drefs, ok := e.persist.segDelta[seg]; ok {
+	if drefs, ok := e.persist.segRefs[seg]; ok {
 		for _, ref := range drefs {
 			if !e.refOnDisk(dir, ref) {
 				return nil, false
@@ -538,15 +511,20 @@ func (e *Engine) SetWatchEncoder(fn func() []byte) {
 // Checkpoint persists the current snapshot (and standing-query state)
 // to the configured checkpoint directory before returning, outside the
 // ingest path — watchlist registration and removal use it so a
-// restart between ingests does not forget them. A no-op without a
-// checkpoint directory or before IndexCorpus; failures are counted in
-// CheckpointErrors exactly like per-ingest checkpoint failures.
+// restart between ingests does not forget them. It enqueues the job
+// with the group-commit writer like an ingest does and waits for it
+// without holding the ingest lock, so batches keep committing while
+// the write drains. A no-op without a checkpoint directory or before
+// IndexCorpus; failures are counted in CheckpointErrors exactly like
+// per-ingest checkpoint failures.
 func (e *Engine) Checkpoint() {
+	var seq uint64
 	e.ingestMu.Lock()
-	defer e.ingestMu.Unlock()
 	if st := e.state(); st != nil {
-		e.checkpointSyncLocked(st)
+		seq = e.enqueueCheckpointLocked(st)
 	}
+	e.ingestMu.Unlock()
+	e.WaitPersisted(seq)
 }
 
 // Store is a snapshot directory decoded without a graph: segments in
@@ -554,11 +532,9 @@ func (e *Engine) Checkpoint() {
 // Reading stops at the first bad file; its error waits for OpenStore
 // beside the segments decoded before it.
 type Store struct {
-	m    *segio.Manifest
-	segs []*snapshot.Segment
-	// legacy marks the segments decoded from a legacy-format file.
-	legacy []bool
-	known  [][]connPair
+	m     *segio.Manifest
+	segs  []*snapshot.Segment
+	known [][]connPair
 	// Watch holds the manifest's standing-query state file (decode with
 	// the watch package's codec); nil when the manifest names none.
 	Watch []byte
@@ -593,13 +569,12 @@ func (s *Store) read(dir string) error {
 	refs := s.m.Segments
 	s.segs = make([]*snapshot.Segment, 0, len(refs))
 	for _, ref := range refs {
-		seg, n, legacy, err := segio.ReadSegmentFileVersion(dir, ref)
+		seg, n, err := segio.ReadSegmentFile(dir, ref)
 		if err != nil {
 			return err
 		}
 		s.bytes += int64(n)
 		s.segs = append(s.segs, seg)
-		s.legacy = append(s.legacy, legacy)
 	}
 	s.known = make([][]connPair, len(refs))
 	for i, ref := range refs {
@@ -684,20 +659,15 @@ func (e *Engine) OpenStore(s *Store, world time.Duration, began time.Time) error
 		return s.err
 	}
 	// Remember the loaded segments' file identities so a later save
-	// into the same directory rewrites nothing. A segment read from a
-	// legacy-format file is left out: the next save or checkpoint
-	// re-encodes it in the current format, and a save's sweep collects
-	// the old file. (writeMu: these are writer-side fields; no writer
-	// can be running before the first index, but the lock keeps the
-	// invariant uniform.)
+	// into the same directory rewrites nothing. (writeMu: these are
+	// writer-side fields; no writer can be running before the first
+	// index, but the lock keeps the invariant uniform.)
 	e.gc.writeMu.Lock()
-	if e.persist.segFiles == nil {
-		e.persist.segFiles = make(map[*snapshot.Segment]segio.SegmentRef)
+	if e.persist.segRefs == nil {
+		e.persist.segRefs = make(map[*snapshot.Segment][]segio.SegmentRef)
 	}
 	for i, seg := range s.segs {
-		if !s.legacy[i] {
-			e.persist.segFiles[seg] = m.Segments[i]
-		}
+		e.persist.segRefs[seg] = []segio.SegmentRef{m.Segments[i]}
 	}
 	e.gc.writeMu.Unlock()
 

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -12,6 +11,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -182,8 +182,8 @@ func TestSaveReusesSegmentFiles(t *testing.T) {
 }
 
 // TestCheckpointSurvivesCrash: with a checkpoint dir configured, every
-// committed ingest is reopenable without any explicit save — the
-// -watch crash-recovery story.
+// committed ingest is reopenable without any explicit save — what a
+// server fed through POST /v2/ingest recovers after a crash.
 func TestCheckpointSurvivesCrash(t *testing.T) {
 	g, _, c, _ := world(t)
 	dir := t.TempDir()
@@ -637,6 +637,165 @@ func TestCheckpointWriteFailureKeepsPreviousManifest(t *testing.T) {
 		t.Fatalf("repaired store re-walked %d pairs at open", walks)
 	}
 	enginesEquivalent(t, e, repaired)
+}
+
+// TestShardCheckpointNotTorn: a shard's checkpoint manifest describes
+// the state its job captured, even when SetRemoteStats folds a peer's
+// batch in while the writer is still placing that state's files. The
+// writer is held inside the batch's segment write (the writeSegioFile
+// seam) while the leader publishes the peer's statistics. Every
+// manifest written must split its generation into its state's local
+// generation plus its remote batches, and a copy of the directory
+// taken right after each manifest write (what a crash at that moment
+// leaves) must reopen to the leader's state at that generation: the
+// same local batches, remote statistics and answers.
+func TestShardCheckpointNotTorn(t *testing.T) {
+	g, _, c, _ := world(t)
+	ctx := context.Background()
+	opts := Options{Seed: 11, Samples: 20}
+	leader, peer := NewEngine(g, opts), NewEngine(g, opts)
+	leader.IndexCorpusSharded(c, 0, 2)
+	peer.IndexCorpusSharded(c, 1, 2)
+	if _, err := peer.Ingest(ctx, ingestBatch(t, 7300, 4)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := leader.SaveSnapshot(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	leader.SetCheckpointDir(dir, nil)
+	// The watch encoder runs as each commit enqueues its checkpoint,
+	// after the commit published its state, so it reports every
+	// generation the leader publishes. One slot per commit the test
+	// makes: the batch and the statistics.
+	published := make(chan uint64, 2)
+	leader.SetWatchEncoder(func() []byte {
+		published <- leader.Generation()
+		return nil
+	})
+
+	// The leader's state at each generation it publishes.
+	type state struct {
+		batches uint64
+		remote  ShardStats
+		answers []byte
+	}
+	leaderAt := map[uint64]state{}
+	record := func() {
+		leaderAt[leader.Generation()] = state{leader.LocalStats().Batches, leader.RemoteStatsSnapshot(), queryFingerprint(t, leader)}
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	type written struct {
+		m    segio.Manifest
+		copy string
+	}
+	var (
+		mu      sync.Mutex
+		copies  []written
+		copyErr error
+	)
+	root := t.TempDir()
+	origFile, origManifest := writeSegioFile, writeSegioManifest
+	defer func() { writeSegioFile, writeSegioManifest = origFile, origManifest }()
+	writeSegioFile = func(d, name string, data []byte) error {
+		if strings.HasSuffix(name, segio.SegmentExt) {
+			hold.Do(func() {
+				close(entered)
+				<-release
+			})
+		}
+		return origFile(d, name, data)
+	}
+	writeSegioManifest = func(d string, m *segio.Manifest) error {
+		if err := origManifest(d, m); err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		dst := filepath.Join(root, fmt.Sprint(len(copies)))
+		if err := copyDir(d, dst); err != nil && copyErr == nil {
+			copyErr = err
+		}
+		copies = append(copies, written{*m, dst})
+		return nil
+	}
+
+	res, err := leader.Ingest(ctx, ingestBatch(t, 7400, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-published
+	<-entered
+	record()
+	folded := make(chan error, 1)
+	go func() { folded <- leader.SetRemoteStats(peer.LocalStats()) }()
+	<-published
+	record()
+	close(release)
+	if err := <-folded; err != nil {
+		t.Fatal(err)
+	}
+	leader.WaitPersisted(res.PersistSeq)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if copyErr != nil {
+		t.Fatal(copyErr)
+	}
+	if len(copies) != 2 {
+		t.Fatalf("%d manifests written, want the batch's and the statistics'", len(copies))
+	}
+	for _, w := range copies {
+		m := w.m
+		want, ok := leaderAt[m.Generation]
+		if !ok || m.Shard == nil {
+			t.Fatalf("manifest at generation %d (shard section %v) names no state the leader published", m.Generation, m.Shard)
+		}
+		if local := m.Generation - m.Shard.RemoteBatches; local != want.batches+1 {
+			t.Errorf("manifest at generation %d: %d remote batches leave local generation %d, its state's is %d",
+				m.Generation, m.Shard.RemoteBatches, local, want.batches+1)
+		}
+		reopened := NewEngine(g, opts)
+		if err := reopened.OpenSnapshot(w.copy, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := reopened.LocalStats().Batches; reopened.Generation() != m.Generation || got != want.batches {
+			t.Errorf("copy at generation %d reopens at generation %d with %d local batches, want %d",
+				m.Generation, reopened.Generation(), got, want.batches)
+		}
+		if got := reopened.RemoteStatsSnapshot(); !reflect.DeepEqual(got, want.remote) {
+			t.Errorf("copy at generation %d reopens with remote statistics %d docs, %d batches; the leader's were %d, %d",
+				m.Generation, got.Docs, got.Batches, want.remote.Docs, want.remote.Batches)
+		}
+		if !bytes.Equal(queryFingerprint(t, reopened), want.answers) {
+			t.Errorf("copy at generation %d answers differently from the leader at that generation", m.Generation)
+		}
+	}
+}
+
+// copyDir copies the files of src into a new directory dst. Unlike
+// copyStore it returns its error, so a seam running on the writer
+// goroutine can call it.
+func copyDir(src, dst string) error {
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(src, ent.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, ent.Name()), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestPersistErrors pins the misuse and corruption error paths of the
@@ -1099,81 +1258,4 @@ func TestOpenLegacyConnFileStore(t *testing.T) {
 		t.Fatalf("reopen after the upgrading save re-walked %d pairs", walks)
 	}
 	enginesEquivalent(t, e, reopened)
-}
-
-// TestOpenLegacyFormatStore: a store whose segment files are format v3
-// (the same DOCS and ARTS, followed by TEXT, POST and BMAX sections the
-// decoder CRC-checks and ignores) opens like its v4 twin. Saving it
-// into its own directory reuses the v3 files; saving it anywhere else
-// re-encodes them as v4 under the names and CRCs of the new bytes, so
-// that copy opens too.
-func TestOpenLegacyFormatStore(t *testing.T) {
-	g, _, c, _ := world(t)
-	dir := t.TempDir()
-	e := NewEngine(g, persistTestOptions())
-	e.IndexCorpus(c)
-	if _, err := e.Ingest(context.Background(), ingestBatch(t, 8960, 6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SaveSnapshot(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	m, err := segio.ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ref := range m.Segments {
-		data, err := os.ReadFile(filepath.Join(dir, ref.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy := append([]byte(nil), data...)
-		legacy[4], legacy[5] = 3, 0
-		for _, tag := range []string{"TEXT", "POST", "BMAX"} {
-			legacy = append(legacy, tag...)
-			legacy = append(legacy, make([]byte, 8)...) // empty payload
-			legacy = binary.LittleEndian.AppendUint32(legacy, crc32.ChecksumIEEE(nil))
-		}
-		os.Remove(filepath.Join(dir, ref.File))
-		ref.CRC = crc32.ChecksumIEEE(legacy)
-		ref.File = segio.SegmentFileName(ref.Base, ref.Docs, ref.CRC)
-		if err := segio.WriteFileAtomic(dir, ref.File, legacy); err != nil {
-			t.Fatal(err)
-		}
-		m.Segments[i] = ref
-	}
-	if err := segio.WriteManifest(dir, m); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded := NewEngine(g, persistTestOptions())
-	if err := loaded.OpenSnapshot(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	enginesEquivalent(t, e, loaded)
-	// Every segment file a save leaves, in place or in a new directory,
-	// is v4, and the store reopens to the same answers.
-	for _, to := range []string{dir, t.TempDir()} {
-		if err := loaded.SaveSnapshot(to, nil); err != nil {
-			t.Fatal(err)
-		}
-		files, err := filepath.Glob(filepath.Join(to, "*"+segio.SegmentExt))
-		if err != nil || len(files) != len(m.Segments) {
-			t.Fatalf("%d segment files after the save, want %d (err %v)", len(files), len(m.Segments), err)
-		}
-		for _, f := range files {
-			data, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v := binary.LittleEndian.Uint16(data[4:6]); v != 4 {
-				t.Fatalf("%s: format version %d after the save, want 4", f, v)
-			}
-		}
-		reopened := NewEngine(g, persistTestOptions())
-		if err := reopened.OpenSnapshot(to, nil); err != nil {
-			t.Fatal(err)
-		}
-		enginesEquivalent(t, e, reopened)
-	}
 }

@@ -120,41 +120,55 @@ func (e *Engine) RemoteStatsSnapshot() ShardStats {
 // republishes the snapshot at the new global generation. The segments
 // are untouched, so the rebuild reuses every plan skeleton and every
 // stored connectivity factor — only the IDF-dependent arrays replay.
-// The swap bumps the cache epoch (scores changed) and checkpoints, so
-// a replica shipping this shard's store observes the generation
-// advance even when no local segment changed. Invalid stats (see
-// ShardStats.validate) are refused. So are stats at the current batch
-// count that differ from the current ones: peers' counts only grow, so
-// a real summary at an unchanged batch count is the same summary, and
-// any other body names no state (a sum of torn peer snapshots, or a
-// forgery) — rescoring on it would change answers while the generation
-// stays put. The same stats again are a no-op.
+// The swap bumps the cache epoch (scores changed) and is checkpointed
+// before SetRemoteStats returns, so a replica shipping this shard's
+// store observes the generation advance even when no local segment
+// changed. The checkpoint goes through the group-commit writer like an
+// ingest's, and the wait for it runs after the ingest lock is
+// released. Invalid stats (see ShardStats.validate) are refused. So
+// are stats at the current batch count that differ from the current
+// ones: peers' counts only grow, so a real summary at an unchanged
+// batch count is the same summary, and any other body names no state
+// (a sum of torn peer snapshots, or a forgery) — rescoring on it would
+// change answers while the generation stays put. The same stats again
+// are a no-op.
 func (e *Engine) SetRemoteStats(rs ShardStats) error {
+	seq, err := e.foldRemoteStats(rs)
+	if err != nil {
+		return err
+	}
+	e.WaitPersisted(seq)
+	return nil
+}
+
+// foldRemoteStats is SetRemoteStats' commit under ingestMu: it
+// validates rs, publishes the rescored state and returns the persist
+// sequence of its checkpoint (0 for a no-op).
+func (e *Engine) foldRemoteStats(rs ShardStats) (uint64, error) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	cur := e.state()
 	if cur == nil {
-		return errNotIndexed
+		return 0, errNotIndexed
 	}
 	old := e.remote.Load()
 	if old == nil {
-		return errNotSharded
+		return 0, errNotSharded
 	}
 	if err := rs.validate(e.g.NumNodes()); err != nil {
-		return err
+		return 0, err
 	}
 	if old.Batches == rs.Batches {
 		if old.Docs == rs.Docs && maps.Equal(old.DF, rs.DF) {
-			return nil
+			return 0, nil
 		}
-		return fmt.Errorf("remote statistics: %d batches already folded in with other counts", rs.Batches)
+		return 0, fmt.Errorf("remote statistics: %d batches already folded in with other counts", rs.Batches)
 	}
 	e.remote.Store(&rs)
 	st, _ := e.buildState(e.localGen.Load()+rs.Batches, cur.snap.Segments, cur, nil)
 	e.st.Store(st)
 	e.epoch.Add(1)
-	e.checkpointSyncLocked(st)
-	return nil
+	return e.enqueueCheckpointLocked(st), nil
 }
 
 // IndexCorpusSharded is IndexCorpus for shard `shard` of `count`: it

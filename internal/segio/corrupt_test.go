@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +12,7 @@ import (
 	"ncexplorer/internal/snapshot"
 )
 
-// sectionRanges parses a valid segment encoding (either version) and
-// returns the byte range of each section's payload, keyed by tag.
+// sectionRanges parses a valid segment encoding and returns the byte range of each section's payload, keyed by tag.
 func sectionRanges(t *testing.T, data []byte) map[string][2]int {
 	t.Helper()
 	out := make(map[string][2]int)
@@ -34,14 +32,10 @@ func sectionRanges(t *testing.T, data []byte) map[string][2]int {
 
 // TestCorruptionMatrix drives the corruption table: every damaged
 // input yields its typed error — never a panic, never a half-decoded
-// segment. The sections only a v3 file carries are damaged in a v3
-// fixture: the decoder ignores their content but still checks their
-// CRCs.
+// segment.
 func TestCorruptionMatrix(t *testing.T) {
 	valid := EncodeSegment(buildTestSegment(77, 0, 25))
-	legacy := legacyFixture(t, 2)
 	sections := sectionRanges(t, valid)
-	legacyRanges := sectionRanges(t, legacy)
 
 	check := func(t *testing.T, data []byte, wantErr error, wantInMsg string) {
 		t.Helper()
@@ -87,19 +81,16 @@ func TestCorruptionMatrix(t *testing.T) {
 	t.Run("trailing bytes", func(t *testing.T) {
 		check(t, append(append([]byte(nil), valid...), 0), ErrCorrupt, "trailing")
 	})
-	for _, tag := range legacySections {
+	for _, tag := range segmentSections {
 		t.Run("flipped byte in "+tag, func(t *testing.T) {
-			sample, r := valid, sections[tag]
-			if !slices.Contains(segmentSections, tag) {
-				sample, r = legacy, legacyRanges[tag]
-			}
+			r := sections[tag]
 			if r[0] == r[1] {
 				t.Skipf("section %s empty in sample", tag)
 			}
 			// Flip one byte at the start, middle, and end of the payload;
 			// the section CRC must catch each.
 			for _, pos := range []int{r[0], (r[0] + r[1]) / 2, r[1] - 1} {
-				data := append([]byte(nil), sample...)
+				data := append([]byte(nil), valid...)
 				data[pos] ^= 0x40
 				check(t, data, ErrCorrupt, tag)
 			}

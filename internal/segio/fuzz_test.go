@@ -15,13 +15,14 @@ import (
 )
 
 // The fuzz seed corpus lives in testdata/*.ncseg as real encoded
-// segments — the current-version seed-segment-*.ncseg and the v3
-// legacy-v3-segment-*.ncseg — plus testdata/*.nccm conn files.
-// Regenerate the current-version seeds with:
+// segments — the current-version seed-segment-*.ncseg and one genuine
+// v3 file, legacy-v3-segment-0.ncseg, which seeds the version refusal
+// — plus testdata/*.nccm conn files. Regenerate the current-version
+// seeds with:
 //
 //	go test ./internal/segio -run TestSeedCorpus -update-seeds
 //
-// The v3 files are kept as written; no encoder for them remains.
+// The v3 file is kept as written; no encoder for it remains.
 var updateSeeds = flag.Bool("update-seeds", false, "rewrite the checked-in fuzz seed corpus")
 
 // seedSpecs pins the segments the corpus is generated from.
@@ -31,10 +32,11 @@ var seedSpecs = []struct {
 	n    int
 }{{11, 0, 1}, {12, 0, 24}, {13, 4096, 60}}
 
-// TestSeedCorpus keeps the checked-in corpus honest: every seed file
-// must decode cleanly, and every current-version one re-encode to its
-// own bytes; with -update-seeds it rewrites the current-version files
-// from seedSpecs first.
+// TestSeedCorpus keeps the checked-in corpus honest: every
+// current-version seed file must decode cleanly and re-encode to its
+// own bytes, and every older one must be refused with
+// ErrVersionMismatch; with -update-seeds it rewrites the
+// current-version files from seedSpecs first.
 func TestSeedCorpus(t *testing.T) {
 	if *updateSeeds {
 		for i, spec := range seedSpecs {
@@ -55,10 +57,16 @@ func TestSeedCorpus(t *testing.T) {
 	}
 	for name, data := range segs {
 		seg, err := DecodeSegment(data)
+		if !isCurrent(data) {
+			if !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("%s: older format decoded with err = %v, want ErrVersionMismatch", name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if isCurrent(data) && !bytes.Equal(EncodeSegment(seg), data) {
+		if !bytes.Equal(EncodeSegment(seg), data) {
 			t.Fatalf("%s: not canonical", name)
 		}
 	}
@@ -93,7 +101,7 @@ func seedCorpus(t testing.TB) (segs, conns map[string][]byte) {
 }
 
 // isCurrent reports whether segment bytes carry this build's format
-// version (an older file re-encodes to different, current bytes).
+// version.
 func isCurrent(data []byte) bool {
 	return len(data) >= 6 && binary.LittleEndian.Uint16(data[4:6]) == formatVersion
 }
@@ -143,11 +151,9 @@ func FuzzDecodeSegment(f *testing.F) {
 	})
 }
 
-// FuzzSegmentRoundTrip: the encoding is canonical — any accepted
-// current-version input IS the canonical encoding of its segment, and
-// encode∘decode is the identity on it (so encode/decode/re-encode is
-// byte-stable). An accepted v3 input re-encodes to current-version
-// bytes that decode to the same segment.
+// FuzzSegmentRoundTrip: the encoding is canonical — any accepted input
+// IS the canonical encoding of its segment, and encode∘decode is the
+// identity on it (so encode/decode/re-encode is byte-stable).
 func FuzzSegmentRoundTrip(f *testing.F) {
 	segs, _ := seedCorpus(f)
 	for _, data := range segs {
@@ -160,7 +166,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			return
 		}
 		enc := EncodeSegment(seg)
-		if isCurrent(data) && !bytes.Equal(enc, data) {
+		if !bytes.Equal(enc, data) {
 			t.Fatalf("decode accepted non-canonical input:\n in: %x\nout: %x", data, enc)
 		}
 		seg2, err := DecodeSegment(enc)

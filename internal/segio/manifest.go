@@ -251,45 +251,36 @@ func WriteManifest(dir string, m *Manifest) error {
 // whole-file CRC pinned in the manifest catches a swapped or regressed
 // file even when the file itself is internally consistent.
 func ReadSegmentFile(dir string, ref SegmentRef) (*snapshot.Segment, int, error) {
-	s, n, _, err := ReadSegmentFileVersion(dir, ref)
-	return s, n, err
-}
-
-// ReadSegmentFileVersion is ReadSegmentFile that also reports whether
-// the file holds the legacy (v3) layout, which a save re-encodes.
-func ReadSegmentFileVersion(dir string, ref SegmentRef) (seg *snapshot.Segment, n int, legacy bool, err error) {
 	path := filepath.Join(dir, ref.File)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, false, fmt.Errorf("%w: manifest references missing segment file %s: %v", ErrCorrupt, ref.File, err)
+		return nil, 0, fmt.Errorf("%w: manifest references missing segment file %s: %v", ErrCorrupt, ref.File, err)
 	}
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("%w: reading segment file %s: %v", ErrCorrupt, ref.File, err)
+		return nil, 0, fmt.Errorf("%w: reading segment file %s: %v", ErrCorrupt, ref.File, err)
 	}
 	// Sniff the header version before any CRC work: a cross-version file
 	// (e.g. a stale old-format segment in a partially upgraded store)
 	// rarely matches the manifest CRC, and reporting that mismatch would
 	// misdiagnose a version skew as corruption.
 	if len(data) >= 6 && string(data[:4]) == segmentMagic {
-		v := binary.LittleEndian.Uint16(data[4:6])
-		if v != formatVersion && v != legacyVersion {
-			return nil, 0, false, versionError("segment file "+ref.File+":", v)
+		if v := binary.LittleEndian.Uint16(data[4:6]); v != formatVersion {
+			return nil, 0, versionError("segment file "+ref.File+":", v)
 		}
-		legacy = v == legacyVersion
 	}
 	if sum := crc32.ChecksumIEEE(data); sum != ref.CRC {
-		return nil, 0, false, fmt.Errorf("%w: segment file %s: file CRC %08x does not match manifest %08x",
+		return nil, 0, fmt.Errorf("%w: segment file %s: file CRC %08x does not match manifest %08x",
 			ErrCorrupt, ref.File, sum, ref.CRC)
 	}
 	s, err := DecodeSegment(data)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("segment file %s: %w", ref.File, err)
+		return nil, 0, fmt.Errorf("segment file %s: %w", ref.File, err)
 	}
 	if int(s.Base) != int(ref.Base) || s.Len() != ref.Docs {
-		return nil, 0, false, fmt.Errorf("%w: segment file %s: base/docs (%d, %d) disagree with manifest (%d, %d)",
+		return nil, 0, fmt.Errorf("%w: segment file %s: base/docs (%d, %d) disagree with manifest (%d, %d)",
 			ErrCorrupt, ref.File, s.Base, s.Len(), ref.Base, ref.Docs)
 	}
-	return s, len(data), legacy, nil
+	return s, len(data), nil
 }
 
 // ReadConnFile reads a manifest-referenced conn companion's bytes

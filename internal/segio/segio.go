@@ -39,11 +39,8 @@
 //     what DOCS already says.
 //
 // Version evolution policy: formatVersion is bumped on any
-// incompatible layout change; decoders reject newer versions with
-// ErrVersionMismatch (never a guess). A v3 segment is still read: its
-// DOCS and ARTS layouts are v4's, and its TEXT, POST and BMAX sections
-// are CRC-checked and then ignored. Re-encoding a decoded v3 segment
-// yields v4 bytes. Older versions are rejected with ErrVersionMismatch.
+// incompatible layout change, and decoders reject every other version
+// with ErrVersionMismatch (never a guess). This build reads v4 only.
 // Conn-memo files carry their own version, and the manifest its own
 // format_version, with the same rule.
 //
@@ -86,11 +83,9 @@ var (
 const (
 	segmentMagic = "NCSG"
 	connMagic    = "NCCM"
-	// formatVersion is the segment layout version this build writes,
-	// and legacyVersion the one older layout it still reads (see the
-	// package comment).
+	// formatVersion is the one segment layout version this build
+	// writes and reads (see the package comment).
 	formatVersion = 4
-	legacyVersion = 3
 	// connVersion is the conn-memo layout version, independent of the
 	// segment format since v4.
 	connVersion = 3
@@ -102,12 +97,9 @@ const (
 	maxSegmentDocs = 1 << 28
 )
 
-// Section tags, in the order they appear in a segment file: the
-// current layout, and v3's, whose last three sections are derived data.
-var (
-	segmentSections = []string{"DOCS", "ARTS"}
-	legacySections  = []string{"DOCS", "ARTS", "TEXT", "POST", "BMAX"}
-)
+// segmentSections are the section tags, in the order they appear in a
+// segment file.
+var segmentSections = []string{"DOCS", "ARTS"}
 
 // segmentSizeHint estimates the encoded size of a segment so the
 // encoder can allocate its output buffer once. The ARTS section
@@ -149,8 +141,7 @@ func EncodeSegment(seg *snapshot.Segment) []byte {
 	return out.buf
 }
 
-// DecodeSegment parses a segment file produced by EncodeSegment (or a
-// v3 file; see the package comment). On success the returned segment is
+// DecodeSegment parses a segment file produced by EncodeSegment. On success the returned segment is
 // fully initialized: its postings, block-max tables and time bounds are
 // derived from the decoded document records. Any failure returns a nil
 // segment and an error wrapping ErrCorrupt or ErrVersionMismatch;
@@ -164,16 +155,11 @@ func DecodeSegment(data []byte) (*snapshot.Segment, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: truncated segment header", ErrCorrupt)
 	}
-	tags := segmentSections
-	switch v {
-	case formatVersion:
-	case legacyVersion:
-		tags = legacySections
-	default:
+	if v != formatVersion {
 		return nil, versionError("segment", v)
 	}
-	sections := make([][]byte, len(tags))
-	for i, tag := range tags {
+	sections := make([][]byte, len(segmentSections))
+	for i, tag := range segmentSections {
 		if got := string(r.take(4)); r.err != nil || got != tag {
 			return nil, fmt.Errorf("%w: section %s: missing or out of order", ErrCorrupt, tag)
 		}
@@ -209,8 +195,8 @@ func DecodeSegment(data []byte) (*snapshot.Segment, error) {
 // versionError reports a well-formed header of a version this build
 // does not read.
 func versionError(kind string, v uint16) error {
-	return fmt.Errorf("%w: %s format version %d (this build reads %d and %d)",
-		ErrVersionMismatch, kind, v, formatVersion, legacyVersion)
+	return fmt.Errorf("%w: %s format version %d (this build reads %d)",
+		ErrVersionMismatch, kind, v, formatVersion)
 }
 
 // corruptf builds a section-scoped ErrCorrupt.

@@ -425,24 +425,31 @@ func TestCollectGarbage(t *testing.T) {
 // must always surface as ErrVersionMismatch naming both versions —
 // never ErrCorrupt — through both the raw decoder and the
 // manifest-checked file reader, whether or not the manifest CRC matches
-// the cross-version bytes.
+// the cross-version bytes. v3, the previous format, is refused like any
+// other.
 func TestCrossVersionOpenMatrix(t *testing.T) {
 	current := EncodeSegment(buildTestSegment(21, 0, 8))
 
 	variants := map[string][]byte{}
-	for _, v := range []uint16{1, 2, formatVersion + 1, 99} {
+	for _, v := range []uint16{1, 2, 3, formatVersion + 1, 99} {
 		data := append([]byte(nil), current...)
 		data[4] = byte(v)
 		data[5] = byte(v >> 8)
 		variants[fmt.Sprintf("patched-v%d", v)] = data
 	}
-	// A genuine previous-version file (written by the v2 encoder before
-	// PublishedAt existed), not just a patched header.
-	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-v2-segment.bin"))
-	if err != nil {
-		t.Fatal(err)
+	// Genuine older files, not just patched headers: one written by the
+	// v2 encoder before PublishedAt existed, and one by the v3 encoder,
+	// whose derived TEXT, POST and BMAX sections follow DOCS and ARTS.
+	for name, file := range map[string]string{
+		"genuine-v2": "legacy-v2-segment.bin",
+		"genuine-v3": "legacy-v3-segment-0.ncseg",
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		variants[name] = data
 	}
-	variants["genuine-v2"] = legacy
 
 	dir := t.TempDir()
 	for name, data := range variants {

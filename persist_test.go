@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -212,6 +213,28 @@ func TestOpenErrorMapping(t *testing.T) {
 			}
 		})
 		expectCode(t, d, CodeCorruptSnapshot)
+	})
+	t.Run("v3 segment file", func(t *testing.T) {
+		// A store saved before format v4: a genuine v3 file under a
+		// manifest whose CRC matches it. This build reads v4 only.
+		legacy, err := os.ReadFile(filepath.Join("internal", "segio", "testdata", "legacy-v3-segment-0.ncseg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := corruptedCopy(t, dir, func(d string) {
+			m, err := segio.ReadManifest(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(d, m.Segments[0].File), legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m.Segments[0].CRC = crc32.ChecksumIEEE(legacy)
+			if err := segio.WriteManifest(d, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		expectCode(t, d, CodeVersionMismatch)
 	})
 	t.Run("missing segment file", func(t *testing.T) {
 		d := corruptedCopy(t, dir, func(d string) {
