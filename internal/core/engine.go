@@ -230,10 +230,8 @@ type Engine struct {
 
 	// gc is the group-commit checkpoint writer: commits enqueue their
 	// state here and the encode+fsync happen off the commit path (see
-	// groupcommit.go). syncPersist restores the legacy behavior of
-	// blocking each Ingest until its checkpoint attempt completed.
-	gc          groupCommit
-	syncPersist atomic.Bool
+	// groupcommit.go).
+	gc groupCommit
 
 	// candPool pools the per-worker candidate-concept enumeration
 	// scratch (stamp marks sized by the graph); planPool pools the

@@ -3,8 +3,6 @@ package core
 import (
 	"sync"
 	"time"
-
-	"ncexplorer/internal/snapshot"
 )
 
 // Group-commit checkpoint writer. A committed batch's durability work —
@@ -31,12 +29,18 @@ import (
 //     commit was assigned; a coalesced job's sequence is covered by the
 //     newer write that subsumed it.
 //
-// Crash ordering is unchanged from the synchronous path: writeStore
-// still writes segment files first and swaps the manifest last, and
-// jobs reach the disk in commit (sequence) order — a stale job that
-// lost a coalescing race or arrived after a newer synchronous write is
-// skipped, never written over a newer manifest (the `written` watermark
-// under writeMu enforces this).
+// Coalescing decides only WHICH committed states reach the disk, never
+// what a state's files are: each job carries its state's covers (see
+// coverLeaf in persist.go), fixed at commit time from the merge lineage
+// alone, and the writer writes exactly those files, encoding a leaf
+// whose own job was skipped. The directory after any write is a
+// function of the state written, whatever the writer's timing.
+//
+// Crash ordering: writeStore writes segment files first and swaps the
+// manifest last, and jobs reach the disk in commit (sequence) order — a
+// stale job that lost a coalescing race or arrived after a newer write
+// is skipped, never written over a newer manifest (the `written`
+// watermark under writeMu enforces this).
 //
 // Lock order: ingestMu → gc.mu, and writeMu → gc.mu. The writer takes
 // writeMu and gc.mu but never ingestMu, so commit-holders may block on
@@ -55,6 +59,10 @@ type persistJob struct {
 	// manifest swap even though the write happens later.
 	watch    []byte
 	hasWatch bool
+	// covers holds, per segment of st (nil for a save, or when no
+	// segment has one), the leaves covering a merged segment instead of
+	// its own file; nil entries are covered by their own file.
+	covers [][]*coverLeaf
 }
 
 // groupCommit is the writer's shared state, embedded in Engine.
@@ -74,70 +82,12 @@ type groupCommit struct {
 	waiters  int
 	waiterCh chan struct{}
 
-	// lineage records (under mu) which segments a background merge
-	// folded into each merged segment that has not yet reached a
-	// checkpoint. The writer substitutes the parents' already-durable
-	// files for the merged segment (a delta checkpoint) instead of
-	// re-encoding O(corpus) bytes after every merge; entries are purged
-	// as soon as the writer has either resolved the merged segment to
-	// delta refs or written it a real file. Only populated while a
-	// checkpoint directory is configured, so disabled engines never pin
-	// folded segments.
-	lineage map[*snapshot.Segment][]*snapshot.Segment
-
 	// writeMu serialises every disk write (checkpoints, saves, opens)
-	// and guards the writer-side persist fields (segRefs, verified,
-	// lastWatchFile) and the written watermark below.
+	// and guards the writer-side persist fields (files, verified,
+	// lastDir, lastFiles, the coverLeaf fields) and the written
+	// watermark below.
 	writeMu sync.Mutex
 	written uint64 // highest sequence actually written (under writeMu)
-}
-
-// addLineage records a merge fold for delta checkpoints. Callers hold
-// ingestMu (commit side); the map itself is guarded by mu.
-func (gc *groupCommit) addLineage(merged *snapshot.Segment, parents ...*snapshot.Segment) {
-	gc.mu.Lock()
-	if gc.lineage == nil {
-		gc.lineage = make(map[*snapshot.Segment][]*snapshot.Segment)
-	}
-	gc.lineage[merged] = parents
-	gc.mu.Unlock()
-}
-
-// parentsOf returns the recorded merge parents of seg, or nil.
-func (gc *groupCommit) parentsOf(seg *snapshot.Segment) []*snapshot.Segment {
-	gc.mu.Lock()
-	parents := gc.lineage[seg]
-	gc.mu.Unlock()
-	return parents
-}
-
-// purgeLineage drops the lineage chain rooted at seg — called once a
-// checkpoint has either cached seg's delta refs or written seg its own
-// file: no future write needs the chain, and keeping it would pin the
-// folded segments' memory. Chains are trees (a segment is folded into
-// exactly one merged segment), so the recursion never revisits a node.
-func (gc *groupCommit) purgeLineage(seg *snapshot.Segment) {
-	gc.mu.Lock()
-	gc.purgeLineageLocked(seg)
-	gc.mu.Unlock()
-}
-
-func (gc *groupCommit) purgeLineageLocked(seg *snapshot.Segment) {
-	parents, ok := gc.lineage[seg]
-	if !ok {
-		return
-	}
-	delete(gc.lineage, seg)
-	for _, p := range parents {
-		gc.purgeLineageLocked(p)
-	}
-}
-
-// clearLineage drops every recorded fold — checkpointing was disabled.
-func (gc *groupCommit) clearLineage() {
-	gc.mu.Lock()
-	gc.lineage = nil
-	gc.mu.Unlock()
 }
 
 // complete marks a checkpoint attempt for seq as finished and wakes
@@ -171,20 +121,21 @@ func (e *Engine) persistJobLocked(st *genState) (*persistJob, uint64) {
 		job.watch = e.persist.watchEnc()
 		job.hasWatch = true
 	}
+	if len(e.persist.covers) > 0 {
+		job.covers = make([][]*coverLeaf, len(st.snap.Segments))
+		for i, seg := range st.snap.Segments {
+			job.covers[i] = e.persist.covers[seg]
+		}
+	}
 	return job, seq
 }
 
 // enqueueCheckpointLocked hands the committed state to the group-commit
-// writer and returns the sequence to wait on for durability. With
-// SetSyncPersist(true) the write happens before returning instead (the
-// pre-pipeline behavior). ingestMu held.
+// writer and returns the sequence to wait on for durability. ingestMu
+// held.
 func (e *Engine) enqueueCheckpointLocked(st *genState) uint64 {
 	job, seq := e.persistJobLocked(st)
 	if job == nil {
-		return seq
-	}
-	if e.syncPersist.Load() {
-		e.writeCheckpoint(job)
 		return seq
 	}
 	gc := &e.gc
@@ -264,7 +215,7 @@ func (e *Engine) writeCheckpoint(j *persistJob) {
 	gc := &e.gc
 	gc.writeMu.Lock()
 	if j.seq > gc.written {
-		if err := e.writeStore(j.dir, j.st, false, j.world, j.watch, j.hasWatch); err != nil {
+		if err := e.writeStore(j); err != nil {
 			e.persist.checkpointErrors.Add(1)
 		} else {
 			e.persist.checkpoints.Add(1)
@@ -311,9 +262,3 @@ func (gc *groupCommit) waitDone(seq uint64) {
 	}
 	gc.mu.Unlock()
 }
-
-// SetSyncPersist toggles pipelined checkpointing off (true): every
-// commit then blocks until its checkpoint attempt finished. Tests use
-// it for a deterministic checkpoint schedule — one write per batch, in
-// commit order, never coalesced.
-func (e *Engine) SetSyncPersist(on bool) { e.syncPersist.Store(on) }

@@ -383,11 +383,11 @@ func (e *Engine) mergeSegments() {
 			break
 		}
 		merged := snapshot.Merge(segs[best : best+2])
-		// Record the fold for delta checkpoints: the writer substitutes
-		// the two parents' durable files for the merged segment rather
-		// than re-encoding O(corpus) bytes on every merge.
+		// Record the fold for delta checkpoints: the writer references
+		// the parents' files for the merged segment rather than
+		// re-encoding O(corpus) bytes on every merge.
 		if e.persist.checkpointDir != "" {
-			e.gc.addLineage(merged, segs[best], segs[best+1])
+			e.persist.fold(merged, segs[best], segs[best+1])
 		}
 		segs = append(segs[:best+1], segs[best+2:]...)
 		segs[best] = merged

@@ -104,11 +104,32 @@ var (
 	writeSegioManifest = segio.WriteManifest
 )
 
+// maxDeltaRefs bounds a merged segment's cover: while its parents'
+// covers, concatenated, hold at most 1+maxDeltaRefs files, checkpoints
+// reference those files instead of encoding the merged segment; past
+// that, the merged segment is encoded whole. Writing every merge whole
+// would re-encode the growing tail on each small batch (56 times the
+// batch bytes on the live_feed schedule); an unbounded cover would let
+// the manifest, and the files an open reads, grow with every batch
+// since the last save.
+const maxDeltaRefs = 16
+
+// coverLeaf is one file of a merged segment's cover: the segment whose
+// file it is, until the write that first covers it encodes (or finds)
+// that file, and the file's ref from then on. Merges share leaves by
+// pointer, so a leaf resolved once stays resolved in every later cover
+// and pins its segment no longer than that first write. seg and ref
+// are the writer's (gc.writeMu).
+type coverLeaf struct {
+	seg *snapshot.Segment
+	ref segio.SegmentRef
+}
+
 // persistState is the engine's persistence bookkeeping. The
-// commit-side fields (checkpoint dir, world meta, watch encoder) are
-// guarded by ingestMu; the writer-side fields (segRefs, verified,
-// lastWatchFile) are guarded by gc.writeMu, because the group-commit
-// writer touches them off the commit path.
+// commit-side fields (checkpoint dir, world meta, covers, watch
+// encoder) are guarded by ingestMu; the writer-side fields (files,
+// verified, lastDir, lastFiles) are guarded by gc.writeMu, because the
+// group-commit writer touches them off the commit path.
 type persistState struct {
 	saves, opens, checkpoints       atomic.Int64
 	segmentsWritten, segmentsReused atomic.Int64
@@ -117,34 +138,59 @@ type persistState struct {
 	lastOpen                        atomic.Pointer[OpenClocks]
 	checkpointDir                   string
 	world                           map[string]string
-	// segRefs caches, per segment already persisted, the refs of the
-	// durable files that cover its documents. One ref is the segment's
-	// own content-addressed file, so a checkpoint after an ingest
-	// re-encodes only the new segment. More than one cover a merged
-	// segment that has never been encoded into its own file: its merge
-	// parents' files, resolved through gc.lineage. Checkpoints
-	// substitute these for the merged segment instead of re-encoding
-	// O(corpus) bytes after every merge; only SaveSnapshot compacts.
-	// Pruned to the live snapshot on every write.
-	segRefs map[*snapshot.Segment][]segio.SegmentRef
+	// covers maps each live merged segment that checkpoints cover with
+	// other files to those files' leaves. It is a function of the merge
+	// lineage since the last save, open or checkpoint-directory change,
+	// fixed as each merge commits (fold): a segment without an entry is
+	// covered by its own file. Nothing in it depends on which jobs the
+	// writer skipped, so neither does any manifest.
+	covers map[*snapshot.Segment][]*coverLeaf
+	// files caches, per segment whose own file a write placed or found,
+	// that file's ref, so a checkpoint re-encodes only new segments.
+	// Pruned to the written state's live segments on every write.
+	files map[*snapshot.Segment]segio.SegmentRef
 	// verified caches dir-qualified file names this process has already
 	// confirmed (or written) on disk, so per-checkpoint existence checks
 	// cost one stat per file per process instead of one per file per
-	// checkpoint — without it the writer's stat count grows with every
-	// batch since the last compaction. The engine itself never deletes a
-	// verified file while it is referenced (checkpoint GC is
-	// manifest-driven); external deletion is caught at open time by the
-	// manifest's CRCs.
+	// checkpoint. The writer forgets every name it removes, and never
+	// removes a name a later manifest may reference; external deletion
+	// is caught at open time by the manifest's CRCs.
 	verified map[string]bool
-	// lastWatchFile is the content-addressed standing-query file the
-	// newest manifest references. Checkpoints skip the directory-wide
-	// garbage scan (a delta checkpoint never unreferences a file), so
-	// a superseded watch file — the one exception — is removed here.
-	lastWatchFile string
+	// lastDir and lastFiles name the directory of the newest manifest
+	// this process wrote and the files it references. The next write
+	// into lastDir removes the ones its manifest drops; any other write
+	// (the first into a directory, the first after a failed attempt)
+	// sweeps the directory against its manifest instead.
+	lastDir   string
+	lastFiles []string
 	// watchEnc, when set, renders the standing-query state (watchlists,
 	// alert rings, delivery cursors) for manifest participation. It
 	// returns nil when there is nothing to persist.
 	watchEnc func() []byte
+}
+
+// fold records a merge of a and b into merged for later checkpoints:
+// merged is covered by the concatenation of its parents' covers while
+// that holds at most 1+maxDeltaRefs files, and by its own file past
+// it. The parents are no longer live, so their entries go. ingestMu
+// held.
+func (p *persistState) fold(merged, a, b *snapshot.Segment) {
+	cover := append(slices.Clip(p.coverOf(a)), p.coverOf(b)...)
+	delete(p.covers, a)
+	delete(p.covers, b)
+	if len(cover) <= 1+maxDeltaRefs {
+		if p.covers == nil {
+			p.covers = make(map[*snapshot.Segment][]*coverLeaf)
+		}
+		p.covers[merged] = cover
+	}
+}
+
+func (p *persistState) coverOf(seg *snapshot.Segment) []*coverLeaf {
+	if cover, ok := p.covers[seg]; ok {
+		return cover
+	}
+	return []*coverLeaf{{seg: seg}}
 }
 
 // PersistCounters returns the engine's persistence counters.
@@ -181,11 +227,10 @@ func (e *Engine) SetCheckpointDir(dir string, world map[string]string) {
 	defer e.ingestMu.Unlock()
 	e.persist.checkpointDir = dir
 	e.persist.world = world
-	if dir == "" {
-		// No writer will ever consume pending merge lineage; drop it so
-		// it cannot pin folded segments.
-		e.gc.clearLineage()
-	}
+	// Covers restart from the live segments' own files: leaves resolved
+	// into another directory name no file here, and a disabled writer
+	// would never release the segments pending ones pin.
+	e.persist.covers = nil
 }
 
 // SaveSnapshot durably persists the current snapshot (segments, their
@@ -215,60 +260,57 @@ func (e *Engine) SaveSnapshot(dir string, world map[string]string) error {
 		watch = e.persist.watchEnc()
 	}
 	e.gc.writeMu.Lock()
-	err := e.writeStore(dir, st, true, e.persist.world, watch, hasWatch)
+	err := e.writeStore(&persistJob{st: st, dir: dir, world: e.persist.world, watch: watch, hasWatch: hasWatch})
 	e.gc.writeMu.Unlock()
 	if err != nil {
 		return err
 	}
+	// Every live segment now has its own file: checkpoints cover them
+	// with it from here on.
+	e.persist.covers = nil
 	e.persist.saves.Add(1)
 	return nil
 }
 
-// writeStore writes segments and their conn companions and swaps the
-// manifest. compact (saves) encodes every live segment whole and sweeps
-// the directory after the swap; checkpoints instead cover merged
-// segments with delta refs and skip the sweep. The manifest is built
-// from its job alone: st (with the remote statistics it was scored
-// under), and world and watch, captured at commit time — the writer
-// must not read them from the engine, whose commit-side fields may
-// have moved on. gc.writeMu must be held.
-func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[string]string, watch []byte, hasWatch bool) error {
+// writeStore writes the files of j's state that are not on disk yet,
+// swaps the manifest, and then removes what the previous manifest
+// referenced and this one does not. A segment is referenced through
+// its job's cover when it has one (see persistState.covers), else
+// through its own file; a save's job carries no covers, so it writes
+// every live segment whole. The manifest is built from its job alone:
+// the state (with the remote statistics it was scored under), and
+// world and watch, captured at commit time — the writer must not read
+// them from the engine, whose commit-side fields may have moved on.
+// gc.writeMu must be held.
+func (e *Engine) writeStore(j *persistJob) (err error) {
+	dir, st := j.dir, j.st
+	defer func() {
+		if err != nil {
+			// The attempt may have placed files no manifest names, and
+			// not synced their renames: the next successful write syncs
+			// the directory and sweeps it.
+			e.persist.lastDir = ""
+		}
+	}()
 	if err := ensureDir(dir); err != nil {
 		return err
 	}
 	segs := st.snap.Segments
-	if e.persist.segRefs == nil {
-		e.persist.segRefs = make(map[*snapshot.Segment][]segio.SegmentRef)
+	if e.persist.files == nil {
+		e.persist.files = make(map[*snapshot.Segment]segio.SegmentRef)
 	}
-	refs := make([]segio.SegmentRef, 0, len(segs))
-	wrote := false // any deferred-sync file placed; one SyncDir before the manifest
 	type pendingFile struct {
 		name    string
 		data    []byte
 		segment bool // a segment file (else its conn companion)
 	}
 	var pend []pendingFile
-	for _, seg := range segs {
-		var ref segio.SegmentRef
+	// place returns the ref of seg's own file, queueing the file and its
+	// conn companion for writing unless they are on disk.
+	place := func(seg *snapshot.Segment) segio.SegmentRef {
+		ref, ok := e.persist.files[seg]
 		var data []byte
-		if cover := e.persist.segRefs[seg]; len(cover) == 1 {
-			ref = cover[0]
-		} else {
-			// Delta checkpoint: a merged segment whose folded inputs are
-			// already durable is covered by referencing their files — the
-			// manifest's layout lags the in-memory segmentation, but the
-			// documents and generation it describes are identical, and no
-			// O(corpus) re-encode rides the writer. Saves compact to the
-			// live layout instead.
-			if !compact {
-				if drefs, dok := e.resolveDeltaRefs(seg, dir); dok {
-					e.persist.segRefs[seg] = drefs
-					e.gc.purgeLineage(seg)
-					e.persist.segmentsReused.Add(int64(len(drefs)))
-					refs = append(refs, drefs...)
-					continue
-				}
-			}
+		if !ok {
 			data = segio.EncodeSegment(seg)
 			ref = segio.SegmentRef{
 				Base:    seg.Base,
@@ -278,10 +320,8 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 				MaxTime: seg.MaxTime,
 			}
 			ref.File = segio.SegmentFileName(ref.Base, ref.Docs, ref.CRC)
-			e.gc.purgeLineage(seg)
 		}
-		onDisk := e.knownFile(dir, ref.File)
-		if onDisk {
+		if e.knownFile(dir, ref.File) {
 			e.persist.segmentsReused.Add(1)
 		} else {
 			if data == nil {
@@ -308,8 +348,30 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 				}
 			}
 		}
-		e.persist.segRefs[seg] = []segio.SegmentRef{ref}
-		refs = append(refs, ref)
+		e.persist.files[seg] = ref
+		return ref
+	}
+	refs := make([]segio.SegmentRef, 0, len(segs))
+	var resolved []*coverLeaf // leaves this write covers first
+	for i, seg := range segs {
+		if j.covers == nil || j.covers[i] == nil {
+			refs = append(refs, place(seg))
+			continue
+		}
+		// A merged segment covered by its parents' files: the manifest's
+		// layout lags the in-memory segmentation, but the documents and
+		// generation it describes are identical, and no O(corpus)
+		// re-encode rides the writer. A leaf whose own job was coalesced
+		// away is encoded here, so the files do not depend on it.
+		for _, l := range j.covers[i] {
+			if l.seg != nil {
+				l.ref = place(l.seg)
+				resolved = append(resolved, l)
+			} else {
+				e.persist.segmentsReused.Add(1)
+			}
+			refs = append(refs, l.ref)
+		}
 	}
 	// Place the new segment and companion files concurrently: each write
 	// fsyncs its own file, and overlapping the fsyncs lets the filesystem
@@ -342,13 +404,16 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 			}
 			e.persist.bytesWritten.Add(int64(len(p.data)))
 		}
-		wrote = true
 	}
+	// One SyncDir before the manifest whenever it may name a rename this
+	// process has not synced: a file placed now, or, on the first write
+	// into dir or the first after a failed attempt, a file found there.
+	needSync := len(pend) > 0 || e.persist.lastDir != dir
 	// Prune the cache to live segments so merge churn cannot grow it
 	// without bound.
-	for seg := range e.persist.segRefs {
+	for seg := range e.persist.files {
 		if !slices.Contains(segs, seg) {
-			delete(e.persist.segRefs, seg)
+			delete(e.persist.files, seg)
 		}
 	}
 
@@ -357,7 +422,7 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 		NumDocs:    st.snap.NumDocs(),
 		Segments:   refs,
 		Engine:     e.engineMeta(),
-		World:      world,
+		World:      j.world,
 		Stats:      statsMeta(e.stats),
 	}
 	// A shard persists its cluster position and the remote entity
@@ -377,30 +442,28 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 		}
 	}
 	// Standing-query state participates in the same atomic manifest
-	// swap: the content-named file is written first, the manifest points
-	// at it, and stale generations are garbage-collected after the swap.
-	// Unlike segments the state is mutable, but each version is written
-	// under its content hash, so an unchanged registry rewrites nothing
-	// and a crash mid-save leaves the previous manifest's file intact.
-	// The bytes were rendered at commit time (see persistJob.watch), so
-	// the manifest pairs each batch with exactly the alerts it fired.
-	if hasWatch {
-		if data := watch; len(data) > 0 {
-			name := segio.WatchFileName(data)
-			if !e.knownFile(dir, name) {
-				if err := writeSegioFile(dir, name, data); err != nil {
-					return fmt.Errorf("core: writing watch state: %w", err)
-				}
-				wrote = true
-				e.markFile(dir, name)
-				e.persist.bytesWritten.Add(int64(len(data)))
+	// swap: the content-named file is written first and the manifest
+	// points at it. Unlike segments the state is mutable, but each
+	// version is written under its content hash, so an unchanged registry
+	// rewrites nothing and a crash mid-save leaves the previous
+	// manifest's file intact. The bytes were rendered at commit time
+	// (see persistJob.watch), so the manifest pairs each batch with
+	// exactly the alerts it fired.
+	if j.hasWatch && len(j.watch) > 0 {
+		name := segio.WatchFileName(j.watch)
+		if !e.knownFile(dir, name) {
+			if err := writeSegioFile(dir, name, j.watch); err != nil {
+				return fmt.Errorf("core: writing watch state: %w", err)
 			}
-			m.WatchFile = name
+			needSync = true
+			e.markFile(dir, name)
+			e.persist.bytesWritten.Add(int64(len(j.watch)))
 		}
+		m.WatchFile = name
 	}
-	if wrote {
-		// One directory fsync covers every artifact rename above; the
-		// manifest below must not point at names that could vanish.
+	if needSync {
+		// One directory fsync covers every artifact rename; the manifest
+		// below must not point at names that could vanish.
 		if err := syncSegioDir(dir); err != nil {
 			return fmt.Errorf("core: syncing store directory: %w", err)
 		}
@@ -408,65 +471,29 @@ func (e *Engine) writeStore(dir string, st *genState, compact bool, world map[st
 	if err := writeSegioManifest(dir, m); err != nil {
 		return fmt.Errorf("core: writing manifest: %w", err)
 	}
-	if compact {
-		// Saves compact: the manifest may have stopped referencing delta
-		// leaf files, folded segments, old companion/watch versions or a
-		// pre-companion store's whole-memo conn file — sweep the
-		// directory against it.
+	for _, l := range resolved {
+		l.seg = nil
+	}
+	// Covers only ever drop leaves (a merge past the bound, a save), so
+	// no later manifest names a resolved leaf removed here; any other
+	// file named again is re-placed, as removal forgets it.
+	names := m.Files()
+	if e.persist.lastDir == dir {
+		for _, name := range e.persist.lastFiles {
+			if !slices.Contains(names, name) {
+				// A file that will not go stays as garbage; the manifest
+				// no longer names it.
+				_ = os.Remove(filepath.Join(dir, name))
+				e.forgetFile(dir, name)
+			}
+		}
+	} else {
 		for _, name := range segio.CollectGarbage(dir, m) {
 			e.forgetFile(dir, name)
 		}
-	} else if old := e.persist.lastWatchFile; old != "" && old != m.WatchFile {
-		// A delta checkpoint never unreferences a segment or conn file,
-		// so the directory-wide garbage scan is skipped on the hot path;
-		// the one file a checkpoint can supersede is the previous
-		// standing-query version, removed point-wise after the swap.
-		os.Remove(filepath.Join(dir, old))
-		e.forgetFile(dir, old)
 	}
-	e.persist.lastWatchFile = m.WatchFile
+	e.persist.lastDir, e.persist.lastFiles = dir, names
 	return nil
-}
-
-// resolveDeltaRefs returns on-disk refs that already cover seg's
-// documents without encoding it: its cached refs (its own file or a
-// previously resolved delta), or — through merge lineage, recursively
-// — the durable files of the segments a background merge folded into
-// it. Parents appear in base order, so the flattened refs preserve the
-// global document order the manifest promises. ok is false when
-// nothing covers seg or any covering file is missing from dir (a
-// parent's checkpoint was coalesced away, the directory changed,
-// external deletion): the caller then encodes seg in full.
-// gc.writeMu held.
-func (e *Engine) resolveDeltaRefs(seg *snapshot.Segment, dir string) ([]segio.SegmentRef, bool) {
-	if drefs, ok := e.persist.segRefs[seg]; ok {
-		for _, ref := range drefs {
-			if !e.refOnDisk(dir, ref) {
-				return nil, false
-			}
-		}
-		return drefs, true
-	}
-	var out []segio.SegmentRef
-	for _, p := range e.gc.parentsOf(seg) {
-		drefs, ok := e.resolveDeltaRefs(p, dir)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, drefs...)
-	}
-	if out == nil {
-		return nil, false
-	}
-	return out, true
-}
-
-// refOnDisk reports whether a ref's segment file and its conn
-// companion, if it names one, are both in dir. A delta checkpoint
-// carries parents' refs unchanged, companions included, so both must
-// exist. gc.writeMu held.
-func (e *Engine) refOnDisk(dir string, ref segio.SegmentRef) bool {
-	return e.knownFile(dir, ref.File) && (ref.Conn == "" || e.knownFile(dir, ref.Conn))
 }
 
 // companionConn encodes the conn companion of the global document
@@ -663,11 +690,9 @@ func (e *Engine) OpenStore(s *Store, world time.Duration, began time.Time) error
 	// writer-side fields; no writer can be running before the first
 	// index, but the lock keeps the invariant uniform.)
 	e.gc.writeMu.Lock()
-	if e.persist.segRefs == nil {
-		e.persist.segRefs = make(map[*snapshot.Segment][]segio.SegmentRef)
-	}
+	e.persist.files = make(map[*snapshot.Segment]segio.SegmentRef, len(s.segs))
 	for i, seg := range s.segs {
-		e.persist.segRefs[seg] = []segio.SegmentRef{m.Segments[i]}
+		e.persist.files[seg] = m.Segments[i]
 	}
 	e.gc.writeMu.Unlock()
 
@@ -795,8 +820,7 @@ func fileExists(dir, name string) bool {
 
 // knownFile is fileExists behind the writer's verified cache: each
 // dir-qualified name is stat'd at most once per process, then trusted
-// — the writer never deletes a file a manifest still references, so a
-// positive answer stays true for the engine's own lifetime. markFile
+// until the writer removes it itself (forgetFile). markFile
 // records a name the writer just wrote without re-statting it.
 // gc.writeMu held.
 func (e *Engine) knownFile(dir, name string) bool {

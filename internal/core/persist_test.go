@@ -350,7 +350,7 @@ func TestCrashReopenWalksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		saved := int32(e.NumDocs())
-		// No checkpoint directory: this merge records no lineage, so the
+		// No checkpoint directory: this merge records no cover, so the
 		// next checkpoint must encode the merged segment in full.
 		ingest(t, e, 8711, 3)
 		e.SetCheckpointDir(dir, nil)
@@ -448,22 +448,23 @@ func TestEachPairWalkedOnce(t *testing.T) {
 // referencing its parents' existing files (a delta checkpoint) instead
 // of encoding a new merged file; the delta manifest still reopens
 // byte-equivalently, and the next full save compacts the directory
-// back to the live layout. Synchronous persistence makes the schedule
-// deterministic: every batch segment is durable before the merge that
-// folds it commits.
+// back to the live layout. The writer may fold a batch's checkpoint into
+// the merge after it; the merged segment's cover names the batch's file
+// all the same.
 func TestDeltaCheckpointAfterMerge(t *testing.T) {
 	g, _, c, _ := world(t)
 	dir := t.TempDir()
 	e := NewEngine(g, Options{Seed: 11, Samples: 20, MaxSegments: 2})
 	e.IndexCorpus(c)
-	e.SetSyncPersist(true)
 	e.SetCheckpointDir(dir, nil)
 	for i := 0; i < 4; i++ {
-		if _, err := e.Ingest(context.Background(), ingestBatch(t, 8400+uint64(i), 5)); err != nil {
+		res, err := e.Ingest(context.Background(), ingestBatch(t, 8400+uint64(i), 5))
+		if err != nil {
 			t.Fatal(err)
 		}
+		e.WaitPersisted(res.PersistSeq)
+		e.WaitMerges()
 	}
-	e.WaitMerges()
 	m, err := segio.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -126,12 +126,13 @@ func (e *Engine) RemoteStatsSnapshot() ShardStats {
 // changed. The checkpoint goes through the group-commit writer like an
 // ingest's, and the wait for it runs after the ingest lock is
 // released. Invalid stats (see ShardStats.validate) are refused. So
-// are stats at the current batch count that differ from the current
-// ones: peers' counts only grow, so a real summary at an unchanged
-// batch count is the same summary, and any other body names no state
-// (a sum of torn peer snapshots, or a forgery) — rescoring on it would
-// change answers while the generation stays put. The same stats again
-// are a no-op.
+// are stats at a lower batch count than the current ones, and stats at
+// the current batch count that differ from the current ones: peers'
+// counts only grow, so a lower count would move the generation
+// backwards, a real summary at an unchanged batch count is the same
+// summary, and any other body names no state (a sum of torn peer
+// snapshots, or a forgery) — rescoring on it would change answers
+// while the generation stays put. The same stats again are a no-op.
 func (e *Engine) SetRemoteStats(rs ShardStats) error {
 	seq, err := e.foldRemoteStats(rs)
 	if err != nil {
@@ -157,6 +158,9 @@ func (e *Engine) foldRemoteStats(rs ShardStats) (uint64, error) {
 	}
 	if err := rs.validate(e.g.NumNodes()); err != nil {
 		return 0, err
+	}
+	if rs.Batches < old.Batches {
+		return 0, fmt.Errorf("remote statistics: %d batches after %d were folded in", rs.Batches, old.Batches)
 	}
 	if old.Batches == rs.Batches {
 		if old.Docs == rs.Docs && maps.Equal(old.DF, rs.DF) {

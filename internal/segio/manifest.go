@@ -5,7 +5,7 @@
 // atomic rename, so at every instant the directory holds either the
 // previous complete manifest or the new complete manifest — a crash
 // mid-save never corrupts an existing store, it only leaves unreferenced
-// files for the next save to collect.
+// files for the next save or checkpoint to collect.
 package segio
 
 import (
@@ -121,7 +121,7 @@ type ShardMeta struct {
 // with their conn companions, the generation stamp, and the
 // engine/world parameters needed to reopen it. (Stores written before
 // companions replaced the whole-memo conn file carry a conn_file key;
-// the decoder ignores it, and the next save collects the file.)
+// the decoder ignores it, and the next write collects the file.)
 type Manifest struct {
 	Magic         string `json:"magic"`
 	FormatVersion int    `json:"format_version"`
@@ -431,21 +431,31 @@ func syncDir(dir string) error {
 	return nil
 }
 
+// Files lists the files m references: each segment file and its conn
+// companion, in manifest order, then the watch file.
+func (m *Manifest) Files() []string {
+	names := make([]string, 0, 2*len(m.Segments)+1)
+	for _, ref := range m.Segments {
+		names = append(names, ref.File)
+		if ref.Conn != "" {
+			names = append(names, ref.Conn)
+		}
+	}
+	if m.WatchFile != "" {
+		names = append(names, m.WatchFile)
+	}
+	return names
+}
+
 // CollectGarbage removes segment/conn/watch files in dir that the
 // manifest does not reference — leftovers of interrupted or superseded
 // saves, and a pre-companion store's whole-memo conn file.
 // Call it only after the new manifest is durably in place. Unremovable
-// files are skipped (they stay garbage; the next save retries).
+// files are skipped (they stay garbage until the next sweep).
 func CollectGarbage(dir string, m *Manifest) (removed []string) {
 	keep := map[string]bool{ManifestName: true}
-	for _, ref := range m.Segments {
-		keep[ref.File] = true
-		if ref.Conn != "" {
-			keep[ref.Conn] = true
-		}
-	}
-	if m.WatchFile != "" {
-		keep[m.WatchFile] = true
+	for _, name := range m.Files() {
+		keep[name] = true
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

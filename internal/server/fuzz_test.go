@@ -163,9 +163,13 @@ func FuzzRemoteStatsBody(f *testing.F) {
 	grown := cur
 	grown.Docs++
 	grown.Batches++
+	ahead, behind := cur, cur
+	ahead.Batches, behind.Batches = 3, 1
 	addJSONSeeds(f, `{"df":`,
 		cur,
 		grown,
+		ahead,
+		behind,
 		map[string]any{"docs": cur.Docs, "batches": 1, "df": map[string]int{"999999999": -100000}},
 		map[string]any{"docs": -1, "batches": 1},
 		map[string]any{"docs": 3, "batches": 1, "df": map[string]int{"0": 4}},
@@ -215,7 +219,8 @@ func TestRemoteStatsValidation(t *testing.T) {
 		return rec.Body.String()
 	}
 	wantDrill := drill()
-	docs := x.Engine().RemoteStatsSnapshot().Docs
+	orig := x.Engine().RemoteStatsSnapshot()
+	docs := orig.Docs
 	for _, body := range []string{
 		fmt.Sprintf(`{"docs":%d,"batches":1,"df":{"999999999":1}}`, docs),
 		fmt.Sprintf(`{"docs":%d,"batches":1,"df":{"0":-100000}}`, docs),
@@ -238,5 +243,32 @@ func TestRemoteStatsValidation(t *testing.T) {
 	}
 	if rec := post(fmt.Sprintf(`{"docs":%d,"batches":1}`, docs)); rec.Code != http.StatusOK || x.Generation() != gen+1 {
 		t.Fatalf("valid statistics: status %d, generation %d; want 200 at %d", rec.Code, x.Generation(), gen+1)
+	}
+
+	// A batch count below the folded one would move the generation
+	// backwards: after 3 remote batches, the original counts at 1 batch
+	// are refused, and the generation and the answers stay.
+	body := func(batches uint64) string {
+		rs := orig
+		rs.Batches = batches
+		raw, err := json.Marshal(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	if rec := post(body(3)); rec.Code != http.StatusOK || x.Generation() != gen+3 {
+		t.Fatalf("3 remote batches: status %d, generation %d; want 200 at %d", rec.Code, x.Generation(), gen+3)
+	}
+	wantDrill = drill()
+	var e v2Error
+	if rec := post(body(1)); rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error.Code != "invalid_argument" {
+		t.Fatalf("1 remote batch after 3: status %d, body %s; want 400 invalid_argument", rec.Code, rec.Body)
+	}
+	if x.Generation() != gen+3 {
+		t.Fatalf("a decreasing batch count moved the generation %d -> %d", gen+3, x.Generation())
+	}
+	if got := drill(); got != wantDrill {
+		t.Fatalf("a decreasing batch count moved the drill-down:\n got %s\nwant %s", got, wantDrill)
 	}
 }

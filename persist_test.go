@@ -533,9 +533,11 @@ func storeDigest(t *testing.T, dir string, exts ...string) string {
 // follows; both answer roll-up and drill-down byte-identically. The
 // segment files of both stores are pinned (format v4: the DOCS and
 // ARTS sections v3 wrote, without the derived TEXT, POST and BMAX),
-// and the clean save's companions are pinned too. Ingest runs
-// unpipelined so merges and
-// checkpoints land in a fixed order and the file set is deterministic.
+// and the clean save's companions are pinned too. The checkpointed
+// directory is a function of the committed state, so each batch only
+// waits for its own durability, as a server does: the writer may
+// coalesce checkpoints, and the directory holds exactly the files its
+// manifest names, at most 1+16 per live segment.
 func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale world")
@@ -544,7 +546,7 @@ func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
 		// SHA-256 over the schedule's seg-*.ncseg files after the
 		// checkpointed ingests, and over the seg-*.ncseg and the
 		// segconn-*.nccm files of the clean save that follows.
-		crashSegments   = "325d5c5181353815a38c12e8992c5ed55c98d6363d10f463d12edc91bea3f847"
+		crashSegments   = "a2696705fe31ccd4e5bb422063d50dec3f9fd077b950d2ea70286c3fb9cb4ae0"
 		cleanSegments   = "d7f5c2b26691e49918371df7be676a134a9b5fd58bf7a99192c86566341a95f4"
 		cleanCompanions = "7376c2bdf6bf3e2cf3bb6c93cda12c345e6d4d5f22851de22488cb6e5aba229b"
 	)
@@ -553,16 +555,17 @@ func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.Engine().SetSyncPersist(true)
 	ingest := func(seed uint64, n int) {
 		t.Helper()
 		arts, err := x.SampleArticles(seed, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := x.Ingest(ctx, arts); err != nil {
+		res, err := x.Ingest(ctx, arts)
+		if err != nil {
 			t.Fatal(err)
 		}
+		x.WaitDurable(res.PersistSeq)
 		x.Quiesce()
 	}
 	dir := t.TempDir()
@@ -573,6 +576,7 @@ func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	x.CheckpointTo(dir)
+	saved := x.Stats().Persist.BytesWritten
 	for i := uint64(0); i < 80; i++ {
 		ingest(9200+i, 32)
 	}
@@ -580,6 +584,27 @@ func TestLiveFeedCrashReopenWalksNothing(t *testing.T) {
 	crashDir := corruptedCopy(t, dir, func(string) {})
 	if got := storeDigest(t, crashDir, segio.SegmentExt); got != crashSegments {
 		t.Errorf("checkpointed segment files digest %s, want %s", got, crashSegments)
+	}
+	m, err := segio.ReadManifest(crashDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := len(x.Engine().SegmentSizes())
+	t.Logf("crash manifest: %d refs for %d live segments; checkpoints wrote %d bytes",
+		len(m.Segments), live, x.Stats().Persist.BytesWritten-saved)
+	if len(m.Segments) > live*(1+16) || len(m.Segments) > 22 {
+		t.Errorf("crash manifest holds %d refs for %d live segments; want at most %d and at most 22",
+			len(m.Segments), live, live*(1+16))
+	}
+	entries, err := os.ReadDir(crashDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := m.Files()
+	for _, ent := range entries {
+		if name := ent.Name(); name != segio.ManifestName && !slices.Contains(named, name) {
+			t.Errorf("checkpointed directory holds %s, which its manifest does not name", name)
+		}
 	}
 	start := time.Now()
 	crashed, err := Open(crashDir, OpenOptions{})
