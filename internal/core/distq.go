@@ -25,9 +25,9 @@ package core
 // candidate and union passes DrillDownPage counts with (candidates,
 // unions: over D(Q ∪ {c}), the documents where c is a kept
 // candidate). From the replayed accumulators on, the merge is
-// DrillDownPage's own code — the same shortlist and the same ranking
-// (queryScratch.rank), fed the deduplicated union counts — so the
-// merged page is byte-identical.
+// DrillDownPage's own code — the same shortlist, packed into the same
+// window type with the deduplicated union counts, and the same ranking
+// (ddWindow.rank) — so the merged page is byte-identical.
 //
 // Both partials cross the router↔shard hop as binary frames (frame.go)
 // that carry every cdr as its exact bits.
@@ -78,6 +78,11 @@ func (e *Engine) DrillDownPartials(ctx context.Context, q Query, tr *TimeRange) 
 	if err != nil {
 		return out, err
 	}
+	// All rows share two columns; starts[i] is row i's first entry. The
+	// rows are cut from the columns once they stop growing.
+	var concepts []kg.NodeID
+	var cdrs []float64
+	var starts []int
 	for i, d := range docs {
 		if i%ctxStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -87,17 +92,26 @@ func (e *Engine) DrillDownPartials(ctx context.Context, q Query, tr *TimeRange) 
 		if tr != nil && !tr.contains(st.snap.Doc(d).PublishedAt) {
 			continue
 		}
-		row := DrillDownRow{Doc: d}
+		start := len(concepts)
 		for _, cs := range st.docConcepts(d) {
 			if queryHas(q, cs.Concept) {
 				continue
 			}
-			row.Concepts = append(row.Concepts, cs.Concept)
-			row.CDRs = append(row.CDRs, cs.CDR)
+			concepts = append(concepts, cs.Concept)
+			cdrs = append(cdrs, cs.CDR)
 		}
-		if len(row.Concepts) > 0 {
-			out.Rows = append(out.Rows, row)
+		if len(concepts) > start {
+			out.Rows = append(out.Rows, DrillDownRow{Doc: d})
+			starts = append(starts, start)
 		}
+	}
+	for i := range out.Rows {
+		lo, hi := starts[i], len(concepts)
+		if i+1 < len(starts) {
+			hi = starts[i+1]
+		}
+		out.Rows[i].Concepts = concepts[lo:hi:hi]
+		out.Rows[i].CDRs = cdrs[lo:hi:hi]
 	}
 	return out, nil
 }
@@ -161,9 +175,9 @@ func (e *Engine) DiversityPartials(ctx context.Context, q Query, concepts []kg.N
 	return out, nil
 }
 
-// routerScratch pools the queryScratch merges rank on: a router holds no
-// Engine, so the pool is package-wide, and an entry sized for a smaller
-// graph than the merge names is replaced.
+// routerScratch pools the queryScratch merges accumulate on: a router
+// holds no Engine, so the pool is package-wide, and an entry sized for
+// a smaller graph than the merge names is replaced.
 var routerScratch sync.Pool
 
 // MergeDrillDown reproduces DrillDownPage over shard partials: it
@@ -279,6 +293,6 @@ func MergeDrillDown(g *kg.Graph, opts DrillDownOptions, parts []DrillDownPartial
 		union = append(union, n)
 	}
 	sc.union = union
-	sc.rank(g, opts, &page)
+	sc.window(short).rank(g.SpecTable(), opts, &page)
 	return page, nil
 }

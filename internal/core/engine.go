@@ -217,6 +217,10 @@ type Engine struct {
 	stats IndexStats
 	ing   ingestCounters
 
+	// windowHits and windowMisses count drill-down pages ranked from a
+	// memoised window and from a computed one (see windowMemo).
+	windowHits, windowMisses atomic.Int64
+
 	// ingestHook, when set, runs after every successful Ingest swap with
 	// a DeltaView over the batch's documents (see delta.go). Guarded by
 	// ingestMu like every other write-side field.
@@ -315,6 +319,11 @@ type genState struct {
 	// verbatim.
 	entIDFN []float64
 	ceil    *ceilState
+
+	// windows memoises this generation's drill-down windows (see
+	// windowMemo). A merge's state shares it with the state it replaces,
+	// as it shares the plans; every other new state starts with its own.
+	windows *windowMemo
 }
 
 // Entities implements relevance.DocView.
@@ -609,7 +618,7 @@ func (e *Engine) newStateShell(gen uint64, segs []*snapshot.Segment, prev *genSt
 	} else {
 		snap = snapshot.NewSharded(gen, segs, rs.Docs, rs.DF)
 	}
-	st := &genState{e: e, snap: snap, remote: rs}
+	st := &genState{e: e, snap: snap, remote: rs, windows: &windowMemo{}}
 	bound := snap.DocBound()
 	prevBound := 0
 	if prev != nil {
@@ -941,13 +950,18 @@ func (e *Engine) DocConcepts(doc corpus.DocID) []ConceptScore {
 
 // ResetQueryCaches advances the cache epoch (see CacheEpoch), so
 // response caches layered above the engine stop serving retained
-// bodies. It changes no query's cost: the engine keeps no query-path
-// memo to drop — plans, per-document scores and extents are generation
-// state or pure graph data, and every query reads them as before.
+// bodies, and drops the current generation's drill-down windows, so
+// the next page of every listing recomputes its window. Plans,
+// per-document scores and extents stay: they are generation state or
+// pure graph data, and no query's answer depends on whether they are
+// warm.
 func (e *Engine) ResetQueryCaches() {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	e.epoch.Add(1)
+	if st := e.state(); st != nil {
+		st.windows.reset()
+	}
 }
 
 // NumDocs returns the number of indexed documents at the current

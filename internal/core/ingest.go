@@ -407,6 +407,9 @@ func (e *Engine) mergeSegments() {
 	st.planned = cur.planned
 	st.entIDFN = cur.entIDFN
 	st.ceil = cur.ceil
+	// The drill-down windows stay valid for the same reason, so the
+	// merged state keeps serving them.
+	st.windows = cur.windows
 	e.st.Store(st)
 	// No epoch bump: answers are unchanged, external caches stay warm.
 	// The checkpoint keeps the data directory aligned with the merged

@@ -26,17 +26,18 @@ func benchQueries(g *kg.Graph) []Query {
 // runColdParallel times distinct-query concurrent traffic. It cannot
 // use b.RunParallel over a fixed query pool: auto-scaled b.N quickly
 // outgrows the pool and replays one query. Instead each b.N iteration
-// drains the whole pool once through GOMAXPROCS goroutines. "Cold"
-// names that traffic, not a reset: the engine keeps no query-path
-// memo (ResetQueryCaches only advances the cache epoch), and the
-// generation state queries fill lazily — plan ceilings, per-document
-// scores — stays filled after the first pass. The per-query cost is
-// reported as ns/query.
-func runColdParallel(b *testing.B, qs []Query, run func(q Query)) {
+// drains the whole pool once through GOMAXPROCS goroutines. Each pass
+// starts with ResetQueryCaches, which drops the drill-down windows, so
+// no pass pages from the previous one's windows; the generation state
+// queries fill lazily — plan ceilings, per-document scores — stays
+// filled after the first pass. The per-query cost is reported as
+// ns/query.
+func runColdParallel(b *testing.B, e *Engine, qs []Query, run func(q Query)) {
 	workers := runtime.GOMAXPROCS(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		e.ResetQueryCaches()
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -85,13 +86,15 @@ func BenchmarkRollUpParallel(b *testing.B) {
 		})
 	})
 	b.Run("cold", func(b *testing.B) {
-		runColdParallel(b, benchQueries(g), func(q Query) { e.RollUp(q, 10) })
+		runColdParallel(b, e, benchQueries(g), func(q Query) { e.RollUp(q, 10) })
 	})
 }
 
 // BenchmarkDrillDownParallel is the drill-down analogue of
 // BenchmarkRollUpParallel: warm replays one suggestion round under
-// b.RunParallel, cold times passes over distinct queries.
+// b.RunParallel, so every call after the first pages a memoised
+// window; cold times passes over distinct queries, each of which
+// computes its window.
 func BenchmarkDrillDownParallel(b *testing.B) {
 	g, meta, _, e := world(b)
 	topic := meta.Topics[0]
@@ -108,6 +111,6 @@ func BenchmarkDrillDownParallel(b *testing.B) {
 		})
 	})
 	b.Run("cold", func(b *testing.B) {
-		runColdParallel(b, benchQueries(g), func(q Query) { e.DrillDown(q, 10) })
+		runColdParallel(b, e, benchQueries(g), func(q Query) { e.DrillDown(q, 10) })
 	})
 }

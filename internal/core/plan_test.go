@@ -467,3 +467,49 @@ func (e *Engine) rollUpPageExhaustive(ctx context.Context, q Query, opts RollUpO
 	}
 	return out, nil
 }
+
+// TestPivotTieTakesFirstMatch pins the pivot rule on a tie: when two
+// matched entities of a document weigh the same, the plan's pivot —
+// the entity a roll-up explanation names — is the first in match
+// order (the document's first-mention order), not the last and not
+// the lowest node ID.
+func TestPivotTieTakesFirstMatch(t *testing.T) {
+	b := kg.NewBuilder()
+	exchange := b.AddConcept("Crypto exchange")
+	bank := b.AddConcept("Retail bank")
+	alpha := b.AddInstance("Alphacoin Exchange")
+	beta := b.AddInstance("Betacoin Exchange")
+	gamma := b.AddInstance("Gammabank")
+	b.AddType(alpha, exchange)
+	b.AddType(beta, exchange)
+	b.AddType(gamma, bank)
+	b.AddInstanceEdge(alpha, gamma)
+	b.AddInstanceEdge(beta, gamma)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Alpha and Beta each occur once, in document 0 only, so their
+	// term frequencies and IDFs match. Beta is mentioned first.
+	c := &corpus.Corpus{Docs: []corpus.Document{
+		{Title: "Exchanges", Body: "Betacoin Exchange and Alphacoin Exchange halted withdrawals, Gammabank said.", PublishedAt: 1},
+		{Title: "Bank", Body: "Gammabank reported earnings.", PublishedAt: 2},
+		{Title: "Bank again", Body: "Gammabank opened branches.", PublishedAt: 3},
+	}}
+	e := NewEngine(g, Options{Seed: 11, Samples: 20})
+	e.IndexCorpus(c)
+	if got := e.Entities(0); len(got) < 2 || got[0] != beta || got[1] != alpha {
+		t.Fatalf("document 0 links %v, want Betacoin then Alphacoin first", got)
+	}
+	wa, wb := e.EntityWeight(alpha, 0), e.EntityWeight(beta, 0)
+	if wa != wb || wa <= 0 {
+		t.Fatalf("entity weights %g and %g; the test needs a positive tie", wa, wb)
+	}
+	res := e.RollUp(Query{exchange}, 5)
+	if len(res) != 1 || res[0].Doc != 0 {
+		t.Fatalf("roll-up = %+v, want document 0 alone", res)
+	}
+	if p := res[0].Contributors[0].Pivot; p != beta {
+		t.Fatalf("pivot = %s, want %s (first in match order)", g.Name(p), g.Name(beta))
+	}
+}

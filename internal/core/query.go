@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"ncexplorer/internal/corpus"
 	"ncexplorer/internal/kg"
@@ -61,9 +62,6 @@ type queryScratch struct {
 
 	cand      []candScore
 	shortVals []kg.NodeID
-	subs      []Subtopic
-	subColl   *topk.Collector[int32]
-	subItems  []topk.Item[int32]
 }
 
 // candScore pairs a candidate subtopic with its cheap (pre-diversity)
@@ -667,91 +665,155 @@ func (sc *queryScratch) appendMembers(out, ext []kg.NodeID, j int) []kg.NodeID {
 // observe ctx and return its error. With Offset 0 and the zero options
 // the page contents are identical to DrillDown(q, opts.K).
 //
-// The candidate accumulation runs on the pooled dense scratch
-// (stamp-validated per-node arrays) instead of maps; iteration and
-// accumulation order — documents ascending, then candidates by node ID
-// — is identical to the former map implementation, so scores and
-// tie-breaking are unchanged.
+// The page is ranked from the query's window (ddWindow). The pinned
+// generation memoises windows (windowMemo), so only the first page of
+// a listing pays the candidate and union passes over D(Q); every later
+// page, at any offset, K ≤ 128, floor or diversity toggle, ranks the
+// memoised window. A memo hit still returns ctx's error first.
 func (e *Engine) DrillDownPage(ctx context.Context, q Query, opts DrillDownOptions) (DrillDownPage, error) {
 	st := e.state()
 	page := DrillDownPage{Generation: st.snap.Generation}
 	if opts.K <= 0 || opts.Offset < 0 {
 		return page, nil
 	}
+	key := newWindowKey(q, opts)
+	w, ok := st.windows.get(key)
+	if ok {
+		e.windowHits.Add(1)
+		if err := ctx.Err(); err != nil {
+			return page, err
+		}
+	} else {
+		var err error
+		if w, err = st.drillDownWindow(ctx, q, opts); err != nil {
+			return page, err
+		}
+		e.windowMisses.Add(1)
+		st.windows.put(key, w)
+	}
+	w.rank(e.g.SpecTable(), opts, &page)
+	return page, nil
+}
+
+// drillDownWindow runs the candidate pass over D(Q), selects the
+// shortlist and counts its unions: the window DrillDownPage ranks.
+// The candidate accumulation runs on the pooled dense scratch
+// (stamp-validated per-node arrays); its order — documents ascending,
+// then candidates in stored order — fixes every coverage value.
+func (st *genState) drillDownWindow(ctx context.Context, q Query, opts DrillDownOptions) (ddWindow, error) {
 	docs, err := st.drillDownDocs(ctx, q, opts.Time)
 	if err != nil || len(docs) == 0 {
-		return page, err
+		return nil, err
 	}
+	e := st.e
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	touched, err := sc.candidates(ctx, st, q, docs, opts.Time)
 	if err != nil || len(touched) == 0 {
-		return page, err
+		return nil, err
 	}
-	if err := sc.unions(ctx, e.g, sc.shortlist(touched, e.g.SpecTable(), opts)); err != nil {
-		return page, err
+	short := sc.shortlist(touched, e.g.SpecTable(), opts)
+	if err := sc.unions(ctx, e.g, short); err != nil {
+		return nil, err
 	}
-	sc.rank(e.g, opts, &page)
-	return page, nil
+	return sc.window(short), nil
 }
 
-// rank is Definition 2's ranking over the shortlist sc.shortVals, whose
-// coverage and match counts sc holds and whose diversity union counts
-// sit in sc.union (entry i's at union[i]). It scores every entry
-// coverage × specificity × diversity, then pages the scored window into
-// page.Results and page.Total by the MinScore/Total rule and the offset
-// slice.
+// windowEntry is one shortlisted concept c with the inputs Definition
+// 2 scores it from, bar its specificity: coverage(c, Q), the match
+// count |D(Q ∪ {c})| and the diversity union's size.
+type windowEntry struct {
+	cov   float64
+	c     kg.NodeID
+	cnt   int32
+	union int32
+}
+
+// ddWindow is a drill-down's window: its shortlist in cheap-score
+// order, one entry per concept. It depends on the query, the time
+// range, NoSpecificity and the shortlist size max(128, K) alone; K,
+// Offset, MinScore and NoDiversity are applied when rank pages it. So
+// one window serves every page of a listing, and it is immutable once
+// built: memoised windows are read by concurrent queries.
 //
-// DrillDownPage and MergeDrillDown both rank here, and differ in how
-// the union counts were made: a node's union pass over its candidate
-// log (unions), the router's dedupe of the shards' sets.
-func (sc *queryScratch) rank(g *kg.Graph, opts DrillDownOptions, page *DrillDownPage) {
-	short, spec := sc.shortVals, g.SpecTable()
-	for len(sc.subs) < len(short) {
-		sc.subs = append(sc.subs, Subtopic{})
-	}
-	subs := sc.subs[:len(short)]
-	limit := opts.K + opts.Offset
-	if limit < 0 || limit > len(subs) {
-		limit = len(subs)
-	}
-	// The collector ranks shortlist indexes, not Subtopic values: heap
-	// swaps then move 16 bytes instead of a full Subtopic. Pushes follow
-	// the shortlist order, which breaks score ties.
-	if sc.subColl == nil {
-		sc.subColl = topk.New[int32](limit)
-	} else {
-		sc.subColl.Reset(limit)
-	}
-	coll := sc.subColl
-	total := 0
+// DrillDownPage and MergeDrillDown both fill one (window), and differ
+// in how the union counts were made: a node's union pass over its
+// candidate log (unions), the router's dedupe of the shards' sets.
+type ddWindow []windowEntry
+
+// window packs the shortlist short into a new window: coverage and
+// match counts from sc's accumulators, and entry i's union count from
+// sc.union[i].
+func (sc *queryScratch) window(short []kg.NodeID) ddWindow {
+	w := make(ddWindow, len(short))
 	for i, c := range short {
-		sub := Subtopic{Concept: c, Coverage: sc.cov[c], Specificity: spec[c], MatchedDocs: int(sc.cnt[c])}
-		if n := sub.MatchedDocs; n > 0 {
-			sub.Diversity = float64(sc.union[i]) / float64(n)
-		}
-		sub.Score = sub.Coverage
-		if !opts.NoSpecificity {
-			sub.Score *= sub.Specificity
-		}
-		if !opts.NoDiversity {
-			sub.Score *= sub.Diversity
-		}
-		subs[i] = sub
+		w[i] = windowEntry{cov: sc.cov[c], c: c, cnt: sc.cnt[c], union: sc.union[i]}
+	}
+	return w
+}
+
+// subtopic scores window entry i: coverage × specificity × diversity,
+// less the factors opts disables.
+func (w ddWindow) subtopic(i int, spec []float64, opts DrillDownOptions) Subtopic {
+	en := w[i]
+	sub := Subtopic{Concept: en.c, Coverage: en.cov, Specificity: spec[en.c], MatchedDocs: int(en.cnt)}
+	if n := sub.MatchedDocs; n > 0 {
+		sub.Diversity = float64(en.union) / float64(n)
+	}
+	sub.Score = sub.Coverage
+	if !opts.NoSpecificity {
+		sub.Score *= sub.Specificity
+	}
+	if !opts.NoDiversity {
+		sub.Score *= sub.Diversity
+	}
+	return sub
+}
+
+// ranker is the collector and item buffer one rank call uses. They
+// are pooled: rank runs on every page, memo hit or miss, and on the
+// router, where no scratch is at hand.
+type ranker struct {
+	coll  topk.Collector[int32]
+	items []topk.Item[int32]
+}
+
+var rankers = sync.Pool{New: func() any { return new(ranker) }}
+
+// rank is Definition 2's ranking over the window: it scores every
+// entry, then pages the scored window into page.Results and page.Total
+// by the MinScore/Total rule and the offset slice. It only reads w.
+func (w ddWindow) rank(spec []float64, opts DrillDownOptions, page *DrillDownPage) {
+	limit := opts.K + opts.Offset
+	if limit < 0 || limit > len(w) {
+		limit = len(w)
+	}
+	if limit == 0 {
+		return
+	}
+	// The collector ranks window indexes; pushes follow the window's
+	// order, which breaks score ties.
+	rk := rankers.Get().(*ranker)
+	defer rankers.Put(rk)
+	coll := &rk.coll
+	coll.Reset(limit)
+	total := 0
+	for i := range w {
+		s := w.subtopic(i, spec, opts).Score
 		// A floor's Total counts only the entries at or above it.
-		if opts.MinScore > 0 && sub.Score < opts.MinScore {
+		if opts.MinScore > 0 && s < opts.MinScore {
 			continue
 		}
 		total++
-		coll.Push(int32(i), sub.Score)
+		coll.Push(int32(i), s)
 	}
-	sc.subItems = coll.AppendSorted(sc.subItems[:0])
 	page.Total = total
-	if items := sc.subItems; opts.Offset < len(items) {
+	rk.items = coll.AppendSorted(rk.items[:0])
+	if items := rk.items; opts.Offset < len(items) {
 		items = items[opts.Offset:]
 		page.Results = make([]Subtopic, len(items))
 		for i, it := range items {
-			page.Results[i] = subs[it.Value]
+			page.Results[i] = w.subtopic(int(it.Value), spec, opts)
 		}
 	}
 }

@@ -44,14 +44,14 @@ func BenchmarkTimeFilteredRollUp(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("unfiltered", func(b *testing.B) {
-		runColdParallel(b, qs, func(q Query) {
+		runColdParallel(b, e, qs, func(q Query) {
 			if _, err := e.RollUpPage(ctx, q, RollUpOptions{K: 10}); err != nil {
 				b.Fatal(err)
 			}
 		})
 	})
 	b.Run("window10", func(b *testing.B) {
-		runColdParallel(b, qs, func(q Query) {
+		runColdParallel(b, e, qs, func(q Query) {
 			if _, err := e.RollUpPage(ctx, q, RollUpOptions{K: 10, Time: win}); err != nil {
 				b.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func BenchmarkTimeFilteredRollUp(b *testing.B) {
 	// aggregation rides the same scan, so its cost over the filtered
 	// scan bounds what group_by adds.
 	b.Run("window10-groupby", func(b *testing.B) {
-		runColdParallel(b, qs, func(q Query) {
+		runColdParallel(b, e, qs, func(q Query) {
 			if _, err := e.RollUpPage(ctx, q, RollUpOptions{K: 10, Time: win, GroupBy: GroupWeek}); err != nil {
 				b.Fatal(err)
 			}

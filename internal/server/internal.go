@@ -30,7 +30,11 @@
 // (core.PartialsContentType; layout in internal/core/frame.go), not
 // JSON: a broad concept's rows run to megabytes, and decoding them as
 // JSON was most of a router drill-down. Errors are still the JSON /v2
-// envelope.
+// envelope. Neither frame depends on the router's K or offset, so
+// both phases cache their marshalled frames, as the roll-up caches its
+// body: under the "int|" scope, keyed by the path, the canonical
+// concepts, the time range and the shortlist, and epoch-scoped, so an
+// ingest, a stats sync or an explorer swap strands the entries.
 //
 // None of these are public APIs: no k clamping, no canonicalization
 // beyond what correctness needs — the router is the trusted caller and
@@ -51,6 +55,7 @@ import (
 	"ncexplorer"
 	"ncexplorer/internal/core"
 	"ncexplorer/internal/kg"
+	"ncexplorer/internal/qcache"
 	"ncexplorer/internal/segio"
 )
 
@@ -199,7 +204,13 @@ type PartialsRequest struct {
 
 // internalPartials serves one drill-down scatter phase: it resolves the
 // request's concepts and time window against the local explorer, runs
-// the phase, and answers with the phase's partials frame.
+// the phase, and answers with the phase's partials frame. The frame
+// runs through the result cache under the "int|" scope, keyed by the
+// path, the canonical concepts, the resolved time range and the
+// shortlist: neither phase depends on the router's K or offset, so
+// every page of a listing after the first is a cache hit. The key is
+// epoch-scoped like every other, so an ingest, a stats sync or a swap
+// strands the entries.
 func (s *Server) internalPartials(phase func(ctx context.Context, e *core.Engine, q core.Query, shortlist []kg.NodeID, tr *core.TimeRange) (encoding.BinaryMarshaler, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		x, ok := s.internalExplorer(w)
@@ -211,7 +222,8 @@ func (s *Server) internalPartials(phase func(ctx context.Context, e *core.Engine
 			s.writeAPIError(w, aerr)
 			return
 		}
-		q, err := x.ResolveConcepts(ncexplorer.CanonicalConcepts(req.Concepts))
+		concepts := ncexplorer.CanonicalConcepts(req.Concepts)
+		q, err := x.ResolveConcepts(concepts)
 		if err != nil {
 			s.WriteError(w, err)
 			return
@@ -221,18 +233,30 @@ func (s *Server) internalPartials(phase func(ctx context.Context, e *core.Engine
 			s.WriteError(w, err)
 			return
 		}
-		part, err := phase(r.Context(), x.Engine(), q, req.Shortlist, tr)
-		if err != nil {
-			s.WriteError(w, ncexplorer.WrapContextErr(err))
-			return
+		var kb qcache.KeyBuilder
+		kb.Str(r.URL.Path).Strs(concepts)
+		if tr == nil {
+			kb.Str("")
+		} else {
+			kb.Str("t").Int(int(tr.Min)).Int(int(tr.Max))
 		}
-		body, err := part.MarshalBinary()
+		kb.Int(len(req.Shortlist))
+		for _, c := range req.Shortlist {
+			kb.Int(int(c))
+		}
+		body, _, err := s.doCached(r.Context(), "int|"+kb.String(), func() (any, error) {
+			part, err := phase(r.Context(), x.Engine(), q, req.Shortlist, tr)
+			if err != nil {
+				return nil, ncexplorer.WrapContextErr(err)
+			}
+			return part.MarshalBinary()
+		})
 		if err != nil {
 			s.WriteError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", core.PartialsContentType)
-		w.Write(body)
+		w.Write(body.([]byte))
 	}
 }
 

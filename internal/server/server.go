@@ -32,7 +32,8 @@
 //	                              doc counts, ingest throughput), cache,
 //	                              session, and request counters;
 //	                              index.engine_cache reports the
-//	                              engine's plans, index.ingest its
+//	                              engine's plans and drill-down
+//	                              windows, index.ingest its
 //	                              conn_walks, and index.watch the
 //	                              standing-query counters
 //

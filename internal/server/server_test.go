@@ -318,6 +318,7 @@ func TestStatsz(t *testing.T) {
 	body := map[string]any{"concepts": topicConcepts(t, 4), "k": 7}
 	postJSON(t, "/v2/query/rollup", body)
 	postJSON(t, "/v2/query/rollup", body)
+	postJSON(t, "/v2/query/drilldown", body)
 
 	rec := get(t, "/statsz")
 	if rec.Code != http.StatusOK {
@@ -356,11 +357,13 @@ func TestStatsz(t *testing.T) {
 		t.Fatalf("cache stats = %+v; want visible misses, hits, and entries", resp.Cache)
 	}
 	// The engine-side numbers must be threaded through: the match stats
-	// report the swap-time query plans — the only engine cache left —
-	// and the walk counter the context factors the seed build walked.
+	// report the swap-time query plans, the drill-down window memo the
+	// pages the drill-down above ranked, and the walk counter the
+	// context factors the seed build walked.
 	ec := resp.Index.EngineCache
-	if len(ec) != 1 || ec["match"].Entries == 0 {
-		t.Fatalf("engine cache stats = %+v, want only the query plans' match entries", ec)
+	dw := ec["drilldown_windows"]
+	if len(ec) != 2 || ec["match"].Entries == 0 || dw.Hits+dw.Misses == 0 {
+		t.Fatalf("engine cache stats = %+v, want the query plans' match entries and drill-down window lookups", ec)
 	}
 	if resp.Index.Ingest.ConnWalks == 0 {
 		t.Fatalf("ingest.conn_walks = 0, want the seed build's walks")

@@ -107,9 +107,13 @@ type CacheCounters struct {
 
 // EngineCacheStats reports the engine's query-path caches: Match
 // counts the current generation's concept plans (Entries only: plans
-// are built at swap time, never faulted in).
+// are built at swap time, never faulted in); DrillDownWindows counts
+// drill-down pages ranked from a memoised window (Hits) or a computed
+// one (Misses) since boot, and the windows the current generation
+// holds (Entries).
 type EngineCacheStats struct {
-	Match CacheCounters `json:"match"`
+	Match            CacheCounters `json:"match"`
+	DrillDownWindows CacheCounters `json:"drilldown_windows"`
 }
 
 // IngestCounters reports live-ingestion throughput: successful
@@ -302,17 +306,25 @@ func (x *Explorer) Stats() Stats {
 	st.Segments = x.engine.SegmentSizes()
 	st.Ingest = x.engine.IngestCounters()
 	st.Persist = x.engine.PersistCounters()
-	st.EngineCache = EngineCacheStats{Match: CacheCounters{Entries: x.engine.CacheStats().Match.Entries}}
+	cs := x.engine.CacheStats()
+	st.EngineCache = EngineCacheStats{
+		Match: CacheCounters{Entries: cs.Match.Entries},
+		DrillDownWindows: CacheCounters{
+			Hits:    cs.DrillDownWindows.Hits,
+			Misses:  cs.DrillDownWindows.Misses,
+			Entries: cs.DrillDownWindows.Entries,
+		},
+	}
 	st.Watch = WatchCounters(x.watch.Counters())
 	st.Reach = ReachCounters(x.engine.ReachStats())
 	return st
 }
 
 // ResetQueryCaches advances QueryEpoch, so response caches layered
-// above the facade stop serving retained bodies. It does not make the
-// engine's own query path cold: queries read only the generation's
-// plans and graph data, which it leaves in place, so no query's cost
-// changes. Answers are unaffected, and queries in flight keep their
+// above the facade stop serving retained bodies, and drops the
+// engine's drill-down windows, so the next page of each listing
+// recomputes its window. The generation's plans and graph data stay in
+// place. Answers are unaffected, and queries in flight keep their
 // pinned snapshot.
 func (x *Explorer) ResetQueryCaches() { x.engine.ResetQueryCaches() }
 
